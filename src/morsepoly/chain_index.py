@@ -13,7 +13,9 @@ The three chain-sum operations compute, by direct enumeration, the signed
 chain counts the index argument rests on: the sum over chains through the
 top of a closed down-set, and the two vanishing sums attached to a cover
 pair.  Enumeration is the source of truth; a memoized recursion is provided
-as a faster equivalent path.
+as a faster equivalent path.  :func:`combinatorial_indices` indexes every
+element in one pass with a single generality scan; the verifier's report
+carries those indices and the normalized function they came from.
 """
 
 from __future__ import annotations
@@ -56,13 +58,14 @@ class IndexEntry:
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Per-element indices plus the global totals they must satisfy."""
+    """Per-element indices, the totals they satisfy, and the normalized input."""
 
     entries: tuple[IndexEntry, ...]
     total: int
     chi: int
     n_even: int
     n_odd: int
+    normalized: MorseFunction
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,14 @@ def _require_general(poset: Poset, g: MorseFunction) -> None:
                 raise NonGeneralFunction((a, b))
 
 
+def _index_at(poset: Poset, g: MorseFunction, b: ElementId) -> int:
+    """The index of b, for a g already known to be general."""
+    support = {c for c in poset.strict_down_set(b) if g[c] < g[b]}
+    support |= {c for c in poset.strict_up_set(b) if g[c] < g[b]}
+    support.add(b)
+    return sum((-1) ** c.length for c in enumerate_chains(poset, support) if b in c)
+
+
 def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     """Signed count of chains containing b on which g is maximal at b.
 
@@ -163,10 +174,14 @@ def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     """
     poset.require(b)
     _require_general(poset, g)
-    support = {c for c in poset.strict_down_set(b) if g[c] < g[b]}
-    support |= {c for c in poset.strict_up_set(b) if g[c] < g[b]}
-    support.add(b)
-    return sum((-1) ** c.length for c in enumerate_chains(poset, support) if b in c)
+    return _index_at(poset, g, b)
+
+
+def combinatorial_indices(poset: Poset, g: MorseFunction) -> dict[ElementId, int]:
+    """:func:`combinatorial_index` of every element, in identifier order,
+    scanning the comparable pairs for generality once for the whole pass."""
+    _require_general(poset, g)
+    return {b: _index_at(poset, g, b) for b in poset.sorted_elements}
 
 
 def predicted_index(classification: Classification, mu: ParityRank, b: ElementId) -> int:
@@ -193,8 +208,7 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     g = normalize(poset, f)
 
     entries = []
-    for b in sorted(poset.elements):
-        computed = combinatorial_index(poset, g, b)
+    for b, computed in combinatorial_indices(poset, g).items():
         predicted = predicted_index(classification, mu, b)
         if computed != predicted:
             raise Mismatch(b, computed, predicted)
@@ -215,7 +229,7 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     n_odd = sum(1 for e in entries if e.critical and mu.values[e.element] == 1)
     if n_even - n_odd != chi:
         raise Mismatch(None, n_even - n_odd, chi, what="critical count difference")
-    return IndexReport(entries=tuple(entries), total=total, chi=chi, n_even=n_even, n_odd=n_odd)
+    return IndexReport(tuple(entries), total, chi, n_even, n_odd, normalized=g)
 
 
 def morse_counts(poset: Poset, f: MorseFunction, mu: ParityRank | None = None) -> MorseCounts:

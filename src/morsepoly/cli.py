@@ -28,7 +28,7 @@ from .complexes import (
 )
 from .errors import Mismatch, MorsePolyError
 from .generators import gen_complex, gen_morse
-from .geometry import cross_check, embed_vertices
+from .geometry import compare_indices, embed_vertices, geometric_indices, realize_complex
 from .morse import MorseFunction, classify, normalize
 from .poset import (
     ParityRank,
@@ -43,24 +43,6 @@ from .poset import (
 
 INPUT_ERRORS_EXIT = 2
 MISMATCH_EXIT = 1
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; the seed fully determines generator output."""
-
-    command: str
-    input_path: str | None = None
-    morse_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    strict: bool = False
-    kind: str = "complex"
-    vertices: int = 5
-    dimension: int = 2
-    density: float = 0.5
-    csv_path: str | None = None
 
 
 @dataclass
@@ -81,9 +63,9 @@ def _load_input(path: str) -> LoadedInput:
     return LoadedInput(kind=kind, poset=face.poset, face=face)
 
 
-def _load_morse(config: RunConfig, loaded: LoadedInput) -> MorseFunction:
-    if config.morse_path is not None:
-        return jsonio.morse_from_obj(jsonio.load_document(config.morse_path))
+def _load_morse(args: argparse.Namespace, loaded: LoadedInput) -> MorseFunction:
+    if args.morse_path is not None:
+        return jsonio.morse_from_obj(jsonio.load_document(args.morse_path))
     if loaded.face is not None:
         return dimension_morse(loaded.poset, loaded.face.rank)
     raise MorsePolyError(
@@ -92,9 +74,9 @@ def _load_morse(config: RunConfig, loaded: LoadedInput) -> MorseFunction:
     )
 
 
-def _emit(config: RunConfig, payload: str) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(payload, encoding="utf-8")
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if args.output_path:
+        Path(args.output_path).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
@@ -178,20 +160,20 @@ def _check_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_check(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
+def cmd_check(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
     payload = _check_payload(loaded)
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(payload))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(payload))
     else:
-        _emit(config, _check_text(payload))
-    if config.strict and not payload["all_hold"]:
+        _emit(args, _check_text(payload))
+    if args.strict and not payload["all_hold"]:
         return MISMATCH_EXIT
     return 0
 
 
-def cmd_euler(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
+def cmd_euler(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
     complex_ = order_complex(loaded.poset)
     counts = complex_.counts_by_dimension()
     payload = {
@@ -200,11 +182,11 @@ def cmd_euler(config: RunConfig) -> int:
         "simplices_by_dimension": list(counts),
         "euler_characteristic": euler_characteristic(complex_),
     }
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(payload))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(payload))
     else:
         _emit(
-            config,
+            args,
             f"order complex: {payload['simplex_count']} simplices over "
             f"{payload['element_count']} vertices (by dimension: {counts})\n"
             f"Euler characteristic: {payload['euler_characteristic']}\n",
@@ -212,9 +194,9 @@ def cmd_euler(config: RunConfig) -> int:
     return 0
 
 
-def cmd_classify(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
-    f = _load_morse(config, loaded)
+def cmd_classify(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
+    f = _load_morse(args, loaded)
     classification = classify(loaded.poset, f)
     critical = sorted(classification.critical_set())
     payload = {
@@ -228,8 +210,8 @@ def cmd_classify(config: RunConfig) -> int:
             "ordinary": len(loaded.poset) - len(critical),
         },
     }
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(payload))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(payload))
     else:
         lines = [f"critical: {len(critical)}, ordinary: {payload['counts']['ordinary']}"]
         for e, verdict in sorted(classification.verdicts.items()):
@@ -238,29 +220,29 @@ def cmd_classify(config: RunConfig) -> int:
             else:
                 neighbor, direction = classification.witnesses[e]
                 lines.append(f"  {e}: ordinary (witness {neighbor} {direction})")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_normalize(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
-    f = _load_morse(config, loaded)
+def cmd_normalize(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
+    f = _load_morse(args, loaded)
     g = normalize(loaded.poset, f)
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(jsonio.morse_to_obj(g)))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(jsonio.morse_to_obj(g)))
     else:
         lines = [f"{e}: {jsonio.format_rational(v)}" for e, v in g.sorted_items()]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_index(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
-    f = _load_morse(config, loaded)
+def cmd_index(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
+    f = _load_morse(args, loaded)
     report = verify_representation(loaded.poset, f)
     payload = jsonio.index_report_to_obj(report)
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(payload))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(payload))
     else:
         lines = [
             f"{entry.element}: index {entry.computed} "
@@ -271,77 +253,59 @@ def cmd_index(config: RunConfig) -> int:
             f"sum {report.total} = chi {report.chi}; "
             f"critical even/odd: {report.n_even}/{report.n_odd}"
         )
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_embed(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
-    f = _load_morse(config, loaded)
+def cmd_embed(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
+    f = _load_morse(args, loaded)
     g = normalize(loaded.poset, f)
     embedding = embed_vertices(loaded.poset, g)
     payload = jsonio.embedding_to_obj(embedding)
-    if config.csv_path:
-        Path(config.csv_path).write_text(
+    if args.csv_path:
+        Path(args.csv_path).write_text(
             jsonio.embedding_to_csv(embedding), encoding="utf-8"
         )
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(payload))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(payload))
     else:
         lines = [f"dimension: {embedding.dimension}"]
         for e in sorted(embedding.coordinates):
             coords = ", ".join(jsonio.format_rational(x) for x in embedding.coordinates[e])
             lines.append(f"{e}: ({coords})")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    loaded = _load_input(config.input_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    loaded = _load_input(args.input_path)
     poset = loaded.poset
-    f = _load_morse(config, loaded)
+    f = _load_morse(args, loaded)
     report = verify_representation(poset, f)  # checks hypotheses, raises on violation
 
-    geometric = {}
+    payload = jsonio.index_report_to_obj(report)
     geometry_ok = True
-    mismatches: list[tuple[str, int, int]] = []
-    if len(poset) > 0:
-        g = normalize(poset, f)
-        geo = cross_check(poset, g)
-        geometric = dict(geo.indices)
+    if len(poset) > 0:  # the embedding needs at least one vertex
+        geo = compare_indices(
+            geometric_indices(realize_complex(poset, embed_vertices(poset, report.normalized))),
+            {entry.element: entry.computed for entry in report.entries},
+        )
         geometry_ok = geo.ok
-        mismatches = list(geo.mismatches)
-
-    payload = {
-        "status": "verified" if geometry_ok else "mismatch",
-        "entries": [
-            {
-                "element": entry.element,
-                "computed": entry.computed,
-                "predicted": entry.predicted,
-                "geometric": geometric.get(entry.element, entry.computed),
-                "critical": entry.critical,
-            }
-            for entry in report.entries
-        ],
-        "totals": {
-            "sum": report.total,
-            "euler_characteristic": report.chi,
-            "n_even_critical": report.n_even,
-            "n_odd_critical": report.n_odd,
-        },
-    }
+        for entry in payload["entries"]:
+            entry["geometric"] = geo.indices[entry["element"]]
+        if not geo.ok:
+            payload["mismatches"] = [
+                {"element": e, "geometric": geo_idx, "combinatorial": comb_idx}
+                for e, geo_idx, comb_idx in geo.mismatches
+            ]
+    payload["status"] = "verified" if geometry_ok else "mismatch"
     if loaded.face is not None:
         # Rank is available, so also report critical cells per dimension.
         inequality = morse_inequality_report(poset, loaded.face.rank, f)
         payload["critical_by_dimension"] = list(inequality.counts)
-    if not geometry_ok:
-        payload["mismatches"] = [
-            {"element": e, "geometric": geo_idx, "combinatorial": comb_idx}
-            for e, geo_idx, comb_idx in mismatches
-        ]
-    if config.fmt == "json":
-        _emit(config, jsonio.dumps_canonical(payload))
+    if args.fmt == "json":
+        _emit(args, jsonio.dumps_canonical(payload))
     else:
         lines = [f"status: {payload['status']}"]
         for entry in payload["entries"]:
@@ -357,23 +321,23 @@ def cmd_verify(config: RunConfig) -> int:
         )
         if "critical_by_dimension" in payload:
             lines.append(f"critical cells by dimension: {payload['critical_by_dimension']}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0 if geometry_ok else MISMATCH_EXIT
 
 
-def cmd_gen(config: RunConfig) -> int:
-    if config.kind == "complex":
-        spec = gen_complex(config.seed, config.vertices, config.dimension, config.density)
-        _emit(config, jsonio.dumps_canonical(jsonio.complex_to_obj(spec)))
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.kind == "complex":
+        spec = gen_complex(args.seed, args.vertices, args.dimension, args.density)
+        _emit(args, jsonio.dumps_canonical(jsonio.complex_to_obj(spec)))
         return 0
-    if config.kind == "morse":
-        if not config.input_path:
+    if args.kind == "morse":
+        if not args.input_path:
             raise MorsePolyError("gen --kind morse requires --in POSET_OR_COMPLEX")
-        loaded = _load_input(config.input_path)
-        f = gen_morse(config.seed, loaded.poset)
-        _emit(config, jsonio.dumps_canonical(jsonio.morse_to_obj(f)))
+        loaded = _load_input(args.input_path)
+        f = gen_morse(args.seed, loaded.poset)
+        _emit(args, jsonio.dumps_canonical(jsonio.morse_to_obj(f)))
         return 0
-    raise MorsePolyError(f"unknown gen kind {config.kind!r}")
+    raise MorsePolyError(f"unknown gen kind {args.kind!r}")
 
 
 _COMMANDS = {
@@ -442,22 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input_path", None),
-        morse_path=getattr(args, "morse_path", None),
-        output_path=getattr(args, "output_path", None),
-        fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 0),
-        strict=getattr(args, "strict", False),
-        kind=getattr(args, "kind", "complex"),
-        vertices=getattr(args, "vertices", 5),
-        dimension=getattr(args, "dimension", 2),
-        density=getattr(args, "density", 0.5),
-        csv_path=getattr(args, "csv_path", None),
-    )
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except Mismatch as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return MISMATCH_EXIT

@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import comb
 
 from .complexes import ComplexSpec
-from .errors import EmptyPoset
+from .errors import CycleDetected, EmptyPoset
 from .morse import MorseFunction, validate_morse
-from .poset import ElementId, Poset
+from .poset import ElementId, Poset, _topological_order
 
 
 def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> ComplexSpec:
@@ -59,25 +59,12 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
 
 def _contracted_is_acyclic(poset: Poset, node: dict[ElementId, ElementId]) -> bool:
     """Cycle test on the cover digraph after merging matched pairs."""
-    edges: dict[ElementId, set[ElementId]] = {}
-    for u, v in poset.covers:
-        nu, nv = node[u], node[v]
-        if nu != nv:
-            edges.setdefault(nu, set()).add(nv)
-    state: dict[ElementId, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(n: ElementId) -> bool:
-        state[n] = 1
-        for m in edges.get(n, ()):
-            mark = state.get(m)
-            if mark == 1:
-                return False
-            if mark is None and not visit(m):
-                return False
-        state[n] = 2
-        return True
-
-    return all(state.get(n, 0) == 2 or visit(n) for n in sorted(set(node.values())))
+    edges = {(node[u], node[v]) for u, v in poset.covers if node[u] != node[v]}
+    try:
+        _topological_order(set(node.values()), edges)
+    except CycleDetected:
+        return False
+    return True
 
 
 def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, ElementId]]:

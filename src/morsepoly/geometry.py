@@ -13,8 +13,11 @@ geometric index of a vertex counts, with sign (-1)^dimension, the simplices
 of its closed star whose projection is maximal at that vertex.  Because the
 first coordinates reproduce g, this is an independent re-computation of the
 combinatorial chain-sum index, and :func:`cross_check` compares the two
-elementwise.  All coordinates are exact rationals; no floating point exists
-anywhere in this module.
+elementwise.  :func:`geometric_index` states the definition for one vertex;
+:func:`geometric_indices` computes every vertex's index in one pass, each
+simplex adding its sign at its highest vertex (Banchoff's lower-star count).
+All coordinates are exact rationals; no floating point exists anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .chain_index import combinatorial_index
+from .chain_index import combinatorial_indices
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
 from .morse import MorseFunction
 from .poset import ElementId, Poset, order_complex
@@ -125,22 +128,40 @@ def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
     return total
 
 
+def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
+    """:func:`geometric_index` of every vertex, in identifier order.
+
+    One pass over the simplices: each adds (-1)^dimension at its highest
+    vertex, and at no vertex when its greatest height is shared.
+    """
+    heights = {v: coords[0] for v, coords in complex_.embedding.coordinates.items()}
+    indices = dict.fromkeys(sorted(heights), 0)
+    for simplex in complex_.simplices:
+        top = max(simplex, key=heights.__getitem__)
+        peak = heights[top]
+        if all(heights[v] < peak for v in simplex if v != top):
+            indices[top] += (-1) ** (len(simplex) - 1)
+    return indices
+
+
+def compare_indices(
+    geometric: Mapping[ElementId, int], combinatorial: Mapping[ElementId, int]
+) -> CrossCheckReport:
+    """Elementwise comparison of geometric indices against combinatorial ones."""
+    mismatches = tuple(
+        (b, geo, combinatorial[b]) for b, geo in geometric.items() if geo != combinatorial[b]
+    )
+    return CrossCheckReport(ok=not mismatches, mismatches=mismatches, indices=geometric)
+
+
 def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     """Compare geometric and combinatorial indices for every element.
 
     The two computations share only the function g: one walks embedded
-    star coordinates, the other enumerates chains in the poset.
+    simplex coordinates, the other enumerates chains in the poset.
     """
-    geometric = realize_complex(poset, embed_vertices(poset, g))
-    mismatches = []
-    indices = {}
-    for b in sorted(poset.elements):
-        geo = geometric_index(geometric, b)
-        comb = combinatorial_index(poset, g, b)
-        indices[b] = geo
-        if geo != comb:
-            mismatches.append((b, geo, comb))
-    return CrossCheckReport(ok=not mismatches, mismatches=tuple(mismatches), indices=indices)
+    geometric = geometric_indices(realize_complex(poset, embed_vertices(poset, g)))
+    return compare_indices(geometric, combinatorial_indices(poset, g))
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -20,21 +19,16 @@ from .chain_index import IndexReport
 from .complexes import CellSpec, ComplexSpec
 from .errors import MalformedSpec, ParseError
 from .geometry import Embedding
-from .morse import MorseFunction
+from .morse import MorseFunction, parse_rational as _parse_rational
 from .poset import Poset
-
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from a JSON value: an int or a "p"/"p/q" string."""
-    if isinstance(value, bool):
-        raise MalformedSpec(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-        return Fraction(value.strip())
-    raise MalformedSpec(f"expected a rational as 'p' or 'p/q', got {value!r}")
+    try:
+        return _parse_rational(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedSpec(str(exc)) from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -45,13 +39,23 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate object key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_document(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 

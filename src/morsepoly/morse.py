@@ -17,7 +17,7 @@ stage is retained in a trace so each step can be audited.
 
 from __future__ import annotations
 
-import heapq
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -40,8 +40,12 @@ BELOW = "below"
 ABOVE = "above"
 
 
-def _coerce_rational(value: object) -> Fraction:
-    """Exact conversion; floats are refused to keep all comparisons exact."""
+_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+
+
+def parse_rational(value: object) -> Fraction:
+    """Exact rational from an int, a Fraction, or a "p"/"p/q" string (the one
+    grammar, JSON input included); TypeError for floats, ValueError for text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -49,6 +53,8 @@ def _coerce_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_RE.fullmatch(value.strip()):
+            raise ValueError(f"expected a rational as 'p' or 'p/q', got {value!r}")
         return Fraction(value.strip())
     raise TypeError(f"refusing non-exact value {value!r} (use int, str, or Fraction)")
 
@@ -61,7 +67,7 @@ class MorseFunction:
 
     @classmethod
     def from_values(cls, values: Mapping[ElementId, object]) -> "MorseFunction":
-        return cls({str(k): _coerce_rational(v) for k, v in values.items()})
+        return cls({str(k): parse_rational(v) for k, v in values.items()})
 
     def __getitem__(self, element: ElementId) -> Fraction:
         return self.values[element]
@@ -282,26 +288,12 @@ def find_troubled(poset: Poset, f: MorseFunction) -> TroubleReport:
 
 
 def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
-    """Deterministic topological order: by rank when graded, then identifier."""
+    """Deterministic topological order: by rank when graded, then identifier;
+    ungraded posets keep the smallest-identifier-first order of build_poset."""
     rank = compute_rank_function(poset)
     if isinstance(rank, RankFunction):
-        def key(e: ElementId) -> tuple[int, ElementId]:
-            return rank.values[e], e
-    else:
-        def key(e: ElementId) -> tuple[int, ElementId]:
-            return 0, e
-    indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
-    ready = [(key(e), e) for e in poset.elements if indeg[e] == 0]
-    heapq.heapify(ready)
-    order: list[ElementId] = []
-    while ready:
-        _, e = heapq.heappop(ready)
-        order.append(e)
-        for t in poset.upper_covers(e):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                heapq.heappush(ready, (key(t), t))
-    return tuple(order)
+        return tuple(sorted(poset.elements, key=lambda e: (rank.values[e], e)))
+    return poset.topological_order
 
 
 def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, NonCoverEdge, UnknownElement
 
@@ -122,15 +122,18 @@ class EulerianVerdict:
 class Poset:
     """Immutable finite poset with precomputed reachability closure.
 
-    Not constructed directly; use :func:`build_poset`.
+    Not constructed directly; use :func:`build_poset`.  ``topological_order``
+    is the linear extension it found, smallest ready identifier first.
     """
 
-    __slots__ = ("elements", "covers", "_set", "_upper", "_lower", "_above", "_below")
+    __slots__ = ("elements", "covers", "topological_order",
+                 "_set", "_upper", "_lower", "_above", "_below")
 
     def __init__(
         self,
         elements: tuple[ElementId, ...],
         covers: frozenset[tuple[ElementId, ElementId]],
+        topological_order: tuple[ElementId, ...],
         upper: dict[ElementId, tuple[ElementId, ...]],
         lower: dict[ElementId, tuple[ElementId, ...]],
         above: dict[ElementId, frozenset[ElementId]],
@@ -138,6 +141,7 @@ class Poset:
     ):
         self.elements = elements
         self.covers = covers
+        self.topological_order = topological_order
         self._set = frozenset(elements)
         self._upper = upper
         self._lower = lower
@@ -227,7 +231,7 @@ def _check_references(
 
 
 def _topological_order(
-    elements: Sequence[ElementId], pairs: set[tuple[ElementId, ElementId]]
+    elements: Collection[ElementId], pairs: set[tuple[ElementId, ElementId]]
 ) -> list[ElementId]:
     """Kahn's algorithm, smallest identifier first; raises on cycles."""
     succ: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
@@ -306,6 +310,7 @@ def build_poset(
     return Poset(
         elements,
         frozenset(pairs),
+        tuple(order),
         {e: tuple(upper_map[e]) for e in elements},
         {e: tuple(lower_map[e]) for e in elements},
         {e: frozenset(above[e]) for e in elements},
@@ -403,8 +408,7 @@ def is_two_wide(poset: Poset) -> TwoWideVerdict:
 def _propagate_grading(poset: Poset, step) -> dict[ElementId, int] | GradingConflict:
     values: dict[ElementId, int] = {}
     via: dict[ElementId, ElementId] = {}
-    order = _topological_order(poset.elements, set(poset.covers))
-    for e in order:
+    for e in poset.topological_order:
         parents = poset.lower_covers(e)
         if not parents:
             values[e] = 0

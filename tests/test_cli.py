@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from morsepoly import chain_index, cli, geometry, morse
 from morsepoly.cli import main
+from morsepoly.complexes import face_poset_simplicial
+from morsepoly.generators import gen_complex, gen_morse
+from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
+from morsepoly.poset import order_complex
 
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
 CHAIN = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}
@@ -87,6 +93,76 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == []
         assert payload["totals"]["sum"] == 0 == payload["totals"]["euler_characteristic"]
+
+    def test_geometric_disagreement_exits_1(self, files, capsys, monkeypatch):
+        _, write = files
+
+        def skewed(complex_):
+            indices = geometry.geometric_indices(complex_)
+            indices["1"] += 1
+            return indices
+
+        monkeypatch.setattr(cli, "geometric_indices", skewed)
+        assert main(["verify", "--in", write("t.json", TRIANGLE)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "mismatch"
+        assert payload["mismatches"] == [{"element": "1", "geometric": 2, "combinatorial": 1}]
+
+
+class _CountingSimplices(frozenset):
+    """Order-complex simplices that count each visit into ``self.visits``."""
+
+    def __iter__(self):
+        for simplex in frozenset.__iter__(self):
+            self.visits[simplex] += 1
+            yield simplex
+
+
+class TestVerifySinglePass:
+    """One `verify` run derives each fact once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name, key=None):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key(*args) if key else name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(morse, "normalize_trace")
+        count(chain_index, "_require_general")
+        count(chain_index, "_index_at", key=lambda poset, g, b: b)
+
+        order_complex = geometry.order_complex
+
+        def counted_order_complex(poset):
+            complex_ = order_complex(poset)
+            simplices = _CountingSimplices(complex_.simplices)
+            simplices.visits = calls
+            return type(complex_)(complex_.vertices, simplices)
+
+        monkeypatch.setattr(geometry, "order_complex", counted_order_complex)
+        return calls
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_each_fact_once(self, files, calls, seed):
+        _, write = files
+        spec = complex_from_obj(TRIANGLE) if seed is None else gen_complex(seed, 6, 2, 0.5)
+        poset = face_poset_simplicial(spec).poset
+        argv = ["verify", "--in", write("c.json", complex_to_obj(spec))]
+        if seed is not None:
+            argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
+        assert main(argv) == 0
+        assert calls["normalize_trace"] == 1
+        assert calls["_require_general"] == 1
+        assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
+        visits = [n for key, n in calls.items() if isinstance(key, frozenset)]
+        assert visits == [1] * len(order_complex(poset).simplices)
 
 
 class TestCheck:
@@ -261,6 +337,16 @@ class TestBadInput:
     def test_unrecognized_document(self, files):
         _, write = files
         assert main(["check", "--in", write("x.json", {"hello": 1})]) == 2
+
+    def test_duplicate_key_rejected(self, files, capsys):
+        tmp_path, write = files
+        morse_path = tmp_path / "f.json"
+        morse_path.write_text(
+            '{"values": {"a": "9", "a": "0", "b": "2", "e": "1"}}', encoding="utf-8"
+        )
+        code = main(["verify", "--in", write("e.json", EDGE), "--morse", str(morse_path)])
+        assert code == 2
+        assert "duplicate object key 'a'" in capsys.readouterr().err
 
     def test_float_rational_rejected(self, files):
         _, write = files

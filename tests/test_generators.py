@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from morsepoly import (
     is_two_wide,
     validate_morse,
 )
+from morsepoly.generators import _contracted_is_acyclic
 from morsepoly.jsonio import complex_to_obj, dumps_canonical, morse_to_obj
 
 
@@ -124,3 +127,24 @@ class TestGenMorse:
         assert troubled >= 3
         assert non_injective >= 10
         assert ordinary >= 10
+
+
+class TestContractedIsAcyclic:
+    """The cycle test reads only the cover pairs.  A stand-in holding just
+    those keeps a 3000-element chain cheap: a real poset would also carry its
+    quadratic reachability closure (hundreds of MB at this length)."""
+
+    @staticmethod
+    def long_chain(n=3000):
+        ids = [f"{i:04d}" for i in range(n)]
+        return ids, SimpleNamespace(covers=frozenset(zip(ids, ids[1:])))
+
+    def test_long_chain_needs_no_recursion(self):
+        ids, chain = self.long_chain()
+        assert _contracted_is_acyclic(chain, {e: e for e in ids})
+
+    def test_merge_closing_a_cycle(self):
+        ids, chain = self.long_chain()
+        node = {e: e for e in ids}
+        node["0003"] = "0000"
+        assert not _contracted_is_acyclic(chain, node)

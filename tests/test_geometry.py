@@ -5,9 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsepoly import (
     EmptyPoset,
+    GeometricComplex,
     MorseFunction,
     NotGeneral,
     build_poset,
@@ -20,11 +23,13 @@ from morsepoly import (
     gen_complex,
     gen_morse,
     geometric_index,
+    geometric_indices,
     matrix_rank,
     normalize,
     order_complex,
     realize_complex,
     spans_full_simplex,
+    transitive_reduction,
 )
 from morsepoly.geometry import difference_matrix
 
@@ -108,6 +113,44 @@ class TestGeometricIndex:
         gc = realize_complex(poset, embed_vertices(poset, g))
         total = sum(geometric_index(gc, b) for b in poset.elements)
         assert total == euler_characteristic(order_complex(poset))
+
+
+@st.composite
+def valued_posets(draw):
+    """Small random posets with small integer values; ties are allowed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    names = [f"p{i}" for i in range(n)]
+    pairs = [
+        (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    poset = build_poset(names, transitive_reduction(names, pairs))
+    values = {e: draw(st.integers(min_value=0, max_value=3)) for e in names}
+    return poset, MorseFunction.from_values(values)
+
+
+class TestGeometricIndices:
+    """The one-pass indices against the per-vertex definition."""
+
+    @staticmethod
+    def assert_matches_definition(complex_):
+        expected = {b: geometric_index(complex_, b) for b in complex_.embedding.coordinates}
+        assert geometric_indices(complex_) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(valued_posets())
+    def test_generated_posets(self, case):
+        # Built without realize_complex, so ties between comparable vertices
+        # reach both computations too.
+        poset, g = case
+        complex_ = GeometricComplex(embed_vertices(poset, g), order_complex(poset).simplices)
+        self.assert_matches_definition(complex_)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_seeded_face_posets(self, seed):
+        face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
+        g = normalize(face.poset, gen_morse(seed, face.poset))
+        self.assert_matches_definition(realize_complex(face.poset, embed_vertices(face.poset, g)))
 
 
 class TestCrossCheck:

@@ -8,6 +8,7 @@ import pytest
 
 from morsepoly import (
     InvalidMorseFunction,
+    MalformedSpec,
     MissingValue,
     MorseFunction,
     NotTwoWide,
@@ -26,6 +27,7 @@ from morsepoly import (
     normalize_trace,
     validate_morse,
 )
+from morsepoly.jsonio import parse_rational
 
 
 @pytest.fixture
@@ -47,6 +49,13 @@ class TestFromValues:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             MorseFunction.from_values({"a": 0.5})
+
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "+1", "1/0", "1/-2", "1/2/3", ""])
+    def test_string_grammar_shared_with_json(self, text):
+        with pytest.raises(ValueError):
+            MorseFunction.from_values({"a": text})
+        with pytest.raises(MalformedSpec):
+            parse_rational(text)
 
 
 class TestValidate:

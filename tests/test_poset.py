@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from morsepoly import (
     euler_characteristic,
     is_downward_eulerian,
     is_two_wide,
+    linear_extension,
     order_complex,
     transitive_reduction,
 )
@@ -256,6 +258,42 @@ class TestGradings:
         if isinstance(first, ParityRank):
             assert isinstance(second, ParityRank)
             assert first.values == second.values
+
+
+def prioritized_kahn(poset, key):
+    """Reference order: Kahn's algorithm popping the least key among ready elements."""
+    indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
+    ready = [(key(e), e) for e in poset.elements if indeg[e] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, e = heapq.heappop(ready)
+        order.append(e)
+        for t in poset.upper_covers(e):
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                heapq.heappush(ready, (key(t), t))
+    return tuple(order)
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=80)
+    @given(posets())
+    def test_stored_order_is_smallest_ready_first(self, poset):
+        assert poset.topological_order == prioritized_kahn(poset, lambda e: e)
+
+    @settings(max_examples=80)
+    @given(posets())
+    def test_linear_extension_matches_rank_priority(self, poset):
+        rank = compute_rank_function(poset)
+        if isinstance(rank, RankFunction):
+            expected = prioritized_kahn(poset, lambda e: (rank.values[e], e))
+        else:
+            expected = prioritized_kahn(poset, lambda e: e)
+        assert linear_extension(poset) == expected
+
+    def test_ungraded_linear_extension(self, parity_conflict_poset):
+        assert linear_extension(parity_conflict_poset) == ("a", "b", "d", "c")
 
 
 class TestDownwardEulerian:
