@@ -33,7 +33,6 @@ from .morse import (
     MorseFunction,
     classify,
     normalize,
-    require_valid,
 )
 from .poset import (
     ElementId,
@@ -68,13 +67,6 @@ class IndexReport:
     normalized: MorseFunction
 
 
-@dataclass(frozen=True)
-class MorseCounts:
-    n_even: int
-    n_odd: int
-    chi: int
-
-
 def check_hypotheses(poset: Poset) -> ParityRank:
     """Verify 2-wide + parity-graded + downward Eulerian; return the parity."""
     wide = is_two_wide(poset)
@@ -99,34 +91,29 @@ def _chains_through_top(poset: Poset, b: ElementId):
     return [c for c in enumerate_chains(poset, poset.closed_down_set(b)) if b in c]
 
 
-def chain_sum_top(poset: Poset, mu: ParityRank, b: ElementId) -> int:
+def chain_sum_top(poset: Poset, b: ElementId) -> int:
     """Signed count of chains below-or-at b containing b.
 
-    Under the structural hypotheses this equals (-1)^mu(b); the parity is
-    accepted so callers state the identity being exercised, but the sum
-    itself depends only on the poset.
+    Under the structural hypotheses this equals (-1)^parity(b).
     """
-    del mu
     return sum((-1) ** c.length for c in _chains_through_top(poset, b))
 
 
-def chain_sum_excluding(poset: Poset, mu: ParityRank, a: ElementId, b: ElementId) -> int:
+def chain_sum_excluding(poset: Poset, a: ElementId, b: ElementId) -> int:
     """Signed count of chains below-or-at b containing b but avoiding a.
 
     Requires a covered by b; the sum vanishes under the structural hypotheses.
     """
-    del mu
     if (a, b) not in poset.covers:
         raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
     return sum((-1) ** c.length for c in _chains_through_top(poset, b) if a not in c)
 
 
-def chain_sum_lower(poset: Poset, mu: ParityRank, a: ElementId, b: ElementId) -> int:
+def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
     """Signed count of chains below-or-at b containing a, for a covered by b.
 
     Vanishes under the structural hypotheses.
     """
-    del mu
     if (a, b) not in poset.covers:
         raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
     return sum(
@@ -203,8 +190,7 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     raises Mismatch, which indicates a bug rather than bad input.
     """
     mu = check_hypotheses(poset)
-    require_valid(poset, f)
-    classification = classify(poset, f)
+    classification = classify(poset, f)  # validates f first
     g = normalize(poset, f)
 
     entries = []
@@ -230,21 +216,3 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     if n_even - n_odd != chi:
         raise Mismatch(None, n_even - n_odd, chi, what="critical count difference")
     return IndexReport(tuple(entries), total, chi, n_even, n_odd, normalized=g)
-
-
-def morse_counts(poset: Poset, f: MorseFunction, mu: ParityRank | None = None) -> MorseCounts:
-    """Critical-element counts by parity; asserts N0 - N1 = chi.
-
-    The parity is recomputed (and the hypotheses checked) when not supplied.
-    """
-    checked_mu = check_hypotheses(poset)
-    if mu is not None and mu.values != checked_mu.values:
-        raise HypothesisViolated("parity rank function does not match the poset")
-    classification = classify(poset, f)
-    critical = classification.critical_set()
-    n_even = sum(1 for e in critical if checked_mu.values[e] == 0)
-    n_odd = sum(1 for e in critical if checked_mu.values[e] == 1)
-    chi = euler_characteristic(order_complex(poset))
-    if n_even - n_odd != chi:
-        raise Mismatch(None, n_even - n_odd, chi, what="critical count difference")
-    return MorseCounts(n_even=n_even, n_odd=n_odd, chi=chi)

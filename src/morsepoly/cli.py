@@ -21,10 +21,10 @@ from . import jsonio
 from .chain_index import verify_representation
 from .complexes import (
     FacePoset,
+    critical_by_dimension,
     dimension_morse,
     face_poset_cellular,
     face_poset_simplicial,
-    morse_inequality_report,
 )
 from .errors import Mismatch, MorsePolyError
 from .generators import gen_complex, gen_morse
@@ -302,8 +302,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload["status"] = "verified" if geometry_ok else "mismatch"
     if loaded.face is not None:
         # Rank is available, so also report critical cells per dimension.
-        inequality = morse_inequality_report(poset, loaded.face.rank, f)
-        payload["critical_by_dimension"] = list(inequality.counts)
+        critical = (entry.element for entry in report.entries if entry.critical)
+        payload["critical_by_dimension"] = list(critical_by_dimension(loaded.face.rank, critical))
     if args.fmt == "json":
         _emit(args, jsonio.dumps_canonical(payload))
     else:

@@ -8,13 +8,13 @@ carries rank = dimension and parity = dimension mod 2.
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
 derives the containment order, recomputes true covers by transitive
-reduction, validates the declared dimensions as a rank function, and then
-reports the three structural properties (2-wide, parity-graded, downward
-Eulerian) instead of claiming the input is a regular cell complex: those
-properties are necessary for a regular-complex face poset but not
-sufficient, and a poset passing all three may still fail to be one (for
-example when some cell's strict boundary poset has a disconnected order
-complex).
+reduction, validates the declared dimensions as a rank function (so the
+poset is parity-graded by dimension mod 2), and then reports the other two
+structural properties (2-wide, downward Eulerian) instead of claiming the
+input is a regular cell complex: those properties are necessary for a
+regular-complex face poset but not sufficient, and a poset passing all
+three may still fail to be one (for example when some cell's strict
+boundary poset has a disconnected order complex).
 """
 
 from __future__ import annotations
@@ -22,18 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .chain_index import check_hypotheses
 from .errors import HypothesisViolated, MalformedSpec, Mismatch, RankConflict
-from .morse import MorseFunction, classify, require_valid
+from .morse import MorseFunction, classify
 from .poset import (
+    ElementId,
     EulerianVerdict,
     ParityRank,
     Poset,
     RankFunction,
     TwoWideVerdict,
     build_poset,
-    compute_parity_rank,
     euler_characteristic,
     is_downward_eulerian,
     is_two_wide,
@@ -65,11 +66,10 @@ class CellularReport:
     """Poset-level necessary conditions; regularity itself is not checkable."""
 
     two_wide: TwoWideVerdict
-    parity_graded: bool
     eulerian: EulerianVerdict
 
     def all_hold(self) -> bool:
-        return bool(self.two_wide) and self.parity_graded and bool(self.eulerian)
+        return bool(self.two_wide) and bool(self.eulerian)
 
 
 @dataclass(frozen=True)
@@ -184,23 +184,17 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
                 f"cover ({a!r}, {b!r}) jumps dimension {dims[a]} -> {dims[b]}"
             )
 
-    mu = compute_parity_rank(poset)
-    parity_graded = isinstance(mu, ParityRank)
-    if parity_graded:
-        eulerian = is_downward_eulerian(poset, mu)
-    else:
-        # Unreachable once the rank validation above passed, but kept total.
-        mu = ParityRank(values={e: d % 2 for e, d in dims.items()})
-        eulerian = EulerianVerdict(False, ())
+    # The dimensions are now a rank function, so their parities are the
+    # parity rank function.
+    parity = ParityRank(values={e: d % 2 for e, d in dims.items()})
     report = CellularReport(
         two_wide=is_two_wide(poset),
-        parity_graded=parity_graded,
-        eulerian=eulerian,
+        eulerian=is_downward_eulerian(poset, parity),
     )
     return FacePoset(
         poset=poset,
         rank=RankFunction(values=dims, max_rank=max(dims.values(), default=0)),
-        parity=ParityRank(values={e: d % 2 for e, d in dims.items()}),
+        parity=parity,
         report=report,
     )
 
@@ -208,6 +202,14 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
 def dimension_morse(poset: Poset, rank: RankFunction) -> MorseFunction:
     """The dimension function as a Morse function; every element is critical."""
     return MorseFunction({e: Fraction(rank.values[e]) for e in poset.elements})
+
+
+def critical_by_dimension(rank: RankFunction, critical: Iterable[ElementId]) -> tuple[int, ...]:
+    """Number of critical elements at each rank, from 0 to rank.max_rank."""
+    counts = [0] * (rank.max_rank + 1)
+    for e in critical:
+        counts[rank.values[e]] += 1
+    return tuple(counts)
 
 
 def morse_inequality_report(
@@ -224,15 +226,9 @@ def morse_inequality_report(
             raise HypothesisViolated("rank function not total", e)
         if rank.values[e] % 2 != mu.values[e]:
             raise HypothesisViolated("rank function inconsistent with parity", e)
-    require_valid(poset, f)
-    classification = classify(poset, f)
-    counts = [0] * (rank.max_rank + 1)
-    for e in classification.critical_set():
-        counts[rank.values[e]] += 1
+    counts = critical_by_dimension(rank, classify(poset, f).critical_set())
     alternating = sum((-1) ** i * m for i, m in enumerate(counts))
     chi = euler_characteristic(order_complex(poset))
     if alternating != chi:
         raise Mismatch(None, alternating, chi, what="alternating critical-count sum")
-    return MorseInequalityReport(
-        counts=tuple(counts), alternating_sum=alternating, chi=chi
-    )
+    return MorseInequalityReport(counts=counts, alternating_sum=alternating, chi=chi)

@@ -12,7 +12,10 @@ most one half; base functions therefore have no troubled elements.  To make
 the normalization pipeline earn its keep, a seeded round of single-value
 perturbations follows, each kept only if the function remains a valid
 discrete Morse function; these create duplicated values and troubled
-patterns while preserving validity.
+patterns while preserving validity.  The base function is validated in full
+once; each perturbation is then rechecked at the changed element and its
+covers, the only places where it can break the Morse condition, and the
+final function is validated in full again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import comb
 
 from .complexes import ComplexSpec
 from .errors import CycleDetected, EmptyPoset
-from .morse import MorseFunction, validate_morse
+from .morse import MorseFunction, _recheck_near, validate_morse
 from .poset import ElementId, Poset, _topological_order
 
 
@@ -134,6 +137,8 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     rng = random.Random(seed)
     matching = _sample_matching(poset, rng)
     values = _base_values(poset, matching, rng)
+    if not validate_morse(poset, MorseFunction(dict(values))).valid:
+        raise AssertionError("base function is invalid; implementation bug")
 
     elements = sorted(poset.elements)
     n = len(elements)
@@ -151,7 +156,7 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
         else:
             target = Fraction(rng.randint(-n, 2 * n), rng.randint(1, 4))
         values[e] = target
-        if not validate_morse(poset, MorseFunction(dict(values))).valid:
+        if _recheck_near(poset, values, e)[0] is not None:
             values[e] = old
 
     result = MorseFunction(dict(values))

@@ -183,6 +183,27 @@ def _violations(poset: Poset, values: Mapping[ElementId, Fraction], b: ElementId
     return below, above
 
 
+def _recheck_near(
+    poset: Poset, values: Mapping[ElementId, Fraction], element: ElementId
+) -> tuple[ElementId | None, dict[ElementId, bool]]:
+    """Morse condition and critical verdicts at element and its covers only.
+
+    An element's verdict reads only its own value and its covers' values, so
+    after a change at element, on a function that was valid before, these
+    are the only verdicts that can differ.  Returns the first element, in
+    identifier order, that breaks the Morse condition (None if none does)
+    and, when none does, whether each checked element is critical.
+    """
+    near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
+    critical: dict[ElementId, bool] = {}
+    for b in sorted(near):
+        below, above = _violations(poset, values, b)
+        if len(below) > 1 or len(above) > 1:
+            return b, {}
+        critical[b] = not below and not above
+    return None, critical
+
+
 def validate_morse(poset: Poset, f: MorseFunction) -> MorseVerdict:
     """Check the at-most-one-non-increasing-cover condition on each side."""
     _require_total(poset, f)
@@ -327,10 +348,9 @@ def _short_down_witness(poset, values, u):
 class _Pipeline:
     """Mutable state for one normalization run."""
 
-    def __init__(self, poset: Poset, f: MorseFunction, check: bool):
+    def __init__(self, poset: Poset, f: MorseFunction):
         self.poset = poset
         self.values: dict[ElementId, Fraction] = dict(f.values)
-        self.check = check
         self.critical = classify(poset, f).critical_set()
         self.modifications: list[Modification] = []
 
@@ -341,21 +361,18 @@ class _Pipeline:
         old = self.values[element]
         self.values[element] = new
         self.modifications.append(Modification(stage, element, old, new))
-        if self.check:
-            current = self.snapshot()
-            verdict = validate_morse(self.poset, current)
-            if not verdict:
-                raise AssertionError(
-                    f"stage {stage} broke the Morse condition at {verdict.element!r} "
-                    f"when moving {element!r} from {old} to {new}"
-                )
-            now_critical = classify(self.poset, current).critical_set()
-            if now_critical != self.critical:
-                changed = sorted(now_critical ^ self.critical)
-                raise AssertionError(
-                    f"stage {stage} changed the critical set at {changed} "
-                    f"when moving {element!r} from {old} to {new}"
-                )
+        broken, critical = _recheck_near(self.poset, self.values, element)
+        if broken is not None:
+            raise AssertionError(
+                f"stage {stage} broke the Morse condition at {broken!r} "
+                f"when moving {element!r} from {old} to {new}"
+            )
+        changed = [b for b, c in critical.items() if c != (b in self.critical)]
+        if changed:
+            raise AssertionError(
+                f"stage {stage} changed the critical set at {changed} "
+                f"when moving {element!r} from {old} to {new}"
+            )
 
     def up_sweep(self, order: tuple[ElementId, ...]) -> None:
         """Remove short-up obstructions, sweeping the linear extension upward.
@@ -372,13 +389,12 @@ class _Pipeline:
             if witness is None:
                 continue
             x, _ = witness
-            if self.check:
-                bad = [d for d in poset.lower_covers(e) if values[d] >= values[x]]
-                if bad:
-                    raise AssertionError(
-                        f"lower cover {bad[0]!r} of {e!r} not below f({x!r}); "
-                        f"up sweep precondition failed, implementation bug"
-                    )
+            bad = [d for d in poset.lower_covers(e) if values[d] >= values[x]]
+            if bad:
+                raise AssertionError(
+                    f"lower cover {bad[0]!r} of {e!r} not below f({x!r}); "
+                    f"up sweep precondition failed, implementation bug"
+                )
             bound = min(values[b] for b in poset.upper_covers(x))
             self.set_value("up_sweep", e, _midpoint(values[x], bound))
 
@@ -427,20 +443,20 @@ class _Pipeline:
             self.set_value("spread_sweep", e, new)
 
 
-def normalize_trace(poset: Poset, f: MorseFunction, check: bool = True) -> NormalizationTrace:
+def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     """Run the full normalization pipeline, keeping every intermediate stage.
 
-    Requires a valid discrete Morse function on a 2-wide poset.  With
-    ``check`` enabled (the default) every single-value modification is
-    re-validated and re-classified, so a contract violation fails loudly at
-    the exact step that caused it.
+    Requires a valid discrete Morse function on a 2-wide poset.  The input is
+    validated and classified once in full; after that every single-value
+    modification is re-validated and re-classified at the changed element
+    and its covers, the only elements whose verdict it can alter, so a
+    contract violation fails loudly at the exact step that caused it.
     """
     verdict = is_two_wide(poset)
     if not verdict:
         raise NotTwoWide(verdict.witness)
-    require_valid(poset, f)
 
-    state = _Pipeline(poset, f, check)
+    state = _Pipeline(poset, f)
     start = state.snapshot()
     order = linear_extension(poset)
 
@@ -481,7 +497,7 @@ def normalize_trace(poset: Poset, f: MorseFunction, check: bool = True) -> Norma
     )
 
 
-def normalize(poset: Poset, f: MorseFunction, check: bool = True) -> MorseFunction:
+def normalize(poset: Poset, f: MorseFunction) -> MorseFunction:
     """Equivalent injective, obstruction-free discrete Morse function.
 
     The result has exactly the same critical set as the input, assigns a
@@ -489,7 +505,7 @@ def normalize(poset: Poset, f: MorseFunction, check: bool = True) -> MorseFuncti
     property: for z < x < y < w with x covered by y and g(x) < g(y), both
     g(z) < g(y) and g(x) < g(w).
     """
-    return normalize_trace(poset, f, check=check).result
+    return normalize_trace(poset, f).result
 
 
 def monotone_extension_holds(poset: Poset, g: MorseFunction) -> bool:

@@ -36,7 +36,6 @@ from morsepoly import (
     gen_morse,
     is_two_wide,
     matrix_rank,
-    morse_counts,
     morse_inequality_report,
     normalize,
     validate_morse,
@@ -164,11 +163,11 @@ def test_criterion_3_chain_sum_identities():
         mu = compute_parity_rank(poset)
         assert isinstance(mu, ParityRank)
         for b in poset.sorted_elements:
-            assert chain_sum_top(poset, mu, b) == (-1) ** mu.values[b]
+            assert chain_sum_top(poset, b) == (-1) ** mu.values[b]
             elements_checked += 1
         for a, b in sorted(poset.covers):
-            assert chain_sum_excluding(poset, mu, a, b) == 0
-            assert chain_sum_lower(poset, mu, a, b) == 0
+            assert chain_sum_excluding(poset, a, b) == 0
+            assert chain_sum_lower(poset, a, b) == 0
             covers_checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -221,9 +220,11 @@ def test_criterion_5_index_equation_end_to_end():
         for entry in report.entries:
             assert geo.indices[entry.element] == entry.computed
         assert report.total == report.chi
-        counts = morse_counts(poset, f)
-        assert counts.n_even - counts.n_odd == counts.chi
-        assert (counts.n_even, counts.n_odd) == (report.n_even, report.n_odd)
+        # Recount the critical elements by parity, independently of the report.
+        mu = compute_parity_rank(poset)
+        parities = [mu.values[e] for e in classify(poset, f).critical_set()]
+        assert (report.n_even, report.n_odd) == (parities.count(0), parities.count(1))
+        assert report.n_even - report.n_odd == report.chi
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     report_pass(

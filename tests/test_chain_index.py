@@ -27,7 +27,6 @@ from morsepoly import (
     face_poset_simplicial,
     gen_complex,
     gen_morse,
-    morse_counts,
     normalize,
     predicted_index,
     verify_representation,
@@ -42,74 +41,63 @@ def parity_of(poset) -> ParityRank:
 
 class TestChainSumTop:
     def test_minimal_element_is_one(self, edge_poset):
-        mu = parity_of(edge_poset)
-        assert chain_sum_top(edge_poset, mu, "a") == 1
+        assert chain_sum_top(edge_poset, "a") == 1
 
     def test_edge_top(self, edge_poset):
         # Chains through e: {e}, {a,e}, {b,e} -> 1 - 1 - 1 = -1.
-        mu = parity_of(edge_poset)
-        assert chain_sum_top(edge_poset, mu, "e") == -1
+        assert chain_sum_top(edge_poset, "e") == -1
 
     def test_triangle_top(self, triangle):
-        mu = parity_of(triangle.poset)
-        assert chain_sum_top(triangle.poset, mu, "1,2,3") == 1
+        assert chain_sum_top(triangle.poset, "1,2,3") == 1
 
     def test_matches_parity_on_named_posets(self, edge_poset, triangle, two_cycles):
         for poset in (edge_poset, triangle.poset, two_cycles.poset):
             mu = parity_of(poset)
             for b in poset.sorted_elements:
-                assert chain_sum_top(poset, mu, b) == (-1) ** mu.values[b]
+                assert chain_sum_top(poset, b) == (-1) ** mu.values[b]
 
     def test_recursive_path_agrees(self, triangle, two_cycles):
         for poset in (triangle.poset, two_cycles.poset):
-            mu = parity_of(poset)
             for b in poset.sorted_elements:
-                assert chain_sum_top_recursive(poset, b) == chain_sum_top(poset, mu, b)
+                assert chain_sum_top_recursive(poset, b) == chain_sum_top(poset, b)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_recursive_path_agrees_on_arbitrary_seeds(self, seed):
         face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
-        mu = parity_of(face.poset)
         for b in face.poset.sorted_elements:
-            assert chain_sum_top_recursive(face.poset, b) == chain_sum_top(face.poset, mu, b)
+            assert chain_sum_top_recursive(face.poset, b) == chain_sum_top(face.poset, b)
 
     def test_down_set_recursion_identity(self, triangle):
         # Removing b from each chain through b leaves the chains of its
         # strict down-set, so the signed sum equals 1 - chi of that down-set.
         poset = triangle.poset
-        mu = parity_of(poset)
         for b in poset.sorted_elements:
             chi_below = chain_euler_characteristic(poset, poset.strict_down_set(b))
-            assert chain_sum_top(poset, mu, b) == 1 - chi_below
+            assert chain_sum_top(poset, b) == 1 - chi_below
 
 
 class TestCoverPairSums:
     def test_edge_excluding(self, edge_poset):
-        mu = parity_of(edge_poset)
-        assert chain_sum_excluding(edge_poset, mu, "a", "e") == 0
+        assert chain_sum_excluding(edge_poset, "a", "e") == 0
 
     def test_edge_lower(self, edge_poset):
-        mu = parity_of(edge_poset)
-        assert chain_sum_lower(edge_poset, mu, "a", "e") == 0
+        assert chain_sum_lower(edge_poset, "a", "e") == 0
 
     def test_triangle_all_covers_vanish(self, triangle):
         poset = triangle.poset
-        mu = parity_of(poset)
         for a, b in sorted(poset.covers):
-            assert chain_sum_excluding(poset, mu, a, b) == 0
-            assert chain_sum_lower(poset, mu, a, b) == 0
+            assert chain_sum_excluding(poset, a, b) == 0
+            assert chain_sum_lower(poset, a, b) == 0
 
     def test_not_a_cover(self, triangle):
-        mu = parity_of(triangle.poset)
         with pytest.raises(NotACover):
-            chain_sum_excluding(triangle.poset, mu, "1", "1,2,3")
+            chain_sum_excluding(triangle.poset, "1", "1,2,3")
 
     def test_hypotheses_matter(self):
         # A bare 2-chain is not downward Eulerian; the vanishing fails there.
         poset = build_poset(["a", "b"], [("a", "b")])
-        mu = parity_of(poset)
-        assert chain_sum_excluding(poset, mu, "a", "b") == 1
+        assert chain_sum_excluding(poset, "a", "b") == 1
         with pytest.raises(HypothesisViolated):
             check_hypotheses(poset)
 
@@ -207,30 +195,26 @@ class TestVerifyRepresentation:
 
 
 class TestMorseCounts:
+    """Critical counts by parity, as verify_representation reports them."""
+
     def test_triangle(self, triangle):
         f = dimension_morse(triangle.poset, triangle.rank)
-        counts = morse_counts(triangle.poset, f)
-        assert (counts.n_even, counts.n_odd, counts.chi) == (4, 3, 1)
+        report = verify_representation(triangle.poset, f)
+        assert (report.n_even, report.n_odd, report.chi) == (4, 3, 1)
 
     def test_edge_poset(self, edge_poset):
         f = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
-        counts = morse_counts(edge_poset, f)
-        assert (counts.n_even, counts.n_odd, counts.chi) == (1, 0, 1)
+        report = verify_representation(edge_poset, f)
+        assert (report.n_even, report.n_odd, report.chi) == (1, 0, 1)
 
     def test_singleton(self):
         poset = build_poset(["x"], [])
-        counts = morse_counts(poset, MorseFunction.from_values({"x": 0}))
-        assert (counts.n_even, counts.n_odd, counts.chi) == (1, 0, 1)
-
-    def test_mismatched_parity_rejected(self, edge_poset):
-        f = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
-        bogus = ParityRank(values={"a": 0, "b": 1, "e": 1})
-        with pytest.raises(HypothesisViolated):
-            morse_counts(edge_poset, f, bogus)
+        report = verify_representation(poset, MorseFunction.from_values({"x": 0}))
+        assert (report.n_even, report.n_odd, report.chi) == (1, 0, 1)
 
     def test_hypotheses_checked(self, chain_poset, chain_morse):
         with pytest.raises(HypothesisViolated):
-            morse_counts(chain_poset, chain_morse)
+            verify_representation(chain_poset, chain_morse)
 
 
 def test_mismatch_is_reported_loudly(edge_poset):

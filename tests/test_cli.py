@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from morsepoly import chain_index, cli, geometry, morse
+from morsepoly import chain_index, cli, complexes, generators, geometry, morse
 from morsepoly.cli import main
-from morsepoly.complexes import face_poset_simplicial
+from morsepoly.complexes import ComplexSpec, face_poset_simplicial
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import order_complex
@@ -19,6 +20,20 @@ CHAIN = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}
 CHAIN_MORSE = {"values": {"0": "2", "1": "1", "2": "0"}}
 EDGE = {"elements": ["a", "b", "e"], "covers": [["a", "e"], ["b", "e"]]}
 EDGE_MORSE = {"values": {"a": "0", "b": "2", "e": "1"}}
+
+
+def torus(m: int) -> ComplexSpec:
+    """The m x m grid torus, each square cut along its diagonal (chi 0)."""
+
+    def v(i: int, j: int) -> str:
+        return f"{i % m}_{j % m}"
+
+    triangles = []
+    for i in range(m):
+        for j in range(m):
+            triangles.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
+            triangles.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
+    return ComplexSpec(kind="simplicial", maximal_simplices=tuple(triangles))
 
 
 @pytest.fixture
@@ -125,18 +140,26 @@ class TestVerifySinglePass:
     def calls(self, monkeypatch):
         calls = Counter()
 
-        def count(module, name, key=None):
-            original = getattr(module, name)
+        def count(name, *modules, key=None):
+            for module in modules:
+                original = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[key(*args) if key else name] += 1
-                return original(*args, **kwargs)
+                def wrapper(*args, _original=original, **kwargs):
+                    calls[key(*args) if key else name] += 1
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
+                monkeypatch.setattr(module, name, wrapper)
 
-        count(morse, "normalize_trace")
-        count(chain_index, "_require_general")
-        count(chain_index, "_index_at", key=lambda poset, g, b: b)
+        count("normalize_trace", morse)
+        count("_require_general", chain_index)
+        count("_index_at", chain_index, key=lambda poset, g, b: b)
+        count("check_hypotheses", chain_index, complexes)
+        # The combinatorial side's order complex, which gives chi.
+        count("order_complex", chain_index, complexes)
+        # Whole-function checks: classify and require_valid both validate.
+        count("validate_morse", morse, generators)
+        count("classify", morse, chain_index, complexes)
+        count("set_value", morse._Pipeline)
 
         order_complex = geometry.order_complex
 
@@ -157,12 +180,72 @@ class TestVerifySinglePass:
         argv = ["verify", "--in", write("c.json", complex_to_obj(spec))]
         if seed is not None:
             argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
+        calls.clear()
         assert main(argv) == 0
         assert calls["normalize_trace"] == 1
         assert calls["_require_general"] == 1
+        assert calls["check_hypotheses"] == 1
+        assert calls["order_complex"] == 1
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
         visits = [n for key, n in calls.items() if isinstance(key, frozenset)]
         assert visits == [1] * len(order_complex(poset).simplices)
+
+    def test_whole_function_checks_do_not_grow_with_modifications(self, files, calls):
+        _, write = files
+        checks, modifications = set(), set()
+        for spec, seed in ((complex_from_obj(TRIANGLE), None), (gen_complex(5, 6, 2, 0.5), 5),
+                           (torus(3), 1), (torus(4), 2)):
+            argv = ["verify", "--in", write("c.json", complex_to_obj(spec))]
+            if seed is not None:
+                poset = face_poset_simplicial(spec).poset
+                argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
+            calls.clear()
+            assert main(argv) == 0
+            checks.add((calls["validate_morse"], calls["classify"]))
+            modifications.add(calls["set_value"])
+        assert sorted(modifications) == [4, 19, 32]
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("spec", [torus(3), torus(4)], ids=["torus3", "torus4"])
+    def test_gen_morse_validates_in_full_twice(self, files, calls, spec):
+        _, write = files
+        argv = ["gen", "--kind", "morse", "--seed", "3",
+                "--in", write("c.json", complex_to_obj(spec))]
+        assert main(argv) == 0
+        # The base function and the result; perturbations are checked locally.
+        assert calls["validate_morse"] == 2
+
+
+class TestPinnedOutput:
+    """`gen --kind morse` and `verify` stdout bytes on two seeded inputs."""
+
+    @pytest.mark.parametrize(
+        "spec, seed, gen_sha256, verify_sha256",
+        [
+            (
+                torus(3), 1,
+                "3a612d830783d414ddcecceb8398d3a22afbab4a3b9e7a0ab85a432555708310",
+                "b1563b5f949b481e1bf5f01d39cd75ef371fa2c99b100254fddba09b900f06c3",
+            ),
+            (
+                gen_complex(5, 6, 2, 0.5), 5,
+                "bec7c58a3017c67a9a29ef862719005a07a0b0d2f18a0a7503059f56f63fe400",
+                "5199870044736135661cf22b72f5c47ab8ea983e5140343b3ff4279ab7a044d5",
+            ),
+        ],
+        ids=["torus3", "gen_complex5"],
+    )
+    def test_stdout_sha256(self, files, capsys, spec, seed, gen_sha256, verify_sha256):
+        tmp_path, write = files
+        complex_path = write("c.json", complex_to_obj(spec))
+        assert main(["gen", "--kind", "morse", "--seed", str(seed), "--in", complex_path]) == 0
+        generated = capsys.readouterr().out
+        morse_path = tmp_path / "f.json"
+        morse_path.write_text(generated, encoding="utf-8")
+        assert main(["verify", "--in", complex_path, "--morse", str(morse_path)]) == 0
+        verified = capsys.readouterr().out
+        assert hashlib.sha256(generated.encode("utf-8")).hexdigest() == gen_sha256
+        assert hashlib.sha256(verified.encode("utf-8")).hexdigest() == verify_sha256
 
 
 class TestCheck:

@@ -116,7 +116,7 @@ class TestCellular:
     def test_two_cycles_passes_checks_but_flagged(self, two_cycles):
         report = two_cycles.report
         assert report is not None
-        assert report.two_wide.holds and report.parity_graded and report.eulerian.holds
+        assert report.two_wide.holds and report.eulerian.holds
         # The checks are necessary conditions only; m's strict boundary has a
         # disconnected order complex, so this is not a regular-complex poset.
         assert len(two_cycles.poset) == 17

@@ -5,7 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morsepoly import morse
 from morsepoly import (
     InvalidMorseFunction,
     MalformedSpec,
@@ -25,6 +28,7 @@ from morsepoly import (
     monotone_extension_holds,
     normalize,
     normalize_trace,
+    transitive_reduction,
     validate_morse,
 )
 from morsepoly.jsonio import parse_rational
@@ -218,6 +222,82 @@ class TestNormalize:
                 for w in poset.strict_up_set(y):
                     assert g[z] < g[y]
                     assert g[x] < g[w]
+
+
+class TestStageFaults:
+    """A broken stage fails loudly, naming the stage, at the step it breaks."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            # a rises above both upper covers x (1) and x2 (6).
+            (Fraction(100), "stage up_sweep broke the Morse condition at 'a'"),
+            # a drops below both upper covers: still valid, but a and x
+            # turn critical.
+            (Fraction(-10), "stage up_sweep changed the critical set at ['a', 'x']"),
+        ],
+    )
+    def test_bad_midpoint_is_caught(self, trouble_poset, monkeypatch, value, message):
+        poset, f = trouble_poset
+        monkeypatch.setattr(morse, "_midpoint", lambda lo, hi: value)
+        with pytest.raises(AssertionError) as info:
+            normalize(poset, f)
+        assert str(info.value).startswith(message)
+        assert "when moving 'a' from 5 to" in str(info.value)
+
+
+@st.composite
+def changed_functions(draw):
+    """A valid function on a random poset or a seeded face poset, and one
+    single-value change to it: (poset, f, element, new value)."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=7))
+        names = [f"p{i}" for i in range(n)]
+        pairs = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if draw(st.booleans())
+        ]
+        poset = build_poset(names, transitive_reduction(names, pairs))
+    else:
+        poset = face_poset_simplicial(gen_complex(seed, 5, 2, 0.5)).poset
+    f = gen_morse(seed, poset)
+    element = draw(st.sampled_from(poset.sorted_elements))
+    # Existing values make ties (the usual way to break validity); fresh
+    # fractions move the element freely.
+    new = draw(
+        st.sampled_from(sorted(set(f.values.values())))
+        | st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    )
+    return poset, f, element, new
+
+
+class TestLocalRecheck:
+    """The changed element and its covers decide the whole-function verdicts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=changed_functions())
+    def test_matches_whole_function_oracle(self, case):
+        poset, f, element, new = case
+        values = dict(f.values)
+        values[element] = new
+        broken, critical = morse._recheck_near(poset, values, element)
+
+        changed = MorseFunction(values)
+        verdict = validate_morse(poset, changed)
+        assert broken == verdict.element
+        if not verdict.valid:
+            return
+        near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
+        assert set(critical) == near
+        before = classify(poset, f).verdicts
+        for b, now in classify(poset, changed).verdicts.items():
+            if b in near:
+                assert critical[b] == (now == "critical")
+            else:
+                assert now == before[b]
 
 
 class TestDownSweepVacuity:

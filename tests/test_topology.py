@@ -22,7 +22,6 @@ from morsepoly import (
     gen_morse,
     is_downward_eulerian,
     is_two_wide,
-    morse_counts,
     normalize,
     order_complex,
     verify_representation,
@@ -95,8 +94,7 @@ def test_surface_identities(name, spec, chi, size):
     g_input = gen_morse(1234, poset)
     report = verify_representation(poset, g_input)
     assert report.total == chi
-    counts = morse_counts(poset, g_input)
-    assert counts.n_even - counts.n_odd == chi
+    assert report.n_even - report.n_odd == chi
     geo = cross_check(poset, normalize(poset, g_input))
     assert geo.ok
 
