@@ -12,10 +12,15 @@ count identity N0 - N1 = chi.
 The three chain-sum operations compute, by direct enumeration, the signed
 chain counts the index argument rests on: the sum over chains through the
 top of a closed down-set, and the two vanishing sums attached to a cover
-pair.  Enumeration is the source of truth; a memoized recursion is provided
-as a faster equivalent path.  :func:`combinatorial_indices` indexes every
-element in one pass with a single generality scan; the verifier's report
-carries those indices and the normalized function they came from.
+pair.  They state the definitions and serve as test references; nothing on
+the verification path enumerates chains.  There the index factorizes: a
+chain through b on which g peaks at b is a chain of the support below b,
+b itself, and a chain of the support above b, each part possibly empty, so
+the index is (1 - chi(below)) * (1 - chi(above)) with both Euler
+characteristics from Hall's recursion (:func:`~morsepoly.poset.chain_weights`).
+:func:`combinatorial_indices` indexes every element in one pass with a
+single generality scan; the verifier's report carries those indices and the
+normalized function they came from.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ from .poset import (
     ElementId,
     ParityRank,
     Poset,
+    chain_euler_characteristic,
     compute_parity_rank,
     enumerate_chains,
-    euler_characteristic,
     is_downward_eulerian,
     is_two_wide,
-    order_complex,
 )
 
 
@@ -123,20 +127,6 @@ def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
     )
 
 
-def chain_sum_top_recursive(poset: Poset, b: ElementId) -> int:
-    """Memoized equivalent of chain_sum_top: w(b) = 1 - sum of w over {x < b}."""
-    poset.require(b)
-    memo: dict[ElementId, int] = {}
-
-    def w(e: ElementId) -> int:
-        if e not in memo:
-            memo[e] = 0  # cycle guard; unreachable on a valid poset
-            memo[e] = 1 - sum(w(x) for x in sorted(poset.strict_down_set(e)))
-        return memo[e]
-
-    return w(b)
-
-
 def _require_general(poset: Poset, g: MorseFunction) -> None:
     for a in sorted(poset.elements):
         for b in sorted(poset.strict_up_set(a)):
@@ -146,10 +136,12 @@ def _require_general(poset: Poset, g: MorseFunction) -> None:
 
 def _index_at(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     """The index of b, for a g already known to be general."""
-    support = {c for c in poset.strict_down_set(b) if g[c] < g[b]}
-    support |= {c for c in poset.strict_up_set(b) if g[c] < g[b]}
-    support.add(b)
-    return sum((-1) ** c.length for c in enumerate_chains(poset, support) if b in c)
+    peak = g[b]
+    below = [c for c in poset.strict_down_set(b) if g[c] < peak]
+    above = [c for c in poset.strict_up_set(b) if g[c] < peak]
+    return (1 - chain_euler_characteristic(poset, below)) * (
+        1 - chain_euler_characteristic(poset, above)
+    )
 
 
 def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
@@ -207,7 +199,7 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
             )
         )
 
-    chi = euler_characteristic(order_complex(poset))
+    chi = chain_euler_characteristic(poset, poset.elements)
     total = sum(e.computed for e in entries)
     if total != chi:
         raise Mismatch(None, total, chi, what="index total vs Euler characteristic")

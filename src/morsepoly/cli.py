@@ -7,7 +7,8 @@ output is for humans.
 
 Exit codes: 0 on success, 1 when a verified identity fails or --strict is
 set and a property check fails, 2 for unreadable/malformed input or inputs
-outside the required hypotheses.
+outside the required hypotheses.  Exit 2 comes only from MorsePolyError;
+any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -415,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
     except MorsePolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERRORS_EXIT
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERRORS_EXIT
 

@@ -21,6 +21,13 @@ class MalformedSpec(MorsePolyError):
     """A complex or document violates its schema."""
 
 
+class InvalidArgument(MorsePolyError, ValueError):
+    """An argument is out of range or repeats an identifier.
+
+    Also a ValueError, the type library callers expect for a bad argument.
+    """
+
+
 class UnknownElement(MorsePolyError):
     """An identifier does not name an element of the poset."""
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .complexes import ComplexSpec
-from .errors import CycleDetected, EmptyPoset
+from .errors import CycleDetected, EmptyPoset, InvalidArgument
 from .morse import MorseFunction, _recheck_near, validate_morse
 from .poset import ElementId, Poset, _topological_order
 
@@ -38,11 +38,11 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
     vertex appears, isolated ones as singleton maximal simplices.
     """
     if n_vertices < 1:
-        raise ValueError("n_vertices must be at least 1")
+        raise InvalidArgument("n_vertices must be at least 1")
     if dimension < 0:
-        raise ValueError("dimension must be non-negative")
+        raise InvalidArgument("dimension must be non-negative")
     if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+        raise InvalidArgument("density must lie in [0, 1]")
     rng = random.Random(seed)
     vertices = [str(i + 1) for i in range(n_vertices)]
     chosen: set[tuple[str, ...]] = set()

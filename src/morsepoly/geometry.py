@@ -132,15 +132,19 @@ def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
     """:func:`geometric_index` of every vertex, in identifier order.
 
     One pass over the simplices: each adds (-1)^dimension at its highest
-    vertex, and at no vertex when its greatest height is shared.
+    vertex, and at no vertex when its greatest height is shared.  Heights
+    are first replaced by their exact rank among the distinct heights, so
+    equal heights share a rank and the pass compares ints, not Fractions.
     """
     heights = {v: coords[0] for v, coords in complex_.embedding.coordinates.items()}
-    indices = dict.fromkeys(sorted(heights), 0)
+    rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
+    level = {v: rank[h] for v, h in heights.items()}
+    indices = dict.fromkeys(sorted(level), 0)
     for simplex in complex_.simplices:
-        top = max(simplex, key=heights.__getitem__)
-        peak = heights[top]
-        if all(heights[v] < peak for v in simplex if v != top):
-            indices[top] += (-1) ** (len(simplex) - 1)
+        top = max(simplex, key=level.__getitem__)
+        peak = level[top]
+        if all(level[v] < peak for v in simplex if v != top):
+            indices[top] += 1 if len(simplex) % 2 else -1
     return indices
 
 

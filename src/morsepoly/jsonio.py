@@ -54,9 +54,12 @@ def load_document(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or deep nesting.
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -18,6 +18,8 @@ stage is retained in a trace so each step can be audited.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -430,17 +432,23 @@ class _Pipeline:
 
         Each duplicated value is nudged up to the midpoint between it and the
         next strictly larger value in the image (or +1 past the maximum), so
-        no existing value lands between the old and new ones.
+        no existing value lands between the old and new ones.  The image is
+        kept as a multiset and a sorted list of its distinct values; a new
+        value is never already in the image, so it only ever gets inserted.
         """
         values = self.values
+        count = Counter(values.values())
+        image = sorted(count)
         for e in order:
             current = values[e]
-            shared = sum(1 for v in values.values() if v == current)
-            if shared == 1:
+            if count[current] == 1:
                 continue
-            larger = [v for v in values.values() if v > current]
-            new = _midpoint(current, min(larger)) if larger else current + 1
+            i = bisect_right(image, current)
+            new = _midpoint(current, image[i]) if i < len(image) else current + 1
             self.set_value("spread_sweep", e, new)
+            count[current] -= 1
+            count[new] += 1
+            insort(image, new)
 
 
 def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:

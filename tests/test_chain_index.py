@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,17 +20,20 @@ from morsepoly import (
     chain_sum_excluding,
     chain_sum_lower,
     chain_sum_top,
-    chain_sum_top_recursive,
+    chain_weights,
     check_hypotheses,
     classify,
     combinatorial_index,
+    combinatorial_indices,
     compute_parity_rank,
     dimension_morse,
+    enumerate_chains,
     face_poset_simplicial,
     gen_complex,
     gen_morse,
     normalize,
     predicted_index,
+    transitive_reduction,
     verify_representation,
 )
 
@@ -56,17 +61,19 @@ class TestChainSumTop:
             for b in poset.sorted_elements:
                 assert chain_sum_top(poset, b) == (-1) ** mu.values[b]
 
-    def test_recursive_path_agrees(self, triangle, two_cycles):
+    def test_chain_weights_agree(self, triangle, two_cycles):
         for poset in (triangle.poset, two_cycles.poset):
+            w = chain_weights(poset)
             for b in poset.sorted_elements:
-                assert chain_sum_top_recursive(poset, b) == chain_sum_top(poset, b)
+                assert w[b] == chain_sum_top(poset, b)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9))
-    def test_recursive_path_agrees_on_arbitrary_seeds(self, seed):
+    def test_chain_weights_agree_on_arbitrary_seeds(self, seed):
         face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
+        w = chain_weights(face.poset)
         for b in face.poset.sorted_elements:
-            assert chain_sum_top_recursive(face.poset, b) == chain_sum_top(face.poset, b)
+            assert w[b] == chain_sum_top(face.poset, b)
 
     def test_down_set_recursion_identity(self, triangle):
         # Removing b from each chain through b leaves the chains of its
@@ -144,6 +151,56 @@ class TestCombinatorialIndex:
                     if b in c and all(g[v] <= g[b] for v in c.members)
                 )
                 assert combinatorial_index(poset, g, b) == oracle
+
+
+@st.composite
+def valued_posets(draw):
+    """A random poset or a seeded face poset, with a function that is
+    general (injective) or has ties, some of them on comparable pairs."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=7))
+        names = [f"p{i}" for i in range(n)]
+        pairs = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if draw(st.booleans())
+        ]
+        poset = build_poset(names, transitive_reduction(names, pairs))
+    else:
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        poset = face_poset_simplicial(gen_complex(seed, 5, 1 + seed % 3, 0.6)).poset
+    ids = poset.sorted_elements
+    if draw(st.booleans()):
+        ranks = draw(st.permutations(range(len(ids))))
+        values = {e: Fraction(r, 2) for e, r in zip(ids, ranks)}
+    else:
+        values = {e: draw(st.integers(min_value=0, max_value=len(ids))) for e in ids}
+    return poset, MorseFunction.from_values(values)
+
+
+class TestCombinatorialIndicesOracle:
+    """The factorized index against a sum over every chain of the poset."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=valued_posets())
+    def test_matches_enumeration(self, case):
+        poset, g = case
+        general = all(g[a] != g[b] for a in poset.elements for b in poset.strict_up_set(a))
+        if not general:
+            with pytest.raises(NonGeneralFunction):
+                combinatorial_indices(poset, g)
+            return
+        chains = enumerate_chains(poset)
+        expected = {
+            b: sum(
+                (-1) ** c.length
+                for c in chains
+                if b in c and all(g[v] <= g[b] for v in c.members)
+            )
+            for b in poset.sorted_elements
+        }
+        assert combinatorial_indices(poset, g) == expected
 
 
 class TestPredictedIndex:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from collections import Counter
 
 import pytest
 
 from morsepoly import chain_index, cli, complexes, generators, geometry, morse
+from morsepoly import poset as poset_module
 from morsepoly.cli import main
 from morsepoly.complexes import ComplexSpec, face_poset_simplicial
 from morsepoly.generators import gen_complex, gen_morse
@@ -154,8 +156,8 @@ class TestVerifySinglePass:
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, complexes)
-        # The combinatorial side's order complex, which gives chi.
-        count("order_complex", chain_index, complexes)
+        # Chain enumeration, wherever the package can reach it.
+        count("enumerate_chains", poset_module, chain_index)
         # Whole-function checks: classify and require_valid both validate.
         count("validate_morse", morse, generators)
         count("classify", morse, chain_index, complexes)
@@ -185,7 +187,8 @@ class TestVerifySinglePass:
         assert calls["normalize_trace"] == 1
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
-        assert calls["order_complex"] == 1
+        # Only the geometric witness enumerates: once, for its order complex.
+        assert calls["enumerate_chains"] == 1
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
         visits = [n for key, n in calls.items() if isinstance(key, frozenset)]
         assert visits == [1] * len(order_complex(poset).simplices)
@@ -284,6 +287,24 @@ class TestCheck:
         assert main(["check", "--in", write("t.json", TRIANGLE), "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "2-wide: True" in out
+
+    def test_long_chain_answers_quickly(self, files, capsys):
+        # 2^400 - 1 chains: a downward-Eulerian check that enumerated them
+        # would never finish.  Every strict down-set is a chain, with chi 1.
+        _, write = files
+        names = [f"c{i:03d}" for i in range(400)]
+        path = write("long.json", {"elements": names,
+                                   "covers": [list(p) for p in zip(names, names[1:])]})
+        start = time.perf_counter()
+        assert main(["check", "--in", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["check", "--strict", "--in", path]) == 1
+        assert time.perf_counter() - start < 20
+        eulerian = payload["downward_eulerian"]
+        assert eulerian["holds"] is False
+        assert len(eulerian["violations"]) == 399
+        assert eulerian["violations"][0] == {"element": "c001", "chi": 1, "required": 2}
+        assert eulerian["violations"][1] == {"element": "c002", "chi": 1, "required": 0}
 
 
 class TestOtherCommands:
@@ -446,6 +467,55 @@ class TestBadInput:
             ["classify", "--in", write("e.json", EDGE), "--morse", write("f.json", morse)]
         )
         assert code == 2
+
+    def test_duplicate_element_id(self, files, capsys):
+        _, write = files
+        poset = {"elements": ["a", "a"], "covers": []}
+        assert main(["check", "--in", write("p.json", poset)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: duplicate element id 'a'\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--vertices", "0"], "n_vertices must be at least 1"),
+            (["--dim", "-1"], "dimension must be non-negative"),
+            (["--density", "1.5"], "density must lie in [0, 1]"),
+        ],
+    )
+    def test_gen_complex_arguments(self, capsys, flags, message):
+        assert main(["gen", "--kind", "complex", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_utf8_file(self, files, capsys):
+        tmp_path, _ = files
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
+        assert main(["check", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"elements": [' + "1" * 5000 + "]}"], ids=["deep", "digits"]
+    )
+    def test_json_the_decoder_refuses(self, files, capsys, text):
+        tmp_path, _ = files
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["check", "--in", str(bad)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_bad_input(self, files, monkeypatch):
+        # Only MorsePolyError means bad input; any other error is a bug and
+        # must surface as one.
+        _, write = files
+
+        def broken(poset):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "is_two_wide", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["check", "--in", write("t.json", TRIANGLE)])
 
     def test_transitive_cover_rejected(self, files):
         _, write = files

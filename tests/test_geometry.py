@@ -117,14 +117,16 @@ class TestGeometricIndex:
 
 @st.composite
 def valued_posets(draw):
-    """Small random posets with small integer values; ties are allowed."""
+    """Small random posets with small rational values; ties are allowed."""
     n = draw(st.integers(min_value=1, max_value=6))
     names = [f"p{i}" for i in range(n)]
     pairs = [
         (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
     ]
     poset = build_poset(names, transitive_reduction(names, pairs))
-    values = {e: draw(st.integers(min_value=0, max_value=3)) for e in names}
+    values = {
+        e: draw(st.fractions(min_value=-2, max_value=2, max_denominator=2)) for e in names
+    }
     return poset, MorseFunction.from_values(values)
 
 

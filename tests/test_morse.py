@@ -390,6 +390,38 @@ class TestTrace:
             assert position[a] < position[b]
 
 
+class TestSpreadSweepReference:
+    """The bisect-based spread sweep against the rule it implements, applied
+    directly: a shared value moves to the midpoint between it and the next
+    larger value in the whole image, or to one past the maximum."""
+
+    @staticmethod
+    def direct(order, values):
+        values = dict(values)
+        moves = []
+        for e in order:
+            current = values[e]
+            if sum(1 for v in values.values() if v == current) == 1:
+                continue
+            larger = [v for v in values.values() if v > current]
+            new = (current + min(larger)) / 2 if larger else current + 1
+            moves.append((e, current, new))
+            values[e] = new
+        return values, moves
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), dimension=st.booleans())
+    def test_matches_direct_rule(self, seed, dimension):
+        face = face_poset_simplicial(gen_complex(seed, 6, 1 + seed % 3, 0.5))
+        f = dimension_morse(face.poset, face.rank) if dimension else gen_morse(seed, face.poset)
+        trace = normalize_trace(face.poset, f)
+        values, moves = self.direct(trace.order, trace.after_down_sweep.values)
+        assert values == dict(trace.result.values)
+        assert moves == [
+            (m.element, m.old, m.new) for m in trace.modifications if m.stage == "spread_sweep"
+        ]
+
+
 class TestNormalizeSweep:
     """Seeded mini-sweep; the full 200-instance run lives in the acceptance suite."""
 

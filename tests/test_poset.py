@@ -21,10 +21,13 @@ from morsepoly import (
     UnknownElement,
     build_poset,
     chain_euler_characteristic,
+    chain_weights,
     compute_parity_rank,
     compute_rank_function,
     enumerate_chains,
     euler_characteristic,
+    face_poset_simplicial,
+    gen_complex,
     is_downward_eulerian,
     is_two_wide,
     linear_extension,
@@ -44,6 +47,30 @@ def posets(draw):
             if draw(st.booleans()):
                 pairs.append((names[i], names[j]))
     return build_poset(names, transitive_reduction(names, pairs))
+
+
+@st.composite
+def graded_posets(draw):
+    """Random ranked posets, seldom face posets: each element above rank 0
+    gets a non-empty set of lower covers one rank down."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    levels: list[list[str]] = [[]]
+    covers = []
+    for i in range(n):
+        name = f"p{i}"
+        top = len(levels) - 1 if levels[-1] else len(levels) - 2
+        rank = draw(st.integers(min_value=0, max_value=top + 1))
+        if rank == len(levels):
+            levels.append([])
+        if rank > 0:
+            below = draw(st.lists(st.sampled_from(levels[rank - 1]), min_size=1, unique=True))
+            covers += [(a, name) for a in below]
+        levels[rank].append(name)
+    return build_poset([e for level in levels for e in level], covers)
+
+
+def face_poset_of(seed):
+    return face_poset_simplicial(gen_complex(seed, 5, 1 + seed % 3, 0.6)).poset
 
 
 def brute_force_chains(poset, subset):
@@ -316,6 +343,88 @@ class TestDownwardEulerian:
     def test_invalid_parity_rejected(self, edge_poset):
         with pytest.raises(ValueError):
             is_downward_eulerian(edge_poset, ParityRank(values={"a": 1, "b": 0, "e": 1}))
+
+
+class TestDownwardEulerianOracle:
+    """The one-pass check against chain enumeration under each element."""
+
+    @staticmethod
+    def assert_matches_enumeration(poset):
+        mu = compute_parity_rank(poset)
+        assert isinstance(mu, ParityRank)
+        violations = []
+        for a in sorted(poset.elements):
+            if poset.lower_covers(a):
+                chains = enumerate_chains(poset, poset.strict_down_set(a))
+                chi = sum((-1) ** c.length for c in chains)
+                required = 2 if mu.values[a] else 0
+                if chi != required:
+                    violations.append((a, chi, required))
+        verdict = is_downward_eulerian(poset, mu)
+        assert verdict.violations == tuple(violations)
+        assert verdict.holds == (not violations)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graded_posets())
+    def test_random_graded_posets(self, poset):
+        self.assert_matches_enumeration(poset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_seeded_face_posets(self, seed):
+        self.assert_matches_enumeration(face_poset_of(seed))
+
+    def test_two_cycles_poset(self, two_cycles):
+        self.assert_matches_enumeration(two_cycles.poset)
+
+
+class TestChainWeights:
+    """Hall's recursion against the chains it counts."""
+
+    @staticmethod
+    def assert_matches_enumeration(poset, subset):
+        chains = enumerate_chains(poset, subset)
+        tops = {x: 0 for x in subset}
+        for c in chains:
+            tops[c.members[-1]] += (-1) ** c.length
+        assert chain_weights(poset, subset) == tops
+        assert chain_euler_characteristic(poset, subset) == sum(tops.values())
+        assert chain_euler_characteristic(poset, subset) == sum(
+            (-1) ** c.length for c in chains
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_subsets_of_random_posets(self, data):
+        poset = data.draw(posets() | graded_posets())
+        subset = {e for e in poset.elements if data.draw(st.booleans())}
+        self.assert_matches_enumeration(poset, subset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
+    def test_random_subsets_of_face_posets(self, seed, data):
+        poset = face_poset_of(seed)
+        subset = {e for e in poset.elements if data.draw(st.booleans())}
+        self.assert_matches_enumeration(poset, subset)
+
+    def test_whole_poset_is_the_default(self, triangle):
+        poset = triangle.poset
+        assert chain_weights(poset) == chain_weights(poset, poset.elements)
+        assert chain_weights(poset)["1,2,3"] == 1
+
+    def test_unknown_element(self, edge_poset):
+        with pytest.raises(UnknownElement):
+            chain_weights(edge_poset, {"a", "zz"})
+
+    def test_long_chain(self):
+        # Exponentially many chains: 2^400 - 1 of them, so only the
+        # recursion can answer.  w is 1 at the bottom and 0 above it.
+        names = [f"c{i:03d}" for i in range(400)]
+        poset = build_poset(names, list(zip(names, names[1:])))
+        w = chain_weights(poset)
+        assert w[names[0]] == 1
+        assert set(w[e] for e in names[1:]) == {0}
+        assert chain_euler_characteristic(poset, names) == 1
 
 
 class TestCoverRederivation:
