@@ -25,8 +25,6 @@ normalized function they came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     HypothesisViolated,
     Mismatch,
@@ -43,6 +41,8 @@ from .poset import (
     ElementId,
     ParityRank,
     Poset,
+    Record,
+    _set_field,
     chain_euler_characteristic,
     compute_parity_rank,
     enumerate_chains,
@@ -51,24 +51,46 @@ from .poset import (
 )
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(Record):
+    __slots__ = ("element", "computed", "predicted", "critical")
     element: ElementId
     computed: int
     predicted: int
     critical: bool
 
+    def __init__(self, element: ElementId, computed: int, predicted: int, critical: bool):
+        _set_field(self, "element", element)
+        _set_field(self, "computed", computed)
+        _set_field(self, "predicted", predicted)
+        _set_field(self, "critical", critical)
 
-@dataclass(frozen=True)
-class IndexReport:
+
+class IndexReport(Record):
     """Per-element indices, the totals they satisfy, and the normalized input."""
 
+    __slots__ = ("entries", "total", "chi", "n_even", "n_odd", "normalized")
     entries: tuple[IndexEntry, ...]
     total: int
     chi: int
     n_even: int
     n_odd: int
     normalized: MorseFunction
+
+    def __init__(
+        self,
+        entries: tuple[IndexEntry, ...],
+        total: int,
+        chi: int,
+        n_even: int,
+        n_odd: int,
+        normalized: MorseFunction,
+    ):
+        _set_field(self, "entries", entries)
+        _set_field(self, "total", total)
+        _set_field(self, "chi", chi)
+        _set_field(self, "n_even", n_even)
+        _set_field(self, "n_odd", n_odd)
+        _set_field(self, "normalized", normalized)
 
 
 def check_hypotheses(poset: Poset) -> ParityRank:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonio
@@ -34,6 +33,8 @@ from .morse import MorseFunction, classify, normalize
 from .poset import (
     ParityRank,
     Poset,
+    Record,
+    _set_field,
     build_poset,
     compute_parity_rank,
     euler_characteristic,
@@ -46,11 +47,16 @@ INPUT_ERRORS_EXIT = 2
 MISMATCH_EXIT = 1
 
 
-@dataclass
-class LoadedInput:
+class LoadedInput(Record):
+    __slots__ = ("kind", "poset", "face")
     kind: str  # "poset" | "simplicial" | "cellular"
     poset: Poset
-    face: FacePoset | None = None
+    face: FacePoset | None
+
+    def __init__(self, kind: str, poset: Poset, face: FacePoset | None = None):
+        _set_field(self, "kind", kind)
+        _set_field(self, "poset", poset)
+        _set_field(self, "face", face)
 
 
 def _load_input(path: str) -> LoadedInput:

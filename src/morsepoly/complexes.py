@@ -19,7 +19,6 @@ boundary poset has a disconnected order complex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -33,7 +32,9 @@ from .poset import (
     ParityRank,
     Poset,
     RankFunction,
+    Record,
     TwoWideVerdict,
+    _set_field,
     build_poset,
     chain_euler_characteristic,
     is_downward_eulerian,
@@ -44,48 +45,84 @@ from .poset import (
 FACE_SEPARATOR = ","
 
 
-@dataclass(frozen=True)
-class CellSpec:
+class CellSpec(Record):
+    __slots__ = ("id", "dim", "boundary")
     id: str
     dim: int
     boundary: tuple[str, ...]
 
+    def __init__(self, id: str, dim: int, boundary: tuple[str, ...]):
+        _set_field(self, "id", id)
+        _set_field(self, "dim", dim)
+        _set_field(self, "boundary", boundary)
 
-@dataclass(frozen=True)
-class ComplexSpec:
+
+class ComplexSpec(Record):
     """Either a list of maximal simplices or a list of explicit cells."""
 
+    __slots__ = ("kind", "maximal_simplices", "cells")
     kind: str  # "simplicial" | "cellular"
-    maximal_simplices: tuple[tuple[str, ...], ...] = ()
-    cells: tuple[CellSpec, ...] = ()
+    maximal_simplices: tuple[tuple[str, ...], ...]
+    cells: tuple[CellSpec, ...]
+
+    def __init__(
+        self,
+        kind: str,
+        maximal_simplices: tuple[tuple[str, ...], ...] = (),
+        cells: tuple[CellSpec, ...] = (),
+    ):
+        _set_field(self, "kind", kind)
+        _set_field(self, "maximal_simplices", maximal_simplices)
+        _set_field(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class CellularReport:
+class CellularReport(Record):
     """Poset-level necessary conditions; regularity itself is not checkable."""
 
+    __slots__ = ("two_wide", "eulerian")
     two_wide: TwoWideVerdict
     eulerian: EulerianVerdict
+
+    def __init__(self, two_wide: TwoWideVerdict, eulerian: EulerianVerdict):
+        _set_field(self, "two_wide", two_wide)
+        _set_field(self, "eulerian", eulerian)
 
     def all_hold(self) -> bool:
         return bool(self.two_wide) and bool(self.eulerian)
 
 
-@dataclass(frozen=True)
-class FacePoset:
+class FacePoset(Record):
+    __slots__ = ("poset", "rank", "parity", "report")
     poset: Poset
     rank: RankFunction
     parity: ParityRank
-    report: CellularReport | None = None
+    report: CellularReport | None
+
+    def __init__(
+        self,
+        poset: Poset,
+        rank: RankFunction,
+        parity: ParityRank,
+        report: CellularReport | None = None,
+    ):
+        _set_field(self, "poset", poset)
+        _set_field(self, "rank", rank)
+        _set_field(self, "parity", parity)
+        _set_field(self, "report", report)
 
 
-@dataclass(frozen=True)
-class MorseInequalityReport:
+class MorseInequalityReport(Record):
     """Critical-cell counts per dimension and their alternating sum."""
 
+    __slots__ = ("counts", "alternating_sum", "chi")
     counts: tuple[int, ...]
     alternating_sum: int
     chi: int
+
+    def __init__(self, counts: tuple[int, ...], alternating_sum: int, chi: int):
+        _set_field(self, "counts", counts)
+        _set_field(self, "alternating_sum", alternating_sum)
+        _set_field(self, "chi", chi)
 
 
 def face_id(vertices) -> str:

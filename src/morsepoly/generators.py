@@ -6,16 +6,18 @@ reproducible and failures can be replayed from the seed alone.
 
 gen_morse builds a base function from a cover matching: matched pairs share
 a value (the single allowed non-increase), unmatched covers strictly
-increase.  Matched pairs are vertex-disjoint, so along any two consecutive
-covers at least one step rises by a full unit while a matched step loses at
-most one half; base functions therefore have no troubled elements.  To make
-the normalization pipeline earn its keep, a seeded round of single-value
-perturbations follows, each kept only if the function remains a valid
-discrete Morse function; these create duplicated values and troubled
-patterns while preserving validity.  The base function is validated in full
-once; each perturbation is then rechecked at the changed element and its
-covers, the only places where it can break the Morse condition, and the
-final function is validated in full again.
+increase.  The matching keeps a cover only if contracting it leaves the
+cover digraph acyclic, which one reachability search over the digraph
+contracted so far decides.  Matched pairs are vertex-disjoint, so along any
+two consecutive covers at least one step rises by a full unit while a
+matched step loses at most one half; base functions therefore have no
+troubled elements.  To make the normalization pipeline earn its keep, a
+seeded round of single-value perturbations follows, each kept only if the
+function remains a valid discrete Morse function; these create duplicated
+values and troubled patterns while preserving validity.  The base function
+is validated in full once; each perturbation is then rechecked at the
+changed element and its covers, the only places where it can break the
+Morse condition, and the final function is validated in full again.
 """
 
 from __future__ import annotations
@@ -61,7 +63,11 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
 
 
 def _contracted_is_acyclic(poset: Poset, node: dict[ElementId, ElementId]) -> bool:
-    """Cycle test on the cover digraph after merging matched pairs."""
+    """Cycle test on the cover digraph after merging matched pairs.
+
+    The whole-graph reference for the incremental test in
+    :func:`_sample_matching`.
+    """
     edges = {(node[u], node[v]) for u, v in poset.covers if node[u] != node[v]}
     try:
         _topological_order(set(node.values()), edges)
@@ -70,11 +76,43 @@ def _contracted_is_acyclic(poset: Poset, node: dict[ElementId, ElementId]) -> bo
     return True
 
 
+def _reaches_around(
+    node: dict[ElementId, ElementId],
+    succ: dict[ElementId, tuple[ElementId, ...]],
+    a: ElementId,
+    b: ElementId,
+) -> bool:
+    """Whether node b is reachable from node a by a path of at least two edges.
+
+    ``succ`` lists the upper covers of each node's members; ``node`` maps an
+    element to the node that holds it.
+    """
+    stack = [node[t] for t in succ[a] if t != b]
+    seen = set(stack)
+    while stack:
+        for t in succ[stack.pop()]:
+            t = node[t]
+            if t == b:
+                return True
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return False
+
+
 def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, ElementId]]:
-    """Vertex-disjoint cover pairs whose contraction leaves the digraph acyclic."""
+    """Vertex-disjoint cover pairs whose contraction leaves the digraph acyclic.
+
+    The cover digraph with the accepted pairs merged stays acyclic.  Both
+    ends of a candidate a < b are unmatched, so each is still its own node,
+    and merging them closes a cycle exactly when b can be reached from a by a
+    path other than the cover itself.  An accepted pair becomes the node
+    min(a, b).
+    """
     covers = sorted(poset.covers)
     rng.shuffle(covers)
     node = {e: e for e in poset.elements}
+    succ = {e: poset.upper_covers(e) for e in poset.elements}
     matching: list[tuple[ElementId, ElementId]] = []
     taken: set[ElementId] = set()
     for a, b in covers:
@@ -82,14 +120,14 @@ def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, 
             continue
         if rng.random() < 0.35:
             continue
-        trial = dict(node)
-        rep = min(a, b)
-        trial[a] = trial[b] = rep
-        if _contracted_is_acyclic(poset, trial):
-            node = trial
-            matching.append((a, b))
-            taken.add(a)
-            taken.add(b)
+        if _reaches_around(node, succ, a, b):
+            continue
+        keep = min(a, b)
+        node[a] = node[b] = keep
+        succ[keep] = succ.pop(a) + succ.pop(b)
+        matching.append((a, b))
+        taken.add(a)
+        taken.add(b)
     return matching
 
 

@@ -22,33 +22,40 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .chain_index import combinatorial_indices
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
 from .morse import MorseFunction
-from .poset import ElementId, Poset, order_complex
+from .poset import ElementId, Poset, Record, _set_field, order_complex
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Vertex coordinates in k-space; the projection axis is coordinate 0."""
 
+    __slots__ = ("dimension", "coordinates")
     dimension: int
     coordinates: Mapping[ElementId, tuple[Fraction, ...]]
+
+    def __init__(self, dimension: int, coordinates: Mapping[ElementId, tuple[Fraction, ...]]):
+        _set_field(self, "dimension", dimension)
+        _set_field(self, "coordinates", coordinates)
 
     def height(self, element: ElementId) -> Fraction:
         return self.coordinates[element][0]
 
 
-@dataclass(frozen=True)
-class GeometricComplex:
+class GeometricComplex(Record):
     """Order-complex simplices attached to embedded vertex coordinates."""
 
+    __slots__ = ("embedding", "simplices")
     embedding: Embedding
     simplices: frozenset[frozenset[ElementId]]
+
+    def __init__(self, embedding: Embedding, simplices: frozenset[frozenset[ElementId]]):
+        _set_field(self, "embedding", embedding)
+        _set_field(self, "simplices", simplices)
 
     def simplex_coordinates(
         self, simplex: frozenset[ElementId]
@@ -56,13 +63,23 @@ class GeometricComplex:
         return tuple(self.embedding.coordinates[v] for v in sorted(simplex))
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
+    __slots__ = ("ok", "mismatches", "indices")
     ok: bool
     # (element, geometric index, combinatorial index) for every disagreement.
     mismatches: tuple[tuple[ElementId, int, int], ...]
     # Geometric index of every element, for reporting.
     indices: Mapping[ElementId, int]
+
+    def __init__(
+        self,
+        ok: bool,
+        mismatches: tuple[tuple[ElementId, int, int], ...],
+        indices: Mapping[ElementId, int],
+    ):
+        _set_field(self, "ok", ok)
+        _set_field(self, "mismatches", mismatches)
+        _set_field(self, "indices", indices)
 
     @property
     def first_mismatch(self) -> tuple[ElementId, int, int] | None:

@@ -8,7 +8,6 @@ data always produces byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -182,6 +181,8 @@ def embedding_to_obj(embedding: Embedding) -> dict:
 
 def embedding_to_csv(embedding: Embedding) -> str:
     """CSV rows (element, coord_1..coord_k) for external plotting."""
+    import csv  # only `embed --csv` writes CSV; keep it out of every other start-up
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["element"] + [f"coord_{i + 1}" for i in range(embedding.dimension)])

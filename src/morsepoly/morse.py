@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -34,6 +33,8 @@ from .poset import (
     ElementId,
     Poset,
     RankFunction,
+    Record,
+    _set_field,
     compute_rank_function,
     is_two_wide,
 )
@@ -61,11 +62,14 @@ def parse_rational(value: object) -> Fraction:
     raise TypeError(f"refusing non-exact value {value!r} (use int, str, or Fraction)")
 
 
-@dataclass(frozen=True)
-class MorseFunction:
+class MorseFunction(Record):
     """Total map from poset elements to exact rational values."""
 
+    __slots__ = ("values",)
     values: Mapping[ElementId, Fraction]
+
+    def __init__(self, values: Mapping[ElementId, Fraction]):
+        _set_field(self, "values", values)
 
     @classmethod
     def from_values(cls, values: Mapping[ElementId, object]) -> "MorseFunction":
@@ -84,26 +88,44 @@ class MorseFunction:
         return sorted(self.values.items())
 
 
-@dataclass(frozen=True)
-class MorseVerdict:
+class MorseVerdict(Record):
     """Outcome of validate_morse; lists one offending element on failure."""
 
+    __slots__ = ("valid", "element", "witnesses")
     valid: bool
-    element: ElementId | None = None
+    element: ElementId | None
     # Each witness is (neighbor, direction): the neighbor is a cover of the
     # element on the given side whose value breaks strict monotonicity.
-    witnesses: tuple[tuple[ElementId, str], ...] = ()
+    witnesses: tuple[tuple[ElementId, str], ...]
+
+    def __init__(
+        self,
+        valid: bool,
+        element: ElementId | None = None,
+        witnesses: tuple[tuple[ElementId, str], ...] = (),
+    ):
+        _set_field(self, "valid", valid)
+        _set_field(self, "element", element)
+        _set_field(self, "witnesses", witnesses)
 
     def __bool__(self) -> bool:
         return self.valid
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Critical/ordinary verdict per element, with one witness per ordinary one."""
 
+    __slots__ = ("verdicts", "witnesses")
     verdicts: Mapping[ElementId, str]  # "critical" | "ordinary"
     witnesses: Mapping[ElementId, tuple[ElementId, str]]
+
+    def __init__(
+        self,
+        verdicts: Mapping[ElementId, str],
+        witnesses: Mapping[ElementId, tuple[ElementId, str]],
+    ):
+        _set_field(self, "verdicts", verdicts)
+        _set_field(self, "witnesses", witnesses)
 
     def critical_set(self) -> frozenset[ElementId]:
         return frozenset(e for e, v in self.verdicts.items() if v == "critical")
@@ -112,8 +134,7 @@ class Classification:
         return self.verdicts[element] == "critical"
 
 
-@dataclass(frozen=True)
-class TroubleFlags:
+class TroubleFlags(Record):
     """Witnesses for the four obstruction patterns at one element.
 
     ``up`` holds (x, y) with element < x < y (cover), f(x) < f(y) <= f(element);
@@ -122,18 +143,34 @@ class TroubleFlags:
     ``short_down`` additionally has z covered by element.
     """
 
-    short_up: tuple[ElementId, ElementId] | None = None
-    up: tuple[ElementId, ElementId] | None = None
-    short_down: tuple[ElementId, ElementId] | None = None
-    down: tuple[ElementId, ElementId] | None = None
+    __slots__ = ("short_up", "up", "short_down", "down")
+    short_up: tuple[ElementId, ElementId] | None
+    up: tuple[ElementId, ElementId] | None
+    short_down: tuple[ElementId, ElementId] | None
+    down: tuple[ElementId, ElementId] | None
+
+    def __init__(
+        self,
+        short_up: tuple[ElementId, ElementId] | None = None,
+        up: tuple[ElementId, ElementId] | None = None,
+        short_down: tuple[ElementId, ElementId] | None = None,
+        down: tuple[ElementId, ElementId] | None = None,
+    ):
+        _set_field(self, "short_up", short_up)
+        _set_field(self, "up", up)
+        _set_field(self, "short_down", short_down)
+        _set_field(self, "down", down)
 
     def any(self) -> bool:
         return any((self.short_up, self.up, self.short_down, self.down))
 
 
-@dataclass(frozen=True)
-class TroubleReport:
+class TroubleReport(Record):
+    __slots__ = ("flags",)
     flags: Mapping[ElementId, TroubleFlags]
+
+    def __init__(self, flags: Mapping[ElementId, TroubleFlags]):
+        _set_field(self, "flags", flags)
 
     def clean(self) -> bool:
         return not self.flags
@@ -142,32 +179,61 @@ class TroubleReport:
         return tuple(sorted(self.flags))
 
 
-@dataclass(frozen=True)
-class ExclusivityReport:
+class ExclusivityReport(Record):
     """Elements with non-increasing covers in both directions, if any."""
 
+    __slots__ = ("two_wide", "offenders")
     two_wide: bool
     offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
 
+    def __init__(
+        self, two_wide: bool, offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]
+    ):
+        _set_field(self, "two_wide", two_wide)
+        _set_field(self, "offenders", offenders)
 
-@dataclass(frozen=True)
-class Modification:
+
+class Modification(Record):
+    __slots__ = ("stage", "element", "old", "new")
     stage: str
     element: ElementId
     old: Fraction
     new: Fraction
 
+    def __init__(self, stage: str, element: ElementId, old: Fraction, new: Fraction):
+        _set_field(self, "stage", stage)
+        _set_field(self, "element", element)
+        _set_field(self, "old", old)
+        _set_field(self, "new", new)
 
-@dataclass(frozen=True)
-class NormalizationTrace:
+
+class NormalizationTrace(Record):
     """All intermediate functions produced by the normalization pipeline."""
 
+    __slots__ = ("order", "start", "after_up_sweep", "after_down_sweep", "result",
+                 "modifications")
     order: tuple[ElementId, ...]
     start: MorseFunction
     after_up_sweep: MorseFunction
     after_down_sweep: MorseFunction
     result: MorseFunction
     modifications: tuple[Modification, ...]
+
+    def __init__(
+        self,
+        order: tuple[ElementId, ...],
+        start: MorseFunction,
+        after_up_sweep: MorseFunction,
+        after_down_sweep: MorseFunction,
+        result: MorseFunction,
+        modifications: tuple[Modification, ...],
+    ):
+        _set_field(self, "order", order)
+        _set_field(self, "start", start)
+        _set_field(self, "after_up_sweep", after_up_sweep)
+        _set_field(self, "after_down_sweep", after_down_sweep)
+        _set_field(self, "result", result)
+        _set_field(self, "modifications", modifications)
 
 
 def _require_total(poset: Poset, f: MorseFunction) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, InvalidArgument, NonCoverEdge, UnknownElement
@@ -32,11 +31,54 @@ ElementId = str
 CHAIN_SOFT_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class Chain:
+_set_field = object.__setattr__
+
+
+class Record:
+    """Immutable value type whose fields are its ``__slots__``, in order.
+
+    Each subclass lists its fields in ``__slots__`` and sets them once, in an
+    explicit ``__init__``, through ``object.__setattr__``; assignment and
+    deletion afterwards raise AttributeError.  Equality (same class, equal
+    field tuples), hashing, pickling and the ``Name(field=value, ...)`` repr
+    all follow the field tuple, and no code is generated at import.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class Chain(Record):
     """A non-empty totally ordered subset, listed in increasing order."""
 
+    __slots__ = ("members",)
     members: tuple[ElementId, ...]
+
+    def __init__(self, members: tuple[ElementId, ...]):
+        _set_field(self, "members", members)
 
     @property
     def length(self) -> int:
@@ -50,12 +92,18 @@ class Chain:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Abstract simplicial complex: vertex set plus downward-closed simplices."""
 
+    __slots__ = ("vertices", "simplices")
     vertices: tuple[ElementId, ...]
     simplices: frozenset[frozenset[ElementId]]
+
+    def __init__(
+        self, vertices: tuple[ElementId, ...], simplices: frozenset[frozenset[ElementId]]
+    ):
+        _set_field(self, "vertices", vertices)
+        _set_field(self, "simplices", simplices)
 
     def counts_by_dimension(self) -> tuple[int, ...]:
         """Number of simplices in each dimension, index = dimension."""
@@ -68,55 +116,77 @@ class SimplicialComplex:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
-class ParityRank:
+class ParityRank(Record):
     """Mod-2 grading: 0 on minimal elements, flipping across covers."""
 
+    __slots__ = ("values",)
     values: Mapping[ElementId, int]
+
+    def __init__(self, values: Mapping[ElementId, int]):
+        _set_field(self, "values", values)
 
     def __getitem__(self, element: ElementId) -> int:
         return self.values[element]
 
 
-@dataclass(frozen=True)
-class RankFunction:
+class RankFunction(Record):
     """Integer grading: 0 on minimal elements, +1 across covers."""
 
+    __slots__ = ("values", "max_rank")
     values: Mapping[ElementId, int]
     max_rank: int
 
+    def __init__(self, values: Mapping[ElementId, int], max_rank: int):
+        _set_field(self, "values", values)
+        _set_field(self, "max_rank", max_rank)
+
     def __getitem__(self, element: ElementId) -> int:
         return self.values[element]
 
 
-@dataclass(frozen=True)
-class GradingConflict:
+class GradingConflict(Record):
     """Witness that no (parity) rank function exists.
 
     ``element`` received ``values[0]`` through parent ``via[0]`` and the
     incompatible ``values[1]`` through parent ``via[1]``.
     """
 
+    __slots__ = ("element", "values", "via")
     element: ElementId
     values: tuple[int, int]
     via: tuple[ElementId, ElementId]
 
+    def __init__(
+        self, element: ElementId, values: tuple[int, int], via: tuple[ElementId, ElementId]
+    ):
+        _set_field(self, "element", element)
+        _set_field(self, "values", values)
+        _set_field(self, "via", via)
 
-@dataclass(frozen=True)
-class TwoWideVerdict:
+
+class TwoWideVerdict(Record):
+    __slots__ = ("holds", "witness")
     holds: bool
     # A violating triple (a, b, c) with a < b < c covers and no alternative middle.
     witness: tuple[ElementId, ElementId, ElementId] | None
+
+    def __init__(self, holds: bool, witness: tuple[ElementId, ElementId, ElementId] | None):
+        _set_field(self, "holds", holds)
+        _set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-@dataclass(frozen=True)
-class EulerianVerdict:
+class EulerianVerdict(Record):
+    __slots__ = ("holds", "violations")
     holds: bool
     # (element, chi of its strict down-set's order complex, required chi)
     violations: tuple[tuple[ElementId, int, int], ...]
+
+    def __init__(self, holds: bool, violations: tuple[tuple[ElementId, int, int], ...]):
+        _set_field(self, "holds", holds)
+        _set_field(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return self.holds

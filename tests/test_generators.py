@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsepoly import (
+    ComplexSpec,
     EmptyPoset,
     build_poset,
     compute_parity_rank,
@@ -18,9 +21,10 @@ from morsepoly import (
     gen_morse,
     is_downward_eulerian,
     is_two_wide,
+    transitive_reduction,
     validate_morse,
 )
-from morsepoly.generators import _contracted_is_acyclic
+from morsepoly.generators import _contracted_is_acyclic, _sample_matching
 from morsepoly.jsonio import complex_to_obj, dumps_canonical, morse_to_obj
 
 
@@ -148,3 +152,75 @@ class TestContractedIsAcyclic:
         node = {e: e for e in ids}
         node["0003"] = "0000"
         assert not _contracted_is_acyclic(chain, node)
+
+
+def whole_graph_matching(poset, rng):
+    """The matching loop that reruns the whole-graph cycle test for every
+    candidate pair: the reference the incremental loop must reproduce."""
+    covers = sorted(poset.covers)
+    rng.shuffle(covers)
+    node = {e: e for e in poset.elements}
+    matching = []
+    taken = set()
+    for a, b in covers:
+        if a in taken or b in taken:
+            continue
+        if rng.random() < 0.35:
+            continue
+        trial = dict(node)
+        rep = min(a, b)
+        trial[a] = trial[b] = rep
+        if _contracted_is_acyclic(poset, trial):
+            node = trial
+            matching.append((a, b))
+            taken.add(a)
+            taken.add(b)
+    return matching
+
+
+@st.composite
+def matching_posets(draw):
+    """A random poset (not a face poset, ids shuffled so the merged node is
+    sometimes the upper end of its pair) or a seeded face poset."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=9))
+        names = draw(st.permutations([f"p{i}" for i in range(n)]))
+        pairs = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if draw(st.booleans())
+        ]
+        return build_poset(names, transitive_reduction(names, pairs))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return face_poset_simplicial(gen_complex(seed, 3 + seed % 5, 1 + seed % 3, 0.6)).poset
+
+
+def circle(n):
+    edges = tuple((f"{i}", f"{(i + 1) % n}") for i in range(n))
+    return face_poset_simplicial(ComplexSpec(kind="simplicial", maximal_simplices=edges)).poset
+
+
+class TestSampleMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(poset=matching_posets(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_equals_whole_graph_reference(self, poset, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert _sample_matching(poset, rng) == whole_graph_matching(poset, ref_rng)
+        # Same decisions, so the same RNG draws: gen_morse's later steps see
+        # the same stream.
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_circle_matches_reference(self, seed):
+        poset = circle(150)
+        expected = whole_graph_matching(poset, random.Random(seed))
+        assert _sample_matching(poset, random.Random(seed)) == expected
+
+    def test_long_circle_is_not_quadratic(self):
+        # The whole-graph test per candidate takes tens of seconds here.
+        poset = circle(2000)
+        started = time.perf_counter()
+        f = gen_morse(3, poset)
+        assert time.perf_counter() - started < 6.0
+        assert validate_morse(poset, f).valid
