@@ -34,8 +34,7 @@ from .errors import (
 from .morse import (
     Classification,
     MorseFunction,
-    classify,
-    normalize,
+    normalize_trace,
 )
 from .poset import (
     ElementId,
@@ -197,15 +196,16 @@ def predicted_index(classification: Classification, mu: ParityRank, b: ElementId
 def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     """End-to-end combinatorial check of the index equation.
 
-    Verifies the structural hypotheses, normalizes f, computes the chain-sum
+    Verifies the structural hypotheses, normalizes f (taking the
+    classification of f from that normalization), computes the chain-sum
     index of every element, and asserts it equals the parity prediction
     elementwise, that the indices sum to chi of the order complex, and that
     the critical-count difference N0 - N1 equals chi.  Any failed equation
     raises Mismatch, which indicates a bug rather than bad input.
     """
     mu = check_hypotheses(poset)
-    classification = classify(poset, f)  # validates f first
-    g = normalize(poset, f)
+    trace = normalize_trace(poset, f)  # validates and classifies f first
+    classification, g = trace.classification, trace.result
 
     entries = []
     for b, computed in combinatorial_indices(poset, g).items():

@@ -6,9 +6,10 @@ is the machine contract (key-sorted, reproducible byte-for-byte); text
 output is for humans.
 
 Exit codes: 0 on success, 1 when a verified identity fails or --strict is
-set and a property check fails, 2 for unreadable/malformed input or inputs
-outside the required hypotheses.  Exit 2 comes only from MorsePolyError;
-any other exception is a bug and propagates.
+set and a property check fails, 2 for unreadable/malformed input, inputs
+outside the required hypotheses, or an output path that cannot be written.
+Exit 2 comes only from MorsePolyError; any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -81,9 +82,16 @@ def _load_morse(args: argparse.Namespace, loaded: LoadedInput) -> MorseFunction:
     )
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MorsePolyError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args: argparse.Namespace, payload: str) -> None:
     if args.output_path:
-        Path(args.output_path).write_text(payload, encoding="utf-8")
+        _write(args.output_path, payload)
     else:
         sys.stdout.write(payload)
 
@@ -271,9 +279,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     embedding = embed_vertices(loaded.poset, g)
     payload = jsonio.embedding_to_obj(embedding)
     if args.csv_path:
-        Path(args.csv_path).write_text(
-            jsonio.embedding_to_csv(embedding), encoding="utf-8"
-        )
+        _write(args.csv_path, jsonio.embedding_to_csv(embedding))
     if args.fmt == "json":
         _emit(args, jsonio.dumps_canonical(payload))
     else:

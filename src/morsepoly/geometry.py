@@ -57,11 +57,6 @@ class GeometricComplex(Record):
         _set_field(self, "embedding", embedding)
         _set_field(self, "simplices", simplices)
 
-    def simplex_coordinates(
-        self, simplex: frozenset[ElementId]
-    ) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.embedding.coordinates[v] for v in sorted(simplex))
-
 
 class CrossCheckReport(Record):
     __slots__ = ("ok", "mismatches", "indices")
@@ -178,8 +173,9 @@ def compare_indices(
 def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     """Compare geometric and combinatorial indices for every element.
 
-    The two computations share only the function g: one walks embedded
-    simplex coordinates, the other enumerates chains in the poset.
+    The two computations share only the function g: one walks the embedded
+    simplices of the order complex, the other counts chains in the poset by
+    Hall's recursion without listing them.
     """
     geometric = geometric_indices(realize_complex(poset, embed_vertices(poset, g)))
     return compare_indices(geometric, combinatorial_indices(poset, g))

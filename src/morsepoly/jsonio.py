@@ -19,7 +19,6 @@ from .complexes import CellSpec, ComplexSpec
 from .errors import MalformedSpec, ParseError
 from .geometry import Embedding
 from .morse import MorseFunction, parse_rational as _parse_rational
-from .poset import Poset
 
 
 def parse_rational(value: object) -> Fraction:
@@ -97,13 +96,6 @@ def poset_from_obj(obj: Any) -> tuple[list[str], list[tuple[str, str]]]:
             raise MalformedSpec(f"cover entry {item!r} is not a pair of strings")
         pairs.append((item[0], item[1]))
     return elements, pairs
-
-
-def poset_to_obj(poset: Poset) -> dict:
-    return {
-        "elements": list(poset.sorted_elements),
-        "covers": [list(pair) for pair in sorted(poset.covers)],
-    }
 
 
 def morse_from_obj(obj: Any) -> MorseFunction:

@@ -10,9 +10,10 @@ The normalization pipeline (:func:`normalize`) rewrites a valid function on
 a 2-wide poset into one with the same critical set that is additionally
 injective, monotone-extendable (whenever z < x < y < w with covers x < y and
 g(x) < g(y), also g(z) < g(y) and g(x) < g(w)), and free of all four
-"troubled" obstruction patterns.  It runs five sweeps over a fixed linear
-extension, each changing at most one value per element; every intermediate
-stage is retained in a trace so each step can be audited.
+"troubled" obstruction patterns.  It runs two sweeps over a fixed linear
+extension, each changing at most one value per element; the input's
+classification and every intermediate stage are retained in a trace so each
+step can be audited.
 """
 
 from __future__ import annotations
@@ -208,14 +209,15 @@ class Modification(Record):
 
 
 class NormalizationTrace(Record):
-    """All intermediate functions produced by the normalization pipeline."""
+    """The normalization pipeline's input, its classification (which every
+    stage preserves), the function after each sweep, and every change made."""
 
-    __slots__ = ("order", "start", "after_up_sweep", "after_down_sweep", "result",
+    __slots__ = ("order", "start", "classification", "after_up_sweep", "result",
                  "modifications")
     order: tuple[ElementId, ...]
     start: MorseFunction
+    classification: Classification
     after_up_sweep: MorseFunction
-    after_down_sweep: MorseFunction
     result: MorseFunction
     modifications: tuple[Modification, ...]
 
@@ -223,15 +225,15 @@ class NormalizationTrace(Record):
         self,
         order: tuple[ElementId, ...],
         start: MorseFunction,
+        classification: Classification,
         after_up_sweep: MorseFunction,
-        after_down_sweep: MorseFunction,
         result: MorseFunction,
         modifications: tuple[Modification, ...],
     ):
         _set_field(self, "order", order)
         _set_field(self, "start", start)
+        _set_field(self, "classification", classification)
         _set_field(self, "after_up_sweep", after_up_sweep)
-        _set_field(self, "after_down_sweep", after_down_sweep)
         _set_field(self, "result", result)
         _set_field(self, "modifications", modifications)
 
@@ -402,24 +404,15 @@ def _short_up_witness(poset, values, e):
     return None
 
 
-def _short_down_witness(poset, values, u):
-    """A pair (z, w) with w covered by z covered by u and f(u) <= f(w) < f(z)."""
-    for z in poset.lower_covers(u):
-        if values[z] <= values[u]:
-            continue
-        for w in poset.lower_covers(z):
-            if values[u] <= values[w] < values[z]:
-                return z, w
-    return None
-
-
 class _Pipeline:
-    """Mutable state for one normalization run."""
+    """Mutable state for one normalization run: the working values, the
+    input's classification and critical set, and the modifications so far."""
 
     def __init__(self, poset: Poset, f: MorseFunction):
         self.poset = poset
         self.values: dict[ElementId, Fraction] = dict(f.values)
-        self.critical = classify(poset, f).critical_set()
+        self.classification = classify(poset, f)
+        self.critical = self.classification.critical_set()
         self.modifications: list[Modification] = []
 
     def snapshot(self) -> MorseFunction:
@@ -450,6 +443,14 @@ class _Pipeline:
         interval between f(x) and the least value above x.  Everything
         strictly below e already sits under f(x), so no new violation and no
         new short-up obstruction can appear at already-processed elements.
+
+        On a 2-wide poset no short-down obstruction survives this sweep
+        either, so there is no mirror-image down sweep.  Take one at u via
+        w < z < u (covers) with f(u) <= f(w) < f(z).  2-wideness gives a
+        second middle element d with w < d < u; z is u's one non-increasing
+        lower cover, so f(d) < f(u) <= f(w), a short-up obstruction at w.
+        :func:`normalize_trace` checks the swept function for all four
+        patterns, so the premise is audited rather than assumed.
         """
         poset, values = self.poset, self.values
         for e in order:
@@ -465,33 +466,6 @@ class _Pipeline:
                 )
             bound = min(values[b] for b in poset.upper_covers(x))
             self.set_value("up_sweep", e, _midpoint(values[x], bound))
-
-    def down_sweep(self, order: tuple[ElementId, ...]) -> None:
-        """Remove short-down obstructions, sweeping the linear extension downward.
-
-        Mirror image of the up sweep, with one extra guard: the raised value
-        must also stay below f(i) for every i two covers above u along a
-        rising cover (u < j < i with f(j) < f(i)), which is exactly what
-        prevents u from becoming short-up obstructed by the raise.
-
-        On a 2-wide poset this stage finds no work once the up sweep has run:
-        a short-down obstruction at u via w < z < u forces, through the
-        alternative middle d and validity at u, a short-up obstruction at w.
-        The sweep stays as a checked stage rather than relying on that fact.
-        """
-        poset, values = self.poset, self.values
-        for u in reversed(order):
-            witness = _short_down_witness(poset, values, u)
-            if witness is None:
-                continue
-            z, _ = witness
-            lo = max(values[h] for h in poset.lower_covers(z))
-            cap = [values[z]]
-            for j in poset.upper_covers(u):
-                for i in poset.upper_covers(j):
-                    if values[j] < values[i]:
-                        cap.append(values[i])
-            self.set_value("down_sweep", u, _midpoint(lo, min(cap)))
 
     def spread_sweep(self, order: tuple[ElementId, ...]) -> None:
         """Make all values distinct without reordering any strict comparison.
@@ -525,6 +499,12 @@ def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     modification is re-validated and re-classified at the changed element
     and its covers, the only elements whose verdict it can alter, so a
     contract violation fails loudly at the exact step that caused it.
+
+    The up sweep must leave no obstruction at all (see
+    :meth:`_Pipeline.up_sweep` for why no down sweep is needed), and that is
+    audited before the spread sweep runs: breaking ties there can hide an
+    obstruction that the up sweep left behind, so the final audit alone
+    could miss it.
     """
     verdict = is_two_wide(poset)
     if not verdict:
@@ -537,18 +517,9 @@ def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     state.up_sweep(order)
     after_up = state.snapshot()
     report = find_troubled(poset, after_up)
-    bad_up = [e for e, fl in sorted(report.flags.items()) if fl.up or fl.short_up]
-    if bad_up:
-        raise AssertionError(
-            f"up sweep left upward-obstructed elements {bad_up}; implementation bug"
-        )
-
-    state.down_sweep(order)
-    after_down = state.snapshot()
-    report = find_troubled(poset, after_down)
     if not report.clean():
         raise AssertionError(
-            f"down sweep left obstructed elements {report.troubled_elements()}; "
+            f"up sweep left obstructed elements {report.troubled_elements()}; "
             f"implementation bug"
         )
 
@@ -564,8 +535,8 @@ def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     return NormalizationTrace(
         order=order,
         start=start,
+        classification=state.classification,
         after_up_sweep=after_up,
-        after_down_sweep=after_down,
         result=result,
         modifications=tuple(state.modifications),
     )

@@ -282,9 +282,6 @@ class Poset:
     def minimal_elements(self) -> tuple[ElementId, ...]:
         return tuple(e for e in sorted(self.elements) if not self._lower[e])
 
-    def maximal_elements(self) -> tuple[ElementId, ...]:
-        return tuple(e for e in sorted(self.elements) if not self._upper[e])
-
 
 def _check_references(
     elements: Sequence[ElementId], pairs: Iterable[tuple[ElementId, ElementId]]

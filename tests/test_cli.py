@@ -152,7 +152,8 @@ class TestVerifySinglePass:
 
                 monkeypatch.setattr(module, name, wrapper)
 
-        count("normalize_trace", morse)
+        count("normalize_trace", morse, chain_index)
+        count("find_troubled", morse)
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, complexes)
@@ -160,7 +161,7 @@ class TestVerifySinglePass:
         count("enumerate_chains", poset_module, chain_index)
         # Whole-function checks: classify and require_valid both validate.
         count("validate_morse", morse, generators)
-        count("classify", morse, chain_index, complexes)
+        count("classify", morse, complexes)
         count("set_value", morse._Pipeline)
 
         order_complex = geometry.order_complex
@@ -185,6 +186,10 @@ class TestVerifySinglePass:
         calls.clear()
         assert main(argv) == 0
         assert calls["normalize_trace"] == 1
+        # classify audits the input and the result; find_troubled the
+        # function after each of the two sweeps.
+        assert calls["find_troubled"] == 2
+        assert calls["classify"] == 2
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
         # Only the geometric witness enumerates: once, for its order complex.
@@ -204,10 +209,10 @@ class TestVerifySinglePass:
                 argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
             calls.clear()
             assert main(argv) == 0
-            checks.add((calls["validate_morse"], calls["classify"]))
+            checks.add((calls["validate_morse"], calls["classify"], calls["find_troubled"]))
             modifications.add(calls["set_value"])
         assert sorted(modifications) == [4, 19, 32]
-        assert len(checks) == 1
+        assert checks == {(4, 2, 2)}
 
     @pytest.mark.parametrize("spec", [torus(3), torus(4)], ids=["torus3", "torus4"])
     def test_gen_morse_validates_in_full_twice(self, files, calls, spec):
@@ -516,6 +521,13 @@ class TestBadInput:
         monkeypatch.setattr(cli, "is_two_wide", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["check", "--in", write("t.json", TRIANGLE)])
+
+    @pytest.mark.parametrize("command, flag", [("verify", "--out"), ("embed", "--csv")])
+    def test_unwritable_output_path(self, files, capsys, command, flag):
+        tmp_path, write = files
+        target = tmp_path / "missing" / "o.out"
+        assert main([command, "--in", write("t.json", TRIANGLE), flag, str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
 
     def test_transitive_cover_rejected(self, files):
         _, write = files

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morsepoly import morse
@@ -24,6 +24,7 @@ from morsepoly import (
     gen_complex,
     gen_morse,
     face_poset_simplicial,
+    is_two_wide,
     linear_extension,
     monotone_extension_holds,
     normalize,
@@ -274,6 +275,67 @@ def changed_functions(draw):
     return poset, f, element, new
 
 
+@st.composite
+def two_wide_posets(draw):
+    """A seeded face poset, or a random DAG or ranked poset kept only when
+    2-wide, so that posets that are not face posets are covered too."""
+    kind = draw(st.sampled_from(("face", "dag", "ranked")))
+    if kind == "face":
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        dimension = draw(st.integers(min_value=2, max_value=3))
+        return face_poset_simplicial(gen_complex(seed, 5, dimension, 0.6)).poset
+    if kind == "dag":
+        n = draw(st.integers(min_value=1, max_value=8))
+        names = [f"p{i}" for i in range(n)]
+        pairs = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if draw(st.booleans())
+        ]
+        poset = build_poset(names, transitive_reduction(names, pairs))
+    else:
+        # Covers join consecutive levels only, so they are already reduced.
+        sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=5))
+        levels = [[f"r{i}_{j}" for j in range(k)] for i, k in enumerate(sizes)]
+        covers = [
+            (a, b)
+            for lower, upper in zip(levels, levels[1:])
+            for a in lower
+            for b in upper
+            if draw(st.integers(min_value=0, max_value=5)) > 0
+        ]
+        poset = build_poset([e for level in levels for e in level], covers)
+    assume(is_two_wide(poset))
+    return poset
+
+
+@st.composite
+def two_wide_functions(draw):
+    """A 2-wide poset and a valid function on it: a gen_morse function, or
+    one with further ties made by copying values between elements wherever
+    the copy keeps the function valid."""
+    poset = draw(two_wide_posets())
+    values = dict(gen_morse(draw(st.integers(min_value=0, max_value=10**6)), poset).values)
+    elements = st.sampled_from(poset.sorted_elements)
+    for e, source in draw(st.lists(st.tuples(elements, elements), max_size=len(poset))):
+        old, values[e] = values[e], values[source]
+        if not validate_morse(poset, MorseFunction(dict(values))).valid:
+            values[e] = old
+    return poset, MorseFunction(values)
+
+
+def with_examples(cases):
+    """Run a ``case``-taking property on these cases as well as drawn ones."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return decorate
+
+
 class TestLocalRecheck:
     """The changed element and its covers decide the whole-function verdicts."""
 
@@ -300,62 +362,83 @@ class TestLocalRecheck:
                 assert now == before[b]
 
 
+def vacuity_grid():
+    # Five levels {w,w2},{z,z2},{u,u2},{j,j2},{i}, complete covers between
+    # consecutive levels: 2-wide by construction, height 5.
+    elements = ["w", "w2", "z", "z2", "u", "u2", "j", "j2", "i"]
+    covers = []
+    levels = [["w", "w2"], ["z", "z2"], ["u", "u2"], ["j", "j2"], ["i"]]
+    for lower, upper in zip(levels, levels[1:]):
+        covers += [(a, b) for a in lower for b in upper]
+    return build_poset(elements, covers)
+
+
+def vacuity_grid_function():
+    # u is short-down obstructed via (z, w2); w2 is, necessarily,
+    # short-up obstructed via (z2, u).
+    return MorseFunction.from_values(
+        {
+            "w": 0, "w2": 5, "z": 6, "z2": 1,
+            "u": Fraction(9, 2), "u2": 7,
+            "j": Fraction(53, 10), "j2": 9, "i": Fraction(27, 5),
+        }
+    )
+
+
+def vacuity_cases():
+    cases = [(vacuity_grid(), vacuity_grid_function())]
+    for seed in range(10):
+        face = face_poset_simplicial(gen_complex(seed, 5, 3, 0.7))
+        cases.append((face.poset, gen_morse(seed + 700, face.poset)))
+    return cases
+
+
 class TestDownSweepVacuity:
-    """On 2-wide posets the down sweep can never find work after the up sweep.
+    """On 2-wide posets the up sweep leaves no short-down obstruction behind.
 
     A short-down obstruction at u via w < z < u would need f(u) <= f(w); but
     2-wideness yields d != z with w < d < u, validity at u forces f(d) < f(u),
     and then (d, u) is a short-up witness at w.  So "no short-up obstruction"
-    already implies "no short-down obstruction".  These tests pin that fact:
-    the stage stays in the pipeline as a checked safeguard, and must no-op.
+    already implies "no short-down obstruction", which is why the pipeline
+    has no down sweep.  These tests pin that fact.
     """
 
-    @pytest.fixture
-    def grid(self):
-        # Five levels {w,w2},{z,z2},{u,u2},{j,j2},{i}, complete covers between
-        # consecutive levels: 2-wide by construction, height 5.
-        elements = ["w", "w2", "z", "z2", "u", "u2", "j", "j2", "i"]
-        covers = []
-        levels = [["w", "w2"], ["z", "z2"], ["u", "u2"], ["j", "j2"], ["i"]]
-        for lower, upper in zip(levels, levels[1:]):
-            covers += [(a, b) for a in lower for b in upper]
-        return build_poset(elements, covers)
-
-    @pytest.fixture
-    def grid_function(self):
-        # u is short-down obstructed via (z, w2); w2 is, necessarily,
-        # short-up obstructed via (z2, u).
-        return MorseFunction.from_values(
-            {
-                "w": 0, "w2": 5, "z": 6, "z2": 1,
-                "u": Fraction(9, 2), "u2": 7,
-                "j": Fraction(53, 10), "j2": 9, "i": Fraction(27, 5),
-            }
-        )
-
-    def test_short_down_forces_short_up(self, grid, grid_function):
-        report = find_troubled(grid, grid_function)
+    def test_short_down_forces_short_up(self):
+        report = find_troubled(vacuity_grid(), vacuity_grid_function())
         assert report.flags["u"].short_down == ("z", "w2")
         assert report.flags["w2"].short_up == ("z2", "u")
 
-    def test_pipeline_resolves_everything_in_the_up_sweep(self, grid, grid_function):
-        trace = normalize_trace(grid, grid_function)
+    @settings(max_examples=150, deadline=None)
+    @given(case=two_wide_functions())
+    @with_examples(vacuity_cases())
+    def test_short_down_forces_short_up_on_random_posets(self, case):
+        poset, f = case
+        flags = find_troubled(poset, f).flags
+        values = f.values
+        for u in poset.sorted_elements:
+            for z in poset.lower_covers(u):
+                for w in poset.lower_covers(z):
+                    if values[u] <= values[w] < values[z]:
+                        assert flags[u].short_down
+                        assert flags[w].short_up
+
+    def test_pipeline_resolves_everything_in_the_up_sweep(self):
+        grid = vacuity_grid()
+        trace = normalize_trace(grid, vacuity_grid_function())
         stages = {m.stage for m in trace.modifications}
-        assert "down_sweep" not in stages
+        assert stages <= {"up_sweep", "spread_sweep"}
         assert any(m.element == "w2" and m.stage == "up_sweep" for m in trace.modifications)
-        assert trace.after_up_sweep.values == trace.after_down_sweep.values
         assert find_troubled(grid, trace.result).clean()
         assert trace.result.is_injective()
 
-    def test_no_short_down_survives_the_up_sweep(self, grid, grid_function):
-        cases = [(grid, grid_function)]
-        for seed in range(10):
-            face = face_poset_simplicial(gen_complex(seed, 5, 3, 0.7))
-            cases.append((face.poset, gen_morse(seed + 700, face.poset)))
-        for poset, f in cases:
-            trace = normalize_trace(poset, f)
-            flags = find_troubled(poset, trace.after_up_sweep).flags
-            assert not any(fl.short_down or fl.down for fl in flags.values())
+    @settings(max_examples=150, deadline=None)
+    @given(case=two_wide_functions())
+    @with_examples(vacuity_cases())
+    def test_no_short_down_survives_the_up_sweep(self, case):
+        poset, f = case
+        trace = normalize_trace(poset, f)
+        assert find_troubled(poset, trace.after_up_sweep).clean()
+        assert {m.stage for m in trace.modifications} <= {"up_sweep", "spread_sweep"}
 
 
 class TestTrace:
@@ -368,10 +451,14 @@ class TestTrace:
     def test_staging_invariants(self, trouble_poset):
         poset, f = trouble_poset
         trace = normalize_trace(poset, f)
-        after_up = find_troubled(poset, trace.after_up_sweep)
-        assert not any(fl.up or fl.short_up for fl in after_up.flags.values())
-        assert find_troubled(poset, trace.after_down_sweep).clean()
+        assert find_troubled(poset, trace.after_up_sweep).clean()
         assert find_troubled(poset, trace.result).clean()
+
+    def test_classification_is_the_inputs(self, trouble_poset):
+        poset, f = trouble_poset
+        trace = normalize_trace(poset, f)
+        assert trace.classification == classify(poset, f)
+        assert trace.classification.critical_set() == classify(poset, trace.result).critical_set()
 
     def test_each_modification_changes_one_element(self, trouble_poset):
         poset, f = trouble_poset
@@ -415,15 +502,24 @@ class TestSpreadSweepReference:
         face = face_poset_simplicial(gen_complex(seed, 6, 1 + seed % 3, 0.5))
         f = dimension_morse(face.poset, face.rank) if dimension else gen_morse(seed, face.poset)
         trace = normalize_trace(face.poset, f)
-        values, moves = self.direct(trace.order, trace.after_down_sweep.values)
+        values, moves = self.direct(trace.order, trace.after_up_sweep.values)
         assert values == dict(trace.result.values)
         assert moves == [
             (m.element, m.old, m.new) for m in trace.modifications if m.stage == "spread_sweep"
         ]
 
 
+def idempotence_cases():
+    cases = []
+    for seed in range(8):
+        face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
+        cases.append((face.poset, gen_morse(seed + 50, face.poset)))
+    return cases
+
+
 class TestNormalizeSweep:
-    """Seeded mini-sweep; the full 200-instance run lives in the acceptance suite."""
+    """Seeded mini-sweep and the idempotence property; the full 200-instance
+    run lives in the acceptance suite."""
 
     def test_criticality_preserved(self):
         for seed in range(12):
@@ -440,10 +536,12 @@ class TestNormalizeSweep:
                 )
                 assert monotone_extension_holds(face.poset, g)
 
-    def test_idempotent(self):
+    @settings(max_examples=100, deadline=None)
+    @given(case=two_wide_functions())
+    @with_examples(idempotence_cases())
+    def test_idempotent(self, case):
         # A normalized function is injective and obstruction-free, so a
         # second run must be the identity.
-        for seed in range(8):
-            face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
-            g = normalize(face.poset, gen_morse(seed + 50, face.poset))
-            assert normalize(face.poset, g).values == g.values
+        poset, f = case
+        g = normalize(poset, f)
+        assert normalize(poset, g).values == g.values
