@@ -34,14 +34,13 @@ from .errors import (
 from .morse import (
     Classification,
     MorseFunction,
-    normalize_trace,
+    _normalize_trace,
 )
 from .poset import (
     ElementId,
     ParityRank,
     Poset,
     Record,
-    _set_field,
     chain_euler_characteristic,
     compute_parity_rank,
     enumerate_chains,
@@ -57,12 +56,6 @@ class IndexEntry(Record):
     predicted: int
     critical: bool
 
-    def __init__(self, element: ElementId, computed: int, predicted: int, critical: bool):
-        _set_field(self, "element", element)
-        _set_field(self, "computed", computed)
-        _set_field(self, "predicted", predicted)
-        _set_field(self, "critical", critical)
-
 
 class IndexReport(Record):
     """Per-element indices, the totals they satisfy, and the normalized input."""
@@ -74,22 +67,6 @@ class IndexReport(Record):
     n_even: int
     n_odd: int
     normalized: MorseFunction
-
-    def __init__(
-        self,
-        entries: tuple[IndexEntry, ...],
-        total: int,
-        chi: int,
-        n_even: int,
-        n_odd: int,
-        normalized: MorseFunction,
-    ):
-        _set_field(self, "entries", entries)
-        _set_field(self, "total", total)
-        _set_field(self, "chi", chi)
-        _set_field(self, "n_even", n_even)
-        _set_field(self, "n_odd", n_odd)
-        _set_field(self, "normalized", normalized)
 
 
 def check_hypotheses(poset: Poset) -> ParityRank:
@@ -203,8 +180,8 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     the critical-count difference N0 - N1 equals chi.  Any failed equation
     raises Mismatch, which indicates a bug rather than bad input.
     """
-    mu = check_hypotheses(poset)
-    trace = normalize_trace(poset, f)  # validates and classifies f first
+    mu = check_hypotheses(poset)  # includes the 2-wide check normalization needs
+    trace = _normalize_trace(poset, f)  # validates and classifies f first
     classification, g = trace.classification, trace.result
 
     entries = []

@@ -35,13 +35,11 @@ from .poset import (
     ParityRank,
     Poset,
     Record,
-    _set_field,
     build_poset,
+    chain_counts,
     compute_parity_rank,
-    euler_characteristic,
     is_downward_eulerian,
     is_two_wide,
-    order_complex,
 )
 
 INPUT_ERRORS_EXIT = 2
@@ -53,11 +51,7 @@ class LoadedInput(Record):
     kind: str  # "poset" | "simplicial" | "cellular"
     poset: Poset
     face: FacePoset | None
-
-    def __init__(self, kind: str, poset: Poset, face: FacePoset | None = None):
-        _set_field(self, "kind", kind)
-        _set_field(self, "poset", poset)
-        _set_field(self, "face", face)
+    _defaults = {"face": None}
 
 
 def _load_input(path: str) -> LoadedInput:
@@ -189,13 +183,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_euler(args: argparse.Namespace) -> int:
     loaded = _load_input(args.input_path)
-    complex_ = order_complex(loaded.poset)
-    counts = complex_.counts_by_dimension()
+    counts = chain_counts(loaded.poset)
     payload = {
         "element_count": len(loaded.poset),
-        "simplex_count": len(complex_.simplices),
+        "simplex_count": sum(counts),
         "simplices_by_dimension": list(counts),
-        "euler_characteristic": euler_characteristic(complex_),
+        "euler_characteristic": sum(counts[0::2]) - sum(counts[1::2]),
     }
     if args.fmt == "json":
         _emit(args, jsonio.dumps_canonical(payload))

@@ -8,13 +8,14 @@ carries rank = dimension and parity = dimension mod 2.
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
 derives the containment order, recomputes true covers by transitive
-reduction, validates the declared dimensions as a rank function (so the
-poset is parity-graded by dimension mod 2), and then reports the other two
-structural properties (2-wide, downward Eulerian) instead of claiming the
-input is a regular cell complex: those properties are necessary for a
-regular-complex face poset but not sufficient, and a poset passing all
-three may still fail to be one (for example when some cell's strict
-boundary poset has a disconnected order complex).
+reduction, and validates the declared dimensions as a rank function (so the
+poset is parity-graded by dimension mod 2).  It does not claim the input is
+a regular cell complex.  The other two structural properties (2-wide,
+downward Eulerian) are checked where they are needed, by ``check`` and by
+the verifier; they are necessary for a regular-complex face poset but not
+sufficient, and a poset passing all three may still fail to be one (for
+example when some cell's strict boundary poset has a disconnected order
+complex).
 """
 
 from __future__ import annotations
@@ -28,17 +29,12 @@ from .errors import HypothesisViolated, MalformedSpec, Mismatch, RankConflict
 from .morse import MorseFunction, classify
 from .poset import (
     ElementId,
-    EulerianVerdict,
     ParityRank,
     Poset,
     RankFunction,
     Record,
-    TwoWideVerdict,
-    _set_field,
     build_poset,
     chain_euler_characteristic,
-    is_downward_eulerian,
-    is_two_wide,
     transitive_reduction,
 )
 
@@ -51,11 +47,6 @@ class CellSpec(Record):
     dim: int
     boundary: tuple[str, ...]
 
-    def __init__(self, id: str, dim: int, boundary: tuple[str, ...]):
-        _set_field(self, "id", id)
-        _set_field(self, "dim", dim)
-        _set_field(self, "boundary", boundary)
-
 
 class ComplexSpec(Record):
     """Either a list of maximal simplices or a list of explicit cells."""
@@ -64,51 +55,14 @@ class ComplexSpec(Record):
     kind: str  # "simplicial" | "cellular"
     maximal_simplices: tuple[tuple[str, ...], ...]
     cells: tuple[CellSpec, ...]
-
-    def __init__(
-        self,
-        kind: str,
-        maximal_simplices: tuple[tuple[str, ...], ...] = (),
-        cells: tuple[CellSpec, ...] = (),
-    ):
-        _set_field(self, "kind", kind)
-        _set_field(self, "maximal_simplices", maximal_simplices)
-        _set_field(self, "cells", cells)
-
-
-class CellularReport(Record):
-    """Poset-level necessary conditions; regularity itself is not checkable."""
-
-    __slots__ = ("two_wide", "eulerian")
-    two_wide: TwoWideVerdict
-    eulerian: EulerianVerdict
-
-    def __init__(self, two_wide: TwoWideVerdict, eulerian: EulerianVerdict):
-        _set_field(self, "two_wide", two_wide)
-        _set_field(self, "eulerian", eulerian)
-
-    def all_hold(self) -> bool:
-        return bool(self.two_wide) and bool(self.eulerian)
+    _defaults = {"maximal_simplices": (), "cells": ()}
 
 
 class FacePoset(Record):
-    __slots__ = ("poset", "rank", "parity", "report")
+    __slots__ = ("poset", "rank", "parity")
     poset: Poset
     rank: RankFunction
     parity: ParityRank
-    report: CellularReport | None
-
-    def __init__(
-        self,
-        poset: Poset,
-        rank: RankFunction,
-        parity: ParityRank,
-        report: CellularReport | None = None,
-    ):
-        _set_field(self, "poset", poset)
-        _set_field(self, "rank", rank)
-        _set_field(self, "parity", parity)
-        _set_field(self, "report", report)
 
 
 class MorseInequalityReport(Record):
@@ -118,11 +72,6 @@ class MorseInequalityReport(Record):
     counts: tuple[int, ...]
     alternating_sum: int
     chi: int
-
-    def __init__(self, counts: tuple[int, ...], alternating_sum: int, chi: int):
-        _set_field(self, "counts", counts)
-        _set_field(self, "alternating_sum", alternating_sum)
-        _set_field(self, "chi", chi)
 
 
 def face_id(vertices) -> str:
@@ -176,7 +125,7 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
 
 
 def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
-    """Poset of a cell-by-cell description, with the property report attached.
+    """Poset of a cell-by-cell description, graded by the declared dimensions.
 
     Covers are recomputed by transitive reduction of the boundary-containment
     order, so listing a full (not just codimension-1) boundary is accepted.
@@ -222,16 +171,10 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
 
     # The dimensions are now a rank function, so their parities are the
     # parity rank function.
-    parity = ParityRank(values={e: d % 2 for e, d in dims.items()})
-    report = CellularReport(
-        two_wide=is_two_wide(poset),
-        eulerian=is_downward_eulerian(poset, parity),
-    )
     return FacePoset(
         poset=poset,
         rank=RankFunction(values=dims, max_rank=max(dims.values(), default=0)),
-        parity=parity,
-        report=report,
+        parity=ParityRank(values={e: d % 2 for e, d in dims.items()}),
     )
 
 

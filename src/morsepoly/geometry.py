@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from .chain_index import combinatorial_indices
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
 from .morse import MorseFunction
-from .poset import ElementId, Poset, Record, _set_field, order_complex
+from .poset import ElementId, Poset, Record, order_complex
 
 
 class Embedding(Record):
@@ -37,10 +37,6 @@ class Embedding(Record):
     __slots__ = ("dimension", "coordinates")
     dimension: int
     coordinates: Mapping[ElementId, tuple[Fraction, ...]]
-
-    def __init__(self, dimension: int, coordinates: Mapping[ElementId, tuple[Fraction, ...]]):
-        _set_field(self, "dimension", dimension)
-        _set_field(self, "coordinates", coordinates)
 
     def height(self, element: ElementId) -> Fraction:
         return self.coordinates[element][0]
@@ -53,10 +49,6 @@ class GeometricComplex(Record):
     embedding: Embedding
     simplices: frozenset[frozenset[ElementId]]
 
-    def __init__(self, embedding: Embedding, simplices: frozenset[frozenset[ElementId]]):
-        _set_field(self, "embedding", embedding)
-        _set_field(self, "simplices", simplices)
-
 
 class CrossCheckReport(Record):
     __slots__ = ("ok", "mismatches", "indices")
@@ -65,16 +57,6 @@ class CrossCheckReport(Record):
     mismatches: tuple[tuple[ElementId, int, int], ...]
     # Geometric index of every element, for reporting.
     indices: Mapping[ElementId, int]
-
-    def __init__(
-        self,
-        ok: bool,
-        mismatches: tuple[tuple[ElementId, int, int], ...],
-        indices: Mapping[ElementId, int],
-    ):
-        _set_field(self, "ok", ok)
-        _set_field(self, "mismatches", mismatches)
-        _set_field(self, "indices", indices)
 
     @property
     def first_mismatch(self) -> tuple[ElementId, int, int] | None:

@@ -35,7 +35,6 @@ from .poset import (
     Poset,
     RankFunction,
     Record,
-    _set_field,
     compute_rank_function,
     is_two_wide,
 )
@@ -69,9 +68,6 @@ class MorseFunction(Record):
     __slots__ = ("values",)
     values: Mapping[ElementId, Fraction]
 
-    def __init__(self, values: Mapping[ElementId, Fraction]):
-        _set_field(self, "values", values)
-
     @classmethod
     def from_values(cls, values: Mapping[ElementId, object]) -> "MorseFunction":
         return cls({str(k): parse_rational(v) for k, v in values.items()})
@@ -98,16 +94,7 @@ class MorseVerdict(Record):
     # Each witness is (neighbor, direction): the neighbor is a cover of the
     # element on the given side whose value breaks strict monotonicity.
     witnesses: tuple[tuple[ElementId, str], ...]
-
-    def __init__(
-        self,
-        valid: bool,
-        element: ElementId | None = None,
-        witnesses: tuple[tuple[ElementId, str], ...] = (),
-    ):
-        _set_field(self, "valid", valid)
-        _set_field(self, "element", element)
-        _set_field(self, "witnesses", witnesses)
+    _defaults = {"element": None, "witnesses": ()}
 
     def __bool__(self) -> bool:
         return self.valid
@@ -119,14 +106,6 @@ class Classification(Record):
     __slots__ = ("verdicts", "witnesses")
     verdicts: Mapping[ElementId, str]  # "critical" | "ordinary"
     witnesses: Mapping[ElementId, tuple[ElementId, str]]
-
-    def __init__(
-        self,
-        verdicts: Mapping[ElementId, str],
-        witnesses: Mapping[ElementId, tuple[ElementId, str]],
-    ):
-        _set_field(self, "verdicts", verdicts)
-        _set_field(self, "witnesses", witnesses)
 
     def critical_set(self) -> frozenset[ElementId]:
         return frozenset(e for e, v in self.verdicts.items() if v == "critical")
@@ -149,18 +128,7 @@ class TroubleFlags(Record):
     up: tuple[ElementId, ElementId] | None
     short_down: tuple[ElementId, ElementId] | None
     down: tuple[ElementId, ElementId] | None
-
-    def __init__(
-        self,
-        short_up: tuple[ElementId, ElementId] | None = None,
-        up: tuple[ElementId, ElementId] | None = None,
-        short_down: tuple[ElementId, ElementId] | None = None,
-        down: tuple[ElementId, ElementId] | None = None,
-    ):
-        _set_field(self, "short_up", short_up)
-        _set_field(self, "up", up)
-        _set_field(self, "short_down", short_down)
-        _set_field(self, "down", down)
+    _defaults = dict.fromkeys(__slots__)
 
     def any(self) -> bool:
         return any((self.short_up, self.up, self.short_down, self.down))
@@ -169,9 +137,6 @@ class TroubleFlags(Record):
 class TroubleReport(Record):
     __slots__ = ("flags",)
     flags: Mapping[ElementId, TroubleFlags]
-
-    def __init__(self, flags: Mapping[ElementId, TroubleFlags]):
-        _set_field(self, "flags", flags)
 
     def clean(self) -> bool:
         return not self.flags
@@ -187,12 +152,6 @@ class ExclusivityReport(Record):
     two_wide: bool
     offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
 
-    def __init__(
-        self, two_wide: bool, offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]
-    ):
-        _set_field(self, "two_wide", two_wide)
-        _set_field(self, "offenders", offenders)
-
 
 class Modification(Record):
     __slots__ = ("stage", "element", "old", "new")
@@ -200,12 +159,6 @@ class Modification(Record):
     element: ElementId
     old: Fraction
     new: Fraction
-
-    def __init__(self, stage: str, element: ElementId, old: Fraction, new: Fraction):
-        _set_field(self, "stage", stage)
-        _set_field(self, "element", element)
-        _set_field(self, "old", old)
-        _set_field(self, "new", new)
 
 
 class NormalizationTrace(Record):
@@ -220,22 +173,6 @@ class NormalizationTrace(Record):
     after_up_sweep: MorseFunction
     result: MorseFunction
     modifications: tuple[Modification, ...]
-
-    def __init__(
-        self,
-        order: tuple[ElementId, ...],
-        start: MorseFunction,
-        classification: Classification,
-        after_up_sweep: MorseFunction,
-        result: MorseFunction,
-        modifications: tuple[Modification, ...],
-    ):
-        _set_field(self, "order", order)
-        _set_field(self, "start", start)
-        _set_field(self, "classification", classification)
-        _set_field(self, "after_up_sweep", after_up_sweep)
-        _set_field(self, "result", result)
-        _set_field(self, "modifications", modifications)
 
 
 def _require_total(poset: Poset, f: MorseFunction) -> None:
@@ -509,7 +446,11 @@ def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     verdict = is_two_wide(poset)
     if not verdict:
         raise NotTwoWide(verdict.witness)
+    return _normalize_trace(poset, f)
 
+
+def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
+    """:func:`normalize_trace` on a poset the caller has found 2-wide."""
     state = _Pipeline(poset, f)
     start = state.snapshot()
     order = linear_extension(poset)

@@ -8,8 +8,10 @@ pair in user input usually indicates a modeling error.  Use
 :func:`transitive_reduction` to reduce an arbitrary acyclic relation first.
 
 The module also provides chain enumeration, the order complex (one simplex
-per non-empty chain), Euler characteristics, and three structural property
-checks: 2-wideness, parity grading, and the downward Eulerian condition.
+per non-empty chain), chain counts per length (the order complex's
+f-vector, found without listing a chain), Euler characteristics, and three
+structural property checks: 2-wideness, parity grading, and the downward
+Eulerian condition.
 Signed chain counts of induced subposets come from Hall's recursion
 (:func:`chain_weights`) in time polynomial in the poset; enumeration stays
 for the order complex and as the reference the recursion is tested against.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from itertools import zip_longest
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, InvalidArgument, NonCoverEdge, UnknownElement
@@ -37,14 +40,41 @@ _set_field = object.__setattr__
 class Record:
     """Immutable value type whose fields are its ``__slots__``, in order.
 
-    Each subclass lists its fields in ``__slots__`` and sets them once, in an
-    explicit ``__init__``, through ``object.__setattr__``; assignment and
-    deletion afterwards raise AttributeError.  Equality (same class, equal
-    field tuples), hashing, pickling and the ``Name(field=value, ...)`` repr
-    all follow the field tuple, and no code is generated at import.
+    The one constructor binds positional arguments to the fields in order and
+    the rest by keyword, falling back to the class's ``_defaults`` (field ->
+    immutable default); a missing, unknown or repeated field raises
+    TypeError.  It reads the class's own ``__slots__``, so every record
+    derives directly from Record.  Fields are set once through
+    ``object.__setattr__``; assignment and deletion afterwards raise
+    AttributeError.  Equality (same class, equal field tuples), hashing,
+    pickling and the ``Name(field=value, ...)`` repr all follow the field
+    tuple, and no code is generated at import.
     """
 
     __slots__ = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(names)} fields, "
+                f"got {len(args)} positional arguments"
+            )
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set_field(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _set_field(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{self.__class__.__qualname__} missing field {name!r}")
+        if kwargs:
+            raise TypeError(
+                f"{self.__class__.__qualname__} got an unknown or repeated field "
+                f"{next(iter(kwargs))!r}"
+            )
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -77,9 +107,6 @@ class Chain(Record):
     __slots__ = ("members",)
     members: tuple[ElementId, ...]
 
-    def __init__(self, members: tuple[ElementId, ...]):
-        _set_field(self, "members", members)
-
     @property
     def length(self) -> int:
         """Length of the chain: one less than the number of members."""
@@ -99,12 +126,6 @@ class SimplicialComplex(Record):
     vertices: tuple[ElementId, ...]
     simplices: frozenset[frozenset[ElementId]]
 
-    def __init__(
-        self, vertices: tuple[ElementId, ...], simplices: frozenset[frozenset[ElementId]]
-    ):
-        _set_field(self, "vertices", vertices)
-        _set_field(self, "simplices", simplices)
-
     def counts_by_dimension(self) -> tuple[int, ...]:
         """Number of simplices in each dimension, index = dimension."""
         if not self.simplices:
@@ -122,9 +143,6 @@ class ParityRank(Record):
     __slots__ = ("values",)
     values: Mapping[ElementId, int]
 
-    def __init__(self, values: Mapping[ElementId, int]):
-        _set_field(self, "values", values)
-
     def __getitem__(self, element: ElementId) -> int:
         return self.values[element]
 
@@ -135,10 +153,6 @@ class RankFunction(Record):
     __slots__ = ("values", "max_rank")
     values: Mapping[ElementId, int]
     max_rank: int
-
-    def __init__(self, values: Mapping[ElementId, int], max_rank: int):
-        _set_field(self, "values", values)
-        _set_field(self, "max_rank", max_rank)
 
     def __getitem__(self, element: ElementId) -> int:
         return self.values[element]
@@ -156,23 +170,12 @@ class GradingConflict(Record):
     values: tuple[int, int]
     via: tuple[ElementId, ElementId]
 
-    def __init__(
-        self, element: ElementId, values: tuple[int, int], via: tuple[ElementId, ElementId]
-    ):
-        _set_field(self, "element", element)
-        _set_field(self, "values", values)
-        _set_field(self, "via", via)
-
 
 class TwoWideVerdict(Record):
     __slots__ = ("holds", "witness")
     holds: bool
     # A violating triple (a, b, c) with a < b < c covers and no alternative middle.
     witness: tuple[ElementId, ElementId, ElementId] | None
-
-    def __init__(self, holds: bool, witness: tuple[ElementId, ElementId, ElementId] | None):
-        _set_field(self, "holds", holds)
-        _set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -183,10 +186,6 @@ class EulerianVerdict(Record):
     holds: bool
     # (element, chi of its strict down-set's order complex, required chi)
     violations: tuple[tuple[ElementId, int, int], ...]
-
-    def __init__(self, holds: bool, violations: tuple[tuple[ElementId, int, int], ...]):
-        _set_field(self, "holds", holds)
-        _set_field(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -410,12 +409,11 @@ def transitive_reduction(
     return sorted(covers)
 
 
-def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) -> list[Chain]:
-    """All non-empty chains within the given subset (default: the whole poset).
-
-    Depth-first over the comparability graph with elements visited in
-    identifier order, so the output order is deterministic.
-    """
+def _chain_members(
+    poset: Poset, subset: Iterable[ElementId] | None
+) -> list[tuple[ElementId, ...]]:
+    """Members of every non-empty chain within the subset (None: the whole
+    poset), depth-first with elements visited in identifier order."""
     if subset is None:
         ids = sorted(poset.elements)
     else:
@@ -425,12 +423,12 @@ def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) ->
     member_set = set(ids)
     succ = {e: tuple(t for t in sorted(poset.strict_up_set(e)) if t in member_set) for e in ids}
 
-    chains: list[Chain] = []
+    chains: list[tuple[ElementId, ...]] = []
     warned = False
 
     def extend(path: list[ElementId]) -> None:
         nonlocal warned
-        chains.append(Chain(tuple(path)))
+        chains.append(tuple(path))
         if not warned and len(chains) > CHAIN_SOFT_LIMIT:
             warnings.warn(
                 f"chain enumeration exceeded {CHAIN_SOFT_LIMIT} chains; "
@@ -449,10 +447,35 @@ def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) ->
     return chains
 
 
+def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) -> list[Chain]:
+    """All non-empty chains within the given subset (default: the whole poset).
+
+    Depth-first over the comparability graph with elements visited in
+    identifier order, so the output order is deterministic.
+    """
+    return [Chain(members) for members in _chain_members(poset, subset)]
+
+
 def order_complex(poset: Poset) -> SimplicialComplex:
     """Simplicial complex with one simplex per non-empty chain of the poset."""
-    simplices = frozenset(frozenset(c.members) for c in enumerate_chains(poset))
+    simplices = frozenset(map(frozenset, _chain_members(poset, None)))
     return SimplicialComplex(vertices=poset.sorted_elements, simplices=simplices)
+
+
+def chain_counts(poset: Poset) -> tuple[int, ...]:
+    """Number of chains of each length, i.e. the order complex's simplices
+    per dimension, counted without listing them; () for the empty poset.
+
+    The chains of length k topped by x number c_0(x) = 1 and
+    c_k(x) = sum of c_(k-1)(y) over y < x, so one pass over
+    ``topological_order`` finds every c(y) before it is needed.
+    """
+    below = poset._below
+    by_top: dict[ElementId, list[int]] = {}
+    for x in poset.topological_order:
+        lower = [by_top[y] for y in below[x]]
+        by_top[x] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
+    return tuple(map(sum, zip_longest(*by_top.values(), fillvalue=0)))
 
 
 def euler_characteristic(complex_: SimplicialComplex) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections import Counter
 
@@ -152,13 +153,16 @@ class TestVerifySinglePass:
 
                 monkeypatch.setattr(module, name, wrapper)
 
-        count("normalize_trace", morse, chain_index)
+        count("_normalize_trace", morse, chain_index)
+        count("is_two_wide", morse, chain_index)
         count("find_troubled", morse)
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, complexes)
-        # Chain enumeration, wherever the package can reach it.
-        count("enumerate_chains", poset_module, chain_index)
+        # The chain walk behind enumerate_chains and order_complex, and the
+        # Chain records enumerate_chains wraps its tuples in.
+        count("_chain_members", poset_module)
+        count("Chain", poset_module)
         # Whole-function checks: classify and require_valid both validate.
         count("validate_morse", morse, generators)
         count("classify", morse, complexes)
@@ -185,15 +189,18 @@ class TestVerifySinglePass:
             argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
         calls.clear()
         assert main(argv) == 0
-        assert calls["normalize_trace"] == 1
+        assert calls["_normalize_trace"] == 1
+        assert calls["is_two_wide"] == 1
         # classify audits the input and the result; find_troubled the
         # function after each of the two sweeps.
         assert calls["find_troubled"] == 2
         assert calls["classify"] == 2
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
-        # Only the geometric witness enumerates: once, for its order complex.
-        assert calls["enumerate_chains"] == 1
+        # Only the geometric witness walks chains: once, for its order
+        # complex, whose simplices come from member tuples, not records.
+        assert calls["_chain_members"] == 1
+        assert calls["Chain"] == 0
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
         visits = [n for key, n in calls.items() if isinstance(key, frozenset)]
         assert visits == [1] * len(order_complex(poset).simplices)
@@ -319,6 +326,33 @@ class TestOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["euler_characteristic"] == 1
         assert payload["simplices_by_dimension"] == [7, 12, 6]
+
+    def test_euler_counts_a_long_chain_without_listing_it(self, files, capsys):
+        # 2^40 - 1 chains: listing them would exhaust memory.
+        _, write = files
+        names = [f"c{i:02d}" for i in range(40)]
+        path = write("long.json", {"elements": names,
+                                   "covers": [list(p) for p in zip(names, names[1:])]})
+        start = time.perf_counter()
+        assert main(["euler", "--in", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["euler", "--in", path, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert time.perf_counter() - start < 10
+        counts = [math.comb(40, k + 1) for k in range(40)]
+        assert payload == {"element_count": 40, "simplex_count": 2**40 - 1,
+                           "simplices_by_dimension": counts, "euler_characteristic": 1}
+        assert text == (f"order complex: {2**40 - 1} simplices over 40 vertices "
+                        f"(by dimension: {tuple(counts)})\nEuler characteristic: 1\n")
+
+    def test_euler_on_the_empty_poset(self, files, capsys):
+        _, write = files
+        path = write("empty.json", {"elements": [], "covers": []})
+        assert main(["euler", "--in", path, "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "order complex: 0 simplices over 0 vertices (by dimension: ())\n"
+            "Euler characteristic: 0\n"
+        )
 
     def test_classify(self, files, capsys):
         _, write = files

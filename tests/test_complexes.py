@@ -111,12 +111,11 @@ class TestCellular:
         face = face_poset_cellular(ComplexSpec(kind="cellular", cells=tuple(cells)))
         assert face.poset.covers == triangle.poset.covers
         assert face.rank.values == triangle.rank.values
-        assert face.report is not None and face.report.all_hold()
+        assert is_two_wide(face.poset) and is_downward_eulerian(face.poset, face.parity)
 
     def test_two_cycles_passes_checks_but_flagged(self, two_cycles):
-        report = two_cycles.report
-        assert report is not None
-        assert report.two_wide.holds and report.eulerian.holds
+        assert is_two_wide(two_cycles.poset).holds
+        assert is_downward_eulerian(two_cycles.poset, two_cycles.parity).holds
         # The checks are necessary conditions only; m's strict boundary has a
         # disconnected order complex, so this is not a regular-complex poset.
         assert len(two_cycles.poset) == 17
@@ -130,9 +129,9 @@ class TestCellular:
             ),
         )
         face = face_poset_cellular(spec)
-        assert face.report is not None
-        assert not face.report.eulerian.holds
-        assert face.report.eulerian.violations == (("e", 1, 2),)
+        eulerian = is_downward_eulerian(face.poset, face.parity)
+        assert not eulerian.holds
+        assert eulerian.violations == (("e", 1, 2),)
 
     def test_unknown_boundary_rejected(self):
         spec = ComplexSpec(

@@ -20,6 +20,7 @@ from morsepoly import (
     SimplicialComplex,
     UnknownElement,
     build_poset,
+    chain_counts,
     chain_euler_characteristic,
     chain_weights,
     compute_parity_rank,
@@ -222,6 +223,28 @@ class TestOrderComplex:
         assert chi_from_chains == euler_characteristic(complex_)
 
 
+class TestChainCounts:
+    """The counting recursion against the order complex it counts."""
+
+    @staticmethod
+    def assert_matches_order_complex(poset):
+        complex_ = order_complex(poset)
+        counts = chain_counts(poset)
+        assert counts == complex_.counts_by_dimension()
+        assert sum(counts) == len(complex_.simplices)
+        assert sum((-1) ** k * c for k, c in enumerate(counts)) == euler_characteristic(complex_)
+
+    @settings(max_examples=150, deadline=None)
+    @given(posets() | graded_posets())
+    def test_random_posets(self, poset):
+        self.assert_matches_order_complex(poset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_seeded_face_posets(self, seed):
+        self.assert_matches_order_complex(face_poset_of(seed))
+
+
 class TestTwoWide:
     def test_chain_fails_with_witness(self, chain_poset):
         verdict = is_two_wide(chain_poset)
@@ -336,9 +359,8 @@ class TestDownwardEulerian:
         assert verdict.violations == (("e", 1, 2),)
 
     def test_two_cycles_poset_holds(self, two_cycles):
-        assert two_cycles.report is not None
-        assert two_cycles.report.eulerian.holds
-        assert two_cycles.report.two_wide.holds
+        assert is_downward_eulerian(two_cycles.poset, two_cycles.parity).holds
+        assert is_two_wide(two_cycles.poset).holds
 
     def test_invalid_parity_rejected(self, edge_poset):
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ def real_records():
 
 def test_every_record_class_is_slotted():
     classes = record_classes()
-    assert len(classes) == 26
+    assert len(classes) == 25
     for cls in classes:
         assert isinstance(cls.__slots__, tuple) and cls.__slots__, cls
         # No class on the way up adds a per-instance __dict__.
@@ -172,11 +172,24 @@ def test_constructor_keeps_positions_keywords_and_defaults():
         lambda: MorseVerdict(True, wittnesses=()),
         lambda: ComplexSpec(kind="simplicial", cell=()),
         lambda: IndexEntry("x", 1, 1),
+        lambda: Chain(("a",), members=("b",)),
+        lambda: MorseVerdict(True, None, (), "x"),
     ],
 )
 def test_missing_or_unknown_argument_raises(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_defaults_are_a_trailing_run_of_immutable_values():
+    """Only the last fields may default, so positional construction takes
+    the fields in order with the optional ones at the end, and a default
+    is never a shared mutable value."""
+    for cls in record_classes():
+        assert cls.__bases__ == (Record,), cls
+        optional = tuple(cls._defaults)
+        assert cls.__slots__[len(cls.__slots__) - len(optional):] == optional, cls
+        assert all(value is None or value == () for value in cls._defaults.values()), cls
 
 
 def test_cli_import_leaves_code_generation_modules_out():
