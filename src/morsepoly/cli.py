@@ -29,7 +29,7 @@ from .complexes import (
 )
 from .errors import Mismatch, MorsePolyError
 from .generators import gen_complex, gen_morse
-from .geometry import compare_indices, embed_vertices, geometric_indices, realize_complex
+from .geometry import compare_indices, embed_vertices, lower_star_indices
 from .morse import MorseFunction, classify, normalize
 from .poset import (
     ParityRank,
@@ -294,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     geometry_ok = True
     if len(poset) > 0:  # the embedding needs at least one vertex
         geo = compare_indices(
-            geometric_indices(realize_complex(poset, embed_vertices(poset, report.normalized))),
+            lower_star_indices(poset, embed_vertices(poset, report.normalized)),
             {entry.element: entry.computed for entry in report.entries},
         )
         geometry_ok = geo.ok

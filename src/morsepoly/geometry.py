@@ -13,9 +13,14 @@ geometric index of a vertex counts, with sign (-1)^dimension, the simplices
 of its closed star whose projection is maximal at that vertex.  Because the
 first coordinates reproduce g, this is an independent re-computation of the
 combinatorial chain-sum index, and :func:`cross_check` compares the two
-elementwise.  :func:`geometric_index` states the definition for one vertex;
-:func:`geometric_indices` computes every vertex's index in one pass, each
-simplex adding its sign at its highest vertex (Banchoff's lower-star count).
+elementwise.  The witness :func:`lower_star_indices` streams the chains of
+the poset, the simplices of the order complex, in an iterative depth-first
+walk that carries each chain's highest vertex, so every simplex costs one
+O(1) step and none is built; each adds its sign at its highest vertex
+(Banchoff's lower-star count).  The materialized forms are kept as oracles:
+:func:`realize_complex` attaches the order complex's simplices to the
+embedding, :func:`geometric_index` states the definition for one vertex,
+and :func:`geometric_indices` counts every vertex over those simplices.
 All coordinates are exact rationals; no floating point exists anywhere in
 this module.
 """
@@ -142,6 +147,60 @@ def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
     return indices
 
 
+def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, int]:
+    """:func:`geometric_indices` of :func:`realize_complex`, streamed.
+
+    Raises UnknownElement and NotGeneral exactly where
+    :func:`realize_complex` does.  Then walks every chain with an iterative
+    depth-first search from each element over its strict up-set, carrying
+    the chain's last vertex, highest vertex, that vertex's height rank and
+    the sign (-1)^dimension, so one step reaches one chain and adds its
+    sign at its highest vertex.  Reads only the embedded heights and the
+    up-sets; no simplex is built.
+    """
+    for e in poset.elements:
+        if e not in embedding.coordinates:
+            raise UnknownElement(f"embedding has no coordinates for {e!r}")
+    heights = {v: coords[0] for v, coords in embedding.coordinates.items()}
+    rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
+    level = {v: rank[h] for v, h in heights.items()}
+    up = _general_up_sets(poset, level)
+    indices = dict.fromkeys(sorted(level), 0)
+    # Comparable vertices have distinct levels now, so no chain holds two
+    # equal heights: each chain peaks at exactly one vertex, and extending
+    # it needs one comparison and no tie state.
+    stack = [(a, a, level[a], 1) for a in up]
+    pop, push = stack.pop, stack.append
+    while stack:
+        last, top, peak, sign = pop()
+        indices[top] += sign
+        sign = -sign
+        for t, t_level in up[last]:
+            if t_level > peak:
+                push((t, t, t_level, sign))
+            else:
+                push((t, top, peak, sign))
+    return indices
+
+
+def _general_up_sets(
+    poset: Poset, level: Mapping[ElementId, int]
+) -> dict[ElementId, list[tuple[ElementId, int]]]:
+    """Each element's strict up-set in identifier order, as (element, level)
+    pairs; raises NotGeneral at the first comparable pair with equal levels,
+    scanning in :func:`realize_complex`'s order."""
+    up: dict[ElementId, list[tuple[ElementId, int]]] = {}
+    for a in sorted(poset.elements):
+        a_level = level[a]
+        pairs = up[a] = []
+        for b in sorted(poset.strict_up_set(a)):
+            b_level = level[b]
+            if b_level == a_level:
+                raise NotGeneral((a, b))
+            pairs.append((b, b_level))
+    return up
+
+
 def compare_indices(
     geometric: Mapping[ElementId, int], combinatorial: Mapping[ElementId, int]
 ) -> CrossCheckReport:
@@ -155,11 +214,13 @@ def compare_indices(
 def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     """Compare geometric and combinatorial indices for every element.
 
-    The two computations share only the function g: one walks the embedded
-    simplices of the order complex, the other counts chains in the poset by
-    Hall's recursion without listing them.
+    The two computations share only the function g: one streams the chains
+    of the poset, the simplices of the embedded order complex, through
+    :func:`lower_star_indices` without building any, the other counts
+    chains by Hall's recursion without listing them.  The materialized
+    :func:`realize_complex` and :func:`geometric_indices` stay as oracles.
     """
-    geometric = geometric_indices(realize_complex(poset, embed_vertices(poset, g)))
+    geometric = lower_star_indices(poset, embed_vertices(poset, g))
     return compare_indices(geometric, combinatorial_indices(poset, g))
 
 

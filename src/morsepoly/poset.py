@@ -413,7 +413,11 @@ def _chain_members(
     poset: Poset, subset: Iterable[ElementId] | None
 ) -> list[tuple[ElementId, ...]]:
     """Members of every non-empty chain within the subset (None: the whole
-    poset), depth-first with elements visited in identifier order."""
+    poset), depth-first with elements visited in identifier order.
+
+    Only :func:`enumerate_chains` and :func:`order_complex` call it, so the
+    soft-limit warning points at the line that called one of them.
+    """
     if subset is None:
         ids = sorted(poset.elements)
     else:
@@ -421,29 +425,27 @@ def _chain_members(
         for e in ids:
             poset.require(e)
     member_set = set(ids)
-    succ = {e: tuple(t for t in sorted(poset.strict_up_set(e)) if t in member_set) for e in ids}
+    # Successors in reverse identifier order, so the stack pops them in order.
+    succ = {
+        e: tuple(t for t in sorted(poset.strict_up_set(e), reverse=True) if t in member_set)
+        for e in ids
+    }
 
     chains: list[tuple[ElementId, ...]] = []
-    warned = False
-
-    def extend(path: list[ElementId]) -> None:
-        nonlocal warned
-        chains.append(tuple(path))
-        if not warned and len(chains) > CHAIN_SOFT_LIMIT:
+    stack = [(e,) for e in reversed(ids)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        chain = pop()
+        chains.append(chain)
+        if len(chains) == CHAIN_SOFT_LIMIT + 1:
             warnings.warn(
                 f"chain enumeration exceeded {CHAIN_SOFT_LIMIT} chains; "
                 f"this input is beyond the intended desk scale",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            warned = True
-        for t in succ[path[-1]]:
-            path.append(t)
-            extend(path)
-            path.pop()
-
-    for start in ids:
-        extend([start])
+        for t in succ[chain[-1]]:
+            push(chain + (t,))
     return chains
 
 

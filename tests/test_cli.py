@@ -16,7 +16,7 @@ from morsepoly.cli import main
 from morsepoly.complexes import ComplexSpec, face_poset_simplicial
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
-from morsepoly.poset import order_complex
+from morsepoly.poset import chain_counts
 
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
 CHAIN = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}
@@ -115,25 +115,25 @@ class TestVerify:
     def test_geometric_disagreement_exits_1(self, files, capsys, monkeypatch):
         _, write = files
 
-        def skewed(complex_):
-            indices = geometry.geometric_indices(complex_)
+        def skewed(poset, embedding):
+            indices = geometry.lower_star_indices(poset, embedding)
             indices["1"] += 1
             return indices
 
-        monkeypatch.setattr(cli, "geometric_indices", skewed)
+        monkeypatch.setattr(cli, "lower_star_indices", skewed)
         assert main(["verify", "--in", write("t.json", TRIANGLE)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "mismatch"
         assert payload["mismatches"] == [{"element": "1", "geometric": 2, "combinatorial": 1}]
 
 
-class _CountingSimplices(frozenset):
-    """Order-complex simplices that count each visit into ``self.visits``."""
+class _CountingUpSets(dict):
+    """The witness's up-set table; each lookup extends one chain, so the
+    lookups count the chains the stream reaches into ``self.visits``."""
 
-    def __iter__(self):
-        for simplex in frozenset.__iter__(self):
-            self.visits[simplex] += 1
-            yield simplex
+    def __getitem__(self, element):
+        self.visits["stream"] += 1
+        return dict.__getitem__(self, element)
 
 
 class TestVerifySinglePass:
@@ -159,24 +159,25 @@ class TestVerifySinglePass:
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, complexes)
-        # The chain walk behind enumerate_chains and order_complex, and the
-        # Chain records enumerate_chains wraps its tuples in.
+        # The chain walk behind enumerate_chains and order_complex, the
+        # Chain records enumerate_chains wraps its tuples in, and the order
+        # complex the oracles build.
         count("_chain_members", poset_module)
         count("Chain", poset_module)
+        count("order_complex", poset_module, geometry)
         # Whole-function checks: classify and require_valid both validate.
         count("validate_morse", morse, generators)
         count("classify", morse, complexes)
         count("set_value", morse._Pipeline)
 
-        order_complex = geometry.order_complex
+        general_up_sets = geometry._general_up_sets
 
-        def counted_order_complex(poset):
-            complex_ = order_complex(poset)
-            simplices = _CountingSimplices(complex_.simplices)
-            simplices.visits = calls
-            return type(complex_)(complex_.vertices, simplices)
+        def counted_up_sets(poset, level):
+            up = _CountingUpSets(general_up_sets(poset, level))
+            up.visits = calls
+            return up
 
-        monkeypatch.setattr(geometry, "order_complex", counted_order_complex)
+        monkeypatch.setattr(geometry, "_general_up_sets", counted_up_sets)
         return calls
 
     @pytest.mark.parametrize("seed", [None, 5])
@@ -197,13 +198,13 @@ class TestVerifySinglePass:
         assert calls["classify"] == 2
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
-        # Only the geometric witness walks chains: once, for its order
-        # complex, whose simplices come from member tuples, not records.
-        assert calls["_chain_members"] == 1
+        # Nothing lists chains: the geometric witness streams them, one
+        # step per chain, and builds no order complex.
+        assert calls["_chain_members"] == 0
         assert calls["Chain"] == 0
+        assert calls["order_complex"] == 0
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
-        visits = [n for key, n in calls.items() if isinstance(key, frozenset)]
-        assert visits == [1] * len(order_complex(poset).simplices)
+        assert calls["stream"] == sum(chain_counts(poset))
 
     def test_whole_function_checks_do_not_grow_with_modifications(self, files, calls):
         _, write = files

@@ -13,6 +13,7 @@ from morsepoly import (
     GeometricComplex,
     MorseFunction,
     NotGeneral,
+    UnknownElement,
     build_poset,
     combinatorial_index,
     cross_check,
@@ -24,6 +25,7 @@ from morsepoly import (
     gen_morse,
     geometric_index,
     geometric_indices,
+    lower_star_indices,
     matrix_rank,
     normalize,
     order_complex,
@@ -153,6 +155,46 @@ class TestGeometricIndices:
         face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
         g = normalize(face.poset, gen_morse(seed, face.poset))
         self.assert_matches_definition(realize_complex(face.poset, embed_vertices(face.poset, g)))
+
+
+class TestLowerStarIndices:
+    """The streamed witness against the materialized oracles."""
+
+    @staticmethod
+    def assert_matches_oracles(poset, embedding):
+        try:
+            complex_ = realize_complex(poset, embedding)
+        except NotGeneral as error:
+            with pytest.raises(NotGeneral) as info:
+                lower_star_indices(poset, embedding)
+            assert info.value.pair == error.pair
+            assert str(info.value) == str(error)
+            return
+        streamed = lower_star_indices(poset, embedding)
+        assert list(streamed.items()) == list(geometric_indices(complex_).items())
+        assert streamed == {b: geometric_index(complex_, b) for b in embedding.coordinates}
+
+    def test_unknown_element(self, edge_poset):
+        vertices = build_poset(["a", "b"], [])
+        emb = embed_vertices(vertices, MorseFunction.from_values({"a": 0, "b": 1}))
+        with pytest.raises(UnknownElement, match="no coordinates for 'e'"):
+            lower_star_indices(edge_poset, emb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valued_posets())
+    def test_generated_posets(self, case):
+        poset, g = case
+        self.assert_matches_oracles(poset, embed_vertices(poset, g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9), normalized=st.booleans())
+    def test_seeded_face_posets(self, seed, normalized):
+        # gen_morse may tie a matched pair; normalize separates every pair.
+        face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
+        g = gen_morse(seed, face.poset)
+        if normalized:
+            g = normalize(face.poset, g)
+        self.assert_matches_oracles(face.poset, embed_vertices(face.poset, g))
 
 
 class TestCrossCheck:

@@ -170,8 +170,12 @@ class TestChains:
 
     def test_soft_limit_warning(self, monkeypatch, chain_poset):
         monkeypatch.setattr(poset_module, "CHAIN_SOFT_LIMIT", 3)
-        with pytest.warns(RuntimeWarning, match="desk scale"):
-            enumerate_chains(chain_poset)
+        for walk in (enumerate_chains, order_complex):
+            with pytest.warns(RuntimeWarning, match="desk scale") as caught:
+                walk(chain_poset)
+            # Once per walk, at the line that called it.
+            assert len(caught) == 1
+            assert caught[0].filename == __file__
 
     @settings(max_examples=60)
     @given(posets())
