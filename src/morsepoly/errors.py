@@ -53,7 +53,15 @@ class MissingValue(MorsePolyError):
 
 
 class InvalidMorseFunction(MorsePolyError):
-    """A function violates the discrete Morse condition."""
+    """The Morse condition fails at ``element``; the message is built only when shown."""
+
+    def __init__(self, element: str, witnesses: tuple[tuple[str, str], ...]):
+        super().__init__(element, witnesses)
+        self.element, self.witnesses = element, witnesses
+
+    def __str__(self) -> str:
+        return (f"not a discrete Morse function: element {self.element!r} has "
+                f"non-increasing covers {self.witnesses}")
 
 
 class NotTwoWide(MorsePolyError):

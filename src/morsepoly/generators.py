@@ -27,9 +27,11 @@ from fractions import Fraction
 from math import comb
 
 from .complexes import ComplexSpec
-from .errors import CycleDetected, EmptyPoset, InvalidArgument
+from .errors import CycleDetected, EmptyPoset, InvalidArgument, InvalidMorseFunction
 from .morse import MorseFunction, _recheck_near, validate_morse
 from .poset import ElementId, Poset, _topological_order
+
+MAX_DRAWS = 2**20  # gen_complex draws at most this many candidate simplices
 
 
 def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> ComplexSpec:
@@ -50,8 +52,16 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
     chosen: set[tuple[str, ...]] = set()
     size_cap = min(dimension + 1, n_vertices)
     if density > 0 and size_cap >= 2:
-        draws = max(1, round(density * comb(n_vertices, size_cap)))
-        for _ in range(draws):
+        candidates = comb(n_vertices, size_cap)
+        exact = Fraction(density) * candidates  # the count can exceed the float range
+        if exact > MAX_DRAWS:
+            raise InvalidArgument(f"density {density} of C({n_vertices}, {size_cap}) "
+                                  f"candidate simplices asks for more than {MAX_DRAWS} draws")
+        try:
+            draws = round(density * candidates)
+        except OverflowError:  # a tiny density times a count no float holds
+            draws = round(exact)
+        for _ in range(max(1, draws)):
             size = rng.randint(2, size_cap)
             chosen.add(tuple(sorted(rng.sample(vertices, size))))
     covered = {v for simplex in chosen for v in simplex}
@@ -194,7 +204,9 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
         else:
             target = Fraction(rng.randint(-n, 2 * n), rng.randint(1, 4))
         values[e] = target
-        if _recheck_near(poset, values, e)[0] is not None:
+        try:
+            _recheck_near(poset, values, e)
+        except InvalidMorseFunction:
             values[e] = old
 
     result = MorseFunction(dict(values))

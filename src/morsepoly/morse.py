@@ -3,8 +3,10 @@
 A function f on a poset is a discrete Morse function when every element has
 at most one lower cover a with f(a) >= f(b) and at most one upper cover c
 with f(b) >= f(c).  An element with no such neighbor in either direction is
-critical; otherwise it is ordinary.  All values are exact rationals; no
-comparison in this module ever touches floating point.
+critical; otherwise it is ordinary.  The condition is stated once, in
+:func:`_scan`, which validation, classification, the exclusivity report and
+the local recheck all read.  All values are exact rationals; no comparison
+in this module ever touches floating point.
 
 The normalization pipeline (:func:`normalize`) rewrites a valid function on
 a 2-wide poset into one with the same critical set that is additionally
@@ -13,7 +15,8 @@ g(x) < g(y), also g(z) < g(y) and g(x) < g(w)), and free of all four
 "troubled" obstruction patterns.  It runs two sweeps over a fixed linear
 extension, each changing at most one value per element; the input's
 classification and every intermediate stage are retained in a trace so each
-step can be audited.
+step can be audited; each change is rechecked locally as it is made, so the
+obstruction audits do not validate the function again.
 """
 
 from __future__ import annotations
@@ -130,9 +133,6 @@ class TroubleFlags(Record):
     down: tuple[ElementId, ElementId] | None
     _defaults = dict.fromkeys(__slots__)
 
-    def any(self) -> bool:
-        return any((self.short_up, self.up, self.short_down, self.down))
-
 
 class TroubleReport(Record):
     __slots__ = ("flags",)
@@ -184,53 +184,43 @@ def _require_total(poset: Poset, f: MorseFunction) -> None:
         raise UnknownElement(f"function assigns values to non-elements {extra}")
 
 
-def _violations(poset: Poset, values: Mapping[ElementId, Fraction], b: ElementId):
-    below = [a for a in poset.lower_covers(b) if values[a] >= values[b]]
-    above = [c for c in poset.upper_covers(b) if values[b] >= values[c]]
-    return below, above
+def _scan(poset: Poset, values: Mapping[ElementId, Fraction], elements):
+    """Yield (b, below, above) for the elements in identifier order: b's
+    non-increasing lower and upper covers, at most one each.  Raises
+    InvalidMorseFunction at the first element with two on one side."""
+    for b in sorted(elements):
+        value = values[b]
+        below = [a for a in poset.lower_covers(b) if values[a] >= value]
+        above = [c for c in poset.upper_covers(b) if value >= values[c]]
+        if len(below) > 1 or len(above) > 1:
+            side, covers = (BELOW, below) if len(below) > 1 else (ABOVE, above)
+            # A list, not a generator: one generator per raise grew gen_morse's RSS.
+            raise InvalidMorseFunction(b, tuple([(c, side) for c in covers]))
+        yield b, below, above
 
 
 def _recheck_near(
     poset: Poset, values: Mapping[ElementId, Fraction], element: ElementId
-) -> tuple[ElementId | None, dict[ElementId, bool]]:
+) -> dict[ElementId, bool]:
     """Morse condition and critical verdicts at element and its covers only.
 
     An element's verdict reads only its own value and its covers' values, so
     after a change at element, on a function that was valid before, these
-    are the only verdicts that can differ.  Returns the first element, in
-    identifier order, that breaks the Morse condition (None if none does)
-    and, when none does, whether each checked element is critical.
+    are the only verdicts that can differ.  Raises InvalidMorseFunction at
+    the first of them, in identifier order, that breaks the Morse condition;
+    otherwise returns whether each is critical.
     """
     near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
-    critical: dict[ElementId, bool] = {}
-    for b in sorted(near):
-        below, above = _violations(poset, values, b)
-        if len(below) > 1 or len(above) > 1:
-            return b, {}
-        critical[b] = not below and not above
-    return None, critical
+    return {b: not below and not above for b, below, above in _scan(poset, values, near)}
 
 
 def validate_morse(poset: Poset, f: MorseFunction) -> MorseVerdict:
     """Check the at-most-one-non-increasing-cover condition on each side."""
-    _require_total(poset, f)
-    for b in sorted(poset.elements):
-        below, above = _violations(poset, f.values, b)
-        if len(below) > 1:
-            return MorseVerdict(False, b, tuple((a, BELOW) for a in below))
-        if len(above) > 1:
-            return MorseVerdict(False, b, tuple((c, ABOVE) for c in above))
+    try:
+        classify(poset, f)
+    except InvalidMorseFunction as exc:
+        return MorseVerdict(False, exc.element, exc.witnesses)
     return MorseVerdict(True)
-
-
-def require_valid(poset: Poset, f: MorseFunction) -> None:
-    """Raise InvalidMorseFunction unless f passes validate_morse."""
-    verdict = validate_morse(poset, f)
-    if not verdict:
-        raise InvalidMorseFunction(
-            f"not a discrete Morse function: element {verdict.element!r} has "
-            f"non-increasing covers {verdict.witnesses}"
-        )
 
 
 def classify(poset: Poset, f: MorseFunction) -> Classification:
@@ -239,19 +229,13 @@ def classify(poset: Poset, f: MorseFunction) -> Classification:
     When an element has violating neighbors on both sides (possible only on
     posets that are not 2-wide) the below-side witness is recorded.
     """
-    require_valid(poset, f)
+    _require_total(poset, f)
     verdicts: dict[ElementId, str] = {}
     witnesses: dict[ElementId, tuple[ElementId, str]] = {}
-    for b in sorted(poset.elements):
-        below, above = _violations(poset, f.values, b)
-        if below:
-            verdicts[b] = "ordinary"
-            witnesses[b] = (below[0], BELOW)
-        elif above:
-            verdicts[b] = "ordinary"
-            witnesses[b] = (above[0], ABOVE)
-        else:
-            verdicts[b] = "critical"
+    for b, below, above in _scan(poset, f.values, poset.elements):
+        verdicts[b] = "ordinary" if below or above else "critical"
+        if below or above:
+            witnesses[b] = (below[0], BELOW) if below else (above[0], ABOVE)
     return Classification(verdicts=verdicts, witnesses=witnesses)
 
 
@@ -262,12 +246,9 @@ def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:
     function; finding one there means this library is broken, so it raises.
     On other posets the offenders are returned as a demonstration.
     """
-    require_valid(poset, f)
-    offenders = []
-    for b in sorted(poset.elements):
-        below, above = _violations(poset, f.values, b)
-        if below and above:
-            offenders.append((b, below[0], above[0]))
+    _require_total(poset, f)
+    scan = _scan(poset, f.values, poset.elements)
+    offenders = [(b, below[0], above[0]) for b, below, above in scan if below and above]
     two_wide = bool(is_two_wide(poset))
     if two_wide and offenders:
         raise AssertionError(
@@ -279,8 +260,12 @@ def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:
 
 def find_troubled(poset: Poset, f: MorseFunction) -> TroubleReport:
     """Locate all four obstruction patterns, with one witness per flag."""
-    require_valid(poset, f)
-    values = f.values
+    classify(poset, f)  # raises unless f is a discrete Morse function
+    return _find_troubled(poset, f.values)
+
+
+def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction]) -> TroubleReport:
+    """:func:`find_troubled` on a function already known to be valid."""
     short_up: dict[ElementId, tuple[ElementId, ElementId]] = {}
     up: dict[ElementId, tuple[ElementId, ElementId]] = {}
     short_down: dict[ElementId, tuple[ElementId, ElementId]] = {}
@@ -303,16 +288,10 @@ def find_troubled(poset: Poset, f: MorseFunction) -> TroubleReport:
                     short_down.setdefault(a, (y, x))
 
     flagged = sorted(set(short_up) | set(up) | set(short_down) | set(down))
-    flags = {
-        a: TroubleFlags(
-            short_up=short_up.get(a),
-            up=up.get(a),
-            short_down=short_down.get(a),
-            down=down.get(a),
-        )
-        for a in flagged
-    }
-    return TroubleReport(flags=flags)
+    return TroubleReport(
+        {a: TroubleFlags(short_up.get(a), up.get(a), short_down.get(a), down.get(a))
+         for a in flagged}
+    )
 
 
 def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
@@ -359,12 +338,13 @@ class _Pipeline:
         old = self.values[element]
         self.values[element] = new
         self.modifications.append(Modification(stage, element, old, new))
-        broken, critical = _recheck_near(self.poset, self.values, element)
-        if broken is not None:
+        try:
+            critical = _recheck_near(self.poset, self.values, element)
+        except InvalidMorseFunction as exc:
             raise AssertionError(
-                f"stage {stage} broke the Morse condition at {broken!r} "
+                f"stage {stage} broke the Morse condition at {exc.element!r} "
                 f"when moving {element!r} from {old} to {new}"
-            )
+            ) from exc
         changed = [b for b, c in critical.items() if c != (b in self.critical)]
         if changed:
             raise AssertionError(
@@ -457,7 +437,7 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
 
     state.up_sweep(order)
     after_up = state.snapshot()
-    report = find_troubled(poset, after_up)
+    report = _find_troubled(poset, after_up.values)
     if not report.clean():
         raise AssertionError(
             f"up sweep left obstructed elements {report.troubled_elements()}; "
@@ -468,7 +448,7 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     result = state.snapshot()
     if not result.is_injective():
         raise AssertionError("spread sweep failed to separate all values")
-    if not find_troubled(poset, result).clean():
+    if not _find_troubled(poset, result.values).clean():
         raise AssertionError("spread sweep reintroduced an obstruction")
     if classify(poset, result).critical_set() != state.critical:
         raise AssertionError("normalization changed the critical set")

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsepoly import chain_index, cli, complexes, generators, geometry, morse
 from morsepoly import poset as poset_module
 from morsepoly.cli import main
 from morsepoly.complexes import ComplexSpec, face_poset_simplicial
+from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import chain_counts
@@ -156,6 +164,7 @@ class TestVerifySinglePass:
         count("_normalize_trace", morse, chain_index)
         count("is_two_wide", morse, chain_index)
         count("find_troubled", morse)
+        count("_find_troubled", morse)
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, complexes)
@@ -165,9 +174,13 @@ class TestVerifySinglePass:
         count("_chain_members", poset_module)
         count("Chain", poset_module)
         count("order_complex", poset_module, geometry)
-        # Whole-function checks: classify and require_valid both validate.
+        # Whole-function checks: every one is a scan of all elements; a
+        # scan of a changed element and its covers is a local recheck.
         count("validate_morse", morse, generators)
         count("classify", morse, complexes)
+        count("_scan", morse,
+              key=lambda poset, values, elements: "whole" if elements is poset.elements
+              else "local")
         count("set_value", morse._Pipeline)
 
         general_up_sets = geometry._general_up_sets
@@ -192,10 +205,14 @@ class TestVerifySinglePass:
         assert main(argv) == 0
         assert calls["_normalize_trace"] == 1
         assert calls["is_two_wide"] == 1
-        # classify audits the input and the result; find_troubled the
-        # function after each of the two sweeps.
-        assert calls["find_troubled"] == 2
+        # classify audits the input and the result, each in one scan; the
+        # obstruction audit checks the function after each of the two
+        # sweeps without validating it again.
+        assert calls["whole"] == 2
         assert calls["classify"] == 2
+        assert calls["validate_morse"] == 0
+        assert calls["find_troubled"] == 0
+        assert calls["_find_troubled"] == 2
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
         # Nothing lists chains: the geometric witness streams them, one
@@ -217,10 +234,12 @@ class TestVerifySinglePass:
                 argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
             calls.clear()
             assert main(argv) == 0
-            checks.add((calls["validate_morse"], calls["classify"], calls["find_troubled"]))
+            checks.add((calls["whole"], calls["validate_morse"], calls["find_troubled"],
+                        calls["_find_troubled"]))
             modifications.add(calls["set_value"])
+            assert calls["local"] == calls["set_value"]
         assert sorted(modifications) == [4, 19, 32]
-        assert checks == {(4, 2, 2)}
+        assert checks == {(2, 0, 0, 2)}
 
     @pytest.mark.parametrize("spec", [torus(3), torus(4)], ids=["torus3", "torus4"])
     def test_gen_morse_validates_in_full_twice(self, files, calls, spec):
@@ -229,6 +248,7 @@ class TestVerifySinglePass:
                 "--in", write("c.json", complex_to_obj(spec))]
         assert main(argv) == 0
         # The base function and the result; perturbations are checked locally.
+        assert calls["whole"] == 2
         assert calls["validate_morse"] == 2
 
 
@@ -521,6 +541,10 @@ class TestBadInput:
             (["--vertices", "0"], "n_vertices must be at least 1"),
             (["--dim", "-1"], "dimension must be non-negative"),
             (["--density", "1.5"], "density must lie in [0, 1]"),
+            # C(2000, 1001) has about 600 digits, past the float range.
+            (["--vertices", "2000", "--dim", "1000", "--density", "0.5"],
+             "density 0.5 of C(2000, 1001) candidate simplices asks for more than "
+             "1048576 draws"),
         ],
     )
     def test_gen_complex_arguments(self, capsys, flags, message):
@@ -568,3 +592,123 @@ class TestBadInput:
         _, write = files
         poset = {"elements": ["a", "e", "t"], "covers": [["a", "e"], ["e", "t"], ["a", "t"]]}
         assert main(["check", "--in", write("p.json", poset)]) == 2
+
+
+NAMES = ("a", "b", "c", "d", "e")
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+RATIONALS = (
+    st.integers(-4, 4)
+    | st.integers(-4, 4).map(str)
+    | st.fractions(-4, 4, max_denominator=4).map(str)
+    | st.sampled_from(["1/0", "0.5", "+1", "", " 2 ", "1/2/3", "1/-2"])
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+
+
+@st.composite
+def input_documents(draw):
+    """A small poset or complex document, often well formed, sometimes with
+    a key dropped or replaced by junk; or junk outright."""
+    kind = draw(st.sampled_from(("poset", "simplicial", "cellular", "junk")))
+    if kind == "junk":
+        return draw(JUNK)
+    unique = draw(st.integers(0, 3)) > 0
+    if kind == "poset":
+        elements = draw(st.lists(st.sampled_from(NAMES), max_size=5, unique=unique))
+        pair = st.lists(st.sampled_from(NAMES), min_size=2, max_size=2)
+        if len(elements) > 1 and unique:
+            # Oriented by list position, so mostly acyclic.
+            pair = st.lists(st.sampled_from(range(len(elements))), min_size=2, max_size=2,
+                            unique=True).map(lambda ij: [elements[min(ij)], elements[max(ij)]])
+        doc = {"elements": elements, "covers": draw(st.lists(pair, max_size=6))}
+    elif kind == "simplicial":
+        simplex = st.lists(st.sampled_from("1234"), max_size=4, unique=unique)
+        doc = {"kind": kind, "maximal_simplices": draw(st.lists(simplex, max_size=4))}
+    else:
+        cell = st.fixed_dictionaries(
+            {"id": st.sampled_from(NAMES), "dim": st.integers(-1, 2)},
+            optional={"boundary": st.lists(st.sampled_from(NAMES), max_size=3)},
+        )
+        doc = {"kind": kind, "cells": draw(st.lists(cell, max_size=5))}
+    key = draw(st.sampled_from(sorted(doc)))
+    fault = draw(st.sampled_from(("none", "none", "none", "drop", "junk")))
+    if fault == "drop":
+        del doc[key]
+    elif fault == "junk":
+        doc[key] = draw(JUNK)
+    return doc
+
+
+def function_document(data, path):
+    """A function on the input's elements: a gen_morse one with ties,
+    dropped or extra keys and bad values mixed in; junk when the input does
+    not load."""
+    try:
+        poset = cli._load_input(path).poset
+    except MorsePolyError:
+        poset = None
+    if poset is None or len(poset) == 0 or data.draw(st.integers(0, 4)) == 0:
+        values = st.dictionaries(st.sampled_from(NAMES), RATIONALS, max_size=5)
+        return data.draw(st.fixed_dictionaries({"values": values}) | JUNK)
+    seed = data.draw(st.integers(0, 99))
+    base = {e: str(v) for e, v in gen_morse(seed, poset).values.items()}
+    values = dict(base)
+    elements = st.sampled_from(poset.sorted_elements)
+    for _ in range(data.draw(st.integers(0, 2))):
+        fault = data.draw(st.sampled_from(("tie", "drop", "extra", "value")))
+        e = data.draw(elements)
+        if fault == "tie":
+            values[e] = base[data.draw(elements)]
+        elif fault == "drop":
+            values.pop(e, None)
+        elif fault == "extra":
+            values["zz"] = data.draw(RATIONALS)
+        else:
+            values[e] = data.draw(RATIONALS)
+    return {"values": values}
+
+
+class TestNeverRaises:
+    """Every command exits 0, 1 or 2 on any input, never with a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        seed = data.draw(st.integers(0, 99))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "in.json")
+            path.write_text(json.dumps(data.draw(input_documents())), encoding="utf-8")
+            argv = [command, "--in", str(path)]
+            if command == "gen" and data.draw(st.booleans()):
+                argv += ["--kind", "morse", "--seed", str(seed)]
+            elif command == "gen":
+                vertices = data.draw(st.integers(-1, 40) | st.just(2000))
+                dimension = data.draw(st.integers(-1, 1200))
+                density = data.draw(
+                    st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf, 5e-324])
+                )
+                # "--flag=value", so that argparse reads "-1e-09" as a value.
+                argv = ["gen", "--kind", "complex", f"--seed={seed}", f"--vertices={vertices}",
+                        f"--dim={dimension}", f"--density={density!r}"]
+            elif command not in ("check", "euler") and data.draw(st.booleans()):
+                morse_path = Path(tmp, "f.json")
+                morse_path.write_text(json.dumps(function_document(data, str(path))),
+                                      encoding="utf-8")
+                argv += ["--morse", str(morse_path)]
+            if data.draw(st.booleans()):
+                argv += ["--format", "text"]
+            # A lower ceiling keeps every accepted draw count small; the
+            # check it bounds is the same.
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), \
+                    mock.patch.object(generators, "MAX_DRAWS", 4096):
+                code = main(argv)
+        assert code in (0, 1, 2)

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morsepoly import generators
 from morsepoly import (
     ComplexSpec,
     EmptyPoset,
+    InvalidArgument,
     build_poset,
     compute_parity_rank,
     face_poset_simplicial,
@@ -63,6 +65,28 @@ class TestGenComplex:
             gen_complex(0, 4, -1, 0.5)
         with pytest.raises(ValueError):
             gen_complex(0, 4, 2, 1.5)
+
+    def test_draw_ceiling(self, monkeypatch):
+        assert generators.MAX_DRAWS == 2**20
+        # C(23, 11) = 1,352,078 candidates: refused before any draw.
+        with pytest.raises(InvalidArgument, match="more than 1048576 draws"):
+            gen_complex(0, 23, 10, 1.0)
+        # C(10, 3) = 120 candidates at density 1/2 is 60 draws: the ceiling
+        # admits exactly that many.
+        expected = gen_complex(3, 10, 2, 0.5)
+        monkeypatch.setattr(generators, "MAX_DRAWS", 60)
+        assert gen_complex(3, 10, 2, 0.5) == expected
+        monkeypatch.setattr(generators, "MAX_DRAWS", 59)
+        with pytest.raises(InvalidArgument):
+            gen_complex(3, 10, 2, 0.5)
+
+    def test_candidate_count_past_the_float_range(self):
+        # C(1080, 540) is about 2**1074.6, too large for a float; times the
+        # smallest positive float it is 1.55..., so two draws.
+        spec = gen_complex(0, 1080, 539, 5e-324)
+        assert sum(len(s) > 1 for s in spec.maximal_simplices) == 2
+        with pytest.raises(InvalidArgument):
+            gen_complex(0, 2000, 1000, 0.5)
 
 
 class TestGenMorse:

@@ -345,13 +345,14 @@ class TestLocalRecheck:
         poset, f, element, new = case
         values = dict(f.values)
         values[element] = new
-        broken, critical = morse._recheck_near(poset, values, element)
-
         changed = MorseFunction(values)
         verdict = validate_morse(poset, changed)
-        assert broken == verdict.element
-        if not verdict.valid:
+        try:
+            critical = morse._recheck_near(poset, values, element)
+        except InvalidMorseFunction as exc:
+            assert exc.element == verdict.element
             return
+        assert verdict.element is None
         near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
         assert set(critical) == near
         before = classify(poset, f).verdicts
@@ -360,6 +361,124 @@ class TestLocalRecheck:
                 assert critical[b] == (now == "critical")
             else:
                 assert now == before[b]
+
+
+def morse_oracle(poset, values):
+    """The discrete Morse condition read straight off the definition.
+
+    For each element b in identifier order: the elements a covered by b
+    (a < b with nothing strictly between) with f(a) >= f(b), and the
+    elements c covering b with f(b) >= f(c), each in identifier order.
+    """
+    elements = sorted(poset.elements)
+    less = {(a, b) for b in elements for a in poset.strict_down_set(b)}
+
+    def covered(a, b):
+        return (a, b) in less and not any((a, c) in less and (c, b) in less for c in elements)
+
+    return [
+        (
+            b,
+            [a for a in elements if covered(a, b) and values[a] >= values[b]],
+            [c for c in elements if covered(b, c) and values[b] >= values[c]],
+        )
+        for b in elements
+    ]
+
+
+def oracle_offence(rows):
+    """(element, witnesses) at the first element with two non-increasing
+    covers on one side, the lower side first; None for a valid function."""
+    for b, below, above in rows:
+        if len(below) > 1:
+            return b, tuple((a, "below") for a in below)
+        if len(above) > 1:
+            return b, tuple((c, "above") for c in above)
+    return None
+
+
+@st.composite
+def valued_posets(draw):
+    """A poset, 2-wide or not, and a total function on it that often ties:
+    small random integers, or a gen_morse function with values copied
+    between elements.  Many of these functions are invalid."""
+    if draw(st.booleans()):
+        poset = draw(two_wide_posets())
+    else:
+        n = draw(st.integers(min_value=1, max_value=7))
+        names = [f"p{i}" for i in range(n)]
+        pairs = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if draw(st.booleans())
+        ]
+        poset = build_poset(names, transitive_reduction(names, pairs))
+    elements = poset.sorted_elements
+    if draw(st.booleans()):
+        values = {e: Fraction(draw(st.integers(min_value=0, max_value=3))) for e in elements}
+    else:
+        values = dict(gen_morse(draw(st.integers(min_value=0, max_value=10**6)), poset).values)
+        pick = st.sampled_from(elements)
+        for e, source in draw(st.lists(st.tuples(pick, pick), max_size=3)):
+            values[e] = values[source]
+    return poset, MorseFunction(values)
+
+
+class TestMorseConditionOracle:
+    """Every reader of the Morse condition agrees with the definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=valued_posets())
+    def test_whole_function_readers(self, case):
+        poset, f = case
+        rows = morse_oracle(poset, f.values)
+        offence = oracle_offence(rows)
+
+        verdict = validate_morse(poset, f)
+        if offence is not None:
+            assert (verdict.valid, verdict.element, verdict.witnesses) == (False, *offence)
+            for reader in (classify, check_exclusivity, find_troubled):
+                with pytest.raises(InvalidMorseFunction) as info:
+                    reader(poset, f)
+                assert (info.value.element, info.value.witnesses) == offence
+                assert str(info.value) == (
+                    f"not a discrete Morse function: element {offence[0]!r} has "
+                    f"non-increasing covers {offence[1]}"
+                )
+            return
+        assert verdict.valid
+
+        classification = classify(poset, f)
+        assert classification.verdicts == {
+            b: "ordinary" if below or above else "critical" for b, below, above in rows
+        }
+        assert classification.witnesses == {
+            b: (below[0], "below") if below else (above[0], "above")
+            for b, below, above in rows
+            if below or above
+        }
+        assert check_exclusivity(poset, f).offenders == tuple(
+            (b, below[0], above[0]) for b, below, above in rows if below and above
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=changed_functions())
+    def test_local_recheck(self, case):
+        poset, f, element, new = case
+        values = dict(f.values)
+        values[element] = new
+        rows = morse_oracle(poset, values)
+        offence = oracle_offence(rows)
+        if offence is not None:
+            with pytest.raises(InvalidMorseFunction) as info:
+                morse._recheck_near(poset, values, element)
+            assert (info.value.element, info.value.witnesses) == offence
+            return
+        near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
+        assert morse._recheck_near(poset, values, element) == {
+            b: not below and not above for b, below, above in rows if b in near
+        }
 
 
 def vacuity_grid():
