@@ -1,4 +1,4 @@
-"""Signed chain sums and the combinatorial critical-point index.
+"""The combinatorial critical-point index and the verifier of its equation.
 
 For an element b of a poset, the index of b with respect to a function g
 (injective on comparable pairs) is the alternating sum of (-1)^length over
@@ -9,15 +9,15 @@ this module machine-checks that equation elementwise, along with the global
 identity sum-of-indices = chi of the order complex and the critical-cell
 count identity N0 - N1 = chi.
 
-The three chain-sum operations compute, by direct enumeration, the signed
-chain counts the index argument rests on: the sum over chains through the
-top of a closed down-set, and the two vanishing sums attached to a cover
-pair.  They state the definitions and serve as test references; nothing on
-the verification path enumerates chains.  There the index factorizes: a
-chain through b on which g peaks at b is a chain of the support below b,
-b itself, and a chain of the support above b, each part possibly empty, so
-the index is (1 - chi(below)) * (1 - chi(above)) with both Euler
-characteristics from Hall's recursion (:func:`~morsepoly.poset.chain_weights`).
+The signed chain sums the index argument rests on are stated by direct
+enumeration in :mod:`morsepoly.oracles`, as test references; nothing here
+enumerates chains.  The index factorizes instead: a chain through b on
+which g peaks at b is a chain of the support below b, b itself, and a chain
+of the support above b, each part possibly empty, so the index is
+(1 - chi(below)) * (1 - chi(above)) with both Euler characteristics from
+Hall's recursion (:func:`~morsepoly.poset.chain_weights`).  The structural
+hypotheses are checked by :func:`~morsepoly.poset.check_hypotheses`,
+re-exported here.
 :func:`combinatorial_indices` indexes every element in one pass with a
 single generality scan; the verifier's report carries those indices and the
 normalized function they came from.
@@ -25,12 +25,7 @@ normalized function they came from.
 
 from __future__ import annotations
 
-from .errors import (
-    HypothesisViolated,
-    Mismatch,
-    NonGeneralFunction,
-    NotACover,
-)
+from .errors import Mismatch, NonGeneralFunction
 from .morse import (
     Classification,
     MorseFunction,
@@ -42,10 +37,7 @@ from .poset import (
     Poset,
     Record,
     chain_euler_characteristic,
-    compute_parity_rank,
-    enumerate_chains,
-    is_downward_eulerian,
-    is_two_wide,
+    check_hypotheses,  # re-exported, so it still imports from this module
 )
 
 
@@ -67,62 +59,6 @@ class IndexReport(Record):
     n_even: int
     n_odd: int
     normalized: MorseFunction
-
-
-def check_hypotheses(poset: Poset) -> ParityRank:
-    """Verify 2-wide + parity-graded + downward Eulerian; return the parity."""
-    wide = is_two_wide(poset)
-    if not wide:
-        raise HypothesisViolated("not 2-wide", wide.witness)
-    mu = compute_parity_rank(poset)
-    if not isinstance(mu, ParityRank):
-        raise HypothesisViolated(
-            "no parity rank function",
-            f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "
-            f"and {mu.values[1]} via {mu.via[1]!r}",
-        )
-    eulerian = is_downward_eulerian(poset, mu)
-    if not eulerian:
-        raise HypothesisViolated("not downward Eulerian", eulerian.violations)
-    return mu
-
-
-def _chains_through_top(poset: Poset, b: ElementId):
-    """Chains of the closed down-set of b that contain b."""
-    poset.require(b)
-    return [c for c in enumerate_chains(poset, poset.closed_down_set(b)) if b in c]
-
-
-def chain_sum_top(poset: Poset, b: ElementId) -> int:
-    """Signed count of chains below-or-at b containing b.
-
-    Under the structural hypotheses this equals (-1)^parity(b).
-    """
-    return sum((-1) ** c.length for c in _chains_through_top(poset, b))
-
-
-def chain_sum_excluding(poset: Poset, a: ElementId, b: ElementId) -> int:
-    """Signed count of chains below-or-at b containing b but avoiding a.
-
-    Requires a covered by b; the sum vanishes under the structural hypotheses.
-    """
-    if (a, b) not in poset.covers:
-        raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
-    return sum((-1) ** c.length for c in _chains_through_top(poset, b) if a not in c)
-
-
-def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
-    """Signed count of chains below-or-at b containing a, for a covered by b.
-
-    Vanishes under the structural hypotheses.
-    """
-    if (a, b) not in poset.covers:
-        raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
-    return sum(
-        (-1) ** c.length
-        for c in enumerate_chains(poset, poset.closed_down_set(b))
-        if a in c
-    )
 
 
 def _require_general(poset: Poset, g: MorseFunction) -> None:

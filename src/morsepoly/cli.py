@@ -10,6 +10,9 @@ set and a property check fails, 2 for unreadable/malformed input, inputs
 outside the required hypotheses, or an output path that cannot be written.
 Exit 2 comes only from MorsePolyError; any other exception is a bug and
 propagates.
+
+Commands import the index, geometry and generator modules inside their own
+bodies, so a run loads and compiles only the modules its command runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .chain_index import verify_representation
 from .complexes import (
     FacePoset,
     critical_by_dimension,
@@ -28,8 +30,6 @@ from .complexes import (
     face_poset_simplicial,
 )
 from .errors import Mismatch, MorsePolyError
-from .generators import gen_complex, gen_morse
-from .geometry import compare_indices, embed_vertices, lower_star_indices
 from .morse import MorseFunction, classify, normalize
 from .poset import (
     ParityRank,
@@ -245,6 +245,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    from .chain_index import verify_representation
+
     loaded = _load_input(args.input_path)
     f = _load_morse(args, loaded)
     report = verify_representation(loaded.poset, f)
@@ -266,6 +268,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    from .geometry import embed_vertices
+
     loaded = _load_input(args.input_path)
     f = _load_morse(args, loaded)
     g = normalize(loaded.poset, f)
@@ -285,6 +289,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .chain_index import verify_representation
+    from .geometry import compare_indices, embed_vertices, lower_star_indices
+
     loaded = _load_input(args.input_path)
     poset = loaded.poset
     f = _load_morse(args, loaded)
@@ -332,6 +339,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import gen_complex, gen_morse
+
     if args.kind == "complex":
         spec = gen_complex(args.seed, args.vertices, args.dimension, args.density)
         _emit(args, jsonio.dumps_canonical(jsonio.complex_to_obj(spec)))

@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .chain_index import check_hypotheses
 from .errors import HypothesisViolated, MalformedSpec, Mismatch, RankConflict
 from .morse import MorseFunction, classify
 from .poset import (
@@ -35,6 +34,7 @@ from .poset import (
     Record,
     build_poset,
     chain_euler_characteristic,
+    check_hypotheses,
     transitive_reduction,
 )
 

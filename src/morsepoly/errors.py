@@ -4,6 +4,10 @@ Exceptions fall into three groups: input validation (bad poset data, bad
 complex descriptions, bad function files), contract violations (calling an
 operation outside its stated hypotheses), and identity failures (a verified
 equation did not hold, which indicates a bug rather than bad input).
+
+An error that carries fields passes them, and only them, to
+``Exception.__init__`` and builds its message in ``__str__``, so it pickles
+and copies with its fields and message intact.
 """
 
 from __future__ import annotations
@@ -40,8 +44,11 @@ class NonCoverEdge(MorsePolyError):
     """A supplied pair is implied transitively by the other pairs."""
 
     def __init__(self, pair: tuple[str, str]):
+        super().__init__(pair)
         self.pair = pair
-        super().__init__(f"pair {pair!r} is not a cover: it is implied by other pairs")
+
+    def __str__(self) -> str:
+        return f"pair {self.pair!r} is not a cover: it is implied by other pairs"
 
 
 class EmptyPoset(MorsePolyError):
@@ -68,11 +75,13 @@ class NotTwoWide(MorsePolyError):
     """The poset is not 2-wide, so the operation's hypotheses fail."""
 
     def __init__(self, witness: tuple[str, str, str]):
+        super().__init__(witness)
         self.witness = witness
-        super().__init__(
-            f"poset is not 2-wide: covers {witness[0]} < {witness[1]} < {witness[2]} "
-            f"admit no alternative middle element"
-        )
+
+    def __str__(self) -> str:
+        w = self.witness
+        return (f"poset is not 2-wide: covers {w[0]} < {w[1]} < {w[2]} "
+                f"admit no alternative middle element")
 
 
 class NotACover(MorsePolyError):
@@ -83,19 +92,23 @@ class NonGeneralFunction(MorsePolyError):
     """Two comparable elements share a value, so strict maxima are undefined."""
 
     def __init__(self, pair: tuple[str, str]):
+        super().__init__(pair)
         self.pair = pair
-        super().__init__(f"comparable elements {pair[0]!r} and {pair[1]!r} share a value")
+
+    def __str__(self) -> str:
+        return f"comparable elements {self.pair[0]!r} and {self.pair[1]!r} share a value"
 
 
 class NotGeneral(MorsePolyError):
     """Two comparable vertices project to the same first coordinate."""
 
     def __init__(self, pair: tuple[str, str]):
+        super().__init__(pair)
         self.pair = pair
-        super().__init__(
-            f"projection is not general: comparable vertices {pair[0]!r} and {pair[1]!r} "
-            f"have equal first coordinates"
-        )
+
+    def __str__(self) -> str:
+        return (f"projection is not general: comparable vertices {self.pair[0]!r} and "
+                f"{self.pair[1]!r} have equal first coordinates")
 
 
 class RankConflict(MorsePolyError):
@@ -106,21 +119,24 @@ class HypothesisViolated(MorsePolyError):
     """The poset fails one of the required structural properties."""
 
     def __init__(self, prop: str, detail: object = None):
-        self.prop = prop
-        self.detail = detail
-        msg = f"hypothesis violated: {prop}"
-        if detail is not None:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(prop, detail)
+        self.prop, self.detail = prop, detail
+
+    def __str__(self) -> str:
+        msg = f"hypothesis violated: {self.prop}"
+        if self.detail is not None:
+            msg += f" ({self.detail})"
+        return msg
 
 
 class Mismatch(MorsePolyError):
     """A verified identity failed; this signals an implementation bug."""
 
     def __init__(self, element: str | None, computed: int, predicted: int, what: str = "index"):
-        self.element = element
-        self.computed = computed
-        self.predicted = predicted
-        self.what = what
-        where = f"at element {element!r}" if element is not None else "in totals"
-        super().__init__(f"{what} mismatch {where}: computed {computed}, expected {predicted}")
+        super().__init__(element, computed, predicted, what)
+        self.element, self.computed, self.predicted, self.what = element, computed, predicted, what
+
+    def __str__(self) -> str:
+        where = f"at element {self.element!r}" if self.element is not None else "in totals"
+        return (f"{self.what} mismatch {where}: computed {self.computed}, "
+                f"expected {self.predicted}")

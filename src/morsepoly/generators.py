@@ -18,6 +18,10 @@ values and troubled patterns while preserving validity.  The base function
 is validated in full once; each perturbation is then rechecked at the
 changed element and its covers, the only places where it can break the
 Morse condition, and the final function is validated in full again.
+Every value the generator makes is a multiple of 1/12 (base values are
+integers or half-integers, a pull-up adds 0 or 1/3, and a random target is
+p/q with q at most 4), so the perturbations run on the exact integers
+12 * value and are turned back into Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .morse import MorseFunction, _recheck_near, validate_morse
 from .poset import ElementId, Poset, _topological_order
 
 MAX_DRAWS = 2**20  # gen_complex draws at most this many candidate simplices
+_SCALE = 12  # gen_morse's values are multiples of 1 / _SCALE
 
 
 def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> ComplexSpec:
@@ -188,28 +193,37 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     if not validate_morse(poset, MorseFunction(dict(values))).valid:
         raise AssertionError("base function is invalid; implementation bug")
 
+    scaled: dict[ElementId, int] = {}
+    for e, value in values.items():
+        twelfths = value * _SCALE
+        if twelfths.denominator != 1:
+            raise AssertionError(f"base value {value} of {e!r} is not a multiple of "
+                                 f"1/{_SCALE}; implementation bug")
+        scaled[e] = twelfths.numerator
+
     elements = sorted(poset.elements)
     n = len(elements)
     for _ in range(4 * n):
         e = rng.choice(elements)
-        old = values[e]
-        above = sorted(poset.strict_up_set(e))
+        old = scaled[e]
         roll = rng.random()
-        if roll < 0.4 and above:
+        above = poset.strict_up_set(e) if roll < 0.4 else None
+        if above:
             # Pull e's value up to (or past) something above it: this is what
             # seeds troubled patterns for the normalization sweeps to remove.
-            target = values[rng.choice(above)] + rng.choice((Fraction(0), Fraction(1, 3)))
+            target = scaled[rng.choice(sorted(above))] + rng.choice((0, _SCALE // 3))
         elif roll < 0.7:
-            target = values[rng.choice(elements)]
+            target = scaled[rng.choice(elements)]
         else:
-            target = Fraction(rng.randint(-n, 2 * n), rng.randint(1, 4))
-        values[e] = target
+            numerator = rng.randint(-n, 2 * n)
+            target = numerator * _SCALE // rng.randint(1, 4)  # exact: 1..4 divide _SCALE
+        scaled[e] = target
         try:
-            _recheck_near(poset, values, e)
+            _recheck_near(poset, scaled, e)
         except InvalidMorseFunction:
-            values[e] = old
+            scaled[e] = old
 
-    result = MorseFunction(dict(values))
+    result = MorseFunction({e: Fraction(v, _SCALE) for e, v in scaled.items()})
     if not validate_morse(poset, result).valid:
         raise AssertionError("generator produced an invalid function; implementation bug")
     return result

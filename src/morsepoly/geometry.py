@@ -20,15 +20,15 @@ O(1) step and none is built; each adds its sign at its highest vertex
 (Banchoff's lower-star count).  The materialized forms are kept as oracles:
 :func:`realize_complex` attaches the order complex's simplices to the
 embedding, :func:`geometric_index` states the definition for one vertex,
-and :func:`geometric_indices` counts every vertex over those simplices.
-All coordinates are exact rationals; no floating point exists anywhere in
-this module.
+and :func:`morsepoly.oracles.geometric_indices` counts every vertex over
+those simplices.  All coordinates are exact rationals; no floating point
+exists anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .chain_index import combinatorial_indices
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
@@ -127,28 +127,9 @@ def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
     return total
 
 
-def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
-    """:func:`geometric_index` of every vertex, in identifier order.
-
-    One pass over the simplices: each adds (-1)^dimension at its highest
-    vertex, and at no vertex when its greatest height is shared.  Heights
-    are first replaced by their exact rank among the distinct heights, so
-    equal heights share a rank and the pass compares ints, not Fractions.
-    """
-    heights = {v: coords[0] for v, coords in complex_.embedding.coordinates.items()}
-    rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
-    level = {v: rank[h] for v, h in heights.items()}
-    indices = dict.fromkeys(sorted(level), 0)
-    for simplex in complex_.simplices:
-        top = max(simplex, key=level.__getitem__)
-        peak = level[top]
-        if all(level[v] < peak for v in simplex if v != top):
-            indices[top] += 1 if len(simplex) % 2 else -1
-    return indices
-
-
 def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, int]:
-    """:func:`geometric_indices` of :func:`realize_complex`, streamed.
+    """:func:`~morsepoly.oracles.geometric_indices` of
+    :func:`realize_complex`, streamed.
 
     Raises UnknownElement and NotGeneral exactly where
     :func:`realize_complex` does.  Then walks every chain with an iterative
@@ -218,53 +199,8 @@ def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     of the poset, the simplices of the embedded order complex, through
     :func:`lower_star_indices` without building any, the other counts
     chains by Hall's recursion without listing them.  The materialized
-    :func:`realize_complex` and :func:`geometric_indices` stay as oracles.
+    :func:`realize_complex` and :func:`~morsepoly.oracles.geometric_indices`
+    stay as oracles.
     """
     geometric = lower_star_indices(poset, embed_vertices(poset, g))
     return compare_indices(geometric, combinatorial_indices(poset, g))
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix over the rationals by exact Gaussian elimination."""
-    matrix = [list(row) for row in rows]
-    if not matrix:
-        return 0
-    n_cols = len(matrix[0])
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        lead = matrix[row][col]
-        for r in range(row + 1, len(matrix)):
-            if matrix[r][col] != 0:
-                factor = matrix[r][col] / lead
-                for c in range(col, n_cols):
-                    matrix[r][c] -= factor * matrix[row][c]
-        rank += 1
-        row += 1
-        if row == len(matrix):
-            break
-    return rank
-
-
-def difference_matrix(embedding: Embedding) -> list[list[Fraction]]:
-    """k x (k-1) matrix whose columns are the point differences to the last point."""
-    ids = sorted(embedding.coordinates)
-    base = embedding.coordinates[ids[-1]]
-    columns = [
-        [embedding.coordinates[e][r] - base[r] for r in range(embedding.dimension)]
-        for e in ids[:-1]
-    ]
-    # Transpose columns into rows of a k x (k-1) matrix.
-    return [[col[r] for col in columns] for r in range(embedding.dimension)]
-
-
-def spans_full_simplex(embedding: Embedding) -> bool:
-    """True iff the embedded points are affinely independent."""
-    k = embedding.dimension
-    if k == 1:
-        return True
-    return matrix_rank(difference_matrix(embedding)) == k - 1

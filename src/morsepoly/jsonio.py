@@ -12,13 +12,15 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .chain_index import IndexReport
 from .complexes import CellSpec, ComplexSpec
 from .errors import MalformedSpec, ParseError
-from .geometry import Embedding
 from .morse import MorseFunction, parse_rational as _parse_rational
+
+if TYPE_CHECKING:  # annotations only: `gen` and `check` load neither module
+    from .chain_index import IndexReport
+    from .geometry import Embedding
 
 
 def parse_rational(value: object) -> Fraction:

@@ -4,9 +4,9 @@ A function f on a poset is a discrete Morse function when every element has
 at most one lower cover a with f(a) >= f(b) and at most one upper cover c
 with f(b) >= f(c).  An element with no such neighbor in either direction is
 critical; otherwise it is ordinary.  The condition is stated once, in
-:func:`_scan`, which validation, classification, the exclusivity report and
-the local recheck all read.  All values are exact rationals; no comparison
-in this module ever touches floating point.
+:func:`_scan`, which validation, classification, the local recheck and the
+exclusivity oracle (:mod:`morsepoly.oracles`) all read.  All values are
+exact rationals; no comparison in this module ever touches floating point.
 
 The normalization pipeline (:func:`normalize`) rewrites a valid function on
 a 2-wide poset into one with the same critical set that is additionally
@@ -145,14 +145,6 @@ class TroubleReport(Record):
         return tuple(sorted(self.flags))
 
 
-class ExclusivityReport(Record):
-    """Elements with non-increasing covers in both directions, if any."""
-
-    __slots__ = ("two_wide", "offenders")
-    two_wide: bool
-    offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
-
-
 class Modification(Record):
     __slots__ = ("stage", "element", "old", "new")
     stage: str
@@ -237,25 +229,6 @@ def classify(poset: Poset, f: MorseFunction) -> Classification:
         if below or above:
             witnesses[b] = (below[0], BELOW) if below else (above[0], ABOVE)
     return Classification(verdicts=verdicts, witnesses=witnesses)
-
-
-def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:
-    """Report elements violating in both directions.
-
-    On a 2-wide poset such an element cannot exist for a valid discrete Morse
-    function; finding one there means this library is broken, so it raises.
-    On other posets the offenders are returned as a demonstration.
-    """
-    _require_total(poset, f)
-    scan = _scan(poset, f.values, poset.elements)
-    offenders = [(b, below[0], above[0]) for b, below, above in scan if below and above]
-    two_wide = bool(is_two_wide(poset))
-    if two_wide and offenders:
-        raise AssertionError(
-            f"exclusivity broken on a 2-wide poset at {offenders[0][0]!r}; "
-            f"this is an implementation bug"
-        )
-    return ExclusivityReport(two_wide=two_wide, offenders=tuple(offenders))
 
 
 def find_troubled(poset: Poset, f: MorseFunction) -> TroubleReport:
@@ -472,23 +445,3 @@ def normalize(poset: Poset, f: MorseFunction) -> MorseFunction:
     g(z) < g(y) and g(x) < g(w).
     """
     return normalize_trace(poset, f).result
-
-
-def monotone_extension_holds(poset: Poset, g: MorseFunction) -> bool:
-    """Exhaustive monotone-extension check.
-
-    For every cover x < y with g(x) < g(y): every z < x satisfies
-    g(z) < g(y), and every w > y satisfies g(x) < g(w).  This is the
-    two-sided form; it implies the four-element (z, x, y, w) statement.
-    """
-    values = g.values
-    for x, y in sorted(poset.covers):
-        if values[x] >= values[y]:
-            continue
-        for z in poset.strict_down_set(x):
-            if values[z] >= values[y]:
-                return False
-        for w in poset.strict_up_set(y):
-            if values[x] >= values[w]:
-                return False
-    return True

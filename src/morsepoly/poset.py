@@ -11,7 +11,7 @@ The module also provides chain enumeration, the order complex (one simplex
 per non-empty chain), chain counts per length (the order complex's
 f-vector, found without listing a chain), Euler characteristics, and three
 structural property checks: 2-wideness, parity grading, and the downward
-Eulerian condition.
+Eulerian condition, with :func:`check_hypotheses` requiring all three.
 Signed chain counts of induced subposets come from Hall's recursion
 (:func:`chain_weights`) in time polynomial in the poset; enumeration stays
 for the order complex and as the reference the recursion is tested against.
@@ -25,7 +25,13 @@ import warnings
 from itertools import zip_longest
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import CycleDetected, InvalidArgument, NonCoverEdge, UnknownElement
+from .errors import (
+    CycleDetected,
+    HypothesisViolated,
+    InvalidArgument,
+    NonCoverEdge,
+    UnknownElement,
+)
 
 ElementId = str
 
@@ -595,3 +601,21 @@ def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
         if chi != required:
             violations.append((a, chi, required))
     return EulerianVerdict(not violations, tuple(violations))
+
+
+def check_hypotheses(poset: Poset) -> ParityRank:
+    """Verify 2-wide + parity-graded + downward Eulerian; return the parity."""
+    wide = is_two_wide(poset)
+    if not wide:
+        raise HypothesisViolated("not 2-wide", wide.witness)
+    mu = compute_parity_rank(poset)
+    if not isinstance(mu, ParityRank):
+        raise HypothesisViolated(
+            "no parity rank function",
+            f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "
+            f"and {mu.values[1]} via {mu.via[1]!r}",
+        )
+    eulerian = is_downward_eulerian(poset, mu)
+    if not eulerian:
+        raise HypothesisViolated("not downward Eulerian", eulerian.violations)
+    return mu

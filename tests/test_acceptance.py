@@ -42,7 +42,7 @@ from morsepoly import (
     verify_representation,
 )
 from morsepoly.cli import main
-from morsepoly.geometry import difference_matrix
+from morsepoly.oracles import difference_matrix
 from tests.conftest import build_two_cycles_spec
 
 # (vertices, dimension) shapes whose face posets stay at or under 30 elements;

@@ -123,12 +123,15 @@ class TestVerify:
     def test_geometric_disagreement_exits_1(self, files, capsys, monkeypatch):
         _, write = files
 
+        witness = geometry.lower_star_indices
+
         def skewed(poset, embedding):
-            indices = geometry.lower_star_indices(poset, embedding)
+            indices = witness(poset, embedding)
             indices["1"] += 1
             return indices
 
-        monkeypatch.setattr(cli, "lower_star_indices", skewed)
+        # cmd_verify imports the witness from geometry when it runs.
+        monkeypatch.setattr(geometry, "lower_star_indices", skewed)
         assert main(["verify", "--in", write("t.json", TRIANGLE)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "mismatch"
@@ -162,7 +165,7 @@ class TestVerifySinglePass:
                 monkeypatch.setattr(module, name, wrapper)
 
         count("_normalize_trace", morse, chain_index)
-        count("is_two_wide", morse, chain_index)
+        count("is_two_wide", morse, poset_module)
         count("find_troubled", morse)
         count("_find_troubled", morse)
         count("_require_general", chain_index)

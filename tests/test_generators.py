@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from morsepoly import (
     ComplexSpec,
     EmptyPoset,
     InvalidArgument,
+    InvalidMorseFunction,
     build_poset,
     compute_parity_rank,
     face_poset_simplicial,
@@ -26,7 +28,8 @@ from morsepoly import (
     transitive_reduction,
     validate_morse,
 )
-from morsepoly.generators import _contracted_is_acyclic, _sample_matching
+from morsepoly.generators import _base_values, _contracted_is_acyclic, _sample_matching
+from morsepoly.morse import _recheck_near
 from morsepoly.jsonio import complex_to_obj, dumps_canonical, morse_to_obj
 
 
@@ -248,3 +251,57 @@ class TestSampleMatching:
         f = gen_morse(3, poset)
         assert time.perf_counter() - started < 6.0
         assert validate_morse(poset, f).valid
+
+
+def fraction_perturbed(seed, poset):
+    """gen_morse's values with the perturbation loop run on Fractions, draw
+    for draw: the reference the loop on integers (twelfths) must reproduce."""
+    rng = random.Random(seed)
+    values = _base_values(poset, _sample_matching(poset, rng), rng)
+    elements = sorted(poset.elements)
+    n = len(elements)
+    for _ in range(4 * n):
+        e = rng.choice(elements)
+        old = values[e]
+        above = sorted(poset.strict_up_set(e))
+        roll = rng.random()
+        if roll < 0.4 and above:
+            target = values[rng.choice(above)] + rng.choice((Fraction(0), Fraction(1, 3)))
+        elif roll < 0.7:
+            target = values[rng.choice(elements)]
+        else:
+            target = Fraction(rng.randint(-n, 2 * n), rng.randint(1, 4))
+        values[e] = target
+        try:
+            _recheck_near(poset, values, e)
+        except InvalidMorseFunction:
+            values[e] = old
+    return values
+
+
+class TestIntegerPerturbations:
+    @settings(max_examples=200, deadline=None)
+    @given(poset=matching_posets(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_equals_fraction_reference(self, poset, seed):
+        f = gen_morse(seed, poset)
+        expected = fraction_perturbed(seed, poset)
+        assert f.values == expected
+        assert all(type(v) is Fraction for v in f.values.values())
+        assert dumps_canonical(morse_to_obj(f)) == dumps_canonical(
+            {"values": {e: str(v) for e, v in sorted(expected.items())}}
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_circle_equals_fraction_reference(self, seed):
+        poset = circle(150)
+        assert gen_morse(seed, poset).values == fraction_perturbed(seed, poset)
+
+    def test_base_value_off_the_grid_raises(self, monkeypatch):
+        # With no covers every function is valid, so only the scaling check
+        # can refuse a value that is not a multiple of 1/12.
+        def off_grid(poset, matching, rng):
+            return {"a": Fraction(1, 5), "b": Fraction(0)}
+
+        monkeypatch.setattr(generators, "_base_values", off_grid)
+        with pytest.raises(AssertionError, match="base value 1/5 of 'a' is not a multiple"):
+            gen_morse(0, build_poset(["a", "b"], []))

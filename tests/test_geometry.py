@@ -33,7 +33,7 @@ from morsepoly import (
     spans_full_simplex,
     transitive_reduction,
 )
-from morsepoly.geometry import difference_matrix
+from morsepoly.oracles import difference_matrix
 
 
 class TestEmbedVertices:

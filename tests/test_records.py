@@ -1,11 +1,14 @@
 """The immutable slotted records behind every result type, and the import
-cost of the CLI they keep down."""
+cost of the CLI they keep down: the modules each command loads are pinned."""
 
 from __future__ import annotations
 
 import copy
+import importlib
+import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import morsepoly
 from morsepoly import (
     Chain,
     Classification,
@@ -40,6 +44,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def record_classes():
+    # The package loads its modules lazily; load them all so every record
+    # class is defined before the walk.
+    for module in pkgutil.iter_modules(morsepoly.__path__):
+        importlib.import_module(f"morsepoly.{module.name}")
     pending, found = [Record], []
     while pending:
         for sub in pending.pop().__subclasses__():
@@ -205,3 +213,75 @@ def test_cli_import_leaves_code_generation_modules_out():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == ""
+
+
+def test_every_public_name_resolves_lazily():
+    for name in morsepoly.__all__:
+        value = getattr(morsepoly, name)
+        home = importlib.import_module(f"morsepoly.{morsepoly._HOME[name]}")
+        assert value is getattr(home, name), name
+    assert set(morsepoly.__all__) <= set(dir(morsepoly))
+    assert set(morsepoly._HOME) == set(morsepoly.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        morsepoly.no_such_name
+
+
+# Loaded by every command: the package, the JSON layer, and what loading an
+# input and a function needs.  The CLI itself runs as __main__, as under -m.
+CORE = {"morsepoly", "morsepoly.jsonio", "morsepoly.complexes", "morsepoly.errors",
+        "morsepoly.morse", "morsepoly.poset"}
+INDEX = {"morsepoly.chain_index"}
+GEOMETRY = {"morsepoly.chain_index", "morsepoly.geometry"}
+GENERATORS = {"morsepoly.generators"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["check"], set()),
+        (["euler"], set()),
+        (["classify"], set()),
+        (["normalize"], set()),
+        (["index"], INDEX),
+        (["embed"], GEOMETRY),
+        (["verify"], GEOMETRY),
+        (["gen", "--kind", "morse"], GENERATORS),
+        (["gen", "--kind", "complex"], GENERATORS),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
+    """`python -S -m morsepoly.cli` loads the modules its command runs and
+    no other: no command loads `morsepoly.oracles`, `verify` loads no
+    generator, `gen` no index or geometry, and `check`, `euler`, `classify`
+    and `normalize` none of the three."""
+    triangle = tmp_path / "t.json"
+    triangle.write_text(json.dumps({"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}))
+    args = [*argv, "--out", str(tmp_path / "out")]
+    if argv[0] != "gen" or argv[-1] == "morse":
+        args += ["--in", str(triangle)]
+    probe = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('morsepoly.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    print(done.code)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('morsepoly'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *args], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    code, modules = done.stdout.splitlines()
+    assert code == "0", done.stderr
+    assert set(modules.split()) == CORE | extra
+
+
+def test_package_import_loads_no_module():
+    probe = "import sys, morsepoly\nprint(' '.join(m for m in sys.modules if 'morsepoly' in m))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["morsepoly"]
