@@ -15,7 +15,7 @@ in :mod:`morsepoly.oracles`.
 
 __version__ = "0.1.0"
 
-# The module that defines each public name.
+# The module that defines each public name; __all__ lists every one.
 _HOMES = {
     "poset": (
         "Chain", "EulerianVerdict", "GradingConflict", "ParityRank", "Poset",
@@ -58,6 +58,7 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
@@ -74,90 +75,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "Chain",
-    "CellSpec",
-    "Classification",
-    "ComplexSpec",
-    "CrossCheckReport",
-    "CycleDetected",
-    "Embedding",
-    "EmptyPoset",
-    "EulerianVerdict",
-    "ExclusivityReport",
-    "FacePoset",
-    "GeometricComplex",
-    "GradingConflict",
-    "HypothesisViolated",
-    "IndexEntry",
-    "IndexReport",
-    "InvalidArgument",
-    "InvalidMorseFunction",
-    "MalformedSpec",
-    "Mismatch",
-    "MissingValue",
-    "Modification",
-    "MorseFunction",
-    "MorseInequalityReport",
-    "MorsePolyError",
-    "MorseVerdict",
-    "NonCoverEdge",
-    "NonGeneralFunction",
-    "NormalizationTrace",
-    "NotACover",
-    "NotGeneral",
-    "NotTwoWide",
-    "ParityRank",
-    "ParseError",
-    "Poset",
-    "RankConflict",
-    "RankFunction",
-    "SimplicialComplex",
-    "TroubleFlags",
-    "TroubleReport",
-    "TwoWideVerdict",
-    "UnknownElement",
-    "build_poset",
-    "chain_counts",
-    "chain_euler_characteristic",
-    "chain_sum_excluding",
-    "chain_sum_lower",
-    "chain_sum_top",
-    "chain_weights",
-    "check_exclusivity",
-    "check_hypotheses",
-    "classify",
-    "combinatorial_index",
-    "combinatorial_indices",
-    "compute_parity_rank",
-    "compute_rank_function",
-    "cross_check",
-    "dimension_morse",
-    "embed_vertices",
-    "enumerate_chains",
-    "euler_characteristic",
-    "face_poset_cellular",
-    "face_poset_simplicial",
-    "find_troubled",
-    "gen_complex",
-    "gen_morse",
-    "geometric_index",
-    "geometric_indices",
-    "is_downward_eulerian",
-    "is_two_wide",
-    "linear_extension",
-    "lower_star_indices",
-    "matrix_rank",
-    "monotone_extension_holds",
-    "morse_inequality_report",
-    "normalize",
-    "normalize_trace",
-    "order_complex",
-    "predicted_index",
-    "realize_complex",
-    "spans_full_simplex",
-    "transitive_reduction",
-    "validate_morse",
-    "verify_representation",
-]

@@ -280,10 +280,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         _emit(args, jsonio.dumps_canonical(payload))
     else:
-        lines = [f"dimension: {embedding.dimension}"]
-        for e in sorted(embedding.coordinates):
-            coords = ", ".join(jsonio.format_rational(x) for x in embedding.coordinates[e])
-            lines.append(f"{e}: ({coords})")
+        lines = [f"dimension: {payload['dimension']}"]
+        lines += [f"{e}: ({', '.join(vec)})" for e, vec in payload["coordinates"].items()]
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -419,8 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_gen_numbers(argv: list[str]) -> list[str]:
+    """`gen` arguments with a value like "-1e-9" or "-inf", which argparse
+    reads as a flag, glued to its number option so it reaches the validator."""
+    joined = argv[:1]
+    for arg in argv[1:]:
+        if (joined[0] == "gen" and joined[-1] in ("--seed", "--vertices", "--dim", "--density")
+                and arg.startswith("-") and not arg.startswith("--")):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_gen_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except Mismatch as exc:

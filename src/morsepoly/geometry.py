@@ -1,17 +1,18 @@
 """Exact rational embedding of the order complex, and the geometric index.
 
 The order complex of a k-element poset is realized in k-dimensional space by
-a single-pass construction: with elements p1..pk in identifier order, the
-last element sits at g(pk) on the first axis, and every other pi sits at
-g(pi) on the first axis plus the (i+1)-th standard basis vector.  The
-difference vectors then carry distinct basis directions, so the k points are
-affinely independent and span a (k-1)-simplex, while the first coordinate of
-every vertex equals its function value exactly.
+one placement rule: with elements p1..pk in identifier order, the last
+element sits at g(pk) on the first axis, and every other pi sits at g(pi) on
+the first axis plus the (i+1)-th standard basis vector.  The difference
+vectors then carry distinct basis directions, so the k points are affinely
+independent and span a (k-1)-simplex, while the first coordinate of every
+vertex equals its function value exactly.  So an :class:`Embedding` stores
+only these heights, and :meth:`Embedding.vectors` writes the rule out.
 
 Projection onto the first coordinate axis is the fixed height function.  The
 geometric index of a vertex counts, with sign (-1)^dimension, the simplices
 of its closed star whose projection is maximal at that vertex.  Because the
-first coordinates reproduce g, this is an independent re-computation of the
+heights reproduce g, this is an independent re-computation of the
 combinatorial chain-sum index, and :func:`cross_check` compares the two
 elementwise.  The witness :func:`lower_star_indices` streams the chains of
 the poset, the simplices of the order complex, in an iterative depth-first
@@ -28,7 +29,7 @@ exists anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .chain_index import combinatorial_indices
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
@@ -37,14 +38,28 @@ from .poset import ElementId, Poset, Record, order_complex
 
 
 class Embedding(Record):
-    """Vertex coordinates in k-space; the projection axis is coordinate 0."""
+    """Vertices in k-space, stored as their heights on coordinate 0."""
 
-    __slots__ = ("dimension", "coordinates")
-    dimension: int
-    coordinates: Mapping[ElementId, tuple[Fraction, ...]]
+    __slots__ = ("heights",)
+    heights: Mapping[ElementId, Fraction]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.heights)
 
     def height(self, element: ElementId) -> Fraction:
-        return self.coordinates[element][0]
+        return self.heights[element]
+
+    def vectors(self) -> Iterator[tuple[ElementId, tuple[Fraction, ...]]]:
+        """(element, coordinate vector) in identifier order, by the placement
+        rule of the module docstring."""
+        ids = sorted(self.heights)
+        for i, e in enumerate(ids):
+            vec = [Fraction(0)] * len(ids)
+            vec[0] = self.heights[e]
+            if i < len(ids) - 1:
+                vec[i + 1] = Fraction(1)
+            yield e, tuple(vec)
 
 
 class GeometricComplex(Record):
@@ -74,21 +89,12 @@ class CrossCheckReport(Record):
 def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
     """Place the poset's elements in k-space with first coordinates g."""
     ids = poset.sorted_elements
-    k = len(ids)
-    if k == 0:
+    if not ids:
         raise EmptyPoset("cannot embed an empty poset")
     missing = sorted(set(ids) - set(g.values))
     if missing:
         raise MissingValue(f"function has no value for {missing}")
-    coordinates: dict[ElementId, tuple[Fraction, ...]] = {}
-    zero = Fraction(0)
-    for i, e in enumerate(ids):
-        vec = [zero] * k
-        vec[0] = Fraction(g[e])
-        if i < k - 1:
-            vec[i + 1] = Fraction(1)
-        coordinates[e] = tuple(vec)
-    return Embedding(dimension=k, coordinates=coordinates)
+    return Embedding({e: g[e] for e in ids})
 
 
 def realize_complex(poset: Poset, embedding: Embedding) -> GeometricComplex:
@@ -99,7 +105,7 @@ def realize_complex(poset: Poset, embedding: Embedding) -> GeometricComplex:
     cannot separate the endpoints.
     """
     for e in poset.elements:
-        if e not in embedding.coordinates:
+        if e not in embedding.heights:
             raise UnknownElement(f"embedding has no coordinates for {e!r}")
     for a in sorted(poset.elements):
         for b in sorted(poset.strict_up_set(a)):
@@ -114,7 +120,7 @@ def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
     The vertex itself contributes +1 in dimension 0.  Computed purely from
     the embedded coordinates.
     """
-    if b not in complex_.embedding.coordinates:
+    if b not in complex_.embedding.heights:
         raise UnknownElement(f"unknown vertex {b!r}")
     height = complex_.embedding.height
     peak = height(b)
@@ -139,10 +145,10 @@ def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, in
     sign at its highest vertex.  Reads only the embedded heights and the
     up-sets; no simplex is built.
     """
+    heights = embedding.heights
     for e in poset.elements:
-        if e not in embedding.coordinates:
+        if e not in heights:
             raise UnknownElement(f"embedding has no coordinates for {e!r}")
-    heights = {v: coords[0] for v, coords in embedding.coordinates.items()}
     rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
     level = {v: rank[h] for v, h in heights.items()}
     up = _general_up_sets(poset, level)

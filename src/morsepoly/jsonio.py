@@ -167,8 +167,7 @@ def embedding_to_obj(embedding: Embedding) -> dict:
     return {
         "dimension": embedding.dimension,
         "coordinates": {
-            e: [format_rational(x) for x in vec]
-            for e, vec in sorted(embedding.coordinates.items())
+            e: [format_rational(x) for x in vec] for e, vec in embedding.vectors()
         },
     }
 
@@ -180,7 +179,7 @@ def embedding_to_csv(embedding: Embedding) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["element"] + [f"coord_{i + 1}" for i in range(embedding.dimension)])
-    for e, vec in sorted(embedding.coordinates.items()):
+    for e, vec in embedding.vectors():
         writer.writerow([e] + [format_rational(x) for x in vec])
     return buffer.getvalue()
 

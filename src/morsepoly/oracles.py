@@ -83,7 +83,7 @@ def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
     are first replaced by their exact rank among the distinct heights, so
     equal heights share a rank and the pass compares ints, not Fractions.
     """
-    heights = {v: coords[0] for v, coords in complex_.embedding.coordinates.items()}
+    heights = complex_.embedding.heights
     rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
     level = {v: rank[h] for v, h in heights.items()}
     indices = dict.fromkeys(sorted(level), 0)
@@ -123,14 +123,8 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def difference_matrix(embedding: Embedding) -> list[list[Fraction]]:
     """k x (k-1) matrix whose columns are the point differences to the last point."""
-    ids = sorted(embedding.coordinates)
-    base = embedding.coordinates[ids[-1]]
-    columns = [
-        [embedding.coordinates[e][r] - base[r] for r in range(embedding.dimension)]
-        for e in ids[:-1]
-    ]
-    # Transpose columns into rows of a k x (k-1) matrix.
-    return [[col[r] for col in columns] for r in range(embedding.dimension)]
+    *points, base = (vec for _, vec in embedding.vectors())
+    return [[point[r] - base[r] for point in points] for r in range(embedding.dimension)]
 
 
 def spans_full_simplex(embedding: Embedding) -> bool:

@@ -1,6 +1,9 @@
-"""Shared fixtures: the small named posets used throughout the suite."""
+"""Shared fixtures: the small named posets used throughout the suite, and
+stdlib builders of grid tori, d-cubes and cubical tori."""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -68,6 +71,69 @@ def build_two_cycles_spec() -> ComplexSpec:
     )
     cells.append(CellSpec(id="m", dim=2, boundary=boundary))
     return ComplexSpec(kind="cellular", cells=tuple(cells))
+
+
+def torus(m: int) -> ComplexSpec:
+    """The m x m grid torus, each square cut along its diagonal (chi 0)."""
+
+    def v(i: int, j: int) -> str:
+        return f"{i % m}_{j % m}"
+
+    triangles = []
+    for i in range(m):
+        for j in range(m):
+            triangles.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
+            triangles.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
+    return ComplexSpec(kind="simplicial", maximal_simplices=tuple(triangles))
+
+
+def cube(d: int) -> ComplexSpec:
+    """The d-cube [0, 1]^d as a cellular complex (3^d cells, chi 1).
+
+    A cell is a word over 0, 1 and I (the unit interval), one letter per
+    axis; its dimension counts the I's, and its codimension-1 faces replace
+    one I by 0 or by 1.
+    """
+    cells = []
+    for word in itertools.product("01I", repeat=d):
+        cell = "".join(word)
+        boundary = tuple(
+            f"c{cell[:i]}{end}{cell[i + 1:]}" for i, c in enumerate(cell) if c == "I" for end in "01"
+        )
+        cells.append(CellSpec(id=f"c{cell}", dim=cell.count("I"), boundary=boundary))
+    return ComplexSpec(kind="cellular", cells=tuple(cells))
+
+
+def cubical_torus(a: int, b: int) -> ComplexSpec:
+    """The a x b grid of unit squares with opposite sides glued (4ab cells,
+    chi 0), for a, b >= 3 so that no two edges share both endpoints."""
+    if a < 3 or b < 3:
+        raise ValueError("a cubical torus needs a, b >= 3")
+
+    def v(i: int, j: int) -> str:
+        return f"v{i % a}_{j % b}"
+
+    cells = []
+    for i in range(a):
+        for j in range(b):
+            cells += [
+                CellSpec(id=v(i, j), dim=0, boundary=()),
+                CellSpec(id=f"h{i}_{j}", dim=1, boundary=(v(i, j), v(i + 1, j))),
+                CellSpec(id=f"w{i}_{j}", dim=1, boundary=(v(i, j), v(i, j + 1))),
+                CellSpec(id=f"s{i}_{j}", dim=2, boundary=(
+                    f"h{i}_{j}", f"h{i}_{(j + 1) % b}", f"w{i}_{j}", f"w{(i + 1) % a}_{j}",
+                )),
+            ]
+    return ComplexSpec(kind="cellular", cells=tuple(cells))
+
+
+# (name, spec, Euler characteristic) of the cubical inputs the suite runs.
+CUBICAL = (
+    ("cube3", cube(3), 1),
+    ("cube4", cube(4), 1),
+    ("cubical_torus4x4", cubical_torus(4, 4), 0),
+    ("cubical_torus5x3", cubical_torus(5, 3), 0),
+)
 
 
 @pytest.fixture

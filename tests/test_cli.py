@@ -20,31 +20,18 @@ from hypothesis import strategies as st
 from morsepoly import chain_index, cli, complexes, generators, geometry, morse
 from morsepoly import poset as poset_module
 from morsepoly.cli import main
-from morsepoly.complexes import ComplexSpec, face_poset_simplicial
+from morsepoly.complexes import face_poset_simplicial
 from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import chain_counts
+from tests.conftest import CUBICAL, torus
 
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
 CHAIN = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}
 CHAIN_MORSE = {"values": {"0": "2", "1": "1", "2": "0"}}
 EDGE = {"elements": ["a", "b", "e"], "covers": [["a", "e"], ["b", "e"]]}
 EDGE_MORSE = {"values": {"a": "0", "b": "2", "e": "1"}}
-
-
-def torus(m: int) -> ComplexSpec:
-    """The m x m grid torus, each square cut along its diagonal (chi 0)."""
-
-    def v(i: int, j: int) -> str:
-        return f"{i % m}_{j % m}"
-
-    triangles = []
-    for i in range(m):
-        for j in range(m):
-            triangles.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
-            triangles.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
-    return ComplexSpec(kind="simplicial", maximal_simplices=tuple(triangles))
 
 
 @pytest.fixture
@@ -185,6 +172,7 @@ class TestVerifySinglePass:
               key=lambda poset, values, elements: "whole" if elements is poset.elements
               else "local")
         count("set_value", morse._Pipeline)
+        count("vectors", geometry.Embedding)
 
         general_up_sets = geometry._general_up_sets
 
@@ -223,6 +211,8 @@ class TestVerifySinglePass:
         assert calls["_chain_members"] == 0
         assert calls["Chain"] == 0
         assert calls["order_complex"] == 0
+        # The witness reads heights; no coordinate vector is written out.
+        assert calls["vectors"] == 0
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
         assert calls["stream"] == sum(chain_counts(poset))
 
@@ -285,6 +275,67 @@ class TestPinnedOutput:
         verified = capsys.readouterr().out
         assert hashlib.sha256(generated.encode("utf-8")).hexdigest() == gen_sha256
         assert hashlib.sha256(verified.encode("utf-8")).hexdigest() == verify_sha256
+
+    @pytest.mark.parametrize(
+        "doc, seed, json_sha256, text_sha256, csv_sha256",
+        [
+            (
+                complex_to_obj(torus(3)), 1,
+                "520c73b7991924336804bad06fa4cd987d10ac2f3eeafe12f29e4f36603161fe",
+                "a9c3aeda761519ebf25638ab560cedca9338410a8e409c0bc2ada71dfac83a70",
+                "fe82c5d34397b53bf1da65a992baac2534b852270f0963fb684bee6f27ee837a",
+            ),
+            (
+                TRIANGLE, None,
+                "db7a90f65353e63bdcce37f7b82eebb9d22177c48e23e07a180abf8071f619d2",
+                "381320bcdc4e878fa0cbb91de5682fdda9046942e51c643b0470106836909999",
+                "2ed62dea602d7965a88776aeb9f109674f6ff52c2aec10c426fa62e59906698c",
+            ),
+        ],
+        ids=["torus3_gen_morse1", "triangle_dimension"],
+    )
+    def test_embed_sha256(self, files, capsys, doc, seed, json_sha256, text_sha256, csv_sha256):
+        """`embed` JSON and text stdout and the `--csv` file, byte for byte."""
+        tmp_path, write = files
+        args = ["--in", write("c.json", doc)]
+        if seed is not None:
+            assert main(["gen", "--kind", "morse", "--seed", str(seed), *args]) == 0
+            args += ["--morse", write("f.json", json.loads(capsys.readouterr().out))]
+        csv_path = tmp_path / "coords.csv"
+        assert main(["embed", *args, "--csv", str(csv_path)]) == 0
+        as_json = capsys.readouterr().out
+        assert main(["embed", *args, "--format", "text"]) == 0
+        as_text = capsys.readouterr().out
+        assert hashlib.sha256(as_json.encode("utf-8")).hexdigest() == json_sha256
+        assert hashlib.sha256(as_text.encode("utf-8")).hexdigest() == text_sha256
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
+
+
+class TestCubical:
+    """Cellular inputs beyond simplicial ones: d-cubes and cubical tori, with
+    the dimension function and a seeded gen_morse function."""
+
+    @pytest.mark.parametrize("seed", [None, 3], ids=["dimension", "gen_morse3"])
+    @pytest.mark.parametrize("spec, chi", [c[1:] for c in CUBICAL], ids=[c[0] for c in CUBICAL])
+    def test_check_verify_embed(self, files, capsys, spec, chi, seed):
+        tmp_path, write = files
+        args = ["--in", write("c.json", complex_to_obj(spec))]
+        assert main(["check", "--strict", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["all_hold"] is True
+        if seed is not None:
+            assert main(["gen", "--kind", "morse", "--seed", str(seed), *args]) == 0
+            args += ["--morse", write("f.json", json.loads(capsys.readouterr().out))]
+        assert main(["verify", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "verified"
+        assert payload["totals"]["euler_characteristic"] == chi
+        assert sum(entry["computed"] for entry in payload["entries"]) == chi
+        assert sum(entry["geometric"] for entry in payload["entries"]) == chi
+        assert main(["embed", *args]) == 0
+        embedded = json.loads(capsys.readouterr().out)
+        n_cells = len(spec.cells)
+        assert embedded["dimension"] == n_cells
+        assert len(embedded["coordinates"]) == n_cells
 
 
 class TestCheck:
@@ -548,6 +599,10 @@ class TestBadInput:
             (["--vertices", "2000", "--dim", "1000", "--density", "0.5"],
              "density 0.5 of C(2000, 1001) candidate simplices asks for more than "
              "1048576 draws"),
+            # argparse alone would read these as option flags.
+            (["--density", "-1e-9"], "density must lie in [0, 1]"),
+            (["--density", "-inf"], "density must lie in [0, 1]"),
+            (["--density=-1e-9"], "density must lie in [0, 1]"),
         ],
     )
     def test_gen_complex_arguments(self, capsys, flags, message):
@@ -698,9 +753,14 @@ class TestNeverRaises:
                 density = data.draw(
                     st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf, 5e-324])
                 )
-                # "--flag=value", so that argparse reads "-1e-09" as a value.
-                argv = ["gen", "--kind", "complex", f"--seed={seed}", f"--vertices={vertices}",
-                        f"--dim={dimension}", f"--density={density!r}"]
+                numbers = {"--seed": seed, "--vertices": vertices, "--dim": dimension,
+                           "--density": repr(density)}
+                # "--flag=value" or "--flag value": either form must carry a
+                # value such as "-1e-09" to its validator.
+                glued = data.draw(st.booleans())
+                argv = ["gen", "--kind", "complex"]
+                for flag, value in numbers.items():
+                    argv += [f"{flag}={value}"] if glued else [flag, str(value)]
             elif command not in ("check", "euler") and data.draw(st.booleans()):
                 morse_path = Path(tmp, "f.json")
                 morse_path.write_text(json.dumps(function_document(data, str(path))),

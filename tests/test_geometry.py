@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsepoly import (
+    Embedding,
     EmptyPoset,
     GeometricComplex,
     MorseFunction,
@@ -20,6 +22,7 @@ from morsepoly import (
     dimension_morse,
     embed_vertices,
     euler_characteristic,
+    face_poset_cellular,
     face_poset_simplicial,
     gen_complex,
     gen_morse,
@@ -34,6 +37,9 @@ from morsepoly import (
     transitive_reduction,
 )
 from morsepoly.oracles import difference_matrix
+from tests.conftest import CUBICAL, torus
+
+CUBICAL_FACES = {name: face_poset_cellular(spec) for name, spec, _ in CUBICAL}
 
 
 class TestEmbedVertices:
@@ -41,7 +47,7 @@ class TestEmbedVertices:
         poset = build_poset(["v"], [])
         emb = embed_vertices(poset, MorseFunction.from_values({"v": 7}))
         assert emb.dimension == 1
-        assert emb.coordinates["v"] == (Fraction(7),)
+        assert dict(emb.vectors()) == {"v": (Fraction(7),)}
 
     def test_edge_poset_shape(self, edge_poset):
         g = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
@@ -132,12 +138,72 @@ def valued_posets(draw):
     return poset, MorseFunction.from_values(values)
 
 
+def dense_coordinates(poset, g):
+    """The placement rule written out as a k x k table, one dense Fraction
+    vector per element: the reference :meth:`Embedding.vectors` must match."""
+    ids = poset.sorted_elements
+    k = len(ids)
+    coordinates = {}
+    for i, e in enumerate(ids):
+        vec = [Fraction(0)] * k
+        vec[0] = Fraction(g[e])
+        if i < k - 1:
+            vec[i + 1] = Fraction(1)
+        coordinates[e] = tuple(vec)
+    return coordinates
+
+
+class TestVectors:
+    """An embedding stores only heights; its vectors follow the placement rule."""
+
+    def test_stores_only_heights(self, edge_poset):
+        assert Embedding.__slots__ == ("heights",)
+        g = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
+        assert embed_vertices(edge_poset, g).heights == g.values
+
+    @staticmethod
+    def assert_dense(poset, g):
+        emb = embed_vertices(poset, g)
+        assert dict(emb.vectors()) == dense_coordinates(poset, g)
+        assert emb.dimension == len(poset)
+        assert spans_full_simplex(emb)
+        # Identifier order, whatever order the heights were inserted in.
+        shuffled = Embedding(dict(reversed(list(emb.heights.items()))))
+        assert list(shuffled.vectors()) == list(emb.vectors())
+
+    @settings(max_examples=80, deadline=None)
+    @given(valued_posets())
+    def test_generated_posets(self, case):
+        self.assert_dense(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_seeded_face_posets(self, seed):
+        face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
+        self.assert_dense(face.poset, gen_morse(seed, face.poset))
+
+    def test_witness_memory_is_linear(self):
+        """embed_vertices plus the witness on the m = 20 grid torus (2,400
+        elements) stay under 4 MB traced: a k x k table of Fractions alone
+        would take tens of MB."""
+        face = face_poset_simplicial(torus(20))
+        g = dimension_morse(face.poset, face.rank)
+        tracemalloc.start()
+        try:
+            indices = lower_star_indices(face.poset, embed_vertices(face.poset, g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(indices.values()) == 0
+        assert peak < 4 * 2**20
+
+
 class TestGeometricIndices:
     """The one-pass indices against the per-vertex definition."""
 
     @staticmethod
     def assert_matches_definition(complex_):
-        expected = {b: geometric_index(complex_, b) for b in complex_.embedding.coordinates}
+        expected = {b: geometric_index(complex_, b) for b in complex_.embedding.heights}
         assert geometric_indices(complex_) == expected
 
     @settings(max_examples=80, deadline=None)
@@ -172,7 +238,7 @@ class TestLowerStarIndices:
             return
         streamed = lower_star_indices(poset, embedding)
         assert list(streamed.items()) == list(geometric_indices(complex_).items())
-        assert streamed == {b: geometric_index(complex_, b) for b in embedding.coordinates}
+        assert streamed == {b: geometric_index(complex_, b) for b in embedding.heights}
 
     def test_unknown_element(self, edge_poset):
         vertices = build_poset(["a", "b"], [])
@@ -193,6 +259,19 @@ class TestLowerStarIndices:
         face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
         g = gen_morse(seed, face.poset)
         if normalized:
+            g = normalize(face.poset, g)
+        self.assert_matches_oracles(face.poset, embed_vertices(face.poset, g))
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(CUBICAL_FACES)), seed=st.integers(0, 10**9),
+           function=st.sampled_from(("dimension", "gen_morse", "normalized")))
+    def test_cubical_posets(self, name, seed, function):
+        face = CUBICAL_FACES[name]
+        if function == "dimension":
+            g = dimension_morse(face.poset, face.rank)
+        else:
+            g = gen_morse(seed, face.poset)
+        if function == "normalized":
             g = normalize(face.poset, g)
         self.assert_matches_oracles(face.poset, embed_vertices(face.poset, g))
 
