@@ -17,10 +17,10 @@ of the support above b, each part possibly empty, so the index is
 (1 - chi(below)) * (1 - chi(above)) with both Euler characteristics from
 Hall's recursion (:func:`~morsepoly.poset.chain_weights`).  The structural
 hypotheses are checked by :func:`~morsepoly.poset.check_hypotheses`,
-re-exported here.
-:func:`combinatorial_indices` indexes every element in one pass with a
-single generality scan; the verifier's report carries those indices and the
-normalized function they came from.
+re-exported here.  :func:`combinatorial_indices` indexes every element in
+one pass with a single generality scan.  It reads only the order of g, so
+the verifier runs it on the int order keys of the normalization trace, and
+its report carries the normalized rationals.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     classification, g = trace.classification, trace.result
 
     entries = []
-    for b, computed in combinatorial_indices(poset, g).items():
+    for b, computed in combinatorial_indices(poset, trace.keys).items():
         predicted = predicted_index(classification, mu, b)
         if computed != predicted:
             raise Mismatch(b, computed, predicted)

@@ -44,7 +44,9 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
 
     ``density`` in [0, 1] scales how many candidate simplices (of size up to
     dimension+1) are drawn; density 0 yields the vertex-only complex.  Every
-    vertex appears, isolated ones as singleton maximal simplices.
+    vertex appears, isolated ones as singleton maximal simplices, so at most
+    ``MAX_DRAWS`` vertices are accepted.  Every parameter is checked before
+    anything is allocated.
     """
     if n_vertices < 1:
         raise InvalidArgument("n_vertices must be at least 1")
@@ -52,10 +54,10 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
         raise InvalidArgument("dimension must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise InvalidArgument("density must lie in [0, 1]")
-    rng = random.Random(seed)
-    vertices = [str(i + 1) for i in range(n_vertices)]
-    chosen: set[tuple[str, ...]] = set()
+    if n_vertices > MAX_DRAWS:
+        raise InvalidArgument(f"n_vertices must be at most {MAX_DRAWS}")
     size_cap = min(dimension + 1, n_vertices)
+    draws = 0
     if density > 0 and size_cap >= 2:
         candidates = comb(n_vertices, size_cap)
         exact = Fraction(density) * candidates  # the count can exceed the float range
@@ -63,12 +65,15 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
             raise InvalidArgument(f"density {density} of C({n_vertices}, {size_cap}) "
                                   f"candidate simplices asks for more than {MAX_DRAWS} draws")
         try:
-            draws = round(density * candidates)
+            draws = max(1, round(density * candidates))
         except OverflowError:  # a tiny density times a count no float holds
-            draws = round(exact)
-        for _ in range(max(1, draws)):
-            size = rng.randint(2, size_cap)
-            chosen.add(tuple(sorted(rng.sample(vertices, size))))
+            draws = max(1, round(exact))
+    rng = random.Random(seed)
+    vertices = [str(i + 1) for i in range(n_vertices)]
+    chosen: set[tuple[str, ...]] = set()
+    for _ in range(draws):
+        size = rng.randint(2, size_cap)
+        chosen.add(tuple(sorted(rng.sample(vertices, size))))
     covered = {v for simplex in chosen for v in simplex}
     for v in vertices:
         if v not in covered:

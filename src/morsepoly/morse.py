@@ -5,8 +5,8 @@ at most one lower cover a with f(a) >= f(b) and at most one upper cover c
 with f(b) >= f(c).  An element with no such neighbor in either direction is
 critical; otherwise it is ordinary.  The condition is stated once, in
 :func:`_scan`, which validation, classification, the local recheck and the
-exclusivity oracle (:mod:`morsepoly.oracles`) all read.  All values are
-exact rationals; no comparison in this module ever touches floating point.
+exclusivity oracle (:mod:`morsepoly.oracles`) all read.  Values are exact
+rationals; no comparison in this module ever touches floating point.
 
 The normalization pipeline (:func:`normalize`) rewrites a valid function on
 a 2-wide poset into one with the same critical set that is additionally
@@ -16,13 +16,15 @@ g(x) < g(y), also g(z) < g(y) and g(x) < g(w)), and free of all four
 extension, each changing at most one value per element; the input's
 classification and every intermediate stage are retained in a trace so each
 step can be audited; each change is rechecked locally as it is made, so the
-obstruction audits do not validate the function again.
+obstruction audits do not validate the function again.  All of it reads
+only the order of the values, so after the up sweep they are ranked once
+into int keys: the spread sweep, its rechecks and the later audits compare
+ints, and the written rationals are computed without comparing any.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right, insort
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping
@@ -155,16 +157,18 @@ class Modification(Record):
 
 class NormalizationTrace(Record):
     """The normalization pipeline's input, its classification (which every
-    stage preserves), the function after each sweep, and every change made."""
+    stage preserves), the function after each sweep, every change made, and
+    the result as the int order keys the audits compared."""
 
     __slots__ = ("order", "start", "classification", "after_up_sweep", "result",
-                 "modifications")
+                 "modifications", "keys")
     order: tuple[ElementId, ...]
     start: MorseFunction
     classification: Classification
     after_up_sweep: MorseFunction
     result: MorseFunction
     modifications: tuple[Modification, ...]
+    keys: MorseFunction
 
 
 def _require_total(poset: Poset, f: MorseFunction) -> None:
@@ -176,14 +180,14 @@ def _require_total(poset: Poset, f: MorseFunction) -> None:
         raise UnknownElement(f"function assigns values to non-elements {extra}")
 
 
-def _scan(poset: Poset, values: Mapping[ElementId, Fraction], elements):
+def _scan(poset: Poset, values: Mapping[ElementId, Fraction | int], elements):
     """Yield (b, below, above) for the elements in identifier order: b's
     non-increasing lower and upper covers, at most one each.  Raises
     InvalidMorseFunction at the first element with two on one side."""
     for b in sorted(elements):
         value = values[b]
-        below = [a for a in poset.lower_covers(b) if values[a] >= value]
-        above = [c for c in poset.upper_covers(b) if value >= values[c]]
+        below = [a for a in poset._lower[b] if values[a] >= value]
+        above = [c for c in poset._upper[b] if value >= values[c]]
         if len(below) > 1 or len(above) > 1:
             side, covers = (BELOW, below) if len(below) > 1 else (ABOVE, above)
             # A list, not a generator: one generator per raise grew gen_morse's RSS.
@@ -192,7 +196,7 @@ def _scan(poset: Poset, values: Mapping[ElementId, Fraction], elements):
 
 
 def _recheck_near(
-    poset: Poset, values: Mapping[ElementId, Fraction], element: ElementId
+    poset: Poset, values: Mapping[ElementId, Fraction | int], element: ElementId
 ) -> dict[ElementId, bool]:
     """Morse condition and critical verdicts at element and its covers only.
 
@@ -202,7 +206,7 @@ def _recheck_near(
     the first of them, in identifier order, that breaks the Morse condition;
     otherwise returns whether each is critical.
     """
-    near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
+    near = {element, *poset._lower[element], *poset._upper[element]}
     return {b: not below and not above for b, below, above in _scan(poset, values, near)}
 
 
@@ -237,12 +241,10 @@ def find_troubled(poset: Poset, f: MorseFunction) -> TroubleReport:
     return _find_troubled(poset, f.values)
 
 
-def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction]) -> TroubleReport:
+def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> TroubleReport:
     """:func:`find_troubled` on a function already known to be valid."""
-    short_up: dict[ElementId, tuple[ElementId, ElementId]] = {}
-    up: dict[ElementId, tuple[ElementId, ElementId]] = {}
-    short_down: dict[ElementId, tuple[ElementId, ElementId]] = {}
-    down: dict[ElementId, tuple[ElementId, ElementId]] = {}
+    # Each maps a flagged element to its first witness pair.
+    short_up, up, short_down, down = {}, {}, {}, {}
 
     for x, y in sorted(poset.covers):
         if values[x] >= values[y]:
@@ -294,12 +296,13 @@ def _short_up_witness(poset, values, e):
 
 
 class _Pipeline:
-    """Mutable state for one normalization run: the working values, the
-    input's classification and critical set, and the modifications so far."""
+    """Mutable state for one normalization run: the working values (the
+    rationals, then :meth:`rank`'s int keys), the input's classification and
+    critical set, and the modifications so far."""
 
     def __init__(self, poset: Poset, f: MorseFunction):
         self.poset = poset
-        self.values: dict[ElementId, Fraction] = dict(f.values)
+        self.values: dict[ElementId, Fraction | int] = dict(f.values)
         self.classification = classify(poset, f)
         self.critical = self.classification.critical_set()
         self.modifications: list[Modification] = []
@@ -307,23 +310,20 @@ class _Pipeline:
     def snapshot(self) -> MorseFunction:
         return MorseFunction(dict(self.values))
 
-    def set_value(self, stage: str, element: ElementId, new: Fraction) -> None:
-        old = self.values[element]
-        self.values[element] = new
-        self.modifications.append(Modification(stage, element, old, new))
+    def set_value(self, change: Modification, new: Fraction | int) -> None:
+        """Record change; new is change.new, or after :meth:`rank` its key."""
+        self.values[change.element] = new
+        self.modifications.append(change)
+        moving = "when moving {0.element!r} from {0.old} to {0.new}"  # formatted on failure
         try:
-            critical = _recheck_near(self.poset, self.values, element)
+            critical = _recheck_near(self.poset, self.values, change.element)
         except InvalidMorseFunction as exc:
-            raise AssertionError(
-                f"stage {stage} broke the Morse condition at {exc.element!r} "
-                f"when moving {element!r} from {old} to {new}"
-            ) from exc
+            raise AssertionError(f"stage {change.stage} broke the Morse condition at "
+                                 f"{exc.element!r} {moving.format(change)}") from exc
         changed = [b for b, c in critical.items() if c != (b in self.critical)]
         if changed:
-            raise AssertionError(
-                f"stage {stage} changed the critical set at {changed} "
-                f"when moving {element!r} from {old} to {new}"
-            )
+            raise AssertionError(f"stage {change.stage} changed the critical set at "
+                                 f"{changed} {moving.format(change)}")
 
     def up_sweep(self, order: tuple[ElementId, ...]) -> None:
         """Remove short-up obstructions, sweeping the linear extension upward.
@@ -355,30 +355,43 @@ class _Pipeline:
                     f"up sweep precondition failed, implementation bug"
                 )
             bound = min(values[b] for b in poset.upper_covers(x))
-            self.set_value("up_sweep", e, _midpoint(values[x], bound))
+            new = _midpoint(values[x], bound)
+            self.set_value(Modification("up_sweep", e, values[e], new), new)
 
-    def spread_sweep(self, order: tuple[ElementId, ...]) -> None:
-        """Make all values distinct without reordering any strict comparison.
+    def rank(self) -> dict[int, tuple[int, Fraction | None]]:
+        """Key the i-th distinct rational i * spacing, spacing exceeding the
+        element count, and return each key's ceiling: the next class's key
+        and value, or past the maximum key + spacing and None."""
+        distinct = sorted(set(self.values.values()))
+        spacing = len(self.values) + 1
+        key = {v: i * spacing for i, v in enumerate(distinct)}
+        self.values = {e: key[v] for e, v in self.values.items()}
+        tops = distinct[1:] + [None]
+        return {i * spacing: ((i + 1) * spacing, top) for i, top in enumerate(tops)}
 
-        Each duplicated value is nudged up to the midpoint between it and the
-        next strictly larger value in the image (or +1 past the maximum), so
-        no existing value lands between the old and new ones.  The image is
-        kept as a multiset and a sorted list of its distinct values; a new
-        value is never already in the image, so it only ever gets inserted.
+    def spread_sweep(self, order, rationals, ceiling) -> dict[ElementId, Fraction]:
+        """Make all values distinct without reordering any strict comparison;
+        return the written rationals.
+
+        Runs on the keys and ceilings :meth:`rank` made from ``rationals``.
+        Each tie class's elements but its last in order move up: the key to
+        one below the class's ceiling key, the rational to the midpoint of
+        the class's value and ceiling value (past the maximum, the first to
+        value + 1), and the move becomes the ceiling.  So both land
+        between the same neighbours, and every comparison agrees on either.
         """
-        values = self.values
-        count = Counter(values.values())
-        image = sorted(count)
+        keys, written = self.values, dict(rationals)
+        left = Counter(keys.values())
         for e in order:
-            current = values[e]
-            if count[current] == 1:
+            key, value = keys[e], written[e]
+            if left[key] == 1:
                 continue
-            i = bisect_right(image, current)
-            new = _midpoint(current, image[i]) if i < len(image) else current + 1
-            self.set_value("spread_sweep", e, new)
-            count[current] -= 1
-            count[new] += 1
-            insort(image, new)
+            left[key] -= 1
+            top_key, top = ceiling[key]
+            written[e] = new = value + 1 if top is None else (value + top) / 2
+            ceiling[key] = top_key - 1, new
+            self.set_value(Modification("spread_sweep", e, value, new), top_key - 1)
+        return written
 
 
 def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
@@ -391,10 +404,8 @@ def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     contract violation fails loudly at the exact step that caused it.
 
     The up sweep must leave no obstruction at all (see
-    :meth:`_Pipeline.up_sweep` for why no down sweep is needed), and that is
-    audited before the spread sweep runs: breaking ties there can hide an
-    obstruction that the up sweep left behind, so the final audit alone
-    could miss it.
+    :meth:`_Pipeline.up_sweep` for why no down sweep is needed).  That is
+    audited before the spread sweep, whose tie breaking could hide one.
     """
     verdict = is_two_wide(poset)
     if not verdict:
@@ -410,30 +421,23 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
 
     state.up_sweep(order)
     after_up = state.snapshot()
-    report = _find_troubled(poset, after_up.values)
+    ceiling = state.rank()
+    report = _find_troubled(poset, state.values)
     if not report.clean():
-        raise AssertionError(
-            f"up sweep left obstructed elements {report.troubled_elements()}; "
-            f"implementation bug"
-        )
+        raise AssertionError(f"up sweep left obstructed elements "
+                             f"{report.troubled_elements()}; implementation bug")
 
-    state.spread_sweep(order)
-    result = state.snapshot()
-    if not result.is_injective():
+    result = MorseFunction(state.spread_sweep(order, after_up.values, ceiling))
+    keys = state.snapshot()
+    if not keys.is_injective():
         raise AssertionError("spread sweep failed to separate all values")
-    if not _find_troubled(poset, result.values).clean():
+    if not _find_troubled(poset, keys.values).clean():
         raise AssertionError("spread sweep reintroduced an obstruction")
-    if classify(poset, result).critical_set() != state.critical:
+    if classify(poset, keys).critical_set() != state.critical:
         raise AssertionError("normalization changed the critical set")
 
-    return NormalizationTrace(
-        order=order,
-        start=start,
-        classification=state.classification,
-        after_up_sweep=after_up,
-        result=result,
-        modifications=tuple(state.modifications),
-    )
+    return NormalizationTrace(order, start, state.classification, after_up, result,
+                              tuple(state.modifications), keys)
 
 
 def normalize(poset: Poset, f: MorseFunction) -> MorseFunction:

@@ -279,11 +279,6 @@ class Poset:
         self.require(b)
         return a in self._below[b]
 
-    def comparable(self, a: ElementId, b: ElementId) -> bool:
-        self.require(a)
-        self.require(b)
-        return a == b or a in self._below[b] or b in self._below[a]
-
     def minimal_elements(self) -> tuple[ElementId, ...]:
         return tuple(e for e in sorted(self.elements) if not self._lower[e])
 

@@ -174,6 +174,20 @@ class TestVerifySinglePass:
         count("set_value", morse._Pipeline)
         count("vectors", geometry.Embedding)
 
+        def value_types(name, module, values):
+            """Count calls under (name, the type names of the values read)."""
+            original = getattr(module, name)
+
+            def wrapper(*args, _original=original):
+                calls[(name, *sorted({type(v).__name__ for v in values(*args).values()}))] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        value_types("classify", morse, lambda poset, f: f.values)
+        value_types("_find_troubled", morse, lambda poset, values: values)
+        value_types("_require_general", chain_index, lambda poset, g: g.values)
+
         general_up_sets = geometry._general_up_sets
 
         def counted_up_sets(poset, level):
@@ -206,6 +220,12 @@ class TestVerifySinglePass:
         assert calls["_find_troubled"] == 2
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
+        # Only the input's classification compares rationals: the audits,
+        # the final classification and the index compare int order keys.
+        assert calls["classify", "Fraction"] == 1
+        assert calls["classify", "int"] == 1
+        assert calls["_find_troubled", "int"] == 2
+        assert calls["_require_general", "int"] == 1
         # Nothing lists chains: the geometric witness streams them, one
         # step per chain, and builds no order complex.
         assert calls["_chain_members"] == 0
@@ -603,6 +623,9 @@ class TestBadInput:
             (["--density", "-1e-9"], "density must lie in [0, 1]"),
             (["--density", "-inf"], "density must lie in [0, 1]"),
             (["--density=-1e-9"], "density must lie in [0, 1]"),
+            # One singleton simplex per uncovered vertex: refused before any is listed.
+            (["--vertices", "100000000", "--dim", "1", "--density", "1e-9"],
+             "n_vertices must be at most 1048576"),
         ],
     )
     def test_gen_complex_arguments(self, capsys, flags, message):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -90,6 +91,25 @@ class TestGenComplex:
         assert sum(len(s) > 1 for s in spec.maximal_simplices) == 2
         with pytest.raises(InvalidArgument):
             gen_complex(0, 2000, 1000, 0.5)
+
+    def test_vertex_ceiling_is_checked_before_any_allocation(self, monkeypatch):
+        # 10^12 vertices at this density ask for few draws, but the output
+        # would hold a singleton simplex for every vertex.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InvalidArgument, match="n_vertices must be at most 1048576"):
+                gen_complex(0, 10**12, 1, 1e-9)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert elapsed < 1.0
+        monkeypatch.setattr(generators, "MAX_DRAWS", 5)
+        assert len(gen_complex(0, 5, 0, 0.0).maximal_simplices) == 5
+        with pytest.raises(InvalidArgument, match="n_vertices must be at most 5"):
+            gen_complex(0, 6, 0, 0.0)
 
 
 class TestGenMorse:

@@ -19,6 +19,7 @@ from morsepoly import (
     build_poset,
     check_exclusivity,
     classify,
+    combinatorial_indices,
     dimension_morse,
     find_troubled,
     gen_complex,
@@ -245,6 +246,25 @@ class TestStageFaults:
             normalize(poset, f)
         assert str(info.value).startswith(message)
         assert "when moving 'a' from 5 to" in str(info.value)
+
+    def test_spread_key_outside_its_gap_is_caught(self, edge_poset, monkeypatch):
+        rank = morse._Pipeline.rank
+
+        def overshooting(state):
+            # Every ceiling one gap too high: a key moved out of a tie class
+            # lands above the next class.
+            ceiling = rank(state)
+            spacing = len(state.values) + 1
+            return {key: (top_key + spacing, top) for key, (top_key, top) in ceiling.items()}
+
+        monkeypatch.setattr(morse._Pipeline, "rank", overshooting)
+        f = MorseFunction.from_values({"a": 0, "b": 0, "e": 1})
+        with pytest.raises(AssertionError) as info:
+            normalize(edge_poset, f)
+        assert str(info.value) == (
+            "stage spread_sweep changed the critical set at ['a', 'e'] "
+            "when moving 'a' from 0 to 1/2"
+        )
 
 
 @st.composite
@@ -626,6 +646,33 @@ class TestSpreadSweepReference:
         assert moves == [
             (m.element, m.old, m.new) for m in trace.modifications if m.stage == "spread_sweep"
         ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=two_wide_functions())
+    @with_examples(vacuity_cases())
+    def test_keys_match_the_rational_pipeline(self, case):
+        # The Fraction reference: the up sweep, then the direct rule on its result.
+        poset, f = case
+        order = linear_extension(poset)
+        state = morse._Pipeline(poset, f)
+        state.up_sweep(order)
+        values, moves = self.direct(order, state.values)
+        expected = [(m.stage, m.element, m.old, m.new) for m in state.modifications]
+        expected += [("spread_sweep", *move) for move in moves]
+
+        trace = normalize_trace(poset, f)
+        assert trace.order == order
+        assert trace.classification == classify(poset, f)
+        assert trace.after_up_sweep.values == state.values
+        assert trace.result.values == values
+        assert [(m.stage, m.element, m.old, m.new) for m in trace.modifications] == expected
+        # The keys order the elements exactly as the written rationals do.
+        assert all(type(k) is int for k in trace.keys.values.values())
+        by_key = sorted(poset.elements, key=trace.keys.values.__getitem__)
+        assert by_key == sorted(poset.elements, key=values.__getitem__)
+        assert combinatorial_indices(poset, trace.keys) == combinatorial_indices(
+            poset, trace.result
+        )
 
 
 def idempotence_cases():
