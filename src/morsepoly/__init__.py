@@ -9,8 +9,8 @@ those indices to the Euler characteristic.
 
 Importing the package loads none of its modules: each public name is
 resolved on first access (PEP 562), so a caller pays only for the modules
-it uses.  The brute-force references the tests hold the fast paths to live
-in :mod:`morsepoly.oracles`.
+it uses.  The brute-force references the tests hold the fast paths to, and
+the materialized order complex, live in :mod:`morsepoly.oracles`.
 """
 
 __version__ = "0.1.0"
@@ -18,12 +18,14 @@ __version__ = "0.1.0"
 # The module that defines each public name; __all__ lists every one.
 _HOMES = {
     "poset": (
-        "Chain", "EulerianVerdict", "GradingConflict", "ParityRank", "Poset",
-        "RankFunction", "SimplicialComplex", "TwoWideVerdict", "build_poset",
-        "chain_counts", "chain_euler_characteristic", "chain_weights",
-        "check_hypotheses", "compute_parity_rank", "compute_rank_function",
-        "enumerate_chains", "euler_characteristic", "is_downward_eulerian",
-        "is_two_wide", "order_complex", "transitive_reduction",
+        "ParityRank", "Poset", "RankFunction", "build_poset", "chain_counts",
+        "transitive_reduction",
+    ),
+    "hypotheses": (
+        "EulerianVerdict", "GradingConflict", "TwoWideVerdict",
+        "chain_euler_characteristic", "chain_weights", "check_hypotheses",
+        "compute_parity_rank", "compute_rank_function", "is_downward_eulerian",
+        "is_two_wide",
     ),
     "errors": (
         "CycleDetected", "EmptyPoset", "HypothesisViolated", "InvalidArgument",
@@ -32,10 +34,11 @@ _HOMES = {
         "NotGeneral", "NotTwoWide", "ParseError", "RankConflict", "UnknownElement",
     ),
     "morse": (
-        "Classification", "Modification", "MorseFunction", "MorseVerdict",
-        "NormalizationTrace", "TroubleFlags", "TroubleReport", "classify",
+        "Classification", "MorseFunction", "MorseVerdict", "classify", "validate_morse",
+    ),
+    "normalization": (
+        "Modification", "NormalizationTrace", "TroubleFlags", "TroubleReport",
         "find_troubled", "linear_extension", "normalize", "normalize_trace",
-        "validate_morse",
     ),
     "complexes": (
         "CellSpec", "ComplexSpec", "FacePoset", "MorseInequalityReport",
@@ -47,14 +50,15 @@ _HOMES = {
         "predicted_index", "verify_representation",
     ),
     "geometry": (
-        "CrossCheckReport", "Embedding", "GeometricComplex", "cross_check",
-        "embed_vertices", "geometric_index", "lower_star_indices", "realize_complex",
+        "CrossCheckReport", "Embedding", "embed_vertices", "lower_star_indices",
     ),
     "generators": ("gen_complex", "gen_morse"),
     "oracles": (
-        "ExclusivityReport", "chain_sum_excluding", "chain_sum_lower", "chain_sum_top",
-        "check_exclusivity", "geometric_indices", "matrix_rank",
-        "monotone_extension_holds", "spans_full_simplex",
+        "Chain", "ExclusivityReport", "GeometricComplex", "SimplicialComplex",
+        "chain_sum_excluding", "chain_sum_lower", "chain_sum_top", "check_exclusivity",
+        "cross_check", "enumerate_chains", "euler_characteristic", "geometric_index",
+        "geometric_indices", "matrix_rank", "monotone_extension_holds", "order_complex",
+        "realize_complex", "spans_full_simplex",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -15,8 +15,8 @@ enumerates chains.  The index factorizes instead: a chain through b on
 which g peaks at b is a chain of the support below b, b itself, and a chain
 of the support above b, each part possibly empty, so the index is
 (1 - chi(below)) * (1 - chi(above)) with both Euler characteristics from
-Hall's recursion (:func:`~morsepoly.poset.chain_weights`).  The structural
-hypotheses are checked by :func:`~morsepoly.poset.check_hypotheses`,
+Hall's recursion (:func:`~morsepoly.hypotheses.chain_weights`).  The structural
+hypotheses are checked by :func:`~morsepoly.hypotheses.check_hypotheses`,
 re-exported here.  :func:`combinatorial_indices` indexes every element in
 one pass with a single generality scan.  It reads only the order of g, so
 the verifier runs it on the int order keys of the normalization trace, and
@@ -26,19 +26,13 @@ its report carries the normalized rationals.
 from __future__ import annotations
 
 from .errors import Mismatch, NonGeneralFunction
-from .morse import (
-    Classification,
-    MorseFunction,
-    _normalize_trace,
-)
-from .poset import (
-    ElementId,
-    ParityRank,
-    Poset,
-    Record,
+from .hypotheses import (
     chain_euler_characteristic,
     check_hypotheses,  # re-exported, so it still imports from this module
 )
+from .morse import Classification, MorseFunction
+from .normalization import _normalize_trace
+from .poset import ElementId, ParityRank, Poset, Record
 
 
 class IndexEntry(Record):

@@ -33,8 +33,6 @@ from .poset import (
     RankFunction,
     Record,
     build_poset,
-    chain_euler_characteristic,
-    check_hypotheses,
     transitive_reduction,
 )
 
@@ -199,6 +197,9 @@ def morse_inequality_report(
     Asserts sum_i (-1)^i M_i = chi of the order complex; requires the
     structural hypotheses (raises HypothesisViolated otherwise).
     """
+    # Every command loads this module; only this report needs the hypotheses.
+    from .hypotheses import chain_euler_characteristic, check_hypotheses
+
     mu = check_hypotheses(poset)
     for e in poset.elements:
         if e not in rank.values:

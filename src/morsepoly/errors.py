@@ -12,6 +12,11 @@ and copies with its fields and message intact.
 
 from __future__ import annotations
 
+# The CLI's exit status when a verified identity fails (or `check --strict`
+# finds a property that fails), and for any MorsePolyError.
+MISMATCH_EXIT = 1
+INPUT_ERRORS_EXIT = 2
+
 
 class MorsePolyError(Exception):
     """Base class for all errors raised by this package."""

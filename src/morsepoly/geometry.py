@@ -13,17 +13,18 @@ Projection onto the first coordinate axis is the fixed height function.  The
 geometric index of a vertex counts, with sign (-1)^dimension, the simplices
 of its closed star whose projection is maximal at that vertex.  Because the
 heights reproduce g, this is an independent re-computation of the
-combinatorial chain-sum index, and :func:`cross_check` compares the two
+combinatorial chain-sum index, and :func:`compare_indices` compares the two
 elementwise.  The witness :func:`lower_star_indices` streams the chains of
 the poset, the simplices of the order complex, in an iterative depth-first
 walk that carries each chain's highest vertex, so every simplex costs one
 O(1) step and none is built; each adds its sign at its highest vertex
-(Banchoff's lower-star count).  The materialized forms are kept as oracles:
-:func:`realize_complex` attaches the order complex's simplices to the
-embedding, :func:`geometric_index` states the definition for one vertex,
-and :func:`morsepoly.oracles.geometric_indices` counts every vertex over
-those simplices.  All coordinates are exact rationals; no floating point
-exists anywhere in this module.
+(Banchoff's lower-star count).  The materialized forms are oracles in
+:mod:`morsepoly.oracles`: ``realize_complex`` attaches the order complex's
+simplices to the embedding, ``geometric_index`` states the definition for
+one vertex, ``geometric_indices`` counts every vertex over those simplices,
+and ``cross_check`` runs the witness against the combinatorial indices.
+All coordinates are exact rationals; no floating point exists anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .chain_index import combinatorial_indices
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
 from .morse import MorseFunction
-from .poset import ElementId, Poset, Record, order_complex
+from .poset import ElementId, Poset, Record, _forwarding
 
 
 class Embedding(Record):
@@ -60,14 +60,6 @@ class Embedding(Record):
             if i < len(ids) - 1:
                 vec[i + 1] = Fraction(1)
             yield e, tuple(vec)
-
-
-class GeometricComplex(Record):
-    """Order-complex simplices attached to embedded vertex coordinates."""
-
-    __slots__ = ("embedding", "simplices")
-    embedding: Embedding
-    simplices: frozenset[frozenset[ElementId]]
 
 
 class CrossCheckReport(Record):
@@ -97,48 +89,12 @@ def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
     return Embedding({e: g[e] for e in ids})
 
 
-def realize_complex(poset: Poset, embedding: Embedding) -> GeometricComplex:
-    """Attach the order-complex simplices to an embedding.
-
-    Raises NotGeneral if two comparable elements share a first coordinate:
-    such a pair spans an edge of the complex on which the height function
-    cannot separate the endpoints.
-    """
-    for e in poset.elements:
-        if e not in embedding.heights:
-            raise UnknownElement(f"embedding has no coordinates for {e!r}")
-    for a in sorted(poset.elements):
-        for b in sorted(poset.strict_up_set(a)):
-            if embedding.height(a) == embedding.height(b):
-                raise NotGeneral((a, b))
-    return GeometricComplex(embedding=embedding, simplices=order_complex(poset).simplices)
-
-
-def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
-    """Signed count of closed-star simplices whose height peaks at b.
-
-    The vertex itself contributes +1 in dimension 0.  Computed purely from
-    the embedded coordinates.
-    """
-    if b not in complex_.embedding.heights:
-        raise UnknownElement(f"unknown vertex {b!r}")
-    height = complex_.embedding.height
-    peak = height(b)
-    total = 0
-    for simplex in complex_.simplices:
-        if b not in simplex:
-            continue
-        if all(height(v) < peak for v in simplex if v != b):
-            total += (-1) ** (len(simplex) - 1)
-    return total
-
-
 def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, int]:
     """:func:`~morsepoly.oracles.geometric_indices` of
-    :func:`realize_complex`, streamed.
+    :func:`~morsepoly.oracles.realize_complex`, streamed.
 
-    Raises UnknownElement and NotGeneral exactly where
-    :func:`realize_complex` does.  Then walks every chain with an iterative
+    Raises UnknownElement and NotGeneral exactly where the oracle
+    ``realize_complex`` does.  Then walks every chain with an iterative
     depth-first search from each element over its strict up-set, carrying
     the chain's last vertex, highest vertex, that vertex's height rank and
     the sign (-1)^dimension, so one step reaches one chain and adds its
@@ -175,7 +131,7 @@ def _general_up_sets(
 ) -> dict[ElementId, list[tuple[ElementId, int]]]:
     """Each element's strict up-set in identifier order, as (element, level)
     pairs; raises NotGeneral at the first comparable pair with equal levels,
-    scanning in :func:`realize_complex`'s order."""
+    scanning in the oracle ``realize_complex``'s order."""
     up: dict[ElementId, list[tuple[ElementId, int]]] = {}
     for a in sorted(poset.elements):
         a_level = level[a]
@@ -198,15 +154,11 @@ def compare_indices(
     return CrossCheckReport(ok=not mismatches, mismatches=mismatches, indices=geometric)
 
 
-def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
-    """Compare geometric and combinatorial indices for every element.
 
-    The two computations share only the function g: one streams the chains
-    of the poset, the simplices of the embedded order complex, through
-    :func:`lower_star_indices` without building any, the other counts
-    chains by Hall's recursion without listing them.  The materialized
-    :func:`realize_complex` and :func:`~morsepoly.oracles.geometric_indices`
-    stay as oracles.
-    """
-    geometric = lower_star_indices(poset, embed_vertices(poset, g))
-    return compare_indices(geometric, combinatorial_indices(poset, g))
+
+# The benchmark's layer pass (bench/layers.py) imports these from here.
+__getattr__ = _forwarding(__name__, {
+    "cross_check": "oracles",
+    "geometric_index": "oracles",
+    "realize_complex": "oracles",
+})

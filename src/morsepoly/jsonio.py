@@ -172,15 +172,16 @@ def embedding_to_obj(embedding: Embedding) -> dict:
     }
 
 
-def embedding_to_csv(embedding: Embedding) -> str:
-    """CSV rows (element, coord_1..coord_k) for external plotting."""
+def embedding_obj_to_csv(obj: dict) -> str:
+    """CSV rows (element, coord_1..coord_k) for external plotting, written
+    from the coordinate strings of an :func:`embedding_to_obj` payload."""
     import csv  # only `embed --csv` writes CSV; keep it out of every other start-up
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["element"] + [f"coord_{i + 1}" for i in range(embedding.dimension)])
-    for e, vec in embedding.vectors():
-        writer.writerow([e] + [format_rational(x) for x in vec])
+    writer.writerow(["element"] + [f"coord_{i + 1}" for i in range(obj["dimension"])])
+    for e, vec in obj["coordinates"].items():
+        writer.writerow([e, *vec])
     return buffer.getvalue()
 
 

@@ -1,14 +1,22 @@
-"""Brute-force references for the fast paths; no command imports this module.
+"""Brute-force references and materialized forms; no command imports this module.
 
-Each definition here states a fact by direct enumeration or exhaustive
-check, so the tests can hold the polynomial code paths to it:
+Each definition here states a fact by direct enumeration, exhaustive check
+or a materialized structure, so the tests can hold the polynomial code
+paths to it:
 
+- :func:`enumerate_chains`, :func:`order_complex` and
+  :func:`euler_characteristic`, the order complex built simplex by simplex,
+  against the chain counts of :func:`~morsepoly.poset.chain_counts` and
+  Hall's recursion in :mod:`morsepoly.hypotheses`;
 - the signed chain sums the index argument rests on (:func:`chain_sum_top`
   and the two vanishing sums of a cover pair), against Hall's recursion in
   :mod:`morsepoly.chain_index`;
-- :func:`geometric_indices`, the geometric index of every vertex counted
-  over the materialized order complex, against the streamed witness
-  :func:`~morsepoly.geometry.lower_star_indices`;
+- :func:`realize_complex`, which attaches those simplices to an embedding,
+  :func:`geometric_index`, the definition for one vertex, and
+  :func:`geometric_indices`, every vertex counted over the materialized
+  order complex, against the streamed witness
+  :func:`~morsepoly.geometry.lower_star_indices`; :func:`cross_check` runs
+  that witness against the combinatorial indices;
 - :func:`matrix_rank`, :func:`difference_matrix` and
   :func:`spans_full_simplex`, which confirm by exact Gaussian elimination
   that the embedding spans a full simplex;
@@ -19,13 +27,26 @@ check, so the tests can hold the polynomial code paths to it:
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import NotACover
-from .geometry import Embedding, GeometricComplex
+from .chain_index import combinatorial_indices
+from .errors import NotACover, NotGeneral, UnknownElement
+from .geometry import (
+    CrossCheckReport,
+    Embedding,
+    compare_indices,
+    embed_vertices,
+    lower_star_indices,
+)
+from .hypotheses import is_two_wide
 from .morse import MorseFunction, _require_total, _scan
-from .poset import ElementId, Poset, Record, enumerate_chains, is_two_wide
+from .poset import ElementId, Poset, Record
+
+# Chain enumeration is exponential in the worst case; warn (don't fail) past
+# this many chains so desk-scale misuse is visible.
+CHAIN_SOFT_LIMIT = 1 << 20
 
 
 class ExclusivityReport(Record):
@@ -34,6 +55,102 @@ class ExclusivityReport(Record):
     __slots__ = ("two_wide", "offenders")
     two_wide: bool
     offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
+
+
+class Chain(Record):
+    """A non-empty totally ordered subset, listed in increasing order."""
+
+    __slots__ = ("members",)
+    members: tuple[ElementId, ...]
+
+    @property
+    def length(self) -> int:
+        """Length of the chain: one less than the number of members."""
+        return len(self.members) - 1
+
+    def __contains__(self, element: ElementId) -> bool:
+        return element in self.members
+
+    def __iter__(self):
+        return iter(self.members)
+
+
+class SimplicialComplex(Record):
+    """Abstract simplicial complex: vertex set plus downward-closed simplices."""
+
+    __slots__ = ("vertices", "simplices")
+    vertices: tuple[ElementId, ...]
+    simplices: frozenset[frozenset[ElementId]]
+
+    def counts_by_dimension(self) -> tuple[int, ...]:
+        """Number of simplices in each dimension, index = dimension."""
+        if not self.simplices:
+            return ()
+        top = max(len(s) for s in self.simplices)
+        counts = [0] * top
+        for s in self.simplices:
+            counts[len(s) - 1] += 1
+        return tuple(counts)
+
+
+def _chain_members(
+    poset: Poset, subset: Iterable[ElementId] | None
+) -> list[tuple[ElementId, ...]]:
+    """Members of every non-empty chain within the subset (None: the whole
+    poset), depth-first with elements visited in identifier order.
+
+    Only :func:`enumerate_chains` and :func:`order_complex` call it, so the
+    soft-limit warning points at the line that called one of them.
+    """
+    if subset is None:
+        ids = sorted(poset.elements)
+    else:
+        ids = sorted(set(subset))
+        for e in ids:
+            poset.require(e)
+    member_set = set(ids)
+    # Successors in reverse identifier order, so the stack pops them in order.
+    succ = {
+        e: tuple(t for t in sorted(poset.strict_up_set(e), reverse=True) if t in member_set)
+        for e in ids
+    }
+
+    chains: list[tuple[ElementId, ...]] = []
+    stack = [(e,) for e in reversed(ids)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        chain = pop()
+        chains.append(chain)
+        if len(chains) == CHAIN_SOFT_LIMIT + 1:
+            warnings.warn(
+                f"chain enumeration exceeded {CHAIN_SOFT_LIMIT} chains; "
+                f"this input is beyond the intended desk scale",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        for t in succ[chain[-1]]:
+            push(chain + (t,))
+    return chains
+
+
+def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) -> list[Chain]:
+    """All non-empty chains within the given subset (default: the whole poset).
+
+    Depth-first over the comparability graph with elements visited in
+    identifier order, so the output order is deterministic.
+    """
+    return [Chain(members) for members in _chain_members(poset, subset)]
+
+
+def order_complex(poset: Poset) -> SimplicialComplex:
+    """Simplicial complex with one simplex per non-empty chain of the poset."""
+    simplices = frozenset(map(frozenset, _chain_members(poset, None)))
+    return SimplicialComplex(vertices=poset.sorted_elements, simplices=simplices)
+
+
+def euler_characteristic(complex_: SimplicialComplex) -> int:
+    """Alternating sum over simplices of (-1)^dimension; 0 for the empty complex."""
+    return sum((-1) ** (len(s) - 1) for s in complex_.simplices)
 
 
 def _chains_through_top(poset: Poset, b: ElementId):
@@ -74,6 +191,50 @@ def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
     )
 
 
+class GeometricComplex(Record):
+    """Order-complex simplices attached to embedded vertex coordinates."""
+
+    __slots__ = ("embedding", "simplices")
+    embedding: Embedding
+    simplices: frozenset[frozenset[ElementId]]
+
+
+def realize_complex(poset: Poset, embedding: Embedding) -> GeometricComplex:
+    """Attach the order-complex simplices to an embedding.
+
+    Raises NotGeneral if two comparable elements share a first coordinate:
+    such a pair spans an edge of the complex on which the height function
+    cannot separate the endpoints.
+    """
+    for e in poset.elements:
+        if e not in embedding.heights:
+            raise UnknownElement(f"embedding has no coordinates for {e!r}")
+    for a in sorted(poset.elements):
+        for b in sorted(poset.strict_up_set(a)):
+            if embedding.height(a) == embedding.height(b):
+                raise NotGeneral((a, b))
+    return GeometricComplex(embedding=embedding, simplices=order_complex(poset).simplices)
+
+
+def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
+    """Signed count of closed-star simplices whose height peaks at b.
+
+    The vertex itself contributes +1 in dimension 0.  Computed purely from
+    the embedded coordinates.
+    """
+    if b not in complex_.embedding.heights:
+        raise UnknownElement(f"unknown vertex {b!r}")
+    height = complex_.embedding.height
+    peak = height(b)
+    total = 0
+    for simplex in complex_.simplices:
+        if b not in simplex:
+            continue
+        if all(height(v) < peak for v in simplex if v != b):
+            total += (-1) ** (len(simplex) - 1)
+    return total
+
+
 def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
     """:func:`~morsepoly.geometry.geometric_index` of every vertex, in
     identifier order.
@@ -93,6 +254,20 @@ def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
         if all(level[v] < peak for v in simplex if v != top):
             indices[top] += 1 if len(simplex) % 2 else -1
     return indices
+
+
+def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
+    """Compare geometric and combinatorial indices for every element.
+
+    The two computations share only the function g: one streams the chains
+    of the poset, the simplices of the embedded order complex, through
+    :func:`~morsepoly.geometry.lower_star_indices` without building any,
+    the other counts chains by Hall's recursion without listing them.  The materialized
+    :func:`realize_complex` and :func:`geometric_indices` state what both
+    count.
+    """
+    geometric = lower_star_indices(poset, embed_vertices(poset, g))
+    return compare_indices(geometric, combinatorial_indices(poset, g))
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -7,38 +7,24 @@ by the others is rejected rather than silently dropped, because a redundant
 pair in user input usually indicates a modeling error.  Use
 :func:`transitive_reduction` to reduce an arbitrary acyclic relation first.
 
-The module also provides chain enumeration, the order complex (one simplex
-per non-empty chain), chain counts per length (the order complex's
-f-vector, found without listing a chain), Euler characteristics, and three
-structural property checks: 2-wideness, parity grading, and the downward
-Eulerian condition, with :func:`check_hypotheses` requiring all three.
-Signed chain counts of induced subposets come from Hall's recursion
-(:func:`chain_weights`) in time polynomial in the poset; enumeration stays
-for the order complex and as the reference the recursion is tested against.
-All operations are pure and all structures are immutable after construction.
+The module holds the order itself: construction, order queries, the chain
+counts per length (the order complex's f-vector, found without listing a
+chain), the two gradings a face poset carries, and :class:`Record`, the
+slotted base of every result type.  The paper's structural hypotheses live
+in :mod:`morsepoly.hypotheses`, and the materialized order complex in
+:mod:`morsepoly.oracles`.  All operations are pure and all structures are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from itertools import zip_longest
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import (
-    CycleDetected,
-    HypothesisViolated,
-    InvalidArgument,
-    NonCoverEdge,
-    UnknownElement,
-)
+from .errors import CycleDetected, InvalidArgument, NonCoverEdge, UnknownElement
 
 ElementId = str
-
-# Chain enumeration is exponential in the worst case; warn (don't fail) past
-# this many chains so desk-scale misuse is visible.
-CHAIN_SOFT_LIMIT = 1 << 20
-
 
 _set_field = object.__setattr__
 
@@ -107,42 +93,6 @@ class Record:
         return self.__class__, self._astuple()
 
 
-class Chain(Record):
-    """A non-empty totally ordered subset, listed in increasing order."""
-
-    __slots__ = ("members",)
-    members: tuple[ElementId, ...]
-
-    @property
-    def length(self) -> int:
-        """Length of the chain: one less than the number of members."""
-        return len(self.members) - 1
-
-    def __contains__(self, element: ElementId) -> bool:
-        return element in self.members
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-class SimplicialComplex(Record):
-    """Abstract simplicial complex: vertex set plus downward-closed simplices."""
-
-    __slots__ = ("vertices", "simplices")
-    vertices: tuple[ElementId, ...]
-    simplices: frozenset[frozenset[ElementId]]
-
-    def counts_by_dimension(self) -> tuple[int, ...]:
-        """Number of simplices in each dimension, index = dimension."""
-        if not self.simplices:
-            return ()
-        top = max(len(s) for s in self.simplices)
-        counts = [0] * top
-        for s in self.simplices:
-            counts[len(s) - 1] += 1
-        return tuple(counts)
-
-
 class ParityRank(Record):
     """Mod-2 grading: 0 on minimal elements, flipping across covers."""
 
@@ -162,39 +112,6 @@ class RankFunction(Record):
 
     def __getitem__(self, element: ElementId) -> int:
         return self.values[element]
-
-
-class GradingConflict(Record):
-    """Witness that no (parity) rank function exists.
-
-    ``element`` received ``values[0]`` through parent ``via[0]`` and the
-    incompatible ``values[1]`` through parent ``via[1]``.
-    """
-
-    __slots__ = ("element", "values", "via")
-    element: ElementId
-    values: tuple[int, int]
-    via: tuple[ElementId, ElementId]
-
-
-class TwoWideVerdict(Record):
-    __slots__ = ("holds", "witness")
-    holds: bool
-    # A violating triple (a, b, c) with a < b < c covers and no alternative middle.
-    witness: tuple[ElementId, ElementId, ElementId] | None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-class EulerianVerdict(Record):
-    __slots__ = ("holds", "violations")
-    holds: bool
-    # (element, chi of its strict down-set's order complex, required chi)
-    violations: tuple[tuple[ElementId, int, int], ...]
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 class Poset:
@@ -410,61 +327,6 @@ def transitive_reduction(
     return sorted(covers)
 
 
-def _chain_members(
-    poset: Poset, subset: Iterable[ElementId] | None
-) -> list[tuple[ElementId, ...]]:
-    """Members of every non-empty chain within the subset (None: the whole
-    poset), depth-first with elements visited in identifier order.
-
-    Only :func:`enumerate_chains` and :func:`order_complex` call it, so the
-    soft-limit warning points at the line that called one of them.
-    """
-    if subset is None:
-        ids = sorted(poset.elements)
-    else:
-        ids = sorted(set(subset))
-        for e in ids:
-            poset.require(e)
-    member_set = set(ids)
-    # Successors in reverse identifier order, so the stack pops them in order.
-    succ = {
-        e: tuple(t for t in sorted(poset.strict_up_set(e), reverse=True) if t in member_set)
-        for e in ids
-    }
-
-    chains: list[tuple[ElementId, ...]] = []
-    stack = [(e,) for e in reversed(ids)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        chain = pop()
-        chains.append(chain)
-        if len(chains) == CHAIN_SOFT_LIMIT + 1:
-            warnings.warn(
-                f"chain enumeration exceeded {CHAIN_SOFT_LIMIT} chains; "
-                f"this input is beyond the intended desk scale",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        for t in succ[chain[-1]]:
-            push(chain + (t,))
-    return chains
-
-
-def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) -> list[Chain]:
-    """All non-empty chains within the given subset (default: the whole poset).
-
-    Depth-first over the comparability graph with elements visited in
-    identifier order, so the output order is deterministic.
-    """
-    return [Chain(members) for members in _chain_members(poset, subset)]
-
-
-def order_complex(poset: Poset) -> SimplicialComplex:
-    """Simplicial complex with one simplex per non-empty chain of the poset."""
-    simplices = frozenset(map(frozenset, _chain_members(poset, None)))
-    return SimplicialComplex(vertices=poset.sorted_elements, simplices=simplices)
-
-
 def chain_counts(poset: Poset) -> tuple[int, ...]:
     """Number of chains of each length, i.e. the order complex's simplices
     per dimension, counted without listing them; () for the empty poset.
@@ -481,136 +343,28 @@ def chain_counts(poset: Poset) -> tuple[int, ...]:
     return tuple(map(sum, zip_longest(*by_top.values(), fillvalue=0)))
 
 
-def euler_characteristic(complex_: SimplicialComplex) -> int:
-    """Alternating sum over simplices of (-1)^dimension; 0 for the empty complex."""
-    return sum((-1) ** (len(s) - 1) for s in complex_.simplices)
 
 
-def chain_weights(
-    poset: Poset, subset: Iterable[ElementId] | None = None
-) -> dict[ElementId, int]:
-    """Signed count of the chains of an induced subposet that end at each member.
+def _forwarding(module: str, moved: Mapping[str, str]):
+    """A PEP 562 module ``__getattr__`` that resolves each name in ``moved``
+    from the sibling module it names, for names that left ``module``."""
+    package = module.rpartition(".")[0]
 
-    Each chain topped by x is {x} or a chain topped by some member y < x with
-    x appended, so w(x) = 1 - sum of w(y) over members y < x (Hall's theorem:
-    w(x) is minus the Moebius function from an adjoined bottom to x).  One
-    walk over a linear extension finds every w(y) before it is needed:
-    ``topological_order`` for the whole poset, and for a subset its members
-    by down-set size, since y < x makes y's strict down-set a proper subset
-    of x's.  Summed over the subset, w gives the Euler characteristic of its
-    order complex.
-    """
-    below = poset._below
-    if subset is None:
-        members, order = poset._set, poset.topological_order
-    else:
-        members = set(subset)
-        for e in sorted(members):
-            poset.require(e)
-        order = sorted(members, key=lambda x: len(below[x]))
-    w: dict[ElementId, int] = {}
-    for x in order:
-        w[x] = 1 - sum(w[y] for y in below[x] if y in members)
-    return w
+    def __getattr__(name: str):
+        home = moved.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        return getattr(import_module(f"{package}.{home}"), name)
+
+    return __getattr__
 
 
-def chain_euler_characteristic(poset: Poset, subset: Iterable[ElementId]) -> int:
-    """Euler characteristic of the order complex of an induced subposet."""
-    return sum(chain_weights(poset, subset).values())
-
-
-def is_two_wide(poset: Poset) -> TwoWideVerdict:
-    """Check that every 2-step cover chain a < b < c has an alternative middle."""
-    for a, b in sorted(poset.covers):
-        for c in poset.upper_covers(b):
-            middles = set(poset.upper_covers(a)) & set(poset.lower_covers(c))
-            if not (middles - {b}):
-                return TwoWideVerdict(False, (a, b, c))
-    return TwoWideVerdict(True, None)
-
-
-def _propagate_grading(poset: Poset, step) -> dict[ElementId, int] | GradingConflict:
-    values: dict[ElementId, int] = {}
-    via: dict[ElementId, ElementId] = {}
-    for e in poset.topological_order:
-        parents = poset.lower_covers(e)
-        if not parents:
-            values[e] = 0
-            continue
-        for a in parents:
-            expected = step(values[a])
-            if e not in values:
-                values[e] = expected
-                via[e] = a
-            elif values[e] != expected:
-                return GradingConflict(e, (values[e], expected), (via[e], a))
-    return values
-
-
-def compute_parity_rank(poset: Poset) -> ParityRank | GradingConflict:
-    """The unique parity rank function, or a conflict witness if none exists."""
-    result = _propagate_grading(poset, lambda v: 1 - v)
-    if isinstance(result, GradingConflict):
-        return result
-    return ParityRank(values=result)
-
-
-def compute_rank_function(poset: Poset) -> RankFunction | GradingConflict:
-    """The unique rank function, or a conflict witness if none exists."""
-    result = _propagate_grading(poset, lambda v: v + 1)
-    if isinstance(result, GradingConflict):
-        return result
-    return RankFunction(values=result, max_rank=max(result.values(), default=0))
-
-
-def validate_parity_rank(poset: Poset, mu: ParityRank) -> None:
-    """Raise ValueError unless mu is a parity rank function for the poset."""
-    for e in poset.elements:
-        if e not in mu.values:
-            raise ValueError(f"parity rank missing element {e!r}")
-        if mu.values[e] not in (0, 1):
-            raise ValueError(f"parity rank of {e!r} is not 0 or 1")
-        if not poset.lower_covers(e) and mu.values[e] != 0:
-            raise ValueError(f"minimal element {e!r} has parity {mu.values[e]}")
-    for a, b in poset.covers:
-        if mu.values[b] != 1 - mu.values[a]:
-            raise ValueError(f"parity does not flip across cover ({a!r}, {b!r})")
-
-
-def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
-    """Check chi of each strict down-set against the parity-determined target.
-
-    For every non-minimal element a the order complex of {x : x < a} must
-    have Euler characteristic (-1)^(mu(a)+1) + 1, i.e. 2 for odd-parity a
-    and 0 for even-parity a.  That chi is 1 - w(a) for the chain weights w
-    of the whole poset, so one pass serves every element.
-    """
-    validate_parity_rank(poset, mu)
-    w = chain_weights(poset)
-    violations = []
-    for a in sorted(poset.elements):
-        if not poset.lower_covers(a):
-            continue
-        chi = 1 - w[a]
-        required = (-1) ** (mu.values[a] + 1) + 1
-        if chi != required:
-            violations.append((a, chi, required))
-    return EulerianVerdict(not violations, tuple(violations))
-
-
-def check_hypotheses(poset: Poset) -> ParityRank:
-    """Verify 2-wide + parity-graded + downward Eulerian; return the parity."""
-    wide = is_two_wide(poset)
-    if not wide:
-        raise HypothesisViolated("not 2-wide", wide.witness)
-    mu = compute_parity_rank(poset)
-    if not isinstance(mu, ParityRank):
-        raise HypothesisViolated(
-            "no parity rank function",
-            f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "
-            f"and {mu.values[1]} via {mu.via[1]!r}",
-        )
-    eulerian = is_downward_eulerian(poset, mu)
-    if not eulerian:
-        raise HypothesisViolated("not downward Eulerian", eulerian.violations)
-    return mu
+# The benchmark's layer pass (bench/layers.py) imports these from here.
+__getattr__ = _forwarding(__name__, {
+    "compute_parity_rank": "hypotheses",
+    "is_downward_eulerian": "hypotheses",
+    "is_two_wide": "hypotheses",
+    "order_complex": "oracles",
+})

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import pkgutil
 import tempfile
 import time
 from collections import Counter
@@ -17,9 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsepoly import chain_index, cli, complexes, generators, geometry, morse
-from morsepoly import poset as poset_module
+from morsepoly import (
+    chain_index,
+    commands,
+    complexes,
+    generators,
+    geometry,
+    hypotheses,
+    jsonio,
+    morse,
+    normalization,
+    oracles,
+)
 from morsepoly.cli import main
+from morsepoly.commands import check as check_command
+from morsepoly.commands import verify as verify_command
 from morsepoly.complexes import face_poset_simplicial
 from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
@@ -28,6 +41,8 @@ from morsepoly.poset import chain_counts
 from tests.conftest import CUBICAL, torus
 
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
+# One handler module per command.
+COMMANDS = sorted(module.name for module in pkgutil.iter_modules(commands.__path__))
 CHAIN = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}
 CHAIN_MORSE = {"values": {"0": "2", "1": "1", "2": "0"}}
 EDGE = {"elements": ["a", "b", "e"], "covers": [["a", "e"], ["b", "e"]]}
@@ -117,8 +132,7 @@ class TestVerify:
             indices["1"] += 1
             return indices
 
-        # cmd_verify imports the witness from geometry when it runs.
-        monkeypatch.setattr(geometry, "lower_star_indices", skewed)
+        monkeypatch.setattr(verify_command, "lower_star_indices", skewed)
         assert main(["verify", "--in", write("t.json", TRIANGLE)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "mismatch"
@@ -151,27 +165,27 @@ class TestVerifySinglePass:
 
                 monkeypatch.setattr(module, name, wrapper)
 
-        count("_normalize_trace", morse, chain_index)
-        count("is_two_wide", morse, poset_module)
-        count("find_troubled", morse)
-        count("_find_troubled", morse)
+        count("_normalize_trace", normalization, chain_index)
+        count("is_two_wide", normalization, hypotheses)
+        count("find_troubled", normalization)
+        count("_find_troubled", normalization)
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
-        count("check_hypotheses", chain_index, complexes)
+        count("check_hypotheses", chain_index, hypotheses)
         # The chain walk behind enumerate_chains and order_complex, the
         # Chain records enumerate_chains wraps its tuples in, and the order
         # complex the oracles build.
-        count("_chain_members", poset_module)
-        count("Chain", poset_module)
-        count("order_complex", poset_module, geometry)
+        count("_chain_members", oracles)
+        count("Chain", oracles)
+        count("order_complex", oracles)
         # Whole-function checks: every one is a scan of all elements; a
         # scan of a changed element and its covers is a local recheck.
         count("validate_morse", morse, generators)
-        count("classify", morse, complexes)
+        count("classify", morse, normalization, complexes)
         count("_scan", morse,
               key=lambda poset, values, elements: "whole" if elements is poset.elements
               else "local")
-        count("set_value", morse._Pipeline)
+        count("set_value", normalization._Pipeline)
         count("vectors", geometry.Embedding)
 
         def value_types(name, module, values):
@@ -184,8 +198,8 @@ class TestVerifySinglePass:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        value_types("classify", morse, lambda poset, f: f.values)
-        value_types("_find_troubled", morse, lambda poset, values: values)
+        value_types("classify", normalization, lambda poset, f: f.values)
+        value_types("_find_troubled", normalization, lambda poset, values: values)
         value_types("_require_general", chain_index, lambda poset, g: g.values)
 
         general_up_sets = geometry._general_up_sets
@@ -329,6 +343,26 @@ class TestPinnedOutput:
         assert hashlib.sha256(as_json.encode("utf-8")).hexdigest() == json_sha256
         assert hashlib.sha256(as_text.encode("utf-8")).hexdigest() == text_sha256
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
+
+    def test_embed_csv_formats_each_coordinate_once(self, files, capsys, monkeypatch):
+        """`--csv` writes the strings the JSON payload already holds."""
+        tmp_path, write = files
+        args = ["embed", "--in", write("t.json", TRIANGLE)]
+        calls = Counter()
+        original = jsonio.format_rational
+
+        def counted(value):
+            calls["format"] += 1
+            return original(value)
+
+        monkeypatch.setattr(jsonio, "format_rational", counted)
+        counts = []
+        for extra in ([], ["--csv", str(tmp_path / "coords.csv")]):
+            calls.clear()
+            assert main([*args, *extra]) == 0
+            counts.append(calls["format"])
+        capsys.readouterr()
+        assert counts == [7 * 7, 7 * 7]
 
 
 class TestCubical:
@@ -658,7 +692,7 @@ class TestBadInput:
         def broken(poset):
             raise ValueError("internal")
 
-        monkeypatch.setattr(cli, "is_two_wide", broken)
+        monkeypatch.setattr(check_command, "is_two_wide", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["check", "--in", write("t.json", TRIANGLE)])
 
@@ -732,7 +766,7 @@ def function_document(data, path):
     dropped or extra keys and bad values mixed in; junk when the input does
     not load."""
     try:
-        poset = cli._load_input(path).poset
+        poset = commands.load_input(path).poset
     except MorsePolyError:
         poset = None
     if poset is None or len(poset) == 0 or data.draw(st.integers(0, 4)) == 0:
@@ -762,7 +796,7 @@ class TestNeverRaises:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_exit_codes(self, data):
-        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        command = data.draw(st.sampled_from(COMMANDS))
         seed = data.draw(st.integers(0, 99))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "in.json")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from morsepoly import morse
+from morsepoly import morse, normalization
 from morsepoly import (
     InvalidMorseFunction,
     MalformedSpec,
@@ -241,14 +241,14 @@ class TestStageFaults:
     )
     def test_bad_midpoint_is_caught(self, trouble_poset, monkeypatch, value, message):
         poset, f = trouble_poset
-        monkeypatch.setattr(morse, "_midpoint", lambda lo, hi: value)
+        monkeypatch.setattr(normalization, "_midpoint", lambda lo, hi: value)
         with pytest.raises(AssertionError) as info:
             normalize(poset, f)
         assert str(info.value).startswith(message)
         assert "when moving 'a' from 5 to" in str(info.value)
 
     def test_spread_key_outside_its_gap_is_caught(self, edge_poset, monkeypatch):
-        rank = morse._Pipeline.rank
+        rank = normalization._Pipeline.rank
 
         def overshooting(state):
             # Every ceiling one gap too high: a key moved out of a tie class
@@ -257,7 +257,7 @@ class TestStageFaults:
             spacing = len(state.values) + 1
             return {key: (top_key + spacing, top) for key, (top_key, top) in ceiling.items()}
 
-        monkeypatch.setattr(morse._Pipeline, "rank", overshooting)
+        monkeypatch.setattr(normalization._Pipeline, "rank", overshooting)
         f = MorseFunction.from_values({"a": 0, "b": 0, "e": 1})
         with pytest.raises(AssertionError) as info:
             normalize(edge_poset, f)
@@ -654,7 +654,7 @@ class TestSpreadSweepReference:
         # The Fraction reference: the up sweep, then the direct rule on its result.
         poset, f = case
         order = linear_extension(poset)
-        state = morse._Pipeline(poset, f)
+        state = normalization._Pipeline(poset, f)
         state.up_sweep(order)
         values, moves = self.direct(order, state.values)
         expected = [(m.stage, m.element, m.old, m.new) for m in state.modifications]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import morsepoly.poset as poset_module
+import morsepoly.oracles as oracles_module
 from morsepoly import (
     Chain,
     CycleDetected,
@@ -169,7 +169,7 @@ class TestChains:
         assert by_members[("0",)] == 0
 
     def test_soft_limit_warning(self, monkeypatch, chain_poset):
-        monkeypatch.setattr(poset_module, "CHAIN_SOFT_LIMIT", 3)
+        monkeypatch.setattr(oracles_module, "CHAIN_SOFT_LIMIT", 3)
         for walk in (enumerate_chains, order_complex):
             with pytest.warns(RuntimeWarning, match="desk scale") as caught:
                 walk(chain_poset)

@@ -3,6 +3,7 @@ cost of the CLI they keep down: the modules each command loads are pinned."""
 
 from __future__ import annotations
 
+import ast
 import copy
 import importlib
 import json
@@ -37,10 +38,11 @@ from morsepoly import (
     normalize_trace,
     verify_representation,
 )
-from morsepoly.cli import LoadedInput
+from morsepoly.commands import LoadedInput
 from morsepoly.poset import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 
 
 def record_classes():
@@ -203,16 +205,18 @@ def test_defaults_are_a_trailing_run_of_immutable_values():
 def test_cli_import_leaves_code_generation_modules_out():
     """`import morsepoly.cli` pulls in neither the class-generation machinery
     (dataclasses and the inspect/ast it imports) nor csv, which only
-    `embed --csv` needs."""
+    `embed --csv` needs, and no command's handler module: `main` imports
+    that when it dispatches."""
     probe = (
         "import sys, morsepoly.cli\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'csv') if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'csv') if m in sys.modules))\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('morsepoly.commands')))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == ""
+    assert done.stdout.splitlines() == ["", ""]
 
 
 def test_every_public_name_resolves_lazily():
@@ -226,25 +230,46 @@ def test_every_public_name_resolves_lazily():
         morsepoly.no_such_name
 
 
-# Loaded by every command: the package, the JSON layer, and what loading an
-# input and a function needs.  The CLI itself runs as __main__, as under -m.
+@pytest.mark.parametrize("script", ["layers.py", "workloads.py"])
+def test_benchmark_imports_resolve(script):
+    """Every `from morsepoly.<module> import <name>` in the benchmark's
+    layer and workload scripts resolves, to the object `morsepoly.<name>`
+    gives, so the benchmark keeps running after a name changes modules."""
+    tree = ast.parse((BENCH / script).read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("morsepoly.")
+        for alias in node.names
+    ]
+    assert imports
+    for module, name in imports:
+        assert getattr(importlib.import_module(module), name) is getattr(morsepoly, name), (
+            module, name)
+
+
+# Loaded by every command: the package, the JSON layer, what loading an input
+# and a function needs, and the handlers' shared loaders.  The CLI itself runs
+# as __main__, as under -m.
 CORE = {"morsepoly", "morsepoly.jsonio", "morsepoly.complexes", "morsepoly.errors",
-        "morsepoly.morse", "morsepoly.poset"}
-INDEX = {"morsepoly.chain_index"}
-GEOMETRY = {"morsepoly.chain_index", "morsepoly.geometry"}
+        "morsepoly.morse", "morsepoly.poset", "morsepoly.commands"}
+HYPOTHESES = {"morsepoly.hypotheses"}
+NORMALIZATION = {"morsepoly.hypotheses", "morsepoly.normalization"}
+INDEX = {"morsepoly.chain_index", *NORMALIZATION}
+GEOMETRY = {"morsepoly.geometry"}
 GENERATORS = {"morsepoly.generators"}
 
 
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["check"], set()),
+        (["check"], HYPOTHESES),
         (["euler"], set()),
         (["classify"], set()),
-        (["normalize"], set()),
+        (["normalize"], NORMALIZATION),
         (["index"], INDEX),
-        (["embed"], GEOMETRY),
-        (["verify"], GEOMETRY),
+        (["embed"], NORMALIZATION | GEOMETRY),
+        (["verify"], INDEX | GEOMETRY),
         (["gen", "--kind", "morse"], GENERATORS),
         (["gen", "--kind", "complex"], GENERATORS),
     ],
@@ -252,9 +277,10 @@ GENERATORS = {"morsepoly.generators"}
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     """`python -S -m morsepoly.cli` loads the modules its command runs and
-    no other: no command loads `morsepoly.oracles`, `verify` loads no
-    generator, `gen` no index or geometry, and `check`, `euler`, `classify`
-    and `normalize` none of the three."""
+    no other: its own handler module and no other command's, never
+    `morsepoly.oracles`; `verify` loads no generator, `gen` neither the
+    hypotheses nor normalization, index or geometry, `check` and `euler` no
+    normalization, and `euler` and `classify` no hypotheses."""
     triangle = tmp_path / "t.json"
     triangle.write_text(json.dumps({"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}))
     args = [*argv, "--out", str(tmp_path / "out")]
@@ -275,7 +301,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     )
     code, modules = done.stdout.splitlines()
     assert code == "0", done.stderr
-    assert set(modules.split()) == CORE | extra
+    assert set(modules.split()) == CORE | extra | {f"morsepoly.commands.{argv[0]}"}
 
 
 def test_package_import_loads_no_module():
