@@ -11,9 +11,9 @@ imported ``morsepoly.cli`` would compile it a second time.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..complexes import FacePoset, dimension_morse, face_poset_cellular, face_poset_simplicial
@@ -41,7 +41,7 @@ def load_input(path: str) -> LoadedInput:
     return LoadedInput(kind=kind, poset=face.poset, face=face)
 
 
-def load_morse(args: argparse.Namespace, loaded: LoadedInput) -> MorseFunction:
+def load_morse(args: SimpleNamespace, loaded: LoadedInput) -> MorseFunction:
     if args.morse_path is not None:
         return jsonio.morse_from_obj(jsonio.load_document(args.morse_path))
     if loaded.face is not None:
@@ -59,7 +59,7 @@ def write(path: str, text: str) -> None:
         raise MorsePolyError(f"cannot write {path}: {exc}") from exc
 
 
-def emit(args: argparse.Namespace, payload: str) -> None:
+def emit(args: SimpleNamespace, payload: str) -> None:
     if args.output_path:
         write(args.output_path, payload)
     else:

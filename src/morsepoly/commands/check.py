@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..errors import MISMATCH_EXIT
@@ -90,7 +90,7 @@ def _check_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     payload = _check_payload(loaded)
     if args.fmt == "json":

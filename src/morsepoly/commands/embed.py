@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..geometry import embed_vertices
@@ -10,7 +10,7 @@ from ..normalization import normalize
 from . import emit, load_input, load_morse, write
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
     g = normalize(loaded.poset, f)

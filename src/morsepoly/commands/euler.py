@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..poset import chain_counts
 from . import emit, load_input
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     counts = chain_counts(loaded.poset)
     payload = {

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..errors import MorsePolyError
@@ -10,7 +10,7 @@ from ..generators import gen_complex, gen_morse
 from . import emit, load_input
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     if args.kind == "complex":
         spec = gen_complex(args.seed, args.vertices, args.dimension, args.density)
         emit(args, jsonio.dumps_canonical(jsonio.complex_to_obj(spec)))

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..chain_index import verify_representation
 from . import emit, load_input, load_morse
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
     report = verify_representation(loaded.poset, f)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..normalization import normalize
 from . import emit, load_input, load_morse
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
     g = normalize(loaded.poset, f)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from .. import jsonio
 from ..chain_index import verify_representation
@@ -12,7 +12,7 @@ from ..geometry import compare_indices, embed_vertices, lower_star_indices
 from . import emit, load_input, load_morse
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     poset = loaded.poset
     f = load_morse(args, loaded)

@@ -6,8 +6,10 @@ import contextlib
 import hashlib
 import io
 import json
+import importlib
 import math
 import pkgutil
+import re
 import tempfile
 import time
 from collections import Counter
@@ -30,7 +32,8 @@ from morsepoly import (
     normalization,
     oracles,
 )
-from morsepoly.cli import main
+from morsepoly.cli import COMMANDS as OPTIONS
+from morsepoly.cli import _join_gen_numbers, build_parser, main, parse_fast
 from morsepoly.commands import check as check_command
 from morsepoly.commands import verify as verify_command
 from morsepoly.complexes import face_poset_simplicial
@@ -38,8 +41,9 @@ from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import chain_counts
-from tests.conftest import CUBICAL, torus
+from tests.conftest import CUBICAL, cube, cubical_torus, torus
 
+ROOT = Path(__file__).resolve().parent.parent
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
 # One handler module per command.
 COMMANDS = sorted(module.name for module in pkgutil.iter_modules(commands.__path__))
@@ -730,8 +734,10 @@ RATIONALS = (
 @st.composite
 def input_documents(draw):
     """A small poset or complex document, often well formed, sometimes with
-    a key dropped or replaced by junk; or junk outright."""
-    kind = draw(st.sampled_from(("poset", "simplicial", "cellular", "junk")))
+    a key dropped or replaced by junk; or junk outright.  The cellular ones
+    include d-cubes and cubical tori: regular CW complexes that are not
+    simplicial."""
+    kind = draw(st.sampled_from(("poset", "simplicial", "cellular", "cubical", "junk")))
     if kind == "junk":
         return draw(JUNK)
     unique = draw(st.integers(0, 3)) > 0
@@ -743,6 +749,11 @@ def input_documents(draw):
             pair = st.lists(st.sampled_from(range(len(elements))), min_size=2, max_size=2,
                             unique=True).map(lambda ij: [elements[min(ij)], elements[max(ij)]])
         doc = {"elements": elements, "covers": draw(st.lists(pair, max_size=6))}
+    elif kind == "cubical":
+        doc = complex_to_obj(draw(
+            st.builds(cube, st.integers(0, 3))
+            | st.builds(cubical_torus, st.sampled_from((3, 4)), st.sampled_from((3, 4)))
+        ))
     elif kind == "simplicial":
         simplex = st.lists(st.sampled_from("1234"), max_size=4, unique=unique)
         doc = {"kind": kind, "maximal_simplices": draw(st.lists(simplex, max_size=4))}
@@ -832,3 +843,124 @@ class TestNeverRaises:
                     mock.patch.object(generators, "MAX_DRAWS", 4096):
                 code = main(argv)
         assert code in (0, 1, 2)
+
+
+# The parsers' vocabulary: every command name and two that are not; every
+# flag of the option table, a unique prefix (--form), one that is ambiguous
+# in `gen` (--d), help, the end-of-options marker and an unknown flag; and
+# values that are valid for some option and invalid for others.
+WORDS = [*OPTIONS, "", "verfy"]
+FLAGS = sorted({flag for _, options in OPTIONS.values() for flag, _ in options})
+OTHER_FLAGS = ["--form", "--d", "--str", "-h", "--help", "--", "--bogus"]
+VALUES = ["in.json", "", "json", "text", "xml", "morse", "complex", "7", " 5", "5_0",
+          "-3", "-1e-9", "nan", "inf", "x"]
+
+
+@st.composite
+def argvs(draw):
+    """A command word, often `--in PATH`, then flags with values given
+    separately, glued as --flag=value, missing, or stray."""
+    command = draw(st.sampled_from(WORDS))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--in", "in.json"]
+    own = dict(OPTIONS.get(command, ("", ()))[1])
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(sorted(own) or FLAGS) | st.sampled_from(FLAGS + OTHER_FLAGS))
+        value = draw(st.sampled_from(VALUES) | st.sampled_from(fitting(own.get(flag, {}))))
+        shape = draw(st.sampled_from(("separate", "separate", "glued", "bare", "stray")))
+        if shape == "separate":
+            argv += [flag, value]
+        elif shape == "glued":
+            argv.append(f"{flag}={value}")
+        elif shape == "bare":
+            argv.append(flag)
+        else:
+            argv.append(value)
+    return argv
+
+
+def fitting(spec):
+    """The values of the vocabulary that an option with this spec accepts."""
+    if "choices" in spec:
+        return list(spec["choices"])
+    fits = ["in.json", ""]
+    if "type" in spec:
+        fits = []
+        for value in VALUES:
+            with contextlib.suppress(ValueError):
+                spec["type"](value)
+                fits.append(value)
+    return fits
+
+
+def argparse_values(argv):
+    """argparse's namespace for argv as a dict of reprs (so that a nan
+    equals a nan), or None when argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+def fast_values(argv):
+    args = parse_fast(argv)
+    return None if args is None else {key: repr(value) for key, value in vars(args).items()}
+
+
+def readme_argvs():
+    """Every `morsepoly ...` command line of the README, optional parts included."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^(?:\$ )?morsepoly (.*)$", text, flags=re.MULTILINE)
+    assert len(lines) >= 10
+    return [line.replace("[", "").replace("]", "").split() for line in lines]
+
+
+class TestParsers:
+    """The fast parser accepts only what argparse accepts, with the same values."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs())
+    def test_fast_parser_agrees_with_argparse(self, argv):
+        joined = _join_gen_numbers(argv)
+        fast = fast_values(joined)
+        if fast is not None:
+            assert argparse_values(joined) == fast
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["verify", "--in", "x", "--format", "xml"],
+            ["gen", "--seed", "x"],
+            ["verify", "--in", "x", "--form", "text"],
+            ["gen", "--d", "3"],
+            ["check", "--in", "x", "--strict=1"],
+            ["verify", "--in", "x", "--", "y"],
+            ["verify", "--in", "-x"],
+            ["verify", "--in"],
+            ["verify", "--in", "x", "stray"],
+            ["-h"],
+            ["verify", "--help"],
+            [],
+        ],
+    )
+    def test_declines_what_only_argparse_answers(self, argv):
+        assert parse_fast(argv) is None
+
+    def test_every_documented_and_benchmarked_argv_takes_the_fast_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workloads = importlib.import_module("workloads")
+        complex_path, morse_path = Path("c.json"), Path("f.json")
+        requests = [
+            workloads.Request("v", "verify", complex_path, (), 0),
+            workloads.Request("m", "verify", complex_path, (), 0, morse_path=morse_path),
+            workloads.Request("g", "gen", complex_path, (), 0, gen_seed=3000),
+        ]
+        argvs = readme_argvs() + [request.argv() for request in requests]
+        for argv in argvs:
+            joined = _join_gen_numbers(argv)
+            assert fast_values(joined) is not None, argv
+            assert fast_values(joined) == argparse_values(joined), argv

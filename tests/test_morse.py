@@ -24,6 +24,7 @@ from morsepoly import (
     find_troubled,
     gen_complex,
     gen_morse,
+    face_poset_cellular,
     face_poset_simplicial,
     is_two_wide,
     linear_extension,
@@ -34,6 +35,7 @@ from morsepoly import (
     validate_morse,
 )
 from morsepoly.jsonio import parse_rational
+from tests.conftest import cube, cubical_torus
 
 
 @pytest.fixture
@@ -269,10 +271,17 @@ class TestStageFaults:
 
 @st.composite
 def changed_functions(draw):
-    """A valid function on a random poset or a seeded face poset, and one
-    single-value change to it: (poset, f, element, new value)."""
+    """A valid function on a random poset, a seeded simplicial face poset or
+    the face poset of a d-cube or cubical torus (regular CW posets that are
+    not simplicial), and one single-value change to it: (poset, f, element,
+    new value)."""
     seed = draw(st.integers(min_value=0, max_value=10**6))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("random", "simplicial", "cubical")))
+    if kind == "cubical":
+        spec = draw(st.builds(cube, st.integers(0, 3))
+                    | st.builds(cubical_torus, st.sampled_from((3, 4)), st.sampled_from((3, 4))))
+        poset = face_poset_cellular(spec).poset
+    elif kind == "random":
         n = draw(st.integers(min_value=1, max_value=7))
         names = [f"p{i}" for i in range(n)]
         pairs = [

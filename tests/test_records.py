@@ -4,8 +4,11 @@ cost of the CLI they keep down: the modules each command loads are pinned."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import copy
+import gc
 import importlib
+import io
 import json
 import os
 import pickle
@@ -38,11 +41,13 @@ from morsepoly import (
     normalize_trace,
     verify_representation,
 )
+from morsepoly.cli import COMMANDS, build_parser, main
 from morsepoly.commands import LoadedInput
 from morsepoly.poset import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
+TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
 
 
 def record_classes():
@@ -282,26 +287,31 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     hypotheses nor normalization, index or geometry, `check` and `euler` no
     normalization, and `euler` and `classify` no hypotheses."""
     triangle = tmp_path / "t.json"
-    triangle.write_text(json.dumps({"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}))
+    triangle.write_text(json.dumps(TRIANGLE))
     args = [*argv, "--out", str(tmp_path / "out")]
     if argv[0] != "gen" or argv[-1] == "morse":
         args += ["--in", str(triangle)]
     probe = (
-        "import runpy, sys\n"
+        "import gc, runpy, sys\n"
         "try:\n"
         "    runpy.run_module('morsepoly.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as done:\n"
         "    print(done.code)\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('morsepoly'))))\n"
+        "print(' '.join(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "print(gc.get_freeze_count() > 0)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe, *args], env=env, capture_output=True, text=True,
         check=True,
     )
-    code, modules = done.stdout.splitlines()
+    code, modules, parsers, frozen = done.stdout.splitlines()
     assert code == "0", done.stderr
     assert set(modules.split()) == CORE | extra | {f"morsepoly.commands.{argv[0]}"}
+    # A well-formed command never reaches argparse, and its exit path froze the heap.
+    assert parsers == ""
+    assert frozen == "True"
 
 
 def test_package_import_loads_no_module():
@@ -311,3 +321,81 @@ def test_package_import_loads_no_module():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["morsepoly"]
+
+
+def run_cli(args, cwd, probe=None):
+    """`python -m morsepoly.cli ARGS` at a fixed help width, or the same
+    module run by ``probe`` (a -c program) with ARGS as its arguments."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    lead = ["-m", "morsepoly.cli"] if probe is None else ["-c", probe]
+    return subprocess.run([sys.executable, *lead, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def argparse_exit(argv):
+    """Exit code, stdout and stderr of the argparse parser alone on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as done:
+        build_parser().parse_args(argv)
+    return done.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *([name, "--help"] for name in COMMANDS), ["verify"],
+     ["verify", "--in", "t.json", "--format", "xml"], ["gen", "--seed", "x"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_help_and_usage_errors_are_argparse_own(tmp_path, monkeypatch, argv):
+    """Help exits 0 and a usage error 2, each with argparse's own text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    done = run_cli(argv, tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == argparse_exit(argv)
+    assert done.returncode == (0 if argv[-1] == "--help" else 2)
+
+
+def test_abbreviated_flag_gives_the_same_bytes(tmp_path):
+    (tmp_path / "t.json").write_text(json.dumps(TRIANGLE))
+    spelled = run_cli(["verify", "--in", "t.json", "--format", "text"], tmp_path)
+    abbreviated = run_cli(["verify", "--in", "t.json", "--form", "text"], tmp_path)
+    assert spelled.returncode == 0
+    assert (abbreviated.returncode, abbreviated.stdout, abbreviated.stderr) == (
+        0, spelled.stdout, spelled.stderr)
+
+
+def test_main_never_freezes(tmp_path, capsys):
+    (tmp_path / "t.json").write_text(json.dumps(TRIANGLE))
+    before = gc.get_freeze_count()
+    assert main(["verify", "--in", str(tmp_path / "t.json")]) == 0
+    assert main(["verify", "--in", str(tmp_path / "t.json"), "--form", "text"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+# Reports at exit, after SystemExit has left the module, whether the heap
+# was frozen.
+AT_EXIT = "import atexit, gc\natexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        "import runpy\nrunpy.run_module('morsepoly.cli', run_name='__main__', alter_sys=True)\n",
+        # What the installed `morsepoly` console script runs.
+        "import sys\nfrom morsepoly.cli import entry_point\nsys.exit(entry_point())\n",
+    ],
+    ids=["python -m", "console script"],
+)
+def test_exit_path_freezes_the_heap(tmp_path, launch):
+    (tmp_path / "t.json").write_text(json.dumps(TRIANGLE))
+    done = run_cli(["verify", "--in", "t.json", "--out", "o.json"], tmp_path, AT_EXIT + launch)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "frozen True\n", "")
+    assert json.loads((tmp_path / "o.json").read_text())["status"] == "verified"
+    failed = run_cli(["verify", "--in", "missing.json"], tmp_path, AT_EXIT + launch)
+    assert failed.returncode == 2 and failed.stdout == "frozen True\n"
+
+
+def test_console_script_takes_the_exit_path():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'morsepoly = "morsepoly.cli:entry_point"' in pyproject.splitlines()
