@@ -14,14 +14,17 @@ matched step loses at most one half; base functions therefore have no
 troubled elements.  To make the normalization pipeline earn its keep, a
 seeded round of single-value perturbations follows, each kept only if the
 function remains a valid discrete Morse function; these create duplicated
-values and troubled patterns while preserving validity.  The base function
-is validated in full once; each perturbation is then rechecked at the
-changed element and its covers, the only places where it can break the
-Morse condition, and the final function is validated in full again.
-Every value the generator makes is a multiple of 1/12 (base values are
-integers or half-integers, a pull-up adds 0 or 1/3, and a random target is
-p/q with q at most 4), so the perturbations run on the exact integers
-12 * value and are turned back into Fractions once, at the end.
+values and troubled patterns while preserving validity.  Every value the
+generator makes is a multiple of 1/12 (base values are integers or
+half-integers, a pull-up adds 0 or 1/3, and a random target is p/q with q
+at most 4), so once the base values are checked to lie on that grid,
+everything runs on the exact integers 12 * value.  The base function is
+validated in full once.  Each perturbation is kept only if
+:func:`~morsepoly.morse._holds_near` passes: the Morse condition at the
+changed element and at its non-increasing covers, the only places where
+the change can break it.  The final function is validated in full again
+and turned back into Fractions once, at the end.  A pull-up draws from the
+element's up-set, sorted once per element, the first time it is drawn.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from fractions import Fraction
 from math import comb
 
 from .complexes import ComplexSpec
-from .errors import CycleDetected, EmptyPoset, InvalidArgument, InvalidMorseFunction
-from .morse import MorseFunction, _recheck_near, validate_morse
-from .poset import ElementId, Poset, _topological_order
+from .errors import EmptyPoset, InvalidArgument
+from .morse import MorseFunction, _holds_near, validate_morse
+from .poset import ElementId, Poset
 
 MAX_DRAWS = 2**20  # gen_complex draws at most this many candidate simplices
 _SCALE = 12  # gen_morse's values are multiples of 1 / _SCALE
@@ -80,20 +83,6 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
             chosen.add((v,))
     maximal = tuple(sorted(chosen, key=lambda s: (len(s), s)))
     return ComplexSpec(kind="simplicial", maximal_simplices=maximal)
-
-
-def _contracted_is_acyclic(poset: Poset, node: dict[ElementId, ElementId]) -> bool:
-    """Cycle test on the cover digraph after merging matched pairs.
-
-    The whole-graph reference for the incremental test in
-    :func:`_sample_matching`.
-    """
-    edges = {(node[u], node[v]) for u, v in poset.covers if node[u] != node[v]}
-    try:
-        _topological_order(set(node.values()), edges)
-    except CycleDetected:
-        return False
-    return True
 
 
 def _reaches_around(
@@ -195,40 +184,39 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     rng = random.Random(seed)
     matching = _sample_matching(poset, rng)
     values = _base_values(poset, matching, rng)
-    if not validate_morse(poset, MorseFunction(dict(values))).valid:
-        raise AssertionError("base function is invalid; implementation bug")
-
     scaled: dict[ElementId, int] = {}
     for e, value in values.items():
-        twelfths = value * _SCALE
-        if twelfths.denominator != 1:
+        twelfths, off_grid = divmod(value.numerator * _SCALE, value.denominator)
+        if off_grid:
             raise AssertionError(f"base value {value} of {e!r} is not a multiple of "
                                  f"1/{_SCALE}; implementation bug")
-        scaled[e] = twelfths.numerator
+        scaled[e] = twelfths
+    if not validate_morse(poset, MorseFunction(scaled)).valid:
+        raise AssertionError("base function is invalid; implementation bug")
 
     elements = sorted(poset.elements)
     n = len(elements)
+    up_sets: dict[ElementId, list[ElementId]] = {}
     for _ in range(4 * n):
         e = rng.choice(elements)
         old = scaled[e]
         roll = rng.random()
-        above = poset.strict_up_set(e) if roll < 0.4 else None
+        above = up_sets.get(e) if roll < 0.4 else ()
+        if above is None:
+            above = up_sets[e] = sorted(poset.strict_up_set(e))
         if above:
             # Pull e's value up to (or past) something above it: this is what
             # seeds troubled patterns for the normalization sweeps to remove.
-            target = scaled[rng.choice(sorted(above))] + rng.choice((0, _SCALE // 3))
+            target = scaled[rng.choice(above)] + rng.choice((0, _SCALE // 3))
         elif roll < 0.7:
             target = scaled[rng.choice(elements)]
         else:
             numerator = rng.randint(-n, 2 * n)
             target = numerator * _SCALE // rng.randint(1, 4)  # exact: 1..4 divide _SCALE
         scaled[e] = target
-        try:
-            _recheck_near(poset, scaled, e)
-        except InvalidMorseFunction:
+        if not _holds_near(poset, scaled, e):
             scaled[e] = old
 
-    result = MorseFunction({e: Fraction(v, _SCALE) for e, v in scaled.items()})
-    if not validate_morse(poset, result).valid:
+    if not validate_morse(poset, MorseFunction(scaled)).valid:
         raise AssertionError("generator produced an invalid function; implementation bug")
-    return result
+    return MorseFunction({e: Fraction(v, _SCALE) for e, v in scaled.items()})

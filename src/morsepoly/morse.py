@@ -4,9 +4,11 @@ A function f on a poset is a discrete Morse function when every element has
 at most one lower cover a with f(a) >= f(b) and at most one upper cover c
 with f(b) >= f(c).  An element with no such neighbor in either direction is
 critical; otherwise it is ordinary.  The condition is stated once, in
-:func:`_scan`, which validation, classification, the local recheck, the
-normalization pipeline (:mod:`morsepoly.normalization`) and the exclusivity
-oracle (:mod:`morsepoly.oracles`) all read.  Values are exact rationals; no
+:func:`_non_increasing`, which :func:`_scan` reads for validation,
+classification, the local recheck, the normalization pipeline
+(:mod:`morsepoly.normalization`) and the exclusivity oracle
+(:mod:`morsepoly.oracles`), and :func:`_holds_near` for the generator's
+pass/fail test after one change.  Values are exact rationals or ints; no
 comparison in this module ever touches floating point.
 """
 
@@ -103,14 +105,19 @@ def _require_total(poset: Poset, f: MorseFunction) -> None:
         raise UnknownElement(f"function assigns values to non-elements {extra}")
 
 
+def _non_increasing(poset: Poset, values: Mapping[ElementId, Fraction | int], b: ElementId):
+    """b's lower covers a with f(a) >= f(b) and upper covers c with f(b) >= f(c)."""
+    value = values[b]
+    return ([a for a in poset._lower[b] if values[a] >= value],
+            [c for c in poset._upper[b] if value >= values[c]])
+
+
 def _scan(poset: Poset, values: Mapping[ElementId, Fraction | int], elements):
     """Yield (b, below, above) for the elements in identifier order: b's
     non-increasing lower and upper covers, at most one each.  Raises
     InvalidMorseFunction at the first element with two on one side."""
     for b in sorted(elements):
-        value = values[b]
-        below = [a for a in poset._lower[b] if values[a] >= value]
-        above = [c for c in poset._upper[b] if value >= values[c]]
+        below, above = _non_increasing(poset, values, b)
         if len(below) > 1 or len(above) > 1:
             side, covers = (BELOW, below) if len(below) > 1 else (ABOVE, above)
             # A list, not a generator: one generator per raise grew gen_morse's RSS.
@@ -131,6 +138,21 @@ def _recheck_near(
     """
     near = {element, *poset._lower[element], *poset._upper[element]}
     return {b: not below and not above for b, below, above in _scan(poset, values, near)}
+
+
+def _holds_near(poset: Poset, values: Mapping[ElementId, Fraction | int], element: ElementId):
+    """Whether a function that was valid before its value at element changed
+    is still valid.  A cover's lists can have gained element only if it is
+    one of element's non-increasing covers, so only those and element are
+    checked, up to the first that breaks the condition."""
+    below, above = _non_increasing(poset, values, element)
+    if len(below) > 1 or len(above) > 1:
+        return False
+    for b in (*below, *above):
+        below, above = _non_increasing(poset, values, b)
+        if len(below) > 1 or len(above) > 1:
+            return False
+    return True
 
 
 def validate_morse(poset: Poset, f: MorseFunction) -> MorseVerdict:

@@ -22,7 +22,10 @@ paths to it:
   that the embedding spans a full simplex;
 - :func:`check_exclusivity` and :func:`monotone_extension_holds`, which
   audit a whole function for the properties the normalization pipeline
-  guarantees.
+  guarantees;
+- :func:`_contracted_is_acyclic`, the whole-graph cycle test after merging
+  cover pairs, against the incremental reachability test of
+  :func:`~morsepoly.generators._sample_matching`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chain_index import combinatorial_indices
-from .errors import NotACover, NotGeneral, UnknownElement
+from .errors import CycleDetected, NotACover, NotGeneral, UnknownElement
 from .geometry import (
     CrossCheckReport,
     Embedding,
@@ -42,7 +45,7 @@ from .geometry import (
 )
 from .hypotheses import is_two_wide
 from .morse import MorseFunction, _require_total, _scan
-from .poset import ElementId, Poset, Record
+from .poset import ElementId, Poset, Record, _topological_order
 
 # Chain enumeration is exponential in the worst case; warn (don't fail) past
 # this many chains so desk-scale misuse is visible.
@@ -346,4 +349,15 @@ def monotone_extension_holds(poset: Poset, g: MorseFunction) -> bool:
         for w in poset.strict_up_set(y):
             if values[x] >= values[w]:
                 return False
+    return True
+
+
+def _contracted_is_acyclic(poset: Poset, node: dict[ElementId, ElementId]) -> bool:
+    """Cycle test on the cover digraph after merging matched pairs; ``node``
+    maps each element to the node that holds it."""
+    edges = {(node[u], node[v]) for u, v in poset.covers if node[u] != node[v]}
+    try:
+        _topological_order(set(node.values()), edges)
+    except CycleDetected:
+        return False
     return True

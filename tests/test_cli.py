@@ -13,6 +13,7 @@ import re
 import tempfile
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -189,6 +190,7 @@ class TestVerifySinglePass:
         count("_scan", morse,
               key=lambda poset, values, elements: "whole" if elements is poset.elements
               else "local")
+        count("_recheck_near", morse, normalization)
         count("set_value", normalization._Pipeline)
         count("vectors", geometry.Embedding)
 
@@ -202,6 +204,7 @@ class TestVerifySinglePass:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        value_types("_scan", morse, lambda poset, values, elements: values)
         value_types("classify", normalization, lambda poset, f: f.values)
         value_types("_find_troubled", normalization, lambda poset, values: values)
         value_types("_require_general", chain_index, lambda poset, g: g.values)
@@ -273,14 +276,29 @@ class TestVerifySinglePass:
         assert checks == {(2, 0, 0, 2)}
 
     @pytest.mark.parametrize("spec", [torus(3), torus(4)], ids=["torus3", "torus4"])
-    def test_gen_morse_validates_in_full_twice(self, files, calls, spec):
+    def test_gen_morse_validates_in_full_twice(self, files, calls, spec, monkeypatch):
         _, write = files
+        richcmp = Fraction._richcmp  # every <, <=, > and >= with a Fraction operand
+
+        def counted(self, other, op):
+            calls["Fraction comparison"] += 1
+            return richcmp(self, other, op)
+
+        monkeypatch.setattr(Fraction, "_richcmp", counted)
         argv = ["gen", "--kind", "morse", "--seed", "3",
                 "--in", write("c.json", complex_to_obj(spec))]
         assert main(argv) == 0
-        # The base function and the result; perturbations are checked locally.
+        # The base function and the result, both scanned on the int
+        # twelfths; each perturbation is checked by _holds_near, which
+        # neither rechecks nor scans.
         assert calls["whole"] == 2
         assert calls["validate_morse"] == 2
+        assert calls["_scan", "int"] == 2
+        assert calls["_scan", "Fraction"] == 0
+        assert calls["local"] == 0
+        assert calls["_recheck_near"] == 0
+        # No Fraction is compared anywhere in the run, the scans included.
+        assert calls["Fraction comparison"] == 0
 
 
 class TestPinnedOutput:

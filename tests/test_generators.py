@@ -18,8 +18,10 @@ from morsepoly import (
     EmptyPoset,
     InvalidArgument,
     InvalidMorseFunction,
+    MorseFunction,
     build_poset,
     compute_parity_rank,
+    face_poset_cellular,
     face_poset_simplicial,
     find_troubled,
     gen_complex,
@@ -29,9 +31,11 @@ from morsepoly import (
     transitive_reduction,
     validate_morse,
 )
-from morsepoly.generators import _base_values, _contracted_is_acyclic, _sample_matching
-from morsepoly.morse import _recheck_near
+from morsepoly.generators import _base_values, _sample_matching
+from morsepoly.morse import _holds_near, _recheck_near
+from morsepoly.oracles import _contracted_is_acyclic
 from morsepoly.jsonio import complex_to_obj, dumps_canonical, morse_to_obj
+from tests.conftest import cube, cubical_torus
 
 
 class TestGenComplex:
@@ -325,3 +329,48 @@ class TestIntegerPerturbations:
         monkeypatch.setattr(generators, "_base_values", off_grid)
         with pytest.raises(AssertionError, match="base value 1/5 of 'a' is not a multiple"):
             gen_morse(0, build_poset(["a", "b"], []))
+
+
+@st.composite
+def one_change(draw):
+    """A gen_morse function on a face poset, a cubical complex or a poset
+    that is not a face poset, with one element set to a new value: (poset,
+    values, element).  The values are Fractions, or the int twelfths the
+    perturbation loop runs on; the new value ties an existing one or is
+    drawn freely."""
+    if draw(st.booleans()):
+        spec = draw(st.builds(cube, st.integers(0, 3))
+                    | st.builds(cubical_torus, st.sampled_from((3, 4)), st.sampled_from((3, 4))))
+        poset = face_poset_cellular(spec).poset
+    else:
+        poset = draw(matching_posets())
+    values = dict(gen_morse(draw(st.integers(min_value=0, max_value=10**6)), poset).values)
+    if draw(st.booleans()):
+        values = {e: int(v * generators._SCALE) for e, v in values.items()}
+        fresh = st.integers(min_value=-240, max_value=240)
+    else:
+        fresh = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    element = draw(st.sampled_from(sorted(values)))
+    values[element] = draw(st.sampled_from(sorted(set(values.values()))) | fresh)
+    return poset, values, element
+
+
+class TestHoldsNear:
+    """The perturbation loop's local test gives the whole-function verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=one_change())
+    def test_equals_whole_function_verdict(self, case):
+        poset, values, element = case
+        verdict = validate_morse(poset, MorseFunction(values))
+        assert _holds_near(poset, values, element) == verdict.valid
+
+    def test_breach_at_a_cover(self):
+        # a and b under e, with b tied to e: raising a to e's value leaves a
+        # one non-increasing cover but gives e two.
+        edge = build_poset(["a", "b", "e"], [("a", "e"), ("b", "e")])
+        values = {"a": 0, "b": 2, "e": 2}
+        assert _holds_near(edge, values, "a")
+        values["a"] = 2
+        assert not _holds_near(edge, values, "a")
+        assert validate_morse(edge, MorseFunction(values)).element == "e"
