@@ -56,8 +56,8 @@ class IndexReport(Record):
 
 
 def _require_general(poset: Poset, g: MorseFunction) -> None:
-    for a in sorted(poset.elements):
-        for b in sorted(poset.strict_up_set(a)):
+    for a in poset.elements:
+        for b in poset._above[a]:
             if g[a] == g[b]:
                 raise NonGeneralFunction((a, b))
 
@@ -65,8 +65,8 @@ def _require_general(poset: Poset, g: MorseFunction) -> None:
 def _index_at(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     """The index of b, for a g already known to be general."""
     peak = g[b]
-    below = [c for c in poset.strict_down_set(b) if g[c] < peak]
-    above = [c for c in poset.strict_up_set(b) if g[c] < peak]
+    below = [c for c in poset._below[b] if g[c] < peak]
+    above = [c for c in poset._above[b] if g[c] < peak]
     return (1 - chain_euler_characteristic(poset, below)) * (
         1 - chain_euler_characteristic(poset, above)
     )
@@ -88,7 +88,7 @@ def combinatorial_indices(poset: Poset, g: MorseFunction) -> dict[ElementId, int
     """:func:`combinatorial_index` of every element, in identifier order,
     scanning the comparable pairs for generality once for the whole pass."""
     _require_general(poset, g)
-    return {b: _index_at(poset, g, b) for b in poset.sorted_elements}
+    return {b: _index_at(poset, g, b) for b in poset.elements}
 
 
 def predicted_index(classification: Classification, mu: ParityRank, b: ElementId) -> int:

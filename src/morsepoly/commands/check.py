@@ -27,7 +27,7 @@ def _check_payload(loaded: LoadedInput) -> dict:
         eulerian = is_downward_eulerian(poset, mu)
         payload["parity_rank"] = {
             "exists": True,
-            "values": {e: mu.values[e] for e in sorted(poset.elements)},
+            "values": {e: mu.values[e] for e in poset.elements},
         }
         payload["downward_eulerian"] = {
             "holds": bool(eulerian),

@@ -104,16 +104,10 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
                 faces.add(frozenset(face))
 
     by_id = {face_id(f): f for f in faces}
-    elements = sorted(by_id)
-    covers = []
-    for fid in elements:
-        face = by_id[fid]
-        if len(face) == 1:
-            continue
-        for v in sorted(face):
-            covers.append((face_id(face - {v}), fid))
-    poset = build_poset(elements, sorted(set(covers)))
-    ranks = {fid: len(by_id[fid]) - 1 for fid in elements}
+    covers = [(face_id(face - {v}), fid)
+              for fid, face in by_id.items() if len(face) > 1 for v in face]
+    poset = build_poset(by_id, covers)
+    ranks = {fid: len(by_id[fid]) - 1 for fid in poset.elements}
     max_rank = max(ranks.values(), default=0)
     return FacePoset(
         poset=poset,
@@ -151,17 +145,15 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
                 )
             relation.append((ref, cell.id))
 
-    elements = sorted(cells)
-    covers = transitive_reduction(elements, relation)
-    poset = build_poset(elements, covers)
+    poset = build_poset(cells, transitive_reduction(cells, relation))
 
-    dims = {cid: cells[cid].dim for cid in elements}
-    for e in elements:
+    dims = {cid: cells[cid].dim for cid in poset.elements}
+    for e in poset.elements:
         if not poset.lower_covers(e) and dims[e] != 0:
             raise RankConflict(
                 f"minimal cell {e!r} has dimension {dims[e]}, expected 0"
             )
-    for a, b in sorted(poset.covers):
+    for a, b in poset._pairs:
         if dims[b] != dims[a] + 1:
             raise RankConflict(
                 f"cover ({a!r}, {b!r}) jumps dimension {dims[a]} -> {dims[b]}"

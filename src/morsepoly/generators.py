@@ -24,7 +24,7 @@ validated in full once.  Each perturbation is kept only if
 changed element and at its non-increasing covers, the only places where
 the change can break it.  The final function is validated in full again
 and turned back into Fractions once, at the end.  A pull-up draws from the
-element's up-set, sorted once per element, the first time it is drawn.
+element's up-set as the poset stores it, in identifier order.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, 
     path other than the cover itself.  An accepted pair becomes the node
     min(a, b).
     """
-    covers = sorted(poset.covers)
+    covers = list(poset._pairs)
     rng.shuffle(covers)
     node = {e: e for e in poset.elements}
     succ = {e: poset.upper_covers(e) for e in poset.elements}
@@ -153,12 +153,12 @@ def _base_values(
     nodes = sorted(set(node.values()))
     edges: dict[ElementId, set[ElementId]] = {n: set() for n in nodes}
     indeg: dict[ElementId, int] = {n: 0 for n in nodes}
-    for u, v in sorted(poset.covers):
+    for u, v in poset._pairs:
         nu, nv = node[u], node[v]
         if nu != nv and nv not in edges[nu]:
             edges[nu].add(nv)
             indeg[nv] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
+    ready = [n for n in nodes if indeg[n] == 0]
     position: dict[ElementId, int] = {}
     counter = 0
     while ready:
@@ -194,16 +194,13 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     if not validate_morse(poset, MorseFunction(scaled)).valid:
         raise AssertionError("base function is invalid; implementation bug")
 
-    elements = sorted(poset.elements)
+    elements = poset.elements
     n = len(elements)
-    up_sets: dict[ElementId, list[ElementId]] = {}
     for _ in range(4 * n):
         e = rng.choice(elements)
         old = scaled[e]
         roll = rng.random()
-        above = up_sets.get(e) if roll < 0.4 else ()
-        if above is None:
-            above = up_sets[e] = sorted(poset.strict_up_set(e))
+        above = poset._above[e] if roll < 0.4 else ()
         if above:
             # Pull e's value up to (or past) something above it: this is what
             # seeds troubled patterns for the normalization sweeps to remove.

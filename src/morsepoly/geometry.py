@@ -80,7 +80,7 @@ class CrossCheckReport(Record):
 
 def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
     """Place the poset's elements in k-space with first coordinates g."""
-    ids = poset.sorted_elements
+    ids = poset.elements
     if not ids:
         raise EmptyPoset("cannot embed an empty poset")
     missing = sorted(set(ids) - set(g.values))
@@ -133,10 +133,10 @@ def _general_up_sets(
     pairs; raises NotGeneral at the first comparable pair with equal levels,
     scanning in the oracle ``realize_complex``'s order."""
     up: dict[ElementId, list[tuple[ElementId, int]]] = {}
-    for a in sorted(poset.elements):
+    for a in poset.elements:
         a_level = level[a]
         pairs = up[a] = []
-        for b in sorted(poset.strict_up_set(a)):
+        for b in poset._above[a]:
             b_level = level[b]
             if b_level == a_level:
                 raise NotGeneral((a, b))

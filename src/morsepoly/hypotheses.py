@@ -87,7 +87,7 @@ def chain_euler_characteristic(poset: Poset, subset: Iterable[ElementId]) -> int
 
 def is_two_wide(poset: Poset) -> TwoWideVerdict:
     """Check that every 2-step cover chain a < b < c has an alternative middle."""
-    for a, b in sorted(poset.covers):
+    for a, b in poset._pairs:
         for c in poset.upper_covers(b):
             middles = set(poset.upper_covers(a)) & set(poset.lower_covers(c))
             if not (middles - {b}):
@@ -138,7 +138,7 @@ def validate_parity_rank(poset: Poset, mu: ParityRank) -> None:
             raise ValueError(f"parity rank of {e!r} is not 0 or 1")
         if not poset.lower_covers(e) and mu.values[e] != 0:
             raise ValueError(f"minimal element {e!r} has parity {mu.values[e]}")
-    for a, b in poset.covers:
+    for a, b in poset._pairs:
         if mu.values[b] != 1 - mu.values[a]:
             raise ValueError(f"parity does not flip across cover ({a!r}, {b!r})")
 
@@ -154,7 +154,7 @@ def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
     validate_parity_rank(poset, mu)
     w = chain_weights(poset)
     violations = []
-    for a in sorted(poset.elements):
+    for a in poset.elements:
         if not poset.lower_covers(a):
             continue
         chi = 1 - w[a]

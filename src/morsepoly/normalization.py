@@ -91,17 +91,17 @@ def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> 
     # Each maps a flagged element to its first witness pair.
     short_up, up, short_down, down = {}, {}, {}, {}
 
-    for x, y in sorted(poset.covers):
+    for x, y in poset._pairs:
         if values[x] >= values[y]:
             continue
         # Elements a < x with f(y) <= f(a) see the rising cover (x, y) above them.
-        for a in sorted(poset.strict_down_set(x)):
+        for a in poset._below[x]:
             if values[y] <= values[a]:
                 up.setdefault(a, (x, y))
                 if (a, x) in poset.covers:
                     short_up.setdefault(a, (x, y))
         # Elements a > y with f(a) <= f(x) see it below them.
-        for a in sorted(poset.strict_up_set(y)):
+        for a in poset._above[y]:
             if values[a] <= values[x]:
                 down.setdefault(a, (y, x))
                 if (y, a) in poset.covers:
@@ -115,11 +115,12 @@ def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> 
 
 
 def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
-    """Deterministic topological order: by rank when graded, then identifier;
-    ungraded posets keep the smallest-identifier-first order of build_poset."""
+    """Deterministic topological order: by rank when graded, then identifier
+    (a stable sort of the identifier-ordered elements); ungraded posets keep
+    the smallest-identifier-first order of build_poset."""
     rank = compute_rank_function(poset)
     if isinstance(rank, RankFunction):
-        return tuple(sorted(poset.elements, key=lambda e: (rank.values[e], e)))
+        return tuple(sorted(poset.elements, key=lambda e: rank.values[e]))
     return poset.topological_order
 
 

@@ -7,6 +7,15 @@ by the others is rejected rather than silently dropped, because a redundant
 pair in user input usually indicates a modeling error.  Use
 :func:`transitive_reduction` to reduce an arbitrary acyclic relation first.
 
+:func:`build_poset` is the one place that decides identifier order, whatever
+the order of its input lists.  It stores the elements, the cover pairs,
+each element's covers and each strict up-set sorted, so no consumer sorts
+them again, and its own checks scan the sorted pairs, so an error names
+the identifier-first bad pair under any hash seed.  An up-set is a tuple,
+built by appending each element in that order with no set and no sort; a
+down-set is a frozenset, because its readers test membership or sum over
+it in any order.
+
 The module holds the order itself: construction, order queries, the chain
 counts per length (the order complex's f-vector, found without listing a
 chain), the two gradings a face poset carries, and :class:`Record`, the
@@ -117,27 +126,32 @@ class RankFunction(Record):
 class Poset:
     """Immutable finite poset with precomputed reachability closure.
 
-    Not constructed directly; use :func:`build_poset`.  ``topological_order``
-    is the linear extension it found, smallest ready identifier first.
+    Not constructed directly; use :func:`build_poset`.  ``elements``,
+    ``_pairs`` (the covers as a tuple), each element's covers (``_upper``,
+    ``_lower``) and its strict up-set (``_above``) are tuples in identifier
+    order; strict down-sets (``_below``) are frozensets.  ``covers`` is the
+    frozenset of the pairs.  ``topological_order`` is the linear extension
+    build_poset found, smallest ready identifier first.
     """
 
     __slots__ = ("elements", "covers", "topological_order",
-                 "_set", "_upper", "_lower", "_above", "_below")
+                 "_set", "_pairs", "_upper", "_lower", "_above", "_below")
 
     def __init__(
         self,
         elements: tuple[ElementId, ...],
-        covers: frozenset[tuple[ElementId, ElementId]],
+        pairs: tuple[tuple[ElementId, ElementId], ...],
         topological_order: tuple[ElementId, ...],
         upper: dict[ElementId, tuple[ElementId, ...]],
         lower: dict[ElementId, tuple[ElementId, ...]],
-        above: dict[ElementId, frozenset[ElementId]],
+        above: dict[ElementId, tuple[ElementId, ...]],
         below: dict[ElementId, frozenset[ElementId]],
     ):
         self.elements = elements
-        self.covers = covers
+        self.covers = frozenset(pairs)
         self.topological_order = topological_order
         self._set = frozenset(elements)
+        self._pairs = pairs
         self._upper = upper
         self._lower = lower
         self._above = above
@@ -158,7 +172,7 @@ class Poset:
     @property
     def sorted_elements(self) -> tuple[ElementId, ...]:
         """Elements in identifier order (the canonical iteration order)."""
-        return tuple(sorted(self.elements))
+        return self.elements
 
     def require(self, element: ElementId) -> None:
         if element not in self._set:
@@ -180,7 +194,7 @@ class Poset:
     def strict_up_set(self, element: ElementId) -> frozenset[ElementId]:
         """All elements strictly above the given one."""
         self.require(element)
-        return self._above[element]
+        return frozenset(self._above[element])
 
     def closed_down_set(self, element: ElementId) -> frozenset[ElementId]:
         return self.strict_down_set(element) | {element}
@@ -197,12 +211,16 @@ class Poset:
         return a in self._below[b]
 
     def minimal_elements(self) -> tuple[ElementId, ...]:
-        return tuple(e for e in sorted(self.elements) if not self._lower[e])
+        return tuple(e for e in self.elements if not self._lower[e])
 
 
 def _check_references(
     elements: Sequence[ElementId], pairs: Iterable[tuple[ElementId, ElementId]]
-) -> None:
+) -> list[tuple[ElementId, ElementId]]:
+    """The distinct pairs in identifier order, checked to name known, distinct
+    elements.  Every later check scans them in this order, so an error names
+    the identifier-first bad pair whatever the hash seed."""
+    pairs = sorted({(str(a), str(b)) for a, b in pairs})
     known = set(elements)
     if len(known) != len(elements):
         seen: set[ElementId] = set()
@@ -215,10 +233,11 @@ def _check_references(
             raise UnknownElement(f"unknown element {a!r} in pair ({a!r}, {b!r})")
         if b not in known:
             raise UnknownElement(f"unknown element {b!r} in pair ({a!r}, {b!r})")
+    return pairs
 
 
 def _topological_order(
-    elements: Collection[ElementId], pairs: set[tuple[ElementId, ElementId]]
+    elements: Collection[ElementId], pairs: Iterable[tuple[ElementId, ElementId]]
 ) -> list[ElementId]:
     """Kahn's algorithm, smallest identifier first; raises on cycles."""
     succ: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
@@ -246,7 +265,7 @@ def _topological_order(
 
 def _closure(
     elements: Sequence[ElementId],
-    pairs: set[tuple[ElementId, ElementId]],
+    pairs: Iterable[tuple[ElementId, ElementId]],
     order: Sequence[ElementId],
 ) -> dict[ElementId, frozenset[ElementId]]:
     """below[x] = all elements strictly under x, accumulated in topological order."""
@@ -270,37 +289,38 @@ def build_poset(
 
     Raises UnknownElement for pairs naming missing ids, CycleDetected if the
     pairs are not acyclic, and NonCoverEdge if a pair is already implied
-    transitively by the others.
+    transitively by the others; each at the identifier-first bad pair.
     """
     elements = tuple(elements)
-    pairs = {(str(a), str(b)) for a, b in covers}
-    _check_references(elements, pairs)
+    pairs = _check_references(elements, covers)
+    elements = tuple(sorted(elements))
     order = _topological_order(elements, pairs)
     below = _closure(elements, pairs, order)
 
     # A pair (a, b) is transitive if some other cover (a, c) has c < b.
     upper_map: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
     lower_map: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    for a, b in sorted(pairs):
+    for a, b in pairs:
         upper_map[a].append(b)
         lower_map[b].append(a)
-    for a, b in sorted(pairs):
+    for a, b in pairs:
         for c in upper_map[a]:
             if c != b and c in below[b]:
                 raise NonCoverEdge((a, b))
 
-    above: dict[ElementId, set[ElementId]] = {e: set() for e in elements}
+    # Appending each e in identifier order leaves every up-set sorted.
+    above: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
     for e in elements:
         for x in below[e]:
-            above[x].add(e)
+            above[x].append(e)
 
     return Poset(
         elements,
-        frozenset(pairs),
+        tuple(pairs),
         tuple(order),
         {e: tuple(upper_map[e]) for e in elements},
         {e: tuple(lower_map[e]) for e in elements},
-        {e: frozenset(above[e]) for e in elements},
+        {e: tuple(above[e]) for e in elements},
         below,
     )
 
@@ -314,8 +334,7 @@ def transitive_reduction(
     result is the unique Hasse diagram, suitable for :func:`build_poset`.
     """
     elements = tuple(elements)
-    pairs = {(str(a), str(b)) for a, b in relation}
-    _check_references(elements, pairs)
+    pairs = _check_references(elements, relation)
     order = _topological_order(elements, pairs)
     below = _closure(elements, pairs, order)
     covers = []

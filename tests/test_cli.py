@@ -8,8 +8,12 @@ import io
 import json
 import importlib
 import math
+import os
 import pkgutil
+import random
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -37,12 +41,12 @@ from morsepoly.cli import COMMANDS as OPTIONS
 from morsepoly.cli import _join_gen_numbers, build_parser, main, parse_fast
 from morsepoly.commands import check as check_command
 from morsepoly.commands import verify as verify_command
-from morsepoly.complexes import face_poset_simplicial
+from morsepoly.complexes import face_poset_cellular, face_poset_simplicial
 from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import chain_counts
-from tests.conftest import CUBICAL, cube, cubical_torus, torus
+from tests.conftest import CUBICAL, build_two_cycles_spec, cube, cubical_torus, torus
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
@@ -729,6 +733,62 @@ class TestBadInput:
         _, write = files
         poset = {"elements": ["a", "e", "t"], "covers": [["a", "e"], ["e", "t"], ["a", "t"]]}
         assert main(["check", "--in", write("p.json", poset)]) == 2
+
+    @pytest.mark.parametrize("poset, message", [
+        ({"elements": ["a", "b", "c"], "covers": [["a", "a"], ["b", "b"], ["c", "c"]]},
+         "self-loop at 'a'"),
+        ({"elements": ["a"], "covers": [["a", "x"], ["a", "y"], ["a", "z"], ["a", "w"]]},
+         "unknown element 'w' in pair ('a', 'w')"),
+    ], ids=["self-loops", "unknown-ends"])
+    def test_error_names_the_first_bad_pair_under_every_hash_seed(self, files, poset, message):
+        # The pairs are checked in identifier order, not in set order.
+        _, write = files
+        path = write("p.json", poset)
+        seen = set()
+        for seed in range(8):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(seed)}
+            done = subprocess.run([sys.executable, "-m", "morsepoly.cli", "check", "--in", path],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 2
+            seen.add(done.stderr)
+        assert seen == {f"error: {message}\n"}
+
+
+def _poset_documents(poset, rng):
+    """The poset as an elements/covers document twice: in identifier order
+    and with both lists shuffled."""
+    elements = sorted(poset.elements)
+    covers = [list(pair) for pair in sorted(poset.covers)]
+    ordered = {"elements": elements, "covers": covers}
+    elements, covers = elements[:], covers[:]
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    return ordered, {"elements": elements, "covers": covers}
+
+
+class TestInputOrder:
+    """The order of an input's lists never reaches the output."""
+
+    @pytest.mark.parametrize("face", [
+        face_poset_simplicial(torus(3)),
+        face_poset_cellular(build_two_cycles_spec()),
+    ], ids=["torus3", "two-cycles"])
+    def test_shuffled_document_gives_the_same_bytes(self, files, capsys, face):
+        _, write = files
+        ordered, shuffled = _poset_documents(face.poset, random.Random(17))
+        morse = write("f.json", morse_to_obj(gen_morse(5, face.poset)))
+        runs = {}
+        for name, document in (("ordered", ordered), ("shuffled", shuffled)):
+            path = write(f"{name}.json", document)
+            for argv in (["check"], ["euler"], ["classify", "--morse", morse],
+                         ["normalize", "--morse", morse], ["index", "--morse", morse],
+                         ["verify", "--morse", morse], ["embed", "--morse", morse],
+                         ["gen", "--kind", "morse", "--seed", "3"]):
+                code = main([*argv, "--in", path])
+                runs.setdefault(argv[0], []).append((code, capsys.readouterr().out))
+        for command, (first, second) in runs.items():
+            assert first == second, command
+        assert runs["verify"][0][0] == 0
 
 
 NAMES = ("a", "b", "c", "d", "e")

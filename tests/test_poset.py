@@ -475,6 +475,35 @@ class TestCoverRederivation:
         assert self.derive_covers(poset) == set(poset.covers)
 
 
+@st.composite
+def shuffled_inputs(draw):
+    """A face poset or a ranked poset that seldom is one, with the element
+    and cover lists it is rebuilt from drawn in any order."""
+    poset = draw(st.integers(min_value=0, max_value=40).map(face_poset_of) | graded_posets())
+    elements = draw(st.permutations(poset.elements))
+    covers = draw(st.permutations(sorted(poset.covers)))
+    return poset, elements, covers
+
+
+class TestStoredOrder:
+    """build_poset stores identifier order once, whatever the input order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_inputs())
+    def test_elements_pairs_and_up_sets_are_sorted(self, case):
+        reference, elements, covers = case
+        poset = build_poset(elements, covers)
+        assert list(poset.elements) == sorted(elements)
+        assert poset._pairs == tuple(sorted(poset.covers))
+        for e in poset.elements:
+            above = sorted(x for x in poset.elements if e in poset.strict_down_set(x))
+            assert list(poset._above[e]) == above
+            up = poset.strict_up_set(e)
+            assert type(up) is frozenset
+            assert up == frozenset(poset._above[e])
+        assert poset.topological_order == reference.topological_order
+
+
 class TestTransitiveReduction:
     def test_removes_redundant_pairs(self):
         covers = transitive_reduction(
