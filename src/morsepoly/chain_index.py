@@ -25,9 +25,9 @@ its report carries the normalized rationals.
 
 from __future__ import annotations
 
-from .errors import Mismatch, NonGeneralFunction
+from .errors import Mismatch, MissingValue, NonGeneralFunction
 from .hypotheses import (
-    chain_euler_characteristic,
+    _chain_weights,
     check_hypotheses,  # re-exported, so it still imports from this module
 )
 from .morse import Classification, MorseFunction
@@ -56,6 +56,9 @@ class IndexReport(Record):
 
 
 def _require_general(poset: Poset, g: MorseFunction) -> None:
+    missing = [e for e in poset.elements if e not in g]
+    if missing:
+        raise MissingValue(f"function has no value for {missing}")
     for a in poset.elements:
         for b in poset._above[a]:
             if g[a] == g[b]:
@@ -65,19 +68,18 @@ def _require_general(poset: Poset, g: MorseFunction) -> None:
 def _index_at(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     """The index of b, for a g already known to be general."""
     peak = g[b]
-    below = [c for c in poset._below[b] if g[c] < peak]
-    above = [c for c in poset._above[b] if g[c] < peak]
-    return (1 - chain_euler_characteristic(poset, below)) * (
-        1 - chain_euler_characteristic(poset, above)
-    )
+    below = _chain_weights(poset, [c for c in poset._below[b] if g[c] < peak])
+    above = _chain_weights(poset, [c for c in poset._above[b] if g[c] < peak])
+    return (1 - sum(below.values())) * (1 - sum(above.values()))
 
 
 def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     """Signed count of chains containing b on which g is maximal at b.
 
-    Requires g to take distinct values on comparable pairs; equal values
-    would make "maximal at b" ambiguous, so they are refused rather than
-    tie-broken.
+    Requires g to take a value at every element (MissingValue otherwise;
+    values at non-elements are ignored) and distinct values on comparable
+    pairs; equal values would make "maximal at b" ambiguous, so they are
+    refused rather than tie-broken.
     """
     poset.require(b)
     _require_general(poset, g)
@@ -128,7 +130,7 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
             )
         )
 
-    chi = chain_euler_characteristic(poset, poset.elements)
+    chi = sum(_chain_weights(poset, poset.elements).values())
     total = sum(e.computed for e in entries)
     if total != chi:
         raise Mismatch(None, total, chi, what="index total vs Euler characteristic")

@@ -2,8 +2,11 @@
 
 Simplicial input lists maximal simplices as vertex-id sets; every non-empty
 subset becomes a face, identified by its sorted comma-joined vertex ids, and
-covers are the codimension-1 containments.  The resulting poset always
-carries rank = dimension and parity = dimension mod 2.
+covers are the codimension-1 containments.  Each maximal simplex is sorted
+once, so every face is born a sorted vertex tuple (``combinations`` keeps
+the order), and so is each facet it drops a vertex to; no id is sorted
+again.  The resulting poset always carries rank = dimension and parity =
+dimension mod 2.
 
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
@@ -72,11 +75,6 @@ class MorseInequalityReport(Record):
     chi: int
 
 
-def face_id(vertices) -> str:
-    """Canonical identifier of a face: sorted vertex ids joined by commas."""
-    return FACE_SEPARATOR.join(sorted(vertices))
-
-
 def _check_vertex_id(vertex: str) -> None:
     if not vertex:
         raise MalformedSpec("empty vertex id")
@@ -91,7 +89,7 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
     """Face poset of a simplicial complex given by its maximal simplices."""
     if spec.kind != "simplicial":
         raise MalformedSpec(f"expected a simplicial spec, got kind {spec.kind!r}")
-    faces: set[frozenset[str]] = set()
+    faces: dict[ElementId, tuple[str, ...]] = {}
     for simplex in spec.maximal_simplices:
         if not simplex:
             raise MalformedSpec("empty simplex in maximal_simplices")
@@ -99,15 +97,16 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
             raise MalformedSpec(f"duplicate vertex in simplex {simplex!r}")
         for v in simplex:
             _check_vertex_id(v)
-        for size in range(1, len(simplex) + 1):
-            for face in combinations(sorted(simplex), size):
-                faces.add(frozenset(face))
+        vertices = sorted(simplex)
+        for size in range(1, len(vertices) + 1):
+            for face in combinations(vertices, size):
+                faces[FACE_SEPARATOR.join(face)] = face
 
-    by_id = {face_id(f): f for f in faces}
-    covers = [(face_id(face - {v}), fid)
-              for fid, face in by_id.items() if len(face) > 1 for v in face]
-    poset = build_poset(by_id, covers)
-    ranks = {fid: len(by_id[fid]) - 1 for fid in poset.elements}
+    # Each face is a sorted tuple, and so is every facet face[:i] + face[i+1:].
+    covers = [(FACE_SEPARATOR.join(face[:i] + face[i + 1:]), fid)
+              for fid, face in faces.items() if len(face) > 1 for i in range(len(face))]
+    poset = build_poset(faces, covers)
+    ranks = {fid: len(faces[fid]) - 1 for fid in poset.elements}
     max_rank = max(ranks.values(), default=0)
     return FacePoset(
         poset=poset,

@@ -52,6 +52,16 @@ class EulerianVerdict(Record):
         return self.holds
 
 
+def _chain_weights(poset: Poset, members: Iterable[ElementId]) -> dict[ElementId, int]:
+    """:func:`chain_weights` of members drawn from the poset, unchecked."""
+    below = poset._below
+    w: dict[ElementId, int] = {}
+    for x in sorted(members, key=lambda e: len(below[e])):
+        # Every member y < x is already in w, and no non-member ever is.
+        w[x] = 1 - sum(w[y] for y in below[x] if y in w)
+    return w
+
+
 def chain_weights(
     poset: Poset, subset: Iterable[ElementId] | None = None
 ) -> dict[ElementId, int]:
@@ -60,24 +70,20 @@ def chain_weights(
     Each chain topped by x is {x} or a chain topped by some member y < x with
     x appended, so w(x) = 1 - sum of w(y) over members y < x (Hall's theorem:
     w(x) is minus the Moebius function from an adjoined bottom to x).  One
-    walk over a linear extension finds every w(y) before it is needed:
-    ``topological_order`` for the whole poset, and for a subset its members
-    by down-set size, since y < x makes y's strict down-set a proper subset
-    of x's.  Summed over the subset, w gives the Euler characteristic of its
-    order complex.
+    walk over the members (by default the whole poset) by down-set size
+    finds every w(y) before it is needed, since y < x makes y's strict
+    down-set a proper subset of x's.  Summed over the subset, w gives the
+    Euler characteristic of its order complex.  The keys run by down-set
+    size, then identifier.  Only this entry checks the subset; the
+    package's callers draw theirs from the poset.
     """
-    below = poset._below
     if subset is None:
-        members, order = poset._set, poset.topological_order
-    else:
-        members = set(subset)
-        for e in sorted(members):
-            poset.require(e)
-        order = sorted(members, key=lambda x: len(below[x]))
-    w: dict[ElementId, int] = {}
-    for x in order:
-        w[x] = 1 - sum(w[y] for y in below[x] if y in members)
-    return w
+        return _chain_weights(poset, poset.elements)
+    members = set(subset)
+    unknown = members.difference(poset._set)
+    if unknown:
+        poset.require(min(unknown))
+    return _chain_weights(poset, [e for e in poset.elements if e in members])
 
 
 def chain_euler_characteristic(poset: Poset, subset: Iterable[ElementId]) -> int:

@@ -113,10 +113,10 @@ def _non_increasing(poset: Poset, values: Mapping[ElementId, Fraction | int], b:
 
 
 def _scan(poset: Poset, values: Mapping[ElementId, Fraction | int], elements):
-    """Yield (b, below, above) for the elements in identifier order: b's
+    """Yield (b, below, above) for the elements in the order given: b's
     non-increasing lower and upper covers, at most one each.  Raises
     InvalidMorseFunction at the first element with two on one side."""
-    for b in sorted(elements):
+    for b in elements:
         below, above = _non_increasing(poset, values, b)
         if len(below) > 1 or len(above) > 1:
             side, covers = (BELOW, below) if len(below) > 1 else (ABOVE, above)
@@ -136,7 +136,7 @@ def _recheck_near(
     the first of them, in identifier order, that breaks the Morse condition;
     otherwise returns whether each is critical.
     """
-    near = {element, *poset._lower[element], *poset._upper[element]}
+    near = sorted({element, *poset._lower[element], *poset._upper[element]})
     return {b: not below and not above for b, below, above in _scan(poset, values, near)}
 
 

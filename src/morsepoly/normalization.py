@@ -11,14 +11,13 @@ classification and every intermediate stage are retained in a trace so each
 step can be audited; each change is rechecked locally as it is made
 (:func:`morsepoly.morse._recheck_near`), so the obstruction audits do not
 validate the function again.  All of it reads only the order of the values,
-so after the up sweep they are ranked once into int keys: the spread sweep,
-its rechecks and the later audits compare ints, and the written rationals
-are computed without comparing any.
+so after the up sweep one stable sort ranks them into the int keys the
+result will have: the spread sweep, its rechecks and the later audits
+compare ints, and the written rationals are computed without comparing any.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
@@ -204,39 +203,41 @@ class _Pipeline:
             new = _midpoint(values[x], bound)
             self.set_value(Modification("up_sweep", e, values[e], new), new)
 
-    def rank(self) -> dict[int, tuple[int, Fraction | None]]:
-        """Key the i-th distinct rational i * spacing, spacing exceeding the
-        element count, and return each key's ceiling: the next class's key
-        and value, or past the maximum key + spacing and None."""
+    def rank(self, order) -> tuple[dict[ElementId, int], dict[int, Fraction | None]]:
+        """Return g's int keys: positions in one stable sort of reversed(order)
+        by value, so a tie class's later members sort lower.  Each member
+        holds its class's lowest key until :meth:`spread_sweep` moves it; the
+        map also returned sends that key to the next larger value, or None.
+        """
         distinct = sorted(set(self.values.values()))
-        spacing = len(self.values) + 1
-        key = {v: i * spacing for i, v in enumerate(distinct)}
-        self.values = {e: key[v] for e, v in self.values.items()}
-        tops = distinct[1:] + [None]
-        return {i * spacing: ((i + 1) * spacing, top) for i, top in enumerate(tops)}
+        index = {v: i for i, v in enumerate(distinct)}
+        tie_class = {e: index[v] for e, v in self.values.items()}
+        keys = {e: i for i, e in enumerate(sorted(reversed(order), key=tie_class.__getitem__))}
+        held: dict[int, int] = {}
+        for e, key in keys.items():
+            held.setdefault(tie_class[e], key)
+        self.values = {e: held[c] for e, c in tie_class.items()}
+        return keys, dict(zip(held.values(), distinct[1:] + [None]))
 
-    def spread_sweep(self, order, rationals, ceiling) -> dict[ElementId, Fraction]:
+    def spread_sweep(self, order, rationals, keys, tops) -> dict[ElementId, Fraction]:
         """Make all values distinct without reordering any strict comparison;
         return the written rationals.
 
-        Runs on the keys and ceilings :meth:`rank` made from ``rationals``.
-        Each tie class's elements but its last in order move up: the key to
-        one below the class's ceiling key, the rational to the midpoint of
-        the class's value and ceiling value (past the maximum, the first to
-        value + 1), and the move becomes the ceiling.  So both land
-        between the same neighbours, and every comparison agrees on either.
+        Runs on the held keys :meth:`rank` made from ``rationals``.  Each
+        tie class's elements but its last in order move: the key to its own,
+        the rational to the midpoint of the class's value and the last value
+        written above it (at first the next larger value; past the maximum,
+        the first to value + 1).  So both land between the same neighbours,
+        and every comparison agrees on either.
         """
-        keys, written = self.values, dict(rationals)
-        left = Counter(keys.values())
+        written = dict(rationals)
         for e in order:
-            key, value = keys[e], written[e]
-            if left[key] == 1:
+            key = self.values[e]
+            if keys[e] == key:
                 continue
-            left[key] -= 1
-            top_key, top = ceiling[key]
-            written[e] = new = value + 1 if top is None else (value + top) / 2
-            ceiling[key] = top_key - 1, new
-            self.set_value(Modification("spread_sweep", e, value, new), top_key - 1)
+            value, top = written[e], tops[key]
+            written[e] = tops[key] = new = value + 1 if top is None else (value + top) / 2
+            self.set_value(Modification("spread_sweep", e, value, new), keys[e])
         return written
 
 
@@ -267,13 +268,13 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
 
     state.up_sweep(order)
     after_up = state.snapshot()
-    ceiling = state.rank()
+    final_keys, tops = state.rank(order)
     report = _find_troubled(poset, state.values)
     if not report.clean():
         raise AssertionError(f"up sweep left obstructed elements "
                              f"{report.troubled_elements()}; implementation bug")
 
-    result = MorseFunction(state.spread_sweep(order, after_up.values, ceiling))
+    result = MorseFunction(state.spread_sweep(order, after_up.values, final_keys, tops))
     keys = state.snapshot()
     if not keys.is_injective():
         raise AssertionError("spread sweep failed to separate all values")

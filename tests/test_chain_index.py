@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from morsepoly import (
     HypothesisViolated,
     Mismatch,
+    MissingValue,
     MorseFunction,
     NonGeneralFunction,
     NotACover,
@@ -27,6 +28,7 @@ from morsepoly import (
     combinatorial_indices,
     compute_parity_rank,
     dimension_morse,
+    embed_vertices,
     enumerate_chains,
     face_poset_simplicial,
     gen_complex,
@@ -134,6 +136,23 @@ class TestCombinatorialIndex:
         g = MorseFunction.from_values({"a": 1, "b": 0, "e": 1})
         with pytest.raises(NonGeneralFunction):
             combinatorial_index(edge_poset, g, "a")
+
+    def test_partial_function_is_refused_like_embed(self, edge_poset):
+        # A value missing for some element is named, as embed_vertices names
+        # it; a value at a non-element is ignored.
+        g = MorseFunction.from_values({"a": 0, "b": 1, "zz": 5})
+        message = "function has no value for ['e']"
+        with pytest.raises(MissingValue) as info:
+            embed_vertices(edge_poset, g)
+        assert str(info.value) == message
+        with pytest.raises(MissingValue) as info:
+            combinatorial_indices(edge_poset, g)
+        assert str(info.value) == message
+        with pytest.raises(MissingValue) as info:
+            combinatorial_index(edge_poset, g, "a")
+        assert str(info.value) == message
+        total = MorseFunction.from_values({"a": 0, "b": 1, "e": 2, "zz": 5})
+        assert combinatorial_indices(edge_poset, total) == {"a": 1, "b": 1, "e": -1}
 
     def test_matches_full_chain_enumeration(self):
         # Oracle: scan every chain of the whole poset, no support-set pruning.

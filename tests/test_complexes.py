@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsepoly import (
     CellSpec,
@@ -64,6 +68,29 @@ class TestSimplicial:
     def test_wrong_kind_rejected(self):
         with pytest.raises(MalformedSpec):
             face_poset_simplicial(ComplexSpec(kind="cellular"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ids_and_covers_match_the_definition(self, data):
+        # String order is not numeric order on these ids ("10" < "2"), and
+        # "B" sorts before "a".  Simplices arrive unsorted, may overlap, and
+        # one may be listed twice.
+        simplex = st.lists(st.sampled_from(["1", "2", "10", "a", "B"]),
+                           min_size=1, max_size=5, unique=True)
+        simplices = data.draw(st.lists(simplex, min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            simplices.append(data.draw(st.permutations(simplices[0])))
+        face = face_poset_simplicial(simplicial(*simplices))
+
+        def face_id(vertices):
+            return ",".join(sorted(vertices))
+
+        faces = {frozenset(subset) for s in simplices
+                 for k in range(1, len(s) + 1) for subset in combinations(s, k)}
+        covers = {(face_id(f - {v}), face_id(f)) for f in faces if len(f) > 1 for v in f}
+        assert face.poset.elements == tuple(sorted(face_id(f) for f in faces))
+        assert face.poset.covers == covers
+        assert face.rank.values == {face_id(f): len(f) - 1 for f in faces}
 
     def test_generated_face_posets_pass_all_checks(self):
         for seed in range(15):

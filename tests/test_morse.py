@@ -252,12 +252,12 @@ class TestStageFaults:
     def test_spread_key_outside_its_gap_is_caught(self, edge_poset, monkeypatch):
         rank = normalization._Pipeline.rank
 
-        def overshooting(state):
-            # Every ceiling one gap too high: a key moved out of a tie class
-            # lands above the next class.
-            ceiling = rank(state)
-            spacing = len(state.values) + 1
-            return {key: (top_key + spacing, top) for key, (top_key, top) in ceiling.items()}
+        def overshooting(state, order):
+            # Every moved element's key shifted past all n keys: a key moved
+            # out of a tie class lands above the next class.
+            keys, tops = rank(state, order)
+            n = len(keys)
+            return {e: k if k == state.values[e] else k + n for e, k in keys.items()}, tops
 
         monkeypatch.setattr(normalization._Pipeline, "rank", overshooting)
         f = MorseFunction.from_values({"a": 0, "b": 0, "e": 1})
@@ -677,6 +677,7 @@ class TestSpreadSweepReference:
         assert [(m.stage, m.element, m.old, m.new) for m in trace.modifications] == expected
         # The keys order the elements exactly as the written rationals do.
         assert all(type(k) is int for k in trace.keys.values.values())
+        assert sorted(trace.keys.values.values()) == list(range(len(poset)))
         by_key = sorted(poset.elements, key=trace.keys.values.__getitem__)
         assert by_key == sorted(poset.elements, key=values.__getitem__)
         assert combinatorial_indices(poset, trace.keys) == combinatorial_indices(

@@ -442,6 +442,30 @@ class TestChainWeights:
         with pytest.raises(UnknownElement):
             chain_weights(edge_poset, {"a", "zz"})
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
+    def test_any_member_order(self, seed, data):
+        # The recursion orders the members itself, so a set, a sorted list
+        # and a shuffled tuple of the same members give the same weights.
+        poset = face_poset_of(seed)
+        subset = [e for e in poset.elements if data.draw(st.booleans())]
+        shuffled = tuple(data.draw(st.permutations(subset)))
+        w = chain_weights(poset, set(subset))
+        assert chain_weights(poset, sorted(subset)) == w
+        assert chain_weights(poset, shuffled) == w
+        # The keys run by down-set size, then identifier, whatever the hash seed.
+        assert list(w) == sorted(subset, key=lambda e: len(poset.strict_down_set(e)))
+        chi = chain_euler_characteristic(poset, set(subset))
+        assert chain_euler_characteristic(poset, sorted(subset)) == chi
+        assert chain_euler_characteristic(poset, shuffled) == chi
+
+    def test_unknown_element_is_the_identifier_first(self, edge_poset):
+        # Both "yy" and "zz" are unknown; the error names "yy" in either order.
+        for subset in (["zz", "a", "yy"], ["yy", "a", "zz"]):
+            with pytest.raises(UnknownElement) as info:
+                chain_weights(edge_poset, subset)
+            assert str(info.value) == "unknown element 'yy'"
+
     def test_long_chain(self):
         # Exponentially many chains: 2^400 - 1 of them, so only the
         # recursion can answer.  w is 1 at the bottom and 0 above it.
