@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 # The module that defines each public name; __all__ lists every one.
 _HOMES = {
     "poset": (
-        "ParityRank", "Poset", "RankFunction", "build_poset", "chain_counts",
-        "transitive_reduction",
+        "GradingConflict", "ParityRank", "Poset", "RankFunction", "build_poset",
+        "chain_counts", "transitive_reduction",
     ),
     "hypotheses": (
-        "EulerianVerdict", "GradingConflict", "TwoWideVerdict",
+        "EulerianVerdict", "TwoWideVerdict",
         "chain_euler_characteristic", "chain_weights", "check_hypotheses",
         "compute_parity_rank", "compute_rank_function", "is_downward_eulerian",
         "is_two_wide",

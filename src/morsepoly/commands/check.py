@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 from .. import jsonio
 from ..errors import MISMATCH_EXIT
-from ..hypotheses import compute_parity_rank, is_downward_eulerian, is_two_wide
+from ..hypotheses import _downward_eulerian, is_two_wide
 from ..poset import ParityRank
 from . import LoadedInput, emit, load_input
 
@@ -14,7 +14,7 @@ from . import LoadedInput, emit, load_input
 def _check_payload(loaded: LoadedInput) -> dict:
     poset = loaded.poset
     wide = is_two_wide(poset)
-    mu = compute_parity_rank(poset)
+    mu = poset._parity
     payload: dict = {
         "input": loaded.kind,
         "element_count": len(poset),
@@ -24,10 +24,10 @@ def _check_payload(loaded: LoadedInput) -> dict:
         },
     }
     if isinstance(mu, ParityRank):
-        eulerian = is_downward_eulerian(poset, mu)
+        eulerian = _downward_eulerian(poset, mu)
         payload["parity_rank"] = {
             "exists": True,
-            "values": {e: mu.values[e] for e in poset.elements},
+            "values": mu.values,
         }
         payload["downward_eulerian"] = {
             "holds": bool(eulerian),

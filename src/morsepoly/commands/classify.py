@@ -12,24 +12,24 @@ from . import emit, load_input, load_morse
 def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
-    classification = classify(loaded.poset, f)
-    critical = sorted(classification.critical_set())
+    classification = classify(loaded.poset, f)  # both maps in identifier order
+    critical = len(classification.critical_set())
     payload = {
-        "verdicts": dict(sorted(classification.verdicts.items())),
+        "verdicts": classification.verdicts,
         "witnesses": {
             e: {"neighbor": w[0], "direction": w[1]}
-            for e, w in sorted(classification.witnesses.items())
+            for e, w in classification.witnesses.items()
         },
         "counts": {
-            "critical": len(critical),
-            "ordinary": len(loaded.poset) - len(critical),
+            "critical": critical,
+            "ordinary": len(loaded.poset) - critical,
         },
     }
     if args.fmt == "json":
         emit(args, jsonio.dumps_canonical(payload))
     else:
-        lines = [f"critical: {len(critical)}, ordinary: {payload['counts']['ordinary']}"]
-        for e, verdict in sorted(classification.verdicts.items()):
+        lines = [f"critical: {critical}, ordinary: {payload['counts']['ordinary']}"]
+        for e, verdict in classification.verdicts.items():
             if verdict == "critical":
                 lines.append(f"  {e}: critical")
             else:

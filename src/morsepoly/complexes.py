@@ -5,8 +5,9 @@ subset becomes a face, identified by its sorted comma-joined vertex ids, and
 covers are the codimension-1 containments.  Each maximal simplex is sorted
 once, so every face is born a sorted vertex tuple (``combinations`` keeps
 the order), and so is each facet it drops a vertex to; no id is sorted
-again.  The resulting poset always carries rank = dimension and parity =
-dimension mod 2.
+again.  In a face poset rank is dimension, so the gradings a
+:class:`FacePoset` carries are the ones ``build_poset`` found: rank =
+dimension and parity = dimension mod 2.
 
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
@@ -106,13 +107,7 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
     covers = [(FACE_SEPARATOR.join(face[:i] + face[i + 1:]), fid)
               for fid, face in faces.items() if len(face) > 1 for i in range(len(face))]
     poset = build_poset(faces, covers)
-    ranks = {fid: len(faces[fid]) - 1 for fid in poset.elements}
-    max_rank = max(ranks.values(), default=0)
-    return FacePoset(
-        poset=poset,
-        rank=RankFunction(values=ranks, max_rank=max_rank),
-        parity=ParityRank(values={e: r % 2 for e, r in ranks.items()}),
-    )
+    return FacePoset(poset, poset._rank, poset._parity)
 
 
 def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
@@ -148,7 +143,7 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
 
     dims = {cid: cells[cid].dim for cid in poset.elements}
     for e in poset.elements:
-        if not poset.lower_covers(e) and dims[e] != 0:
+        if not poset._lower[e] and dims[e] != 0:
             raise RankConflict(
                 f"minimal cell {e!r} has dimension {dims[e]}, expected 0"
             )
@@ -158,13 +153,8 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
                 f"cover ({a!r}, {b!r}) jumps dimension {dims[a]} -> {dims[b]}"
             )
 
-    # The dimensions are now a rank function, so their parities are the
-    # parity rank function.
-    return FacePoset(
-        poset=poset,
-        rank=RankFunction(values=dims, max_rank=max(dims.values(), default=0)),
-        parity=ParityRank(values={e: d % 2 for e, d in dims.items()}),
-    )
+    # The dimensions are now a rank function, the poset's own.
+    return FacePoset(poset, poset._rank, poset._parity)
 
 
 def dimension_morse(poset: Poset, rank: RankFunction) -> MorseFunction:

@@ -121,7 +121,7 @@ def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, 
     covers = list(poset._pairs)
     rng.shuffle(covers)
     node = {e: e for e in poset.elements}
-    succ = {e: poset.upper_covers(e) for e in poset.elements}
+    succ = dict(poset._upper)
     matching: list[tuple[ElementId, ElementId]] = []
     taken: set[ElementId] = set()
     for a, b in covers:

@@ -4,11 +4,12 @@ A poset satisfies the hypotheses of the index theorem when it is 2-wide
 (every 2-step cover chain a < b < c has a second middle element), parity
 graded (a mod-2 rank function exists) and downward Eulerian (the order
 complex of each strict down-set has the Euler characteristic its parity
-prescribes); :func:`check_hypotheses` requires all three.  Signed chain
-counts of induced subposets come from Hall's recursion
-(:func:`chain_weights`) in time polynomial in the poset, so no check here
-lists a chain; the enumeration they are tested against is in
-:mod:`morsepoly.oracles`.
+prescribes); :func:`check_hypotheses` requires all three.  The gradings
+are not derived here: :func:`~morsepoly.poset.build_poset` grades each
+poset once, and this module reads what it stored.  Signed chain counts of
+induced subposets come from Hall's recursion (:func:`chain_weights`) in
+time polynomial in the poset, so no check here lists a chain; the
+enumeration they are tested against is in :mod:`morsepoly.oracles`.
 """
 
 from __future__ import annotations
@@ -16,20 +17,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import HypothesisViolated
-from .poset import ElementId, ParityRank, Poset, RankFunction, Record
-
-
-class GradingConflict(Record):
-    """Witness that no (parity) rank function exists.
-
-    ``element`` received ``values[0]`` through parent ``via[0]`` and the
-    incompatible ``values[1]`` through parent ``via[1]``.
-    """
-
-    __slots__ = ("element", "values", "via")
-    element: ElementId
-    values: tuple[int, int]
-    via: tuple[ElementId, ElementId]
+# GradingConflict is re-exported, so it still imports from this module.
+from .poset import ElementId, GradingConflict, ParityRank, Poset, RankFunction, Record
 
 
 class TwoWideVerdict(Record):
@@ -93,46 +82,32 @@ def chain_euler_characteristic(poset: Poset, subset: Iterable[ElementId]) -> int
 
 def is_two_wide(poset: Poset) -> TwoWideVerdict:
     """Check that every 2-step cover chain a < b < c has an alternative middle."""
+    upper, lower = poset._upper, poset._lower
     for a, b in poset._pairs:
-        for c in poset.upper_covers(b):
-            middles = set(poset.upper_covers(a)) & set(poset.lower_covers(c))
+        for c in upper[b]:
+            middles = set(upper[a]) & set(lower[c])
             if not (middles - {b}):
                 return TwoWideVerdict(False, (a, b, c))
     return TwoWideVerdict(True, None)
 
 
-def _propagate_grading(poset: Poset, step) -> dict[ElementId, int] | GradingConflict:
-    values: dict[ElementId, int] = {}
-    via: dict[ElementId, ElementId] = {}
-    for e in poset.topological_order:
-        parents = poset.lower_covers(e)
-        if not parents:
-            values[e] = 0
-            continue
-        for a in parents:
-            expected = step(values[a])
-            if e not in values:
-                values[e] = expected
-                via[e] = a
-            elif values[e] != expected:
-                return GradingConflict(e, (values[e], expected), (via[e], a))
-    return values
-
-
 def compute_parity_rank(poset: Poset) -> ParityRank | GradingConflict:
-    """The unique parity rank function, or a conflict witness if none exists."""
-    result = _propagate_grading(poset, lambda v: 1 - v)
-    if isinstance(result, GradingConflict):
-        return result
-    return ParityRank(values=result)
+    """The unique parity rank function, or a conflict witness if none exists.
+
+    A copy of the one build_poset found, values in identifier order, so the
+    caller may change it without changing the poset.
+    """
+    mu = poset._parity
+    return ParityRank(dict(mu.values)) if isinstance(mu, ParityRank) else mu
 
 
 def compute_rank_function(poset: Poset) -> RankFunction | GradingConflict:
-    """The unique rank function, or a conflict witness if none exists."""
-    result = _propagate_grading(poset, lambda v: v + 1)
-    if isinstance(result, GradingConflict):
-        return result
-    return RankFunction(values=result, max_rank=max(result.values(), default=0))
+    """The unique rank function, or a conflict witness if none exists; a
+    copy of the one build_poset found, as for :func:`compute_parity_rank`."""
+    rank = poset._rank
+    if isinstance(rank, RankFunction):
+        return RankFunction(dict(rank.values), rank.max_rank)
+    return rank
 
 
 def validate_parity_rank(poset: Poset, mu: ParityRank) -> None:
@@ -142,7 +117,7 @@ def validate_parity_rank(poset: Poset, mu: ParityRank) -> None:
             raise ValueError(f"parity rank missing element {e!r}")
         if mu.values[e] not in (0, 1):
             raise ValueError(f"parity rank of {e!r} is not 0 or 1")
-        if not poset.lower_covers(e) and mu.values[e] != 0:
+        if not poset._lower[e] and mu.values[e] != 0:
             raise ValueError(f"minimal element {e!r} has parity {mu.values[e]}")
     for a, b in poset._pairs:
         if mu.values[b] != 1 - mu.values[a]:
@@ -158,10 +133,15 @@ def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
     of the whole poset, so one pass serves every element.
     """
     validate_parity_rank(poset, mu)
-    w = chain_weights(poset)
+    return _downward_eulerian(poset, mu)
+
+
+def _downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
+    """:func:`is_downward_eulerian` for a parity known to be the poset's."""
+    w = _chain_weights(poset, poset.elements)
     violations = []
     for a in poset.elements:
-        if not poset.lower_covers(a):
+        if not poset._lower[a]:
             continue
         chi = 1 - w[a]
         required = (-1) ** (mu.values[a] + 1) + 1
@@ -175,14 +155,14 @@ def check_hypotheses(poset: Poset) -> ParityRank:
     wide = is_two_wide(poset)
     if not wide:
         raise HypothesisViolated("not 2-wide", wide.witness)
-    mu = compute_parity_rank(poset)
+    mu = poset._parity
     if not isinstance(mu, ParityRank):
         raise HypothesisViolated(
             "no parity rank function",
             f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "
             f"and {mu.values[1]} via {mu.via[1]!r}",
         )
-    eulerian = is_downward_eulerian(poset, mu)
+    eulerian = _downward_eulerian(poset, mu)
     if not eulerian:
         raise HypothesisViolated("not downward Eulerian", eulerian.violations)
     return mu

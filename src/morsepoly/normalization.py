@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidMorseFunction, NotTwoWide
-from .hypotheses import compute_rank_function, is_two_wide
+from .hypotheses import is_two_wide
 from .morse import Classification, MorseFunction, _recheck_near, classify
 from .poset import ElementId, Poset, RankFunction, Record
 
@@ -116,10 +116,11 @@ def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> 
 def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
     """Deterministic topological order: by rank when graded, then identifier
     (a stable sort of the identifier-ordered elements); ungraded posets keep
-    the smallest-identifier-first order of build_poset."""
-    rank = compute_rank_function(poset)
+    the smallest-identifier-first order of build_poset.  Both the rank
+    function and that order are the ones build_poset stored."""
+    rank = poset._rank
     if isinstance(rank, RankFunction):
-        return tuple(sorted(poset.elements, key=lambda e: rank.values[e]))
+        return tuple(sorted(poset.elements, key=rank.values.__getitem__))
     return poset.topological_order
 
 
@@ -131,10 +132,10 @@ def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
 
 def _short_up_witness(poset, values, e):
     """A pair (x, y) with e covered by x covered by y and f(x) < f(y) <= f(e)."""
-    for x in poset.upper_covers(e):
+    for x in poset._upper[e]:
         if values[x] >= values[e]:
             continue
-        for y in poset.upper_covers(x):
+        for y in poset._upper[x]:
             if values[x] < values[y] <= values[e]:
                 return x, y
     return None
@@ -193,13 +194,13 @@ class _Pipeline:
             if witness is None:
                 continue
             x, _ = witness
-            bad = [d for d in poset.lower_covers(e) if values[d] >= values[x]]
+            bad = [d for d in poset._lower[e] if values[d] >= values[x]]
             if bad:
                 raise AssertionError(
                     f"lower cover {bad[0]!r} of {e!r} not below f({x!r}); "
                     f"up sweep precondition failed, implementation bug"
                 )
-            bound = min(values[b] for b in poset.upper_covers(x))
+            bound = min(values[b] for b in poset._upper[x])
             new = _midpoint(values[x], bound)
             self.set_value(Modification("up_sweep", e, values[e], new), new)
 

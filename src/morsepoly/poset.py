@@ -18,9 +18,10 @@ it in any order.
 
 The module holds the order itself: construction, order queries, the chain
 counts per length (the order complex's f-vector, found without listing a
-chain), the two gradings a face poset carries, and :class:`Record`, the
-slotted base of every result type.  The paper's structural hypotheses live
-in :mod:`morsepoly.hypotheses`, and the materialized order complex in
+chain), the two gradings (each found once, by build_poset's one walk over
+its topological order, and stored for every reader), and :class:`Record`,
+the slotted base of every result type.  The paper's structural hypotheses
+live in :mod:`morsepoly.hypotheses`, and the materialized order complex in
 :mod:`morsepoly.oracles`.  All operations are pure and all structures are
 immutable after construction.
 """
@@ -123,6 +124,19 @@ class RankFunction(Record):
         return self.values[element]
 
 
+class GradingConflict(Record):
+    """Witness that no (parity) rank function exists.
+
+    ``element`` received ``values[0]`` through parent ``via[0]`` and the
+    incompatible ``values[1]`` through parent ``via[1]``.
+    """
+
+    __slots__ = ("element", "values", "via")
+    element: ElementId
+    values: tuple[int, int]
+    via: tuple[ElementId, ElementId]
+
+
 class Poset:
     """Immutable finite poset with precomputed reachability closure.
 
@@ -131,11 +145,13 @@ class Poset:
     ``_lower``) and its strict up-set (``_above``) are tuples in identifier
     order; strict down-sets (``_below``) are frozensets.  ``covers`` is the
     frozenset of the pairs.  ``topological_order`` is the linear extension
-    build_poset found, smallest ready identifier first.
+    build_poset found, smallest ready identifier first.  ``_rank`` and
+    ``_parity`` are the poset's gradings, each a record or the first
+    :class:`GradingConflict`; readers share them and must not change them.
     """
 
-    __slots__ = ("elements", "covers", "topological_order",
-                 "_set", "_pairs", "_upper", "_lower", "_above", "_below")
+    __slots__ = ("elements", "covers", "topological_order", "_set", "_pairs",
+                 "_upper", "_lower", "_above", "_below", "_rank", "_parity")
 
     def __init__(
         self,
@@ -146,6 +162,8 @@ class Poset:
         lower: dict[ElementId, tuple[ElementId, ...]],
         above: dict[ElementId, tuple[ElementId, ...]],
         below: dict[ElementId, frozenset[ElementId]],
+        rank: RankFunction | GradingConflict,
+        parity: ParityRank | GradingConflict,
     ):
         self.elements = elements
         self.covers = frozenset(pairs)
@@ -156,6 +174,8 @@ class Poset:
         self._lower = lower
         self._above = above
         self._below = below
+        self._rank = rank
+        self._parity = parity
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -282,6 +302,34 @@ def _closure(
     return below
 
 
+def _gradings(
+    lower: Mapping[ElementId, tuple[ElementId, ...]], order: Sequence[ElementId]
+) -> tuple[RankFunction | GradingConflict, ParityRank | GradingConflict]:
+    """The rank function and the parity rank, or the first conflict of each.
+
+    An element's rank comes through its first lower cover; a later one that
+    disagrees is a conflict.  Parity is rank mod 2, so the walk goes on past
+    an even conflict and stops at the first odd one.  Values run in the
+    order of ``lower``'s keys.
+    """
+    rank: dict[ElementId, int] = {}
+    via: dict[ElementId, ElementId] = {}
+    rank_conflict = None
+    for e in order:
+        for a in lower[e]:
+            r = rank[a] + 1
+            if e not in rank:
+                rank[e], via[e] = r, a
+            elif rank[e] != r:
+                rank_conflict = rank_conflict or GradingConflict(e, (rank[e], r), (via[e], a))
+                if (rank[e] - r) % 2:
+                    return rank_conflict, GradingConflict(e, (rank[e] % 2, r % 2), (via[e], a))
+        rank.setdefault(e, 0)
+    ranks = {e: rank[e] for e in lower}
+    parity = ParityRank({e: r % 2 for e, r in ranks.items()})
+    return rank_conflict or RankFunction(ranks, max(ranks.values(), default=0)), parity
+
+
 def build_poset(
     elements: Iterable[ElementId], covers: Iterable[tuple[ElementId, ElementId]]
 ) -> Poset:
@@ -314,14 +362,16 @@ def build_poset(
         for x in below[e]:
             above[x].append(e)
 
+    lower = {e: tuple(lower_map[e]) for e in elements}
     return Poset(
         elements,
         tuple(pairs),
         tuple(order),
         {e: tuple(upper_map[e]) for e in elements},
-        {e: tuple(lower_map[e]) for e in elements},
+        lower,
         {e: tuple(above[e]) for e in elements},
         below,
+        *_gradings(lower, order),
     )
 
 

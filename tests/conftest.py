@@ -1,5 +1,6 @@
 """Shared fixtures: the small named posets used throughout the suite, and
-stdlib builders of grid tori, d-cubes and cubical tori."""
+stdlib builders of grid tori, d-cubes, cubical tori and the cone over a
+cubical torus."""
 
 from __future__ import annotations
 
@@ -124,6 +125,38 @@ def cubical_torus(a: int, b: int) -> ComplexSpec:
                     f"h{i}_{j}", f"h{i}_{(j + 1) % b}", f"w{i}_{j}", f"w{(i + 1) % a}_{j}",
                 )),
             ]
+    return ComplexSpec(kind="cellular", cells=tuple(cells))
+
+
+def cubical_cone(n: int, dim: int) -> ComplexSpec:
+    """The n^dim cubical dim-torus, n >= 3, with one cell ``TOP`` of
+    dimension dim + 1 over every dim-cell.
+
+    A torus cell is a position in (Z_n)^dim and an axis mask; its faces along
+    an axis in the mask sit at the position and one step further along it.
+    For odd dim >= 3, TOP's down-set is Eulerian (chi 0, as for a sphere) but
+    is a torus, not a sphere: the poset satisfies the paper's hypotheses
+    without being the face poset of a regular CW complex.  For dim 2 it is
+    not downward Eulerian at TOP.
+    """
+    if n < 3:
+        raise ValueError("a cubical torus needs n >= 3")
+
+    def cell(position, mask) -> str:
+        return "t" + "_".join(map(str, position)) + "m" + "".join(map(str, mask))
+
+    cells, top = [], []
+    for position in itertools.product(range(n), repeat=dim):
+        for mask in itertools.product((0, 1), repeat=dim):
+            boundary = []
+            for axis in (a for a in range(dim) if mask[a]):
+                face = mask[:axis] + (0,) + mask[axis + 1:]
+                step = position[:axis] + ((position[axis] + 1) % n,) + position[axis + 1:]
+                boundary += [cell(position, face), cell(step, face)]
+            cells.append(CellSpec(id=cell(position, mask), dim=sum(mask), boundary=tuple(boundary)))
+            if sum(mask) == dim:
+                top.append(cell(position, mask))
+    cells.append(CellSpec(id="TOP", dim=dim + 1, boundary=tuple(top)))
     return ComplexSpec(kind="cellular", cells=tuple(cells))
 
 

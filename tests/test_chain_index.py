@@ -17,6 +17,7 @@ from morsepoly import (
     NotACover,
     ParityRank,
     build_poset,
+    chain_counts,
     chain_euler_characteristic,
     chain_sum_excluding,
     chain_sum_lower,
@@ -30,6 +31,7 @@ from morsepoly import (
     dimension_morse,
     embed_vertices,
     enumerate_chains,
+    face_poset_cellular,
     face_poset_simplicial,
     gen_complex,
     gen_morse,
@@ -38,6 +40,7 @@ from morsepoly import (
     transitive_reduction,
     verify_representation,
 )
+from tests.conftest import CUBICAL, cubical_cone
 
 
 def parity_of(poset) -> ParityRank:
@@ -268,6 +271,45 @@ class TestVerifyRepresentation:
             f = gen_morse(seed, face.poset)
             report = verify_representation(face.poset, f)
             assert report.total == report.chi
+
+
+def alternating_chain_count(poset) -> int:
+    return sum((-1) ** k * count for k, count in enumerate(chain_counts(poset)))
+
+
+CONE3 = face_poset_cellular(cubical_cone(3, 3)).poset
+CHI_CASES = [
+    *(pytest.param(face_poset_simplicial(gen_complex(seed, 6, 1 + seed % 3, 0.5)).poset,
+                   seed, id=f"gen_complex{seed}") for seed in range(8)),
+    *(pytest.param(face_poset_cellular(spec).poset, 5, id=name) for name, spec, _ in CUBICAL),
+    *(pytest.param(CONE3, seed, id=f"cone3-seed{seed}") for seed in (1, 2, 3)),
+]
+
+
+class TestEulerCharacteristic:
+    """verify takes chi as the alternating count of elements by parity; it
+    must equal Hall's recursion and the order complex's alternating
+    f-vector sum, here also on a poset outside the CW class."""
+
+    @pytest.mark.parametrize("poset, seed", CHI_CASES)
+    def test_chi_agrees(self, poset, seed):
+        report = verify_representation(poset, gen_morse(seed, poset))
+        assert report.chi == chain_euler_characteristic(poset, poset.elements)
+        assert report.chi == alternating_chain_count(poset)
+
+    def test_cone_over_three_torus_is_not_a_sphere(self):
+        poset = CONE3
+        assert len(poset) == 217
+        assert chain_euler_characteristic(poset, poset.elements) == 1
+        # TOP's strict down-set is the 3-torus: chi 0, as for the 3-sphere.
+        assert chain_euler_characteristic(poset, set(poset.elements) - {"TOP"}) == 0
+
+    def test_cone_over_two_torus_is_not_downward_eulerian(self):
+        poset = face_poset_cellular(cubical_cone(3, 2)).poset
+        with pytest.raises(HypothesisViolated) as excinfo:
+            verify_representation(poset, gen_morse(1, poset))
+        assert excinfo.value.prop == "not downward Eulerian"
+        assert excinfo.value.detail == (("TOP", 0, 2),)
 
 
 class TestMorseCounts:

@@ -37,6 +37,7 @@ from morsepoly import (
     normalization,
     oracles,
 )
+from morsepoly import poset as poset_module
 from morsepoly.cli import COMMANDS as OPTIONS
 from morsepoly.cli import _join_gen_numbers, build_parser, main, parse_fast
 from morsepoly.commands import check as check_command
@@ -181,6 +182,15 @@ class TestVerifySinglePass:
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, hypotheses)
+        # The grading walk, Hall's recursion over the whole poset or over
+        # one index support, the check of a caller's parity, and the
+        # membership check behind the validating accessors.
+        count("_gradings", poset_module)
+        count("_chain_weights", chain_index, hypotheses,
+              key=lambda poset, members: "whole Hall" if members is poset.elements
+              else "support Hall")
+        count("validate_parity_rank", hypotheses)
+        count("require", poset_module.Poset)
         # The chain walk behind enumerate_chains and order_complex, the
         # Chain records enumerate_chains wraps its tuples in, and the order
         # complex the oracles build.
@@ -245,6 +255,12 @@ class TestVerifySinglePass:
         assert calls["_find_troubled"] == 2
         assert calls["_require_general"] == 1
         assert calls["check_hypotheses"] == 1
+        # The poset is graded once, as it is built; the Eulerian check is
+        # the one whole-poset Hall pass, and chi comes from the parity.
+        assert calls["_gradings"] == 1
+        assert calls["whole Hall"] == 1
+        assert calls["validate_parity_rank"] == 0
+        assert calls["require"] == 0
         # Only the input's classification compares rationals: the audits,
         # the final classification and the index compare int order keys.
         assert calls["classify", "Fraction"] == 1
@@ -260,6 +276,15 @@ class TestVerifySinglePass:
         assert calls["vectors"] == 0
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
         assert calls["stream"] == sum(chain_counts(poset))
+
+    @pytest.mark.parametrize("spec", [complex_from_obj(TRIANGLE), gen_complex(5, 6, 2, 0.5)],
+                             ids=["triangle", "gen_complex5"])
+    def test_check_grades_once(self, files, calls, spec):
+        _, write = files
+        assert main(["check", "--in", write("c.json", complex_to_obj(spec))]) == 0
+        assert calls["_gradings"] == 1
+        assert calls["validate_parity_rank"] == 0
+        assert calls["require"] == 0
 
     def test_whole_function_checks_do_not_grow_with_modifications(self, files, calls):
         _, write = files

@@ -314,6 +314,80 @@ class TestGradings:
             assert first.values == second.values
 
 
+def two_pass_gradings(poset):
+    """Reference: the rank function and the parity rank, each propagated in
+    a walk of its own over the topological order, each stopping at its
+    first conflict."""
+
+    def propagate(step):
+        values, via = {}, {}
+        for e in poset.topological_order:
+            parents = poset.lower_covers(e)
+            if not parents:
+                values[e] = 0
+                continue
+            for a in parents:
+                expected = step(values[a])
+                if e not in values:
+                    values[e], via[e] = expected, a
+                elif values[e] != expected:
+                    return GradingConflict(e, (values[e], expected), (via[e], a))
+        return values
+
+    rank, parity = propagate(lambda v: v + 1), propagate(lambda v: 1 - v)
+    if not isinstance(rank, GradingConflict):
+        rank = RankFunction(rank, max(rank.values(), default=0))
+    if not isinstance(parity, GradingConflict):
+        parity = ParityRank(parity)
+    return rank, parity
+
+
+@st.composite
+def relabelled_posets(draw):
+    """posets() with the identifiers permuted, so identifier order is seldom
+    a linear extension."""
+    poset = draw(posets())
+    names = draw(st.permutations(poset.elements))
+    rename = dict(zip(poset.elements, names))
+    return build_poset(names, [(rename[a], rename[b]) for a, b in poset.covers])
+
+
+class TestOneGradingWalk:
+    """build_poset's one walk gives what two separate walks gave."""
+
+    @settings(max_examples=150)
+    @given(posets() | relabelled_posets())
+    def test_matches_two_pass_reference(self, poset):
+        rank, parity = compute_rank_function(poset), compute_parity_rank(poset)
+        assert (rank, parity) == two_pass_gradings(poset)
+        for grading in (rank, parity):
+            if not isinstance(grading, GradingConflict):
+                assert list(grading.values) == list(poset.elements)
+
+    def test_rank_conflict_with_parity_rank(self):
+        poset = build_poset(
+            ["a", "b", "c", "d", "e", "x"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "x"), ("x", "e")],
+        )
+        assert compute_rank_function(poset) == GradingConflict("e", (4, 2), ("d", "x"))
+        mu = compute_parity_rank(poset)
+        assert mu == ParityRank({"a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "x": 1})
+
+    def test_parity_conflict_stops_the_walk(self):
+        poset = build_poset(
+            ["a", "b", "c", "d", "x"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "x"), ("x", "d")]
+        )
+        assert compute_rank_function(poset) == GradingConflict("d", (3, 2), ("c", "x"))
+        assert compute_parity_rank(poset) == GradingConflict("d", (1, 0), ("c", "x"))
+
+    def test_results_are_copies(self, triangle):
+        poset = triangle.poset
+        for compute in (compute_rank_function, compute_parity_rank):
+            grading = compute(poset)
+            grading.values["1"] = 7
+            assert compute(poset).values["1"] == 0
+
+
 def prioritized_kahn(poset, key):
     """Reference order: Kahn's algorithm popping the least key among ready elements."""
     indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
