@@ -18,9 +18,10 @@ of the support above b, each part possibly empty, so the index is
 Hall's recursion (:func:`~morsepoly.hypotheses.chain_weights`).  The structural
 hypotheses are checked by :func:`~morsepoly.hypotheses.check_hypotheses`,
 re-exported here.  :func:`combinatorial_indices` indexes every element in
-one pass with a single generality scan.  It reads only the order of g, so
-the verifier runs it on the int order keys of the normalization trace, and
-its report carries the normalized rationals.
+one pass with a single generality scan.  The index reads only the order of
+g, so the verifier indexes the int order keys of the normalization trace,
+which are injective and so need no generality scan, and its report carries
+the normalized rationals.
 """
 
 from __future__ import annotations
@@ -119,8 +120,10 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     trace = _normalize_trace(poset, f)  # validates and classifies f first
     classification, g = trace.classification, trace.result
 
+    # The trace's keys are injective, so general: index them without a scan.
     entries = []
-    for b, computed in combinatorial_indices(poset, trace.keys).items():
+    for b in poset.elements:
+        computed = _index_at(poset, trace.keys, b)
         predicted = predicted_index(classification, mu, b)
         if computed != predicted:
             raise Mismatch(b, computed, predicted)

@@ -11,10 +11,10 @@ dimension and parity = dimension mod 2.
 
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
-derives the containment order, recomputes true covers by transitive
-reduction, and validates the declared dimensions as a rank function (so the
-poset is parity-graded by dimension mod 2).  It does not claim the input is
-a regular cell complex.  The other two structural properties (2-wide,
+builds the poset the boundary relation generates, in one pass that finds
+its true covers, and validates the declared dimensions as a rank function
+(so the poset is parity-graded by dimension mod 2).  It does not claim the
+input is a regular cell complex.  The other two structural properties (2-wide,
 downward Eulerian) are checked where they are needed, by ``check`` and by
 the verifier; they are necessary for a regular-complex face poset but not
 sufficient, and a poset passing all three may still fail to be one (for
@@ -36,8 +36,8 @@ from .poset import (
     Poset,
     RankFunction,
     Record,
+    _order,
     build_poset,
-    transitive_reduction,
 )
 
 FACE_SEPARATOR = ","
@@ -113,8 +113,9 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
 def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
     """Poset of a cell-by-cell description, graded by the declared dimensions.
 
-    Covers are recomputed by transitive reduction of the boundary-containment
-    order, so listing a full (not just codimension-1) boundary is accepted.
+    The poset is the one the boundary relation generates, built once with
+    its covers found along the way, so listing a full (not just
+    codimension-1) boundary is accepted.
     The declared dimensions must form a rank function over those covers;
     otherwise RankConflict is raised.
     """
@@ -139,7 +140,7 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
                 )
             relation.append((ref, cell.id))
 
-    poset = build_poset(cells, transitive_reduction(cells, relation))
+    poset = _order(cells, relation)[0]
 
     dims = {cid: cells[cid].dim for cid in poset.elements}
     for e in poset.elements:

@@ -4,8 +4,11 @@ A poset is built from element identifiers (opaque strings) and cover pairs
 ``(a, b)`` meaning ``a`` is covered by ``b``.  Construction validates that the
 pairs are acyclic and form a true Hasse diagram: a pair implied transitively
 by the others is rejected rather than silently dropped, because a redundant
-pair in user input usually indicates a modeling error.  Use
-:func:`transitive_reduction` to reduce an arbitrary acyclic relation first.
+pair in user input usually indicates a modeling error.
+:func:`transitive_reduction` returns the covers of any acyclic relation.
+Both, and the cellular loader, build through one private routine: one
+reference check, one Kahn order and one closure of the relation as given,
+the closure finding the covers on the way.
 
 :func:`build_poset` is the one place that decides identifier order, whatever
 the order of its input lists.  It stores the elements, the cover pairs,
@@ -284,22 +287,26 @@ def _topological_order(
 
 
 def _closure(
-    elements: Sequence[ElementId],
-    pairs: Iterable[tuple[ElementId, ElementId]],
-    order: Sequence[ElementId],
-) -> dict[ElementId, frozenset[ElementId]]:
-    """below[x] = all elements strictly under x, accumulated in topological order."""
-    lower: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    for a, b in pairs:
-        lower[b].append(a)
+    pred: Mapping[ElementId, Sequence[ElementId]], order: Sequence[ElementId]
+) -> tuple[dict[ElementId, frozenset[ElementId]], dict[ElementId, tuple[ElementId, ...]]]:
+    """Strict down-sets and lower covers, accumulated in topological order.
+
+    ``pred`` maps each element, in identifier order, to its predecessors in
+    the relation, in identifier order; the covers come back the same way.
+    A predecessor a of x is a cover iff it lies under no predecessor of x,
+    and the union of their down-sets is part of below[x] anyway, so the
+    test costs one membership check per pair.
+    """
     below: dict[ElementId, frozenset[ElementId]] = {}
+    lower = dict.fromkeys(pred)
     for e in order:
         acc: set[ElementId] = set()
-        for a in lower[e]:
-            acc.add(a)
+        for a in pred[e]:
             acc |= below[a]
+        lower[e] = tuple([a for a in pred[e] if a not in acc])
+        acc.update(pred[e])
         below[e] = frozenset(acc)
-    return below
+    return below, lower
 
 
 def _gradings(
@@ -330,6 +337,48 @@ def _gradings(
     return rank_conflict or RankFunction(ranks, max(ranks.values(), default=0)), parity
 
 
+def _order(
+    elements: Iterable[ElementId], relation: Iterable[tuple[ElementId, ElementId]]
+) -> tuple[Poset, list[tuple[ElementId, ElementId]]]:
+    """The poset an acyclic relation generates, and the relation's distinct
+    pairs in identifier order.
+
+    One reference check, one Kahn order and one closure, which also finds
+    the covers; the relation's redundant pairs are simply not covers.
+    Kahn's popped set is always a down-set, so the order is the same for a
+    relation and for its reduction.
+    """
+    elements = tuple(elements)
+    pairs = _check_references(elements, relation)
+    elements = tuple(sorted(elements))
+    order = _topological_order(elements, pairs)
+    pred: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
+    for a, b in pairs:
+        pred[b].append(a)
+    below, lower = _closure(pred, order)
+
+    # Appending each e in identifier order leaves every list sorted.
+    upper: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
+    above: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
+    for e in elements:
+        for a in lower[e]:
+            upper[a].append(e)
+        for x in below[e]:
+            above[x].append(e)
+
+    poset = Poset(
+        elements,
+        tuple([(a, b) for a in elements for b in upper[a]]),
+        tuple(order),
+        {e: tuple(upper[e]) for e in elements},
+        lower,
+        {e: tuple(above[e]) for e in elements},
+        below,
+        *_gradings(lower, order),
+    )
+    return poset, pairs
+
+
 def build_poset(
     elements: Iterable[ElementId], covers: Iterable[tuple[ElementId, ElementId]]
 ) -> Poset:
@@ -339,40 +388,10 @@ def build_poset(
     pairs are not acyclic, and NonCoverEdge if a pair is already implied
     transitively by the others; each at the identifier-first bad pair.
     """
-    elements = tuple(elements)
-    pairs = _check_references(elements, covers)
-    elements = tuple(sorted(elements))
-    order = _topological_order(elements, pairs)
-    below = _closure(elements, pairs, order)
-
-    # A pair (a, b) is transitive if some other cover (a, c) has c < b.
-    upper_map: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    lower_map: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    for a, b in pairs:
-        upper_map[a].append(b)
-        lower_map[b].append(a)
-    for a, b in pairs:
-        for c in upper_map[a]:
-            if c != b and c in below[b]:
-                raise NonCoverEdge((a, b))
-
-    # Appending each e in identifier order leaves every up-set sorted.
-    above: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    for e in elements:
-        for x in below[e]:
-            above[x].append(e)
-
-    lower = {e: tuple(lower_map[e]) for e in elements}
-    return Poset(
-        elements,
-        tuple(pairs),
-        tuple(order),
-        {e: tuple(upper_map[e]) for e in elements},
-        lower,
-        {e: tuple(above[e]) for e in elements},
-        below,
-        *_gradings(lower, order),
-    )
+    poset, pairs = _order(elements, covers)
+    if len(pairs) > len(poset._pairs):
+        raise NonCoverEdge(next(p for p in pairs if p not in poset.covers))
+    return poset
 
 
 def transitive_reduction(
@@ -381,19 +400,12 @@ def transitive_reduction(
     """Cover pairs of the partial order generated by an acyclic relation.
 
     The relation may contain redundant (transitively implied) pairs; the
-    result is the unique Hasse diagram, suitable for :func:`build_poset`.
+    result is the unique Hasse diagram in identifier order, suitable for
+    :func:`build_poset`.  These are the covers of the poset the relation
+    generates, so the cost is one build's: a Kahn order, one set union of
+    the down-set of a for each pair (a, b), and one membership test per pair.
     """
-    elements = tuple(elements)
-    pairs = _check_references(elements, relation)
-    order = _topological_order(elements, pairs)
-    below = _closure(elements, pairs, order)
-    covers = []
-    for e in elements:
-        for x in below[e]:
-            # x < e is a cover iff nothing sits strictly between.
-            if not any(x in below[m] for m in below[e]):
-                covers.append((x, e))
-    return sorted(covers)
+    return list(_order(elements, relation)[0]._pairs)
 
 
 def chain_counts(poset: Poset) -> tuple[int, ...]:

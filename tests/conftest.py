@@ -160,6 +160,17 @@ def cubical_cone(n: int, dim: int) -> ComplexSpec:
     return ComplexSpec(kind="cellular", cells=tuple(cells))
 
 
+def full_boundaries(spec: ComplexSpec) -> ComplexSpec:
+    """The same cellular complex with each cell's boundary listing every cell
+    below it, not just its codimension-1 faces."""
+    closed: dict[str, tuple[str, ...]] = {}
+    for cell in sorted(spec.cells, key=lambda c: c.dim):
+        below = set(cell.boundary).union(*(closed[face] for face in cell.boundary))
+        closed[cell.id] = cell.boundary + tuple(sorted(below - set(cell.boundary)))
+    return ComplexSpec(kind="cellular", cells=tuple(
+        CellSpec(id=c.id, dim=c.dim, boundary=closed[c.id]) for c in spec.cells))
+
+
 # (name, spec, Euler characteristic) of the cubical inputs the suite runs.
 CUBICAL = (
     ("cube3", cube(3), 1),

@@ -47,7 +47,9 @@ from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import chain_counts
-from tests.conftest import CUBICAL, build_two_cycles_spec, cube, cubical_torus, torus
+from tests.conftest import (
+    CUBICAL, build_two_cycles_spec, cube, cubical_torus, full_boundaries, torus,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
@@ -186,6 +188,9 @@ class TestVerifySinglePass:
         # one index support, the check of a caller's parity, and the
         # membership check behind the validating accessors.
         count("_gradings", poset_module)
+        # The Kahn order and the closure behind every load.
+        count("_topological_order", poset_module)
+        count("_closure", poset_module)
         count("_chain_weights", chain_index, hypotheses,
               key=lambda poset, members: "whole Hall" if members is poset.elements
               else "support Hall")
@@ -253,7 +258,8 @@ class TestVerifySinglePass:
         assert calls["validate_morse"] == 0
         assert calls["find_troubled"] == 0
         assert calls["_find_troubled"] == 2
-        assert calls["_require_general"] == 1
+        # The trace's keys are injective, so nothing rescans them.
+        assert calls["_require_general"] == 0
         assert calls["check_hypotheses"] == 1
         # The poset is graded once, as it is built; the Eulerian check is
         # the one whole-poset Hall pass, and chi comes from the parity.
@@ -266,7 +272,7 @@ class TestVerifySinglePass:
         assert calls["classify", "Fraction"] == 1
         assert calls["classify", "int"] == 1
         assert calls["_find_troubled", "int"] == 2
-        assert calls["_require_general", "int"] == 1
+        assert calls["_require_general", "int"] == 0
         # Nothing lists chains: the geometric witness streams them, one
         # step per chain, and builds no order complex.
         assert calls["_chain_members"] == 0
@@ -285,6 +291,16 @@ class TestVerifySinglePass:
         assert calls["_gradings"] == 1
         assert calls["validate_parity_rank"] == 0
         assert calls["require"] == 0
+
+    @pytest.mark.parametrize("obj", [
+        EDGE, TRIANGLE, complex_to_obj(cubical_torus(3, 3)),
+        complex_to_obj(full_boundaries(cubical_torus(3, 3))),
+    ], ids=["poset", "simplicial", "cubical_torus3x3", "cubical_torus3x3_full"])
+    def test_one_kahn_order_and_closure_per_input(self, files, calls, obj):
+        _, write = files
+        assert main(["check", "--in", write("c.json", obj)]) == 0
+        assert calls["_topological_order"] == 1
+        assert calls["_closure"] == 1
 
     def test_whole_function_checks_do_not_grow_with_modifications(self, files, calls):
         _, write = files

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morsepoly.oracles as oracles_module
+import morsepoly.poset as poset_module
 from morsepoly import (
     Chain,
     CycleDetected,
@@ -27,6 +28,7 @@ from morsepoly import (
     compute_rank_function,
     enumerate_chains,
     euler_characteristic,
+    face_poset_cellular,
     face_poset_simplicial,
     gen_complex,
     is_downward_eulerian,
@@ -35,6 +37,7 @@ from morsepoly import (
     order_complex,
     transitive_reduction,
 )
+from tests.conftest import cube, cubical_cone, cubical_torus, full_boundaries
 
 
 @st.composite
@@ -602,6 +605,44 @@ class TestStoredOrder:
         assert poset.topological_order == reference.topological_order
 
 
+@st.composite
+def relations(draw):
+    """Acyclic relations with redundant and repeated pairs, listed in any
+    order, on identifiers whose order is seldom the relation's."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    names = draw(st.permutations([f"r{i}" for i in range(n)]))
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if draw(st.integers(min_value=0, max_value=2)) == 0]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return draw(st.permutations(names)), draw(st.permutations(pairs))
+
+
+def brute_force_covers(elements, relation):
+    """Oracle: the closure by plain search from every element, then the
+    closure pairs with nothing strictly between, sorted."""
+    succ = {e: {b for a, b in relation if a == e} for e in elements}
+    closure = set()
+    for start in elements:
+        stack = list(succ[start])
+        while stack:
+            x = stack.pop()
+            if (start, x) not in closure:
+                closure.add((start, x))
+                stack += succ[x]
+    return sorted((a, b) for a, b in closure
+                  if not any((a, c) in closure and (c, b) in closure for c in elements))
+
+
+def stored(poset):
+    """Every field the poset stores, its dicts as item lists, so their key
+    order counts too."""
+    return [list(value.items()) if isinstance(value, dict) else value
+            for value in (getattr(poset, name) for name in (
+                "elements", "_pairs", "topological_order", "_upper", "_lower", "_above",
+                "_below", "_rank", "_parity"))]
+
+
 class TestTransitiveReduction:
     def test_removes_redundant_pairs(self):
         covers = transitive_reduction(
@@ -620,6 +661,30 @@ class TestTransitiveReduction:
             (a, b) for b in poset.elements for a in poset.strict_down_set(b)
         ]
         assert set(transitive_reduction(poset.elements, relation)) == set(poset.covers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relations())
+    def test_one_build_matches_brute_force_closure(self, case):
+        elements, relation = case
+        covers = brute_force_covers(elements, relation)
+        assert transitive_reduction(elements, relation) == covers
+        redundant = set(relation) - set(covers)
+        if redundant:
+            with pytest.raises(NonCoverEdge) as info:
+                build_poset(elements, relation)
+            assert info.value.pair == min(redundant)
+        else:
+            assert stored(build_poset(elements, relation)) == stored(build_poset(elements, covers))
+        poset, pairs = poset_module._order(elements, relation)
+        assert pairs == sorted(set(relation))
+        assert stored(poset) == stored(build_poset(elements, covers))
+
+    @pytest.mark.parametrize("spec", [cube(3), cubical_torus(3, 4), cubical_cone(3, 3)],
+                             ids=["cube3", "cubical_torus3x4", "cubical_cone3"])
+    def test_full_boundaries_give_the_same_poset(self, spec):
+        full, faces = face_poset_cellular(full_boundaries(spec)), face_poset_cellular(spec)
+        assert stored(full.poset) == stored(faces.poset)
+        assert (full.rank, full.parity) == (faces.rank, faces.parity)
 
 
 def test_chain_euler_characteristic_matches_complex(edge_poset):
