@@ -45,7 +45,7 @@ from .geometry import (
 )
 from .hypotheses import is_two_wide
 from .morse import MorseFunction, _require_total, _scan
-from .poset import ElementId, Poset, Record, _topological_order
+from .poset import ElementId, Poset, Record, _order
 
 # Chain enumeration is exponential in the worst case; warn (don't fail) past
 # this many chains so desk-scale misuse is visible.
@@ -357,7 +357,7 @@ def _contracted_is_acyclic(poset: Poset, node: dict[ElementId, ElementId]) -> bo
     maps each element to the node that holds it."""
     edges = {(node[u], node[v]) for u, v in poset.covers if node[u] != node[v]}
     try:
-        _topological_order(set(node.values()), edges)
+        _order(set(node.values()), edges)
     except CycleDetected:
         return False
     return True

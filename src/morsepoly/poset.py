@@ -7,8 +7,9 @@ by the others is rejected rather than silently dropped, because a redundant
 pair in user input usually indicates a modeling error.
 :func:`transitive_reduction` returns the covers of any acyclic relation.
 Both, and the cellular loader, build through one private routine: one
-reference check, one Kahn order and one closure of the relation as given,
-the closure finding the covers on the way.
+reference check and one Kahn walk over the relation as given, which closes,
+reduces and grades each element as it pops, joining down-sets only along
+covers.
 
 :func:`build_poset` is the one place that decides identifier order, whatever
 the order of its input lists.  It stores the elements, the cover pairs,
@@ -21,10 +22,10 @@ it in any order.
 
 The module holds the order itself: construction, order queries, the chain
 counts per length (the order complex's f-vector, found without listing a
-chain), the two gradings (each found once, by build_poset's one walk over
-its topological order, and stored for every reader), and :class:`Record`,
-the slotted base of every result type.  The paper's structural hypotheses
-live in :mod:`morsepoly.hypotheses`, and the materialized order complex in
+chain), the two gradings (each found once, in the walk that builds the
+poset, and stored for every reader), and :class:`Record`, the slotted base
+of every result type.  The paper's structural hypotheses live in
+:mod:`morsepoly.hypotheses`, and the materialized order complex in
 :mod:`morsepoly.oracles`.  All operations are pure and all structures are
 immutable after construction.
 """
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 import heapq
 from itertools import zip_longest
-from typing import Collection, Iterable, Mapping, Sequence
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, InvalidArgument, NonCoverEdge, UnknownElement
 
@@ -259,12 +261,31 @@ def _check_references(
     return pairs
 
 
-def _topological_order(
-    elements: Collection[ElementId], pairs: Iterable[tuple[ElementId, ElementId]]
-) -> list[ElementId]:
-    """Kahn's algorithm, smallest identifier first; raises on cycles."""
+def _order(
+    elements: Iterable[ElementId], relation: Iterable[tuple[ElementId, ElementId]]
+) -> tuple[Poset, list[tuple[ElementId, ElementId]]]:
+    """The poset an acyclic relation generates, and the relation's distinct
+    pairs in identifier order.
+
+    One reference check and one Kahn walk, smallest ready identifier first.
+    Each popped element is closed, reduced and graded at once: its
+    predecessors, listed in pop order, are visited topologically last
+    first, so one already in the accumulated down-set lies under another
+    and is no cover, and only a cover's down-set is joined.  A redundant
+    pair costs one membership test.  Kahn's popped set is always a
+    down-set, so the order is the same for a relation and for its
+    reduction.
+
+    An element's rank comes through its first lower cover in identifier
+    order; a later one that disagrees is a conflict.  Parity is rank mod 2,
+    so grading goes on past an even conflict and stops at the first odd
+    one, while closing goes on.
+    """
+    elements = tuple(elements)
+    pairs = _check_references(elements, relation)
+    elements = tuple(sorted(elements))
     succ: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    indeg: dict[ElementId, int] = {e: 0 for e in elements}
+    indeg = dict.fromkeys(elements, 0)
     for a, b in pairs:
         if a == b:
             raise CycleDetected(f"self-loop at {a!r}")
@@ -272,90 +293,45 @@ def _topological_order(
         indeg[b] += 1
     ready = [e for e in elements if indeg[e] == 0]
     heapq.heapify(ready)
+
+    pred: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
     order: list[ElementId] = []
+    below: dict[ElementId, frozenset[ElementId]] = {}
+    lower: dict[ElementId, tuple[ElementId, ...]] = dict.fromkeys(elements, ())
+    rank: dict[ElementId, int] = {}
+    via: dict[ElementId, ElementId] = {}
+    rank_conflict = parity_conflict = None
     while ready:
         e = heapq.heappop(ready)
         order.append(e)
+        acc: set[ElementId] = set()
+        found = []
+        for a in reversed(pred[e]):
+            if a not in acc:
+                found.append(a)
+                acc |= below[a]
+                acc.add(a)
+        below[e] = frozenset(acc)
+        lower[e] = covers = tuple(sorted(found))
+        if parity_conflict is None:
+            for a in covers:
+                r = rank[a] + 1
+                if e not in rank:
+                    rank[e], via[e] = r, a
+                elif rank[e] != r:
+                    rank_conflict = rank_conflict or GradingConflict(e, (rank[e], r), (via[e], a))
+                    if (rank[e] - r) % 2:
+                        parity_conflict = GradingConflict(e, (rank[e] % 2, r % 2), (via[e], a))
+                        break
+            rank.setdefault(e, 0)
         for t in succ[e]:
+            pred[t].append(e)
             indeg[t] -= 1
             if indeg[t] == 0:
                 heapq.heappush(ready, t)
     if len(order) != len(elements):
         stuck = sorted(e for e in elements if indeg[e] > 0)
         raise CycleDetected(f"cover pairs contain a cycle through {stuck}")
-    return order
-
-
-def _closure(
-    pred: Mapping[ElementId, Sequence[ElementId]], order: Sequence[ElementId]
-) -> tuple[dict[ElementId, frozenset[ElementId]], dict[ElementId, tuple[ElementId, ...]]]:
-    """Strict down-sets and lower covers, accumulated in topological order.
-
-    ``pred`` maps each element, in identifier order, to its predecessors in
-    the relation, in identifier order; the covers come back the same way.
-    A predecessor a of x is a cover iff it lies under no predecessor of x,
-    and the union of their down-sets is part of below[x] anyway, so the
-    test costs one membership check per pair.
-    """
-    below: dict[ElementId, frozenset[ElementId]] = {}
-    lower = dict.fromkeys(pred)
-    for e in order:
-        acc: set[ElementId] = set()
-        for a in pred[e]:
-            acc |= below[a]
-        lower[e] = tuple([a for a in pred[e] if a not in acc])
-        acc.update(pred[e])
-        below[e] = frozenset(acc)
-    return below, lower
-
-
-def _gradings(
-    lower: Mapping[ElementId, tuple[ElementId, ...]], order: Sequence[ElementId]
-) -> tuple[RankFunction | GradingConflict, ParityRank | GradingConflict]:
-    """The rank function and the parity rank, or the first conflict of each.
-
-    An element's rank comes through its first lower cover; a later one that
-    disagrees is a conflict.  Parity is rank mod 2, so the walk goes on past
-    an even conflict and stops at the first odd one.  Values run in the
-    order of ``lower``'s keys.
-    """
-    rank: dict[ElementId, int] = {}
-    via: dict[ElementId, ElementId] = {}
-    rank_conflict = None
-    for e in order:
-        for a in lower[e]:
-            r = rank[a] + 1
-            if e not in rank:
-                rank[e], via[e] = r, a
-            elif rank[e] != r:
-                rank_conflict = rank_conflict or GradingConflict(e, (rank[e], r), (via[e], a))
-                if (rank[e] - r) % 2:
-                    return rank_conflict, GradingConflict(e, (rank[e] % 2, r % 2), (via[e], a))
-        rank.setdefault(e, 0)
-    ranks = {e: rank[e] for e in lower}
-    parity = ParityRank({e: r % 2 for e, r in ranks.items()})
-    return rank_conflict or RankFunction(ranks, max(ranks.values(), default=0)), parity
-
-
-def _order(
-    elements: Iterable[ElementId], relation: Iterable[tuple[ElementId, ElementId]]
-) -> tuple[Poset, list[tuple[ElementId, ElementId]]]:
-    """The poset an acyclic relation generates, and the relation's distinct
-    pairs in identifier order.
-
-    One reference check, one Kahn order and one closure, which also finds
-    the covers; the relation's redundant pairs are simply not covers.
-    Kahn's popped set is always a down-set, so the order is the same for a
-    relation and for its reduction.
-    """
-    elements = tuple(elements)
-    pairs = _check_references(elements, relation)
-    elements = tuple(sorted(elements))
-    order = _topological_order(elements, pairs)
-    pred: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
-    for a, b in pairs:
-        pred[b].append(a)
-    below, lower = _closure(pred, order)
 
     # Appending each e in identifier order leaves every list sorted.
     upper: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
@@ -366,6 +342,12 @@ def _order(
         for x in below[e]:
             above[x].append(e)
 
+    if parity_conflict:
+        gradings = rank_conflict, parity_conflict
+    else:
+        ranks = {e: rank[e] for e in elements}
+        gradings = (rank_conflict or RankFunction(ranks, max(ranks.values(), default=0)),
+                    ParityRank({e: r % 2 for e, r in ranks.items()}))
     poset = Poset(
         elements,
         tuple([(a, b) for a in elements for b in upper[a]]),
@@ -374,7 +356,7 @@ def _order(
         lower,
         {e: tuple(above[e]) for e in elements},
         below,
-        *_gradings(lower, order),
+        *gradings,
     )
     return poset, pairs
 
@@ -402,8 +384,8 @@ def transitive_reduction(
     The relation may contain redundant (transitively implied) pairs; the
     result is the unique Hasse diagram in identifier order, suitable for
     :func:`build_poset`.  These are the covers of the poset the relation
-    generates, so the cost is one build's: a Kahn order, one set union of
-    the down-set of a for each pair (a, b), and one membership test per pair.
+    generates, so the cost is one build's: a Kahn walk, one membership test
+    per pair, and one set union of a's down-set per cover (a, b).
     """
     return list(_order(elements, relation)[0]._pairs)
 
@@ -413,14 +395,21 @@ def chain_counts(poset: Poset) -> tuple[int, ...]:
     per dimension, counted without listing them; () for the empty poset.
 
     The chains of length k topped by x number c_0(x) = 1 and
-    c_k(x) = sum of c_(k-1)(y) over y < x, so one pass over
-    ``topological_order`` finds every c(y) before it is needed.
+    c_k(x) = D_(k-1)(x), where D(x) is the sum of c(y) over y < x, so one
+    pass over ``topological_order`` finds every c(y) before it is needed.
+    When x has exactly one lower cover y, D(x) = D(y) + c(y), and D(y) is
+    c(y) without its first entry: one vector sum instead of one per element
+    below, so a chain of height h costs O(h^2) additions, not O(h^3).
     """
-    below = poset._below
+    below, lower = poset._below, poset._lower
     by_top: dict[ElementId, list[int]] = {}
     for x in poset.topological_order:
-        lower = [by_top[y] for y in below[x]]
-        by_top[x] = [1, *map(sum, zip_longest(*lower, fillvalue=0))]
+        if len(lower[x]) == 1:
+            c = by_top[lower[x][0]]
+            by_top[x] = [1, *map(add, c, [*c[1:], 0])]
+        else:
+            counts = [by_top[y] for y in below[x]]
+            by_top[x] = [1, *map(sum, zip_longest(*counts, fillvalue=0))]
     return tuple(map(sum, zip_longest(*by_top.values(), fillvalue=0)))
 
 

@@ -48,7 +48,7 @@ from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
 from morsepoly.poset import chain_counts
 from tests.conftest import (
-    CUBICAL, build_two_cycles_spec, cube, cubical_torus, full_boundaries, torus,
+    CUBICAL, build_two_cycles_spec, cube, cubical_cone, cubical_torus, full_boundaries, torus,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,13 +184,11 @@ class TestVerifySinglePass:
         count("_require_general", chain_index)
         count("_index_at", chain_index, key=lambda poset, g, b: b)
         count("check_hypotheses", chain_index, hypotheses)
-        # The grading walk, Hall's recursion over the whole poset or over
+        # The one Kahn walk behind every load, which closes, reduces and
+        # grades the poset; Hall's recursion over the whole poset or over
         # one index support, the check of a caller's parity, and the
         # membership check behind the validating accessors.
-        count("_gradings", poset_module)
-        # The Kahn order and the closure behind every load.
-        count("_topological_order", poset_module)
-        count("_closure", poset_module)
+        count("_order", poset_module, complexes)
         count("_chain_weights", chain_index, hypotheses,
               key=lambda poset, members: "whole Hall" if members is poset.elements
               else "support Hall")
@@ -263,7 +261,7 @@ class TestVerifySinglePass:
         assert calls["check_hypotheses"] == 1
         # The poset is graded once, as it is built; the Eulerian check is
         # the one whole-poset Hall pass, and chi comes from the parity.
-        assert calls["_gradings"] == 1
+        assert calls["_order"] == 1
         assert calls["whole Hall"] == 1
         assert calls["validate_parity_rank"] == 0
         assert calls["require"] == 0
@@ -288,7 +286,7 @@ class TestVerifySinglePass:
     def test_check_grades_once(self, files, calls, spec):
         _, write = files
         assert main(["check", "--in", write("c.json", complex_to_obj(spec))]) == 0
-        assert calls["_gradings"] == 1
+        assert calls["_order"] == 1
         assert calls["validate_parity_rank"] == 0
         assert calls["require"] == 0
 
@@ -296,11 +294,10 @@ class TestVerifySinglePass:
         EDGE, TRIANGLE, complex_to_obj(cubical_torus(3, 3)),
         complex_to_obj(full_boundaries(cubical_torus(3, 3))),
     ], ids=["poset", "simplicial", "cubical_torus3x3", "cubical_torus3x3_full"])
-    def test_one_kahn_order_and_closure_per_input(self, files, calls, obj):
+    def test_one_order_walk_per_input(self, files, calls, obj):
         _, write = files
         assert main(["check", "--in", write("c.json", obj)]) == 0
-        assert calls["_topological_order"] == 1
-        assert calls["_closure"] == 1
+        assert calls["_order"] == 1
 
     def test_whole_function_checks_do_not_grow_with_modifications(self, files, calls):
         _, write = files
@@ -457,6 +454,31 @@ class TestCubical:
         n_cells = len(spec.cells)
         assert embedded["dimension"] == n_cells
         assert len(embedded["coordinates"]) == n_cells
+
+
+CONE = cubical_cone(3, 3)
+CONE_FACE = face_poset_cellular(CONE)
+
+
+class TestCone:
+    """The paper's broader class: the cone over the cubical 3-torus is
+    downward Eulerian without being the face poset of a CW complex."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(1, 20))
+    def test_verify_and_witness(self, seed):
+        poset = CONE_FACE.poset
+        g = gen_morse(seed, poset)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, morse_path = Path(tmp, "cone.json"), Path(tmp, "f.json")
+            path.write_text(json.dumps(complex_to_obj(CONE)), encoding="utf-8")
+            morse_path.write_text(json.dumps(morse_to_obj(g)), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["verify", "--in", str(path), "--morse", str(morse_path)]) == 0
+        assert json.loads(out.getvalue())["status"] == "verified"
+        embedding = geometry.embed_vertices(poset, normalization.normalize(poset, g))
+        assert geometry.lower_star_indices(poset, embedding) == oracles.geometric_indices(
+            oracles.realize_complex(poset, embedding))
 
 
 class TestCheck:
@@ -854,8 +876,9 @@ RATIONALS = (
 def input_documents(draw):
     """A small poset or complex document, often well formed, sometimes with
     a key dropped or replaced by junk; or junk outright.  The cellular ones
-    include d-cubes and cubical tori: regular CW complexes that are not
-    simplicial."""
+    include d-cubes and cubical tori, regular CW complexes that are not
+    simplicial, and the cone over the cubical 3-torus, with and without full
+    boundaries, which is not a CW complex at all."""
     kind = draw(st.sampled_from(("poset", "simplicial", "cellular", "cubical", "junk")))
     if kind == "junk":
         return draw(JUNK)
@@ -872,6 +895,7 @@ def input_documents(draw):
         doc = complex_to_obj(draw(
             st.builds(cube, st.integers(0, 3))
             | st.builds(cubical_torus, st.sampled_from((3, 4)), st.sampled_from((3, 4)))
+            | st.sampled_from((CONE, full_boundaries(CONE)))
         ))
     elif kind == "simplicial":
         simplex = st.lists(st.sampled_from("1234"), max_size=4, unique=unique)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,22 @@ class TestChainCounts:
     @given(seed=st.integers(min_value=0, max_value=10**9))
     def test_seeded_face_posets(self, seed):
         self.assert_matches_order_complex(face_poset_of(seed))
+
+    # Past the order complex's reach: the chains of dimension k are the
+    # (k + 1)-subsets of a chain, or of the ranks of a suspension, with one
+    # of the two elements picked at each rank.
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_long_chain(self, n):
+        names = [f"c{i}" for i in range(n)]
+        poset = build_poset(names, list(zip(names, names[1:])))
+        assert chain_counts(poset) == tuple(comb(n, k + 1) for k in range(n))
+
+    def test_deep_suspension(self):
+        d = 100
+        levels = [(f"a{r}", f"b{r}") for r in range(d)]
+        covers = [(x, y) for low, high in zip(levels, levels[1:]) for x in low for y in high]
+        poset = build_poset([e for level in levels for e in level], covers)
+        assert chain_counts(poset) == tuple(comb(d, k + 1) * 2 ** (k + 1) for k in range(d))
 
 
 class TestTwoWide:
@@ -678,6 +695,21 @@ class TestTransitiveReduction:
         poset, pairs = poset_module._order(elements, relation)
         assert pairs == sorted(set(relation))
         assert stored(poset) == stored(build_poset(elements, covers))
+
+    @pytest.mark.parametrize("hasse", [
+        build_poset([f"c{i:02d}" for i in range(60)],
+                    [(f"c{i:02d}", f"c{i + 1:02d}") for i in range(59)]),
+        face_poset_cellular(cube(3)).poset,
+        face_poset_cellular(cubical_cone(3, 3)).poset,
+    ], ids=["chain60", "cube3", "cubical_cone3"])
+    def test_full_order(self, hasse):
+        relation = [(a, b) for b in hasse.elements for a in hasse.strict_down_set(b)]
+        poset, pairs = poset_module._order(hasse.elements, relation)
+        assert stored(poset) == stored(hasse)
+        assert transitive_reduction(hasse.elements, relation) == list(hasse._pairs)
+        with pytest.raises(NonCoverEdge) as info:
+            build_poset(hasse.elements, relation)
+        assert info.value.pair == min(set(relation) - hasse.covers)
 
     @pytest.mark.parametrize("spec", [cube(3), cubical_torus(3, 4), cubical_cone(3, 3)],
                              ids=["cube3", "cubical_torus3x4", "cubical_cone3"])
