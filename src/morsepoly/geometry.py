@@ -14,10 +14,10 @@ geometric index of a vertex counts, with sign (-1)^dimension, the simplices
 of its closed star whose projection is maximal at that vertex.  Because the
 heights reproduce g, this is an independent re-computation of the
 combinatorial chain-sum index, and :func:`compare_indices` compares the two
-elementwise.  The witness :func:`lower_star_indices` streams the chains of
-the poset, the simplices of the order complex, in an iterative depth-first
-walk that carries each chain's highest vertex, so every simplex costs one
-O(1) step and none is built; each adds its sign at its highest vertex
+elementwise.  The witness :func:`lower_star_indices` counts the chains of
+the poset, the simplices of the order complex, grouped by their last and
+highest vertex, so the work is polynomial in the poset and no simplex is
+built or visited; each chain adds its sign at its highest vertex
 (Banchoff's lower-star count).  The materialized forms are oracles in
 :mod:`morsepoly.oracles`: ``realize_complex`` attaches the order complex's
 simplices to the embedding, ``geometric_index`` states the definition for
@@ -91,15 +91,20 @@ def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
 
 def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, int]:
     """:func:`~morsepoly.oracles.geometric_indices` of
-    :func:`~morsepoly.oracles.realize_complex`, streamed.
+    :func:`~morsepoly.oracles.realize_complex`, counted without listing a
+    chain.
 
     Raises UnknownElement and NotGeneral exactly where the oracle
-    ``realize_complex`` does.  Then walks every chain with an iterative
-    depth-first search from each element over its strict up-set, carrying
-    the chain's last vertex, highest vertex, that vertex's height rank and
-    the sign (-1)^dimension, so one step reaches one chain and adds its
-    sign at its highest vertex.  Reads only the embedded heights and the
-    up-sets; no simplex is built.
+    ``realize_complex`` does.  Then counts the chains grouped by their
+    state: a chain's extensions and the vertex its sign lands on depend
+    only on its last vertex and its highest vertex, so ``weight[last]``
+    maps each highest vertex to the signed count (-1)^dimension of the
+    chains in that state.  Visiting ``last`` in topological order, every
+    chain ending there is complete: each state adds its weight at its
+    highest vertex and pushes the negated weight to every element above
+    ``last``.  The work is at most the sum over t of |closed down-set(t)|
+    times |up-set(t)|.  Reads only the embedded heights, the up-sets and
+    the topological order.
     """
     heights = embedding.heights
     for e in poset.elements:
@@ -107,41 +112,23 @@ def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, in
             raise UnknownElement(f"embedding has no coordinates for {e!r}")
     rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
     level = {v: rank[h] for v, h in heights.items()}
-    up = _general_up_sets(poset, level)
-    indices = dict.fromkeys(sorted(level), 0)
-    # Comparable vertices have distinct levels now, so no chain holds two
-    # equal heights: each chain peaks at exactly one vertex, and extending
-    # it needs one comparison and no tie state.
-    stack = [(a, a, level[a], 1) for a in up]
-    pop, push = stack.pop, stack.append
-    while stack:
-        last, top, peak, sign = pop()
-        indices[top] += sign
-        sign = -sign
-        for t, t_level in up[last]:
-            if t_level > peak:
-                push((t, t, t_level, sign))
-            else:
-                push((t, top, peak, sign))
-    return indices
-
-
-def _general_up_sets(
-    poset: Poset, level: Mapping[ElementId, int]
-) -> dict[ElementId, list[tuple[ElementId, int]]]:
-    """Each element's strict up-set in identifier order, as (element, level)
-    pairs; raises NotGeneral at the first comparable pair with equal levels,
-    scanning in the oracle ``realize_complex``'s order."""
-    up: dict[ElementId, list[tuple[ElementId, int]]] = {}
     for a in poset.elements:
-        a_level = level[a]
-        pairs = up[a] = []
         for b in poset._above[a]:
-            b_level = level[b]
-            if b_level == a_level:
+            if level[b] == level[a]:
                 raise NotGeneral((a, b))
-            pairs.append((b, b_level))
-    return up
+    indices = dict.fromkeys(sorted(level), 0)
+    # Comparable vertices have distinct levels now, so every chain peaks at
+    # exactly one vertex, and extending it needs one comparison.
+    weight = {a: {a: 1} for a in poset.elements}
+    for last in poset.topological_order:
+        up = [(t, level[t], weight[t]) for t in poset._above[last]]
+        for top, w in weight.pop(last).items():
+            indices[top] += w
+            peak = level[top]
+            for t, t_level, states in up:
+                key = t if t_level > peak else top
+                states[key] = states.get(key, 0) - w
+    return indices
 
 
 def compare_indices(

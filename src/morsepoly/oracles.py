@@ -14,7 +14,7 @@ paths to it:
 - :func:`realize_complex`, which attaches those simplices to an embedding,
   :func:`geometric_index`, the definition for one vertex, and
   :func:`geometric_indices`, every vertex counted over the materialized
-  order complex, against the streamed witness
+  order complex, against the grouped count of the witness
   :func:`~morsepoly.geometry.lower_star_indices`; :func:`cross_check` runs
   that witness against the combinatorial indices;
 - :func:`matrix_rank`, :func:`difference_matrix` and
@@ -262,10 +262,11 @@ def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
 def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     """Compare geometric and combinatorial indices for every element.
 
-    The two computations share only the function g: one streams the chains
-    of the poset, the simplices of the embedded order complex, through
-    :func:`~morsepoly.geometry.lower_star_indices` without building any,
-    the other counts chains by Hall's recursion without listing them.  The materialized
+    The two computations share only the function g: one counts the chains
+    of the poset, the simplices of the embedded order complex, grouped by
+    their last and highest vertex in
+    :func:`~morsepoly.geometry.lower_star_indices`, the other by Hall's
+    recursion; neither lists them.  The materialized
     :func:`realize_complex` and :func:`geometric_indices` state what both
     count.
     """

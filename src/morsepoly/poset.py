@@ -14,8 +14,9 @@ covers.
 :func:`build_poset` is the one place that decides identifier order, whatever
 the order of its input lists.  It stores the elements, the cover pairs,
 each element's covers and each strict up-set sorted, so no consumer sorts
-them again, and its own checks scan the sorted pairs, so an error names
-the identifier-first bad pair under any hash seed.  An up-set is a tuple,
+them again.  Its own checks read the input pairs as an unordered set, and
+each raises at the least of the pairs it rejects, so an error names the
+identifier-first bad pair under any hash seed.  An up-set is a tuple,
 built by appending each element in that order with no set and no sort; a
 down-set is a frozenset, because its readers test membership or sum over
 it in any order.
@@ -33,6 +34,7 @@ immutable after construction.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from itertools import zip_longest
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -241,11 +243,11 @@ class Poset:
 
 def _check_references(
     elements: Sequence[ElementId], pairs: Iterable[tuple[ElementId, ElementId]]
-) -> list[tuple[ElementId, ElementId]]:
-    """The distinct pairs in identifier order, checked to name known, distinct
-    elements.  Every later check scans them in this order, so an error names
-    the identifier-first bad pair whatever the hash seed."""
-    pairs = sorted({(str(a), str(b)) for a, b in pairs})
+) -> set[tuple[ElementId, ElementId]]:
+    """The distinct pairs, checked to name known, distinct elements.  The
+    set has no order, so each check that finds bad pairs raises at their
+    identifier-first one, whatever the hash seed."""
+    pairs = {(str(a), str(b)) for a, b in pairs}
     known = set(elements)
     if len(known) != len(elements):
         seen: set[ElementId] = set()
@@ -253,19 +255,19 @@ def _check_references(
             if e in seen:
                 raise InvalidArgument(f"duplicate element id {e!r}")
             seen.add(e)
-    for a, b in pairs:
-        if a not in known:
-            raise UnknownElement(f"unknown element {a!r} in pair ({a!r}, {b!r})")
-        if b not in known:
-            raise UnknownElement(f"unknown element {b!r} in pair ({a!r}, {b!r})")
+    unknown = [p for p in pairs if p[0] not in known or p[1] not in known]
+    if unknown:
+        a, b = min(unknown)
+        bad = a if a not in known else b
+        raise UnknownElement(f"unknown element {bad!r} in pair ({a!r}, {b!r})")
     return pairs
 
 
 def _order(
     elements: Iterable[ElementId], relation: Iterable[tuple[ElementId, ElementId]]
-) -> tuple[Poset, list[tuple[ElementId, ElementId]]]:
+) -> tuple[Poset, set[tuple[ElementId, ElementId]]]:
     """The poset an acyclic relation generates, and the relation's distinct
-    pairs in identifier order.
+    pairs.
 
     One reference check and one Kahn walk, smallest ready identifier first.
     Each popped element is closed, reduced and graded at once: its
@@ -287,8 +289,6 @@ def _order(
     succ: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
     indeg = dict.fromkeys(elements, 0)
     for a, b in pairs:
-        if a == b:
-            raise CycleDetected(f"self-loop at {a!r}")
         succ[a].append(b)
         indeg[b] += 1
     ready = [e for e in elements if indeg[e] == 0]
@@ -330,6 +330,10 @@ def _order(
             if indeg[t] == 0:
                 heapq.heappush(ready, t)
     if len(order) != len(elements):
+        # A self-loop never lets its element pop, so it stalls the walk too.
+        loops = [a for a, b in pairs if a == b]
+        if loops:
+            raise CycleDetected(f"self-loop at {min(loops)!r}")
         stuck = sorted(e for e in elements if indeg[e] > 0)
         raise CycleDetected(f"cover pairs contain a cycle through {stuck}")
 
@@ -372,7 +376,7 @@ def build_poset(
     """
     poset, pairs = _order(elements, covers)
     if len(pairs) > len(poset._pairs):
-        raise NonCoverEdge(next(p for p in pairs if p not in poset.covers))
+        raise NonCoverEdge(min(p for p in pairs if p not in poset.covers))
     return poset
 
 
@@ -400,19 +404,31 @@ def chain_counts(poset: Poset) -> tuple[int, ...]:
     When x has exactly one lower cover y, D(x) = D(y) + c(y), and D(y) is
     c(y) without its first entry: one vector sum instead of one per element
     below, so a chain of height h costs O(h^2) additions, not O(h^3).
+    The total is summed as the pass goes, and each c(y) is dropped after
+    its last reader, so a chain holds two vectors and the total, not h.
     """
     below, lower = poset._below, poset._lower
+    # The vectors x reads: its one lower cover's, or its whole down-set's.
+    reads = {x: lower[x] if len(lower[x]) == 1 else below[x] for x in poset.topological_order}
+    readers = Counter(y for read in reads.values() for y in read)
     by_top: dict[ElementId, list[int]] = {}
-    for x in poset.topological_order:
-        if len(lower[x]) == 1:
-            c = by_top[lower[x][0]]
-            by_top[x] = [1, *map(add, c, [*c[1:], 0])]
+    total: list[int] = []
+    for x, read in reads.items():
+        # A one-element read is a lone lower cover; a down-set read here
+        # has no element or at least two.
+        if len(read) == 1:
+            d = by_top[read[0]]
+            c = [1, *map(add, d, [*d[1:], 0])]
         else:
-            counts = [by_top[y] for y in below[x]]
-            by_top[x] = [1, *map(sum, zip_longest(*counts, fillvalue=0))]
-    return tuple(map(sum, zip_longest(*by_top.values(), fillvalue=0)))
-
-
+            c = [1, *map(sum, zip_longest(*[by_top[y] for y in read], fillvalue=0))]
+        total = [*map(sum, zip_longest(total, c, fillvalue=0))]
+        for y in read:
+            readers[y] -= 1
+            if not readers[y]:
+                del by_top[y]
+        if readers[x]:
+            by_top[x] = c
+    return tuple(total)
 
 
 def _forwarding(module: str, moved: Mapping[str, str]):

@@ -160,6 +160,18 @@ def cubical_cone(n: int, dim: int) -> ComplexSpec:
     return ComplexSpec(kind="cellular", cells=tuple(cells))
 
 
+def suspension(depth: int) -> ComplexSpec:
+    """The point suspended depth times: the (depth - 1)-sphere with two cells
+    ``d<k>a`` and ``d<k>b`` of each dimension k < depth, each bounded by both
+    cells of dimension k - 1 (2 * depth cells).  Its order complex has
+    3^depth - 1 simplices, one per choice of a cell or none in each
+    dimension, so past a small depth no chain walk can list them."""
+    return ComplexSpec(kind="cellular", cells=tuple(
+        CellSpec(id=f"d{k}{side}", dim=k,
+                 boundary=(f"d{k - 1}a", f"d{k - 1}b") if k else ())
+        for k in range(depth) for side in "ab"))
+
+
 def full_boundaries(spec: ComplexSpec) -> ComplexSpec:
     """The same cellular complex with each cell's boundary listing every cell
     below it, not just its codimension-1 faces."""

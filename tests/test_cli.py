@@ -46,7 +46,6 @@ from morsepoly.complexes import face_poset_cellular, face_poset_simplicial
 from morsepoly.errors import MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
 from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
-from morsepoly.poset import chain_counts
 from tests.conftest import (
     CUBICAL, build_two_cycles_spec, cube, cubical_cone, cubical_torus, full_boundaries, torus,
 )
@@ -151,15 +150,6 @@ class TestVerify:
         assert payload["mismatches"] == [{"element": "1", "geometric": 2, "combinatorial": 1}]
 
 
-class _CountingUpSets(dict):
-    """The witness's up-set table; each lookup extends one chain, so the
-    lookups count the chains the stream reaches into ``self.visits``."""
-
-    def __getitem__(self, element):
-        self.visits["stream"] += 1
-        return dict.__getitem__(self, element)
-
-
 class TestVerifySinglePass:
     """One `verify` run derives each fact once."""
 
@@ -225,15 +215,6 @@ class TestVerifySinglePass:
         value_types("classify", normalization, lambda poset, f: f.values)
         value_types("_find_troubled", normalization, lambda poset, values: values)
         value_types("_require_general", chain_index, lambda poset, g: g.values)
-
-        general_up_sets = geometry._general_up_sets
-
-        def counted_up_sets(poset, level):
-            up = _CountingUpSets(general_up_sets(poset, level))
-            up.visits = calls
-            return up
-
-        monkeypatch.setattr(geometry, "_general_up_sets", counted_up_sets)
         return calls
 
     @pytest.mark.parametrize("seed", [None, 5])
@@ -271,15 +252,14 @@ class TestVerifySinglePass:
         assert calls["classify", "int"] == 1
         assert calls["_find_troubled", "int"] == 2
         assert calls["_require_general", "int"] == 0
-        # Nothing lists chains: the geometric witness streams them, one
-        # step per chain, and builds no order complex.
+        # Nothing lists chains: the geometric witness counts them grouped
+        # by (last vertex, highest vertex), and builds no order complex.
         assert calls["_chain_members"] == 0
         assert calls["Chain"] == 0
         assert calls["order_complex"] == 0
         # The witness reads heights; no coordinate vector is written out.
         assert calls["vectors"] == 0
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
-        assert calls["stream"] == sum(chain_counts(poset))
 
     @pytest.mark.parametrize("spec", [complex_from_obj(TRIANGLE), gen_complex(5, 6, 2, 0.5)],
                              ids=["triangle", "gen_complex5"])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsepoly import (
+    ComplexSpec,
     Embedding,
     EmptyPoset,
     GeometricComplex,
@@ -37,9 +38,11 @@ from morsepoly import (
     transitive_reduction,
 )
 from morsepoly.oracles import difference_matrix
-from tests.conftest import CUBICAL, torus
+from tests.conftest import CUBICAL, cube, suspension, torus
 
-CUBICAL_FACES = {name: face_poset_cellular(spec) for name, spec, _ in CUBICAL}
+CUBICAL_FACES = {name: face_poset_cellular(spec)
+                 for name, spec, _ in (("cube2", cube(2), 1), *CUBICAL)}
+SUSPENSIONS = {depth: face_poset_cellular(suspension(depth)).poset for depth in range(1, 9)}
 
 
 class TestEmbedVertices:
@@ -274,6 +277,35 @@ class TestLowerStarIndices:
         if function == "normalized":
             g = normalize(face.poset, g)
         self.assert_matches_oracles(face.poset, embed_vertices(face.poset, g))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(depth=st.sampled_from(sorted(SUSPENSIONS)), injective=st.booleans(), data=st.data())
+    def test_suspensions(self, depth, injective, data):
+        # Values drawn with repeats tie incomparable twins, or comparable
+        # cells, which must raise NotGeneral where the oracle does.
+        poset = SUSPENSIONS[depth]
+        n = len(poset)
+        if injective:
+            values = data.draw(st.permutations(range(n)))
+        else:
+            values = data.draw(st.lists(st.integers(0, n // 2), min_size=n, max_size=n))
+        g = MorseFunction.from_values(dict(zip(poset.elements, values)))
+        self.assert_matches_oracles(poset, embed_vertices(poset, g))
+
+    @pytest.mark.parametrize("spec", [
+        ComplexSpec(kind="simplicial", maximal_simplices=(tuple(map(str, range(10))),)),
+        cube(7),
+        suspension(200),
+    ], ids=["simplex9", "cube7", "suspension200"])
+    def test_past_the_oracles(self, spec):
+        """Every cell is critical for the dimension function, so each index
+        is (-1)^rank.  The order complexes have 2.0e8, 1.7e7 and 2.7e95
+        simplices, past the reach of the materialized oracles."""
+        face = (face_poset_cellular if spec.kind == "cellular" else face_poset_simplicial)(spec)
+        g = normalize(face.poset, dimension_morse(face.poset, face.rank))
+        indices = lower_star_indices(face.poset, embed_vertices(face.poset, g))
+        assert indices == {e: (-1) ** face.rank[e] for e in face.poset.elements}
 
 
 class TestCrossCheck:

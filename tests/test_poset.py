@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -260,6 +261,21 @@ class TestChainCounts:
         names = [f"c{i}" for i in range(n)]
         poset = build_poset(names, list(zip(names, names[1:])))
         assert chain_counts(poset) == tuple(comb(n, k + 1) for k in range(n))
+
+    def test_long_chain_memory(self):
+        """Each count vector is dropped after its last reader: a 1000-element
+        chain stays under 8 MB traced, where keeping every vector to the end
+        takes about 49 MB."""
+        names = [f"c{i}" for i in range(1000)]
+        poset = build_poset(names, list(zip(names, names[1:])))
+        tracemalloc.start()
+        try:
+            counts = chain_counts(poset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts) == 2**1000 - 1
+        assert peak < 8 * 2**20
 
     def test_deep_suspension(self):
         d = 100
@@ -693,7 +709,7 @@ class TestTransitiveReduction:
         else:
             assert stored(build_poset(elements, relation)) == stored(build_poset(elements, covers))
         poset, pairs = poset_module._order(elements, relation)
-        assert pairs == sorted(set(relation))
+        assert pairs == set(relation)
         assert stored(poset) == stored(build_poset(elements, covers))
 
     @pytest.mark.parametrize("hasse", [
