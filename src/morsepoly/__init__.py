@@ -23,7 +23,7 @@ _HOMES = {
     ),
     "hypotheses": (
         "EulerianVerdict", "TwoWideVerdict",
-        "chain_euler_characteristic", "chain_weights", "check_hypotheses",
+        "chain_weights", "check_hypotheses",
         "compute_parity_rank", "compute_rank_function", "is_downward_eulerian",
         "is_two_wide",
     ),
@@ -46,8 +46,8 @@ _HOMES = {
         "morse_inequality_report",
     ),
     "chain_index": (
-        "IndexEntry", "IndexReport", "combinatorial_index", "combinatorial_indices",
-        "predicted_index", "verify_representation",
+        "IndexEntry", "IndexReport", "combinatorial_index", "predicted_index",
+        "verify_representation",
     ),
     "geometry": (
         "CrossCheckReport", "Embedding", "embed_vertices", "lower_star_indices",

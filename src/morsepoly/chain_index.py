@@ -17,11 +17,10 @@ of the support above b, each part possibly empty, so the index is
 (1 - chi(below)) * (1 - chi(above)) with both Euler characteristics from
 Hall's recursion (:func:`~morsepoly.hypotheses.chain_weights`).  The structural
 hypotheses are checked by :func:`~morsepoly.hypotheses.check_hypotheses`,
-re-exported here.  :func:`combinatorial_indices` indexes every element in
-one pass with a single generality scan.  The index reads only the order of
-g, so the verifier indexes the int order keys of the normalization trace,
-which are injective and so need no generality scan, and its report carries
-the normalized rationals.
+re-exported here.  :func:`combinatorial_index` scans g for generality on
+every call.  The index reads only the order of g, so the verifier indexes
+the int order keys of the normalization trace, which are injective and so
+need no generality scan, and its report carries the normalized rationals.
 """
 
 from __future__ import annotations
@@ -85,13 +84,6 @@ def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     poset.require(b)
     _require_general(poset, g)
     return _index_at(poset, g, b)
-
-
-def combinatorial_indices(poset: Poset, g: MorseFunction) -> dict[ElementId, int]:
-    """:func:`combinatorial_index` of every element, in identifier order,
-    scanning the comparable pairs for generality once for the whole pass."""
-    _require_general(poset, g)
-    return {b: _index_at(poset, g, b) for b in poset.elements}
 
 
 def predicted_index(classification: Classification, mu: ParityRank, b: ElementId) -> int:

@@ -5,9 +5,9 @@ subset becomes a face, identified by its sorted comma-joined vertex ids, and
 covers are the codimension-1 containments.  Each maximal simplex is sorted
 once, so every face is born a sorted vertex tuple (``combinations`` keeps
 the order), and so is each facet it drops a vertex to; no id is sorted
-again.  In a face poset rank is dimension, so the gradings a
-:class:`FacePoset` carries are the ones ``build_poset`` found: rank =
-dimension and parity = dimension mod 2.
+again.  In a face poset rank is dimension, so the rank a :class:`FacePoset`
+carries is the one ``build_poset`` found, and the poset's parity is
+dimension mod 2.
 
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
@@ -32,7 +32,6 @@ from .errors import HypothesisViolated, MalformedSpec, Mismatch, RankConflict
 from .morse import MorseFunction, classify
 from .poset import (
     ElementId,
-    ParityRank,
     Poset,
     RankFunction,
     Record,
@@ -61,10 +60,9 @@ class ComplexSpec(Record):
 
 
 class FacePoset(Record):
-    __slots__ = ("poset", "rank", "parity")
+    __slots__ = ("poset", "rank")
     poset: Poset
     rank: RankFunction
-    parity: ParityRank
 
 
 class MorseInequalityReport(Record):
@@ -107,7 +105,7 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
     covers = [(FACE_SEPARATOR.join(face[:i] + face[i + 1:]), fid)
               for fid, face in faces.items() if len(face) > 1 for i in range(len(face))]
     poset = build_poset(faces, covers)
-    return FacePoset(poset, poset._rank, poset._parity)
+    return FacePoset(poset, poset._rank)
 
 
 def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
@@ -155,7 +153,7 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
             )
 
     # The dimensions are now a rank function, the poset's own.
-    return FacePoset(poset, poset._rank, poset._parity)
+    return FacePoset(poset, poset._rank)
 
 
 def dimension_morse(poset: Poset, rank: RankFunction) -> MorseFunction:
@@ -177,10 +175,12 @@ def morse_inequality_report(
     """Critical cells per rank and the alternating-sum identity.
 
     Asserts sum_i (-1)^i M_i = chi of the order complex; requires the
-    structural hypotheses (raises HypothesisViolated otherwise).
+    structural hypotheses (raises HypothesisViolated otherwise).  Once they
+    hold, chi is the alternating count of elements by parity, as in
+    :func:`~morsepoly.chain_index.verify_representation`.
     """
     # Every command loads this module; only this report needs the hypotheses.
-    from .hypotheses import chain_euler_characteristic, check_hypotheses
+    from .hypotheses import check_hypotheses
 
     mu = check_hypotheses(poset)
     for e in poset.elements:
@@ -190,7 +190,7 @@ def morse_inequality_report(
             raise HypothesisViolated("rank function inconsistent with parity", e)
     counts = critical_by_dimension(rank, classify(poset, f).critical_set())
     alternating = sum((-1) ** i * m for i, m in enumerate(counts))
-    chi = chain_euler_characteristic(poset, poset.elements)
+    chi = len(poset) - 2 * sum(mu.values.values())
     if alternating != chi:
         raise Mismatch(None, alternating, chi, what="alternating critical-count sum")
     return MorseInequalityReport(counts=counts, alternating_sum=alternating, chi=chi)

@@ -70,10 +70,6 @@ class CrossCheckReport(Record):
     # Geometric index of every element, for reporting.
     indices: Mapping[ElementId, int]
 
-    @property
-    def first_mismatch(self) -> tuple[ElementId, int, int] | None:
-        return self.mismatches[0] if self.mismatches else None
-
     def __bool__(self) -> bool:
         return self.ok
 

@@ -30,11 +30,10 @@ paths to it:
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .chain_index import combinatorial_indices
+from .chain_index import _index_at, _require_general
 from .errors import CycleDetected, NotACover, NotGeneral, UnknownElement
 from .geometry import (
     CrossCheckReport,
@@ -46,10 +45,6 @@ from .geometry import (
 from .hypotheses import is_two_wide
 from .morse import MorseFunction, _require_total, _scan
 from .poset import ElementId, Poset, Record, _order
-
-# Chain enumeration is exponential in the worst case; warn (don't fail) past
-# this many chains so desk-scale misuse is visible.
-CHAIN_SOFT_LIMIT = 1 << 20
 
 
 class ExclusivityReport(Record):
@@ -100,11 +95,7 @@ def _chain_members(
     poset: Poset, subset: Iterable[ElementId] | None
 ) -> list[tuple[ElementId, ...]]:
     """Members of every non-empty chain within the subset (None: the whole
-    poset), depth-first with elements visited in identifier order.
-
-    Only :func:`enumerate_chains` and :func:`order_complex` call it, so the
-    soft-limit warning points at the line that called one of them.
-    """
+    poset), depth-first with elements visited in identifier order."""
     if subset is None:
         ids = sorted(poset.elements)
     else:
@@ -124,13 +115,6 @@ def _chain_members(
     while stack:
         chain = pop()
         chains.append(chain)
-        if len(chains) == CHAIN_SOFT_LIMIT + 1:
-            warnings.warn(
-                f"chain enumeration exceeded {CHAIN_SOFT_LIMIT} chains; "
-                f"this input is beyond the intended desk scale",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         for t in succ[chain[-1]]:
             push(chain + (t,))
     return chains
@@ -148,7 +132,7 @@ def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) ->
 def order_complex(poset: Poset) -> SimplicialComplex:
     """Simplicial complex with one simplex per non-empty chain of the poset."""
     simplices = frozenset(map(frozenset, _chain_members(poset, None)))
-    return SimplicialComplex(vertices=poset.sorted_elements, simplices=simplices)
+    return SimplicialComplex(vertices=poset.elements, simplices=simplices)
 
 
 def euler_characteristic(complex_: SimplicialComplex) -> int:
@@ -159,7 +143,7 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
 def _chains_through_top(poset: Poset, b: ElementId):
     """Chains of the closed down-set of b that contain b."""
     poset.require(b)
-    return [c for c in enumerate_chains(poset, poset.closed_down_set(b)) if b in c]
+    return [c for c in enumerate_chains(poset, poset.strict_down_set(b) | {b}) if b in c]
 
 
 def chain_sum_top(poset: Poset, b: ElementId) -> int:
@@ -189,7 +173,7 @@ def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
         raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
     return sum(
         (-1) ** c.length
-        for c in enumerate_chains(poset, poset.closed_down_set(b))
+        for c in enumerate_chains(poset, poset.strict_down_set(b) | {b})
         if a in c
     )
 
@@ -271,7 +255,8 @@ def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     count.
     """
     geometric = lower_star_indices(poset, embed_vertices(poset, g))
-    return compare_indices(geometric, combinatorial_indices(poset, g))
+    _require_general(poset, g)
+    return compare_indices(geometric, {b: _index_at(poset, g, b) for b in poset.elements})
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

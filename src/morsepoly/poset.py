@@ -21,14 +21,14 @@ built by appending each element in that order with no set and no sort; a
 down-set is a frozenset, because its readers test membership or sum over
 it in any order.
 
-The module holds the order itself: construction, order queries, the chain
-counts per length (the order complex's f-vector, found without listing a
-chain), the two gradings (each found once, in the walk that builds the
-poset, and stored for every reader), and :class:`Record`, the slotted base
-of every result type.  The paper's structural hypotheses live in
-:mod:`morsepoly.hypotheses`, and the materialized order complex in
-:mod:`morsepoly.oracles`.  All operations are pure and all structures are
-immutable after construction.
+The module holds the order itself: construction, each element's covers and
+strict down-set and up-set, the chain counts per length (the order
+complex's f-vector, found without listing a chain), the two gradings (each
+found once, in the walk that builds the poset, and stored for every
+reader), and :class:`Record`, the slotted base of every result type.  The
+paper's structural hypotheses live in :mod:`morsepoly.hypotheses`, and the
+materialized order complex in :mod:`morsepoly.oracles`.  All operations are
+pure and all structures are immutable after construction.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class Poset:
 
     @property
     def sorted_elements(self) -> tuple[ElementId, ...]:
-        """Elements in identifier order (the canonical iteration order)."""
+        """Another name for ``elements``, which the benchmark's layer pass reads."""
         return self.elements
 
     def require(self, element: ElementId) -> None:
@@ -223,23 +223,6 @@ class Poset:
         self.require(element)
         return frozenset(self._above[element])
 
-    def closed_down_set(self, element: ElementId) -> frozenset[ElementId]:
-        return self.strict_down_set(element) | {element}
-
-    def leq(self, a: ElementId, b: ElementId) -> bool:
-        """True iff a <= b in the reflexive-transitive closure of covers."""
-        self.require(a)
-        self.require(b)
-        return a == b or a in self._below[b]
-
-    def lt(self, a: ElementId, b: ElementId) -> bool:
-        self.require(a)
-        self.require(b)
-        return a in self._below[b]
-
-    def minimal_elements(self) -> tuple[ElementId, ...]:
-        return tuple(e for e in self.elements if not self._lower[e])
-
 
 def _check_references(
     elements: Sequence[ElementId], pairs: Iterable[tuple[ElementId, ElementId]]
@@ -247,7 +230,7 @@ def _check_references(
     """The distinct pairs, checked to name known, distinct elements.  The
     set has no order, so each check that finds bad pairs raises at their
     identifier-first one, whatever the hash seed."""
-    pairs = {(str(a), str(b)) for a, b in pairs}
+    pairs = {(a, b) for a, b in pairs}
     known = set(elements)
     if len(known) != len(elements):
         seen: set[ElementId] = set()

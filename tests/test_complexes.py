@@ -15,6 +15,7 @@ from morsepoly import (
     MalformedSpec,
     MorseFunction,
     RankConflict,
+    chain_weights,
     compute_parity_rank,
     dimension_morse,
     euler_characteristic,
@@ -27,7 +28,7 @@ from morsepoly import (
     order_complex,
     validate_morse,
 )
-from tests.conftest import build_two_cycles_spec
+from tests.conftest import build_two_cycles_spec, cubical_cone
 
 
 def simplicial(*simplices) -> ComplexSpec:
@@ -97,7 +98,7 @@ class TestSimplicial:
             face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.1 + 0.06 * seed))
             assert is_two_wide(face.poset)
             mu = compute_parity_rank(face.poset)
-            assert mu.values == face.parity.values
+            assert mu.values == {e: r % 2 for e, r in face.rank.values.items()}
             assert is_downward_eulerian(face.poset, mu)
 
     def test_chi_matches_face_count_alternating_sum(self):
@@ -138,11 +139,12 @@ class TestCellular:
         face = face_poset_cellular(ComplexSpec(kind="cellular", cells=tuple(cells)))
         assert face.poset.covers == triangle.poset.covers
         assert face.rank.values == triangle.rank.values
-        assert is_two_wide(face.poset) and is_downward_eulerian(face.poset, face.parity)
+        mu = compute_parity_rank(face.poset)
+        assert is_two_wide(face.poset) and is_downward_eulerian(face.poset, mu)
 
     def test_two_cycles_passes_checks_but_flagged(self, two_cycles):
         assert is_two_wide(two_cycles.poset).holds
-        assert is_downward_eulerian(two_cycles.poset, two_cycles.parity).holds
+        assert is_downward_eulerian(two_cycles.poset, compute_parity_rank(two_cycles.poset)).holds
         # The checks are necessary conditions only; m's strict boundary has a
         # disconnected order complex, so this is not a regular-complex poset.
         assert len(two_cycles.poset) == 17
@@ -156,7 +158,7 @@ class TestCellular:
             ),
         )
         face = face_poset_cellular(spec)
-        eulerian = is_downward_eulerian(face.poset, face.parity)
+        eulerian = is_downward_eulerian(face.poset, compute_parity_rank(face.poset))
         assert not eulerian.holds
         assert eulerian.violations == (("e", 1, 2),)
 
@@ -237,6 +239,21 @@ class TestMorseInequalityReport:
             f = gen_morse(seed + 500, face.poset)
             report = morse_inequality_report(face.poset, face.rank, f)
             assert report.alternating_sum == report.chi
+
+    @pytest.mark.parametrize("seed", [*range(8), "cone"])
+    def test_chi_is_the_chain_weight_sum(self, seed):
+        # The report takes chi as the alternating count of elements by
+        # parity; Hall's recursion over the whole poset must agree, also on
+        # a cone that is not a CW poset.
+        from morsepoly import gen_morse
+
+        if seed == "cone":
+            face = face_poset_cellular(cubical_cone(3, 3))
+        else:
+            face = face_poset_simplicial(gen_complex(seed, 6, 1 + seed % 3, 0.5))
+        report = morse_inequality_report(face.poset, face.rank, gen_morse(1, face.poset))
+        assert report.chi == sum(chain_weights(face.poset).values())
+        assert report.alternating_sum == report.chi
 
     def test_hypotheses_required(self, chain_poset, chain_morse):
         from morsepoly import RankFunction

@@ -319,7 +319,7 @@ class TestCrossCheck:
             g = normalize(poset, f)
             report = cross_check(poset, g)
             assert report.ok
-            assert report.first_mismatch is None
+            assert report.mismatches == ()
 
     def test_singleton(self):
         poset = build_poset(["v"], [])

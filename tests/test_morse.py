@@ -19,7 +19,7 @@ from morsepoly import (
     build_poset,
     check_exclusivity,
     classify,
-    combinatorial_indices,
+    combinatorial_index,
     dimension_morse,
     find_troubled,
     gen_complex,
@@ -680,9 +680,10 @@ class TestSpreadSweepReference:
         assert sorted(trace.keys.values.values()) == list(range(len(poset)))
         by_key = sorted(poset.elements, key=trace.keys.values.__getitem__)
         assert by_key == sorted(poset.elements, key=values.__getitem__)
-        assert combinatorial_indices(poset, trace.keys) == combinatorial_indices(
-            poset, trace.result
-        )
+        for b in poset.elements:
+            assert combinatorial_index(poset, trace.keys, b) == combinatorial_index(
+                poset, trace.result, b
+            )
 
 
 def idempotence_cases():

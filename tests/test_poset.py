@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import morsepoly.oracles as oracles_module
 import morsepoly.poset as poset_module
+from morsepoly.hypotheses import validate_parity_rank
 from morsepoly import (
     Chain,
     CycleDetected,
@@ -24,7 +24,6 @@ from morsepoly import (
     UnknownElement,
     build_poset,
     chain_counts,
-    chain_euler_characteristic,
     chain_weights,
     compute_parity_rank,
     compute_rank_function,
@@ -86,7 +85,7 @@ def brute_force_chains(poset, subset):
     for size in range(1, len(ids) + 1):
         for combo in combinations(ids, size):
             if all(
-                poset.lt(a, b) or poset.lt(b, a)
+                a in poset.strict_down_set(b) or b in poset.strict_down_set(a)
                 for a, b in combinations(combo, 2)
             ):
                 found.append(frozenset(combo))
@@ -106,7 +105,7 @@ class TestBuildPoset:
     def test_singleton(self):
         poset = build_poset(["x"], [])
         assert len(poset) == 1
-        assert poset.minimal_elements() == ("x",)
+        assert poset.lower_covers("x") == ()
 
     def test_empty_poset_accepted(self):
         poset = build_poset([], [])
@@ -129,19 +128,31 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             build_poset(["a", "a"], [])
 
+    def test_ids_and_pairs_read_alike(self):
+        # Pair ids are taken as given, like element ids, so ids that are
+        # not strings still name their elements; pairs may be lists.
+        poset = build_poset([1, 2, 3], [[1, 2], (2, 3)])
+        assert poset.covers == {(1, 2), (2, 3)}
+        assert poset.strict_down_set(3) == {1, 2}
+        with pytest.raises(UnknownElement) as info:
+            build_poset([1, 2], [(1, "2")])
+        assert str(info.value) == "unknown element '2' in pair (1, '2')"
+
 
 class TestOrderQueries:
     def test_leq(self, edge_poset):
-        assert edge_poset.leq("a", "e")
-        assert not edge_poset.leq("a", "b")
-        assert edge_poset.leq("a", "a")
+        assert "a" in edge_poset.strict_down_set("e")
+        assert "a" not in edge_poset.strict_down_set("b")
+        assert "b" not in edge_poset.strict_down_set("a")
+        assert "a" not in edge_poset.strict_down_set("a")
 
     def test_leq_transitive(self, chain_poset):
-        assert chain_poset.leq("0", "2")
+        assert "0" in chain_poset.strict_down_set("2")
+        assert "2" in chain_poset.strict_up_set("0")
 
     def test_leq_unknown(self, edge_poset):
         with pytest.raises(UnknownElement):
-            edge_poset.leq("a", "zzz")
+            edge_poset.strict_down_set("zzz")
 
     def test_strict_down_sets(self, edge_poset, triangle):
         assert edge_poset.strict_down_set("e") == {"a", "b"}
@@ -172,15 +183,6 @@ class TestChains:
         by_members = {c.members: c.length for c in enumerate_chains(chain_poset)}
         assert by_members[("0", "1", "2")] == 2
         assert by_members[("0",)] == 0
-
-    def test_soft_limit_warning(self, monkeypatch, chain_poset):
-        monkeypatch.setattr(oracles_module, "CHAIN_SOFT_LIMIT", 3)
-        for walk in (enumerate_chains, order_complex):
-            with pytest.warns(RuntimeWarning, match="desk scale") as caught:
-                walk(chain_poset)
-            # Once per walk, at the line that called it.
-            assert len(caught) == 1
-            assert caught[0].filename == __file__
 
     @settings(max_examples=60)
     @given(posets())
@@ -296,6 +298,56 @@ class TestTwoWide:
 
     def test_edge_poset_vacuously(self, edge_poset):
         assert is_two_wide(edge_poset)
+
+    @staticmethod
+    def brute_force_witness(poset):
+        """The least (a, b, c) with a < b < c covers and b the only x with
+        a < x < c covers, covers found from the strict order alone."""
+        below = {y: poset.strict_down_set(y) for y in poset.elements}
+        covers = {(x, y) for y in below for x in below[y]
+                  if not any(x in below[z] for z in below[y])}
+        bad = []
+        for c in poset.elements:
+            for a in below[c]:
+                middles = [x for x in below[c] if (a, x) in covers and (x, c) in covers]
+                if len(middles) == 1:
+                    bad.append((a, middles[0], c))
+        return min(bad, default=None)
+
+    def assert_matches_brute_force(self, poset):
+        verdict = is_two_wide(poset)
+        witness = self.brute_force_witness(poset)
+        assert verdict.witness == witness
+        assert verdict.holds == (witness is None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(posets() | graded_posets())
+    def test_random_posets(self, poset):
+        self.assert_matches_brute_force(poset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_seeded_face_posets(self, seed):
+        # In a face poset, graded by dimension, a < b < c covers span an
+        # interval [a, c] of length two, and it has a second middle.
+        poset = face_poset_of(seed)
+        self.assert_matches_brute_force(poset)
+        assert is_two_wide(poset)
+
+    def test_cubical_posets(self):
+        for spec in (cube(3), cubical_torus(3, 4), cubical_cone(3, 3)):
+            self.assert_matches_brute_force(face_poset_cellular(spec).poset)
+
+    def test_cover_chains_not_intervals(self):
+        # a < b < c has no second middle, but [a, c] has length three, and
+        # every interval of length two here has two middles: 2-wideness
+        # reads cover chains, and on ungraded posets that is stricter.
+        poset = build_poset(
+            ["a", "b", "c", "x", "x2", "y", "y2"],
+            [("a", "b"), ("b", "c"), ("a", "x"), ("a", "x2"), ("x", "y"), ("x", "y2"),
+             ("x2", "y"), ("x2", "y2"), ("y", "c"), ("y2", "c")],
+        )
+        assert is_two_wide(poset).witness == ("a", "b", "c")
 
 
 class TestGradings:
@@ -473,12 +525,69 @@ class TestDownwardEulerian:
         assert verdict.violations == (("e", 1, 2),)
 
     def test_two_cycles_poset_holds(self, two_cycles):
-        assert is_downward_eulerian(two_cycles.poset, two_cycles.parity).holds
+        assert is_downward_eulerian(two_cycles.poset, compute_parity_rank(two_cycles.poset)).holds
         assert is_two_wide(two_cycles.poset).holds
 
     def test_invalid_parity_rejected(self, edge_poset):
         with pytest.raises(ValueError):
             is_downward_eulerian(edge_poset, ParityRank(values={"a": 1, "b": 0, "e": 1}))
+
+
+def four_part_parity_error(poset, values):
+    """The first element at which values breaks the definition of a parity
+    rank, or None: every element has 0 or 1, minimal elements 0, and the
+    value flips across every cover."""
+    for e in poset.elements:
+        if values.get(e) not in (0, 1) or (not poset.lower_covers(e) and values[e] != 0):
+            return e
+    flips = [b for a, b in sorted(poset.covers) if values[b] != 1 - values[a]]
+    return flips[0] if flips else None
+
+
+@st.composite
+def parity_guesses(draw):
+    """A random poset and a 0/1 map on it: often its own parity rank, if
+    it has one, with a few values flipped or dropped."""
+    poset = draw(posets() | graded_posets() | st.builds(face_poset_of, st.integers(0, 10**6)))
+    own = compute_parity_rank(poset)
+    if isinstance(own, ParityRank) and draw(st.booleans()):
+        values = dict(own.values)
+    else:
+        values = {e: draw(st.integers(0, 1)) for e in poset.elements}
+    for e in draw(st.lists(st.sampled_from(poset.elements), max_size=2)) if len(poset) else ():
+        if draw(st.booleans()):
+            values[e] = 1 - values.get(e, 1)
+        else:
+            values.pop(e, None)
+    return poset, values
+
+
+class TestValidateParityRank:
+    """One comparison with the stored parity against the four-part rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parity_guesses())
+    def test_matches_four_part_rule(self, case):
+        poset, values = case
+        reference = four_part_parity_error(poset, values)
+        if reference is None:
+            validate_parity_rank(poset, ParityRank(values))
+        else:
+            with pytest.raises(ValueError):
+                validate_parity_rank(poset, ParityRank(values))
+
+    def test_names_the_first_element(self, triangle):
+        values = {e: r % 2 for e, r in triangle.rank.values.items()}
+        values["2"] = 1
+        values["3"] = 1
+        with pytest.raises(ValueError, match="'2'"):
+            validate_parity_rank(triangle.poset, ParityRank(values))
+
+    def test_no_parity_rank(self, parity_conflict_poset):
+        with pytest.raises(ValueError, match="'c'"):
+            validate_parity_rank(
+                parity_conflict_poset, ParityRank({"a": 0, "b": 0, "c": 1, "d": 1})
+            )
 
 
 class TestDownwardEulerianOracle:
@@ -524,10 +633,7 @@ class TestChainWeights:
         for c in chains:
             tops[c.members[-1]] += (-1) ** c.length
         assert chain_weights(poset, subset) == tops
-        assert chain_euler_characteristic(poset, subset) == sum(tops.values())
-        assert chain_euler_characteristic(poset, subset) == sum(
-            (-1) ** c.length for c in chains
-        )
+        assert sum(tops.values()) == sum((-1) ** c.length for c in chains)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -565,9 +671,6 @@ class TestChainWeights:
         assert chain_weights(poset, shuffled) == w
         # The keys run by down-set size, then identifier, whatever the hash seed.
         assert list(w) == sorted(subset, key=lambda e: len(poset.strict_down_set(e)))
-        chi = chain_euler_characteristic(poset, set(subset))
-        assert chain_euler_characteristic(poset, sorted(subset)) == chi
-        assert chain_euler_characteristic(poset, shuffled) == chi
 
     def test_unknown_element_is_the_identifier_first(self, edge_poset):
         # Both "yy" and "zz" are unknown; the error names "yy" in either order.
@@ -584,7 +687,7 @@ class TestChainWeights:
         w = chain_weights(poset)
         assert w[names[0]] == 1
         assert set(w[e] for e in names[1:]) == {0}
-        assert chain_euler_characteristic(poset, names) == 1
+        assert sum(w.values()) == 1
 
 
 class TestCoverRederivation:
@@ -732,9 +835,9 @@ class TestTransitiveReduction:
     def test_full_boundaries_give_the_same_poset(self, spec):
         full, faces = face_poset_cellular(full_boundaries(spec)), face_poset_cellular(spec)
         assert stored(full.poset) == stored(faces.poset)
-        assert (full.rank, full.parity) == (faces.rank, faces.parity)
+        assert full.rank == faces.rank
 
 
 def test_chain_euler_characteristic_matches_complex(edge_poset):
-    assert chain_euler_characteristic(edge_poset, edge_poset.elements) == 1
-    assert chain_euler_characteristic(edge_poset, {"a", "b"}) == 2
+    assert sum(chain_weights(edge_poset).values()) == 1
+    assert sum(chain_weights(edge_poset, {"a", "b"}).values()) == 2
