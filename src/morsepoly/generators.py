@@ -17,14 +17,14 @@ function remains a valid discrete Morse function; these create duplicated
 values and troubled patterns while preserving validity.  Every value the
 generator makes is a multiple of 1/12 (base values are integers or
 half-integers, a pull-up adds 0 or 1/3, and a random target is p/q with q
-at most 4), so once the base values are checked to lie on that grid,
-everything runs on the exact integers 12 * value.  The base function is
-validated in full once.  Each perturbation is kept only if
-:func:`~morsepoly.morse._holds_near` passes: the Morse condition at the
-changed element and at its non-increasing covers, the only places where
-the change can break it.  The final function is validated in full again
-and turned back into Fractions once, at the end.  A pull-up draws from the
-element's up-set as the poset stores it, in identifier order.
+at most 4), so from the base values on everything runs on the exact
+integers 12 * value.  The base function is validated in full once.  Each
+perturbation is kept only if :func:`~morsepoly.morse._holds_near` passes:
+the Morse condition at the changed element and at its non-increasing
+covers, the only places where the change can break it.  The final
+function is validated in full again and turned into Fractions once, at the
+end.  A pull-up draws from the element's up-set as the poset stores it, in
+identifier order.
 """
 
 from __future__ import annotations
@@ -109,8 +109,11 @@ def _reaches_around(
     return False
 
 
-def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, ElementId]]:
-    """Vertex-disjoint cover pairs whose contraction leaves the digraph acyclic.
+def _sample_matching(
+    poset: Poset, rng: random.Random
+) -> tuple[list[tuple[ElementId, ElementId]], dict[ElementId, ElementId]]:
+    """Vertex-disjoint cover pairs whose contraction leaves the digraph
+    acyclic, and the contraction: the node that holds each element.
 
     The cover digraph with the accepted pairs merged stays acyclic.  Both
     ends of a candidate a < b are unmatched, so each is still its own node,
@@ -137,19 +140,17 @@ def _sample_matching(poset: Poset, rng: random.Random) -> list[tuple[ElementId, 
         matching.append((a, b))
         taken.add(a)
         taken.add(b)
-    return matching
+    return matching, node
 
 
 def _base_values(
     poset: Poset,
     matching: list[tuple[ElementId, ElementId]],
+    node: dict[ElementId, ElementId],
     rng: random.Random,
-) -> dict[ElementId, Fraction]:
-    """Values from topological positions of the matched-pair contraction."""
-    node = {e: e for e in poset.elements}
-    for a, b in matching:
-        rep = min(a, b)
-        node[a] = node[b] = rep
+) -> dict[ElementId, int]:
+    """Values in twelfths from topological positions of the matched-pair
+    contraction ``node``."""
     nodes = sorted(set(node.values()))
     edges: dict[ElementId, set[ElementId]] = {n: set() for n in nodes}
     indeg: dict[ElementId, int] = {n: 0 for n in nodes}
@@ -169,11 +170,11 @@ def _base_values(
             indeg[m] -= 1
             if indeg[m] == 0:
                 ready.append(m)
-    values = {e: Fraction(position[node[e]]) for e in poset.elements}
+    values = {e: _SCALE * position[node[e]] for e in poset.elements}
     # Turn some matched equalities into strict decreases across the cover.
     for a, b in matching:
         if rng.random() < 0.5:
-            values[a] += Fraction(1, 2)
+            values[a] += _SCALE // 2
     return values
 
 
@@ -182,15 +183,8 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     if len(poset) == 0:
         raise EmptyPoset("cannot generate a function on an empty poset")
     rng = random.Random(seed)
-    matching = _sample_matching(poset, rng)
-    values = _base_values(poset, matching, rng)
-    scaled: dict[ElementId, int] = {}
-    for e, value in values.items():
-        twelfths, off_grid = divmod(value.numerator * _SCALE, value.denominator)
-        if off_grid:
-            raise AssertionError(f"base value {value} of {e!r} is not a multiple of "
-                                 f"1/{_SCALE}; implementation bug")
-        scaled[e] = twelfths
+    matching, node = _sample_matching(poset, rng)
+    scaled = _base_values(poset, matching, node, rng)
     if not validate_morse(poset, MorseFunction(scaled)).valid:
         raise AssertionError("base function is invalid; implementation bug")
 

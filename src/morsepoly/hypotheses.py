@@ -69,7 +69,7 @@ def chain_weights(
     if subset is None:
         return _chain_weights(poset, poset.elements)
     members = set(subset)
-    unknown = members.difference(poset._set)
+    unknown = members.difference(poset._lower)
     if unknown:
         poset.require(min(unknown))
     return _chain_weights(poset, [e for e in poset.elements if e in members])
@@ -78,7 +78,8 @@ def chain_weights(
 def is_two_wide(poset: Poset) -> TwoWideVerdict:
     """Check that every 2-step cover chain a < b < c has an alternative middle:
     from each a, the witness is the first (a, b, c) in cover order whose c
-    is reached along two covers through b alone."""
+    is reached along two covers through b alone, whatever longer cover paths
+    run from a to c, on parity-graded posets too."""
     upper = poset._upper
     for a in poset.elements:
         once: dict[ElementId, bool] = {}

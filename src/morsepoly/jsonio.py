@@ -32,7 +32,7 @@ def parse_rational(value: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -25,7 +25,7 @@ BELOW = "below"
 ABOVE = "above"
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(value: object) -> Fraction:
@@ -38,9 +38,10 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value.strip()):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if not match:
             raise ValueError(f"expected a rational as 'p' or 'p/q', got {value!r}")
-        return Fraction(value.strip())
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"refusing non-exact value {value!r} (use int, str, or Fraction)")
 
 

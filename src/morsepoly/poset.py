@@ -151,13 +151,14 @@ class Poset:
     ``_pairs`` (the covers as a tuple), each element's covers (``_upper``,
     ``_lower``) and its strict up-set (``_above``) are tuples in identifier
     order; strict down-sets (``_below``) are frozensets.  ``covers`` is the
-    frozenset of the pairs.  ``topological_order`` is the linear extension
-    build_poset found, smallest ready identifier first.  ``_rank`` and
-    ``_parity`` are the poset's gradings, each a record or the first
-    :class:`GradingConflict`; readers share them and must not change them.
+    frozenset of the pairs.  Membership reads the keys of ``_lower``.
+    ``topological_order`` is the linear extension build_poset found,
+    smallest ready identifier first.  ``_rank`` and ``_parity`` are the
+    poset's gradings, each a record or the first :class:`GradingConflict`;
+    readers share them and must not change them.
     """
 
-    __slots__ = ("elements", "covers", "topological_order", "_set", "_pairs",
+    __slots__ = ("elements", "covers", "topological_order", "_pairs",
                  "_upper", "_lower", "_above", "_below", "_rank", "_parity")
 
     def __init__(
@@ -175,7 +176,6 @@ class Poset:
         self.elements = elements
         self.covers = frozenset(pairs)
         self.topological_order = topological_order
-        self._set = frozenset(elements)
         self._pairs = pairs
         self._upper = upper
         self._lower = lower
@@ -188,7 +188,7 @@ class Poset:
         return len(self.elements)
 
     def __contains__(self, element: object) -> bool:
-        return element in self._set
+        return element in self._lower
 
     def __iter__(self):
         return iter(self.elements)
@@ -202,7 +202,7 @@ class Poset:
         return self.elements
 
     def require(self, element: ElementId) -> None:
-        if element not in self._set:
+        if element not in self._lower:
             raise UnknownElement(f"unknown element {element!r}")
 
     def upper_covers(self, element: ElementId) -> tuple[ElementId, ...]:

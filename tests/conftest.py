@@ -1,6 +1,6 @@
-"""Shared fixtures: the small named posets used throughout the suite, and
+"""Shared fixtures: the small named posets used throughout the suite,
 stdlib builders of grid tori, d-cubes, cubical tori and the cone over a
-cubical torus."""
+cubical torus, and the mod-2 Betti numbers of a face poset."""
 
 from __future__ import annotations
 
@@ -181,6 +181,40 @@ def full_boundaries(spec: ComplexSpec) -> ComplexSpec:
         closed[cell.id] = cell.boundary + tuple(sorted(below - set(cell.boundary)))
     return ComplexSpec(kind="cellular", cells=tuple(
         CellSpec(id=c.id, dim=c.dim, boundary=closed[c.id]) for c in spec.cells))
+
+
+def _rank_mod2(rows) -> int:
+    """Rank over GF(2) of rows given as int bit masks, by Gaussian
+    elimination: each row is reduced by the pivot rows at its leading bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
+
+
+def betti_mod2(face) -> tuple[int, ...]:
+    """Mod-2 Betti numbers b_0..b_top of the regular CW complex whose face
+    poset (with its dimension rank) is given.
+
+    Every incidence number of a regular CW complex is +1 or -1, so a cell's
+    mod-2 boundary is its set of lower covers, and b_k = n_k - rank d_k -
+    rank d_(k+1) for the boundary maps d_k from k-cells to (k-1)-cells.
+    """
+    cells: list[list[str]] = [[] for _ in range(face.rank.max_rank + 1)]
+    for e in face.poset.elements:
+        cells[face.rank.values[e]].append(e)
+    bit = {e: 1 << i for dim in cells for i, e in enumerate(dim)}
+    ranks = [0] * (len(cells) + 1)
+    for k in range(1, len(cells)):
+        ranks[k] = _rank_mod2(
+            sum(bit[a] for a in face.poset.lower_covers(e)) for e in cells[k]
+        )
+    return tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(len(cells)))
 
 
 # (name, spec, Euler characteristic) of the cubical inputs the suite runs.

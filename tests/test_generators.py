@@ -207,7 +207,8 @@ class TestContractedIsAcyclic:
 
 def whole_graph_matching(poset, rng):
     """The matching loop that reruns the whole-graph cycle test for every
-    candidate pair: the reference the incremental loop must reproduce."""
+    candidate pair, and the contraction it leaves: the reference the
+    incremental loop must reproduce."""
     covers = sorted(poset.covers)
     rng.shuffle(covers)
     node = {e: e for e in poset.elements}
@@ -226,7 +227,7 @@ def whole_graph_matching(poset, rng):
             matching.append((a, b))
             taken.add(a)
             taken.add(b)
-    return matching
+    return matching, node
 
 
 @st.composite
@@ -281,7 +282,9 @@ def fraction_perturbed(seed, poset):
     """gen_morse's values with the perturbation loop run on Fractions, draw
     for draw: the reference the loop on integers (twelfths) must reproduce."""
     rng = random.Random(seed)
-    values = _base_values(poset, _sample_matching(poset, rng), rng)
+    matching, node = _sample_matching(poset, rng)
+    values = {e: Fraction(v, generators._SCALE)
+              for e, v in _base_values(poset, matching, node, rng).items()}
     elements = sorted(poset.elements)
     n = len(elements)
     for _ in range(4 * n):
@@ -320,15 +323,16 @@ class TestIntegerPerturbations:
         poset = circle(150)
         assert gen_morse(seed, poset).values == fraction_perturbed(seed, poset)
 
-    def test_base_value_off_the_grid_raises(self, monkeypatch):
-        # With no covers every function is valid, so only the scaling check
-        # can refuse a value that is not a multiple of 1/12.
-        def off_grid(poset, matching, rng):
-            return {"a": Fraction(1, 5), "b": Fraction(0)}
-
-        monkeypatch.setattr(generators, "_base_values", off_grid)
-        with pytest.raises(AssertionError, match="base value 1/5 of 'a' is not a multiple"):
-            gen_morse(0, build_poset(["a", "b"], []))
+    @settings(max_examples=100, deadline=None)
+    @given(poset=matching_posets(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_base_values_are_int_twelfths(self, poset, seed):
+        # Base values are integers or half-integers, made as twelfths, so
+        # the perturbation loop starts on them with no conversion.
+        rng = random.Random(seed)
+        values = _base_values(poset, *_sample_matching(poset, rng), rng)
+        assert list(values) == list(poset.elements)
+        assert all(type(v) is int and v % (generators._SCALE // 2) == 0
+                   for v in values.values())
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from morsepoly import (
     transitive_reduction,
     validate_morse,
 )
-from morsepoly.jsonio import parse_rational
+from morsepoly.jsonio import format_rational, parse_rational
 from tests.conftest import cube, cubical_torus
 
 
@@ -64,6 +65,59 @@ class TestFromValues:
             MorseFunction.from_values({"a": text})
         with pytest.raises(MalformedSpec):
             parse_rational(text)
+
+
+_TWO_PASS_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+
+
+def two_pass_rational(text):
+    """The string rule that checked the grammar, then handed the stripped
+    text to Fraction's own parser: the reference the one-parse rule keeps."""
+    if not _TWO_PASS_RE.fullmatch(text.strip()):
+        raise ValueError(f"expected a rational as 'p' or 'p/q', got {text!r}")
+    return Fraction(text.strip())
+
+
+# Grammar pieces and near-misses: ASCII and non-ASCII digits (Arabic-Indic,
+# fullwidth, N'Ko), signs, a decimal point, an exponent, underscores, and
+# ASCII and Unicode whitespace.
+DIGITS = st.text("0123456789\u0660\u0663\uff10\uff17\u07c1", min_size=0, max_size=4)
+rational_texts = st.builds(
+    "".join,
+    st.lists(
+        DIGITS | st.sampled_from(["-", "+", "/", ".", "e", "E", "_", " ", "\t", "\n", "\u2003"]),
+        max_size=6,
+    ),
+) | st.text(max_size=8)
+
+
+class TestRationalText:
+    @settings(max_examples=500, deadline=None)
+    @given(text=rational_texts)
+    @example(text="007")
+    @example(text="-0")
+    @example(text="1/0")
+    @example(text="1/08")
+    @example(text="10/08")
+    @example(text="+3")
+    @example(text="1.5")
+    @example(text="1e3")
+    @example(text=" -6/4\n")
+    @example(text="\u0661/\u0662")
+    @example(text="1/1\u0660")
+    def test_one_parse_equals_two_pass_rule(self, text):
+        try:
+            expected = two_pass_rational(text)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                morse.parse_rational(text)
+        else:
+            got = morse.parse_rational(text)
+            assert type(got) is Fraction and got == expected
+
+    @given(value=st.fractions() | st.integers())
+    def test_format_is_the_fraction_string(self, value):
+        assert format_rational(value) == str(Fraction(value))
 
 
 class TestValidate:

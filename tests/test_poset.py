@@ -17,6 +17,7 @@ from morsepoly import (
     Chain,
     CycleDetected,
     GradingConflict,
+    HypothesisViolated,
     NonCoverEdge,
     ParityRank,
     RankFunction,
@@ -24,6 +25,7 @@ from morsepoly import (
     UnknownElement,
     build_poset,
     chain_counts,
+    check_hypotheses,
     chain_weights,
     compute_parity_rank,
     compute_rank_function,
@@ -348,6 +350,23 @@ class TestTwoWide:
              ("x2", "y"), ("x2", "y2"), ("y", "c"), ("y2", "c")],
         )
         assert is_two_wide(poset).witness == ("a", "b", "c")
+
+    def test_cover_chains_on_a_parity_graded_poset(self):
+        # a < b < c and a < x < y < z < c: every path from a to c has even
+        # length, so the poset has a parity rank, and b, x, y and z all lie
+        # strictly between a and c.  Read on cover chains, a < b < c still
+        # has no second middle, so the poset is not 2-wide and fails the
+        # hypotheses.
+        poset = build_poset(
+            ["a", "b", "c", "x", "y", "z"],
+            [("a", "b"), ("b", "c"), ("a", "x"), ("x", "y"), ("y", "z"), ("z", "c")],
+        )
+        assert isinstance(compute_parity_rank(poset), ParityRank)
+        assert poset.strict_down_set("c") - {"a"} == {"b", "x", "y", "z"}
+        assert is_two_wide(poset).witness == ("a", "b", "c")
+        self.assert_matches_brute_force(poset)
+        with pytest.raises(HypothesisViolated, match="not 2-wide"):
+            check_hypotheses(poset)
 
 
 class TestGradings:

@@ -13,6 +13,7 @@ import json
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -266,20 +267,21 @@ GEOMETRY = {"morsepoly.geometry"}
 GENERATORS = {"morsepoly.generators"}
 
 
+COMMAND_MODULES = [
+    (["check"], HYPOTHESES),
+    (["euler"], set()),
+    (["classify"], set()),
+    (["normalize"], NORMALIZATION),
+    (["index"], INDEX),
+    (["embed"], NORMALIZATION | GEOMETRY),
+    (["verify"], INDEX | GEOMETRY),
+    (["gen", "--kind", "morse"], GENERATORS),
+    (["gen", "--kind", "complex"], GENERATORS),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, extra",
-    [
-        (["check"], HYPOTHESES),
-        (["euler"], set()),
-        (["classify"], set()),
-        (["normalize"], NORMALIZATION),
-        (["index"], INDEX),
-        (["embed"], NORMALIZATION | GEOMETRY),
-        (["verify"], INDEX | GEOMETRY),
-        (["gen", "--kind", "morse"], GENERATORS),
-        (["gen", "--kind", "complex"], GENERATORS),
-    ],
-    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+    "argv, extra", COMMAND_MODULES, ids=lambda v: "-".join(v) if isinstance(v, list) else None,
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     """`python -S -m morsepoly.cli` loads the modules its command runs and
@@ -313,6 +315,24 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     # A well-formed command never reaches argparse, and its exit path froze the heap.
     assert parsers == ""
     assert frozen == "True"
+
+
+def test_readme_compile_table_counts_each_commands_modules():
+    """Each row of the README's table of package lines a command compiles
+    gives the module count and `wc -l` total of the modules that command
+    loads, as pinned above, with `cli.py` run as __main__."""
+    rows = re.findall(r"^\| `(\w+)`[^|]* \| (\d+) \| ([\d,]+) \|",
+                      (SRC.parent / "README.md").read_text(encoding="utf-8"), re.M)
+    listed = {command: (int(modules), int(lines.replace(",", ""))) for command, modules, lines in rows}
+    counted = {}
+    for argv, extra in COMMAND_MODULES:
+        paths = [SRC / "morsepoly" / "cli.py"]
+        for module in CORE | extra | {f"morsepoly.commands.{argv[0]}"}:
+            path = SRC.joinpath(*module.split("."))
+            paths.append(path / "__init__.py" if path.is_dir() else path.with_suffix(".py"))
+        lines = sum(path.read_bytes().count(b"\n") for path in paths)
+        counted[argv[0]] = (len(paths), lines)
+    assert listed == counted
 
 
 def test_package_import_loads_no_module():

@@ -14,11 +14,14 @@ import pytest
 from morsepoly import (
     ComplexSpec,
     ParityRank,
+    classify,
     compute_parity_rank,
     cross_check,
     dimension_morse,
     euler_characteristic,
+    face_poset_cellular,
     face_poset_simplicial,
+    gen_complex,
     gen_morse,
     is_downward_eulerian,
     is_two_wide,
@@ -26,6 +29,9 @@ from morsepoly import (
     order_complex,
     verify_representation,
 )
+from morsepoly.complexes import critical_by_dimension
+from tests.conftest import betti_mod2, cube, cubical_torus
+from tests.conftest import torus as grid_torus
 
 
 def simplicial(simplices) -> ComplexSpec:
@@ -117,3 +123,48 @@ def test_dense_two_complex_smoke():
     # chi of the full 2-skeleton: 7 - 21 + 35.
     assert report.total == report.chi == 21
     assert time.monotonic() - start < 30.0
+
+
+# (name, face poset, mod-2 Betti numbers) of complexes whose homology is known.
+BETTI = [
+    ("circle", face_poset_simplicial(circle()), (1, 1)),
+    ("sphere", face_poset_simplicial(sphere()), (1, 0, 1)),
+    ("projective plane", face_poset_simplicial(projective_plane()), (1, 1, 1)),
+    ("torus5x5", face_poset_simplicial(grid_torus(5)), (1, 2, 1)),
+    ("cubical_torus4x4", face_poset_cellular(cubical_torus(4, 4)), (1, 2, 1)),
+    ("cube4", face_poset_cellular(cube(4)), (1, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name,face,betti", BETTI, ids=[b[0] for b in BETTI])
+def test_betti_numbers_mod_2(name, face, betti):
+    assert betti_mod2(face) == betti
+    chi = sum((-1) ** k * b for k, b in enumerate(betti))
+    assert len(face.poset) - 2 * sum(compute_parity_rank(face.poset).values.values()) == chi
+
+
+def assert_morse_inequalities(face, f):
+    """Forman's weak (m_k >= b_k) and strong inequalities for f's critical
+    counts, with equality of the alternating sums in the top dimension."""
+    counts = critical_by_dimension(face.rank, classify(face.poset, f).critical_set())
+    betti = betti_mod2(face)
+    assert len(counts) == len(betti)
+    assert all(m >= b for m, b in zip(counts, betti)), (counts, betti)
+    for k in range(len(betti)):
+        m_alt = sum((-1) ** (k - i) * counts[i] for i in range(k + 1))
+        b_alt = sum((-1) ** (k - i) * betti[i] for i in range(k + 1))
+        assert m_alt >= b_alt, (k, counts, betti)
+    assert m_alt == b_alt, (counts, betti)
+
+
+MORSE_FACES = [b[1] for b in BETTI[3:]] + [
+    face_poset_simplicial(gen_complex(seed, 4 + seed % 6, 1 + seed % 3, 0.5))
+    for seed in range(40)
+]
+
+
+@pytest.mark.parametrize("face", MORSE_FACES, ids=[b[0] for b in BETTI[3:]]
+                         + [f"gen_complex{seed}" for seed in range(40)])
+def test_gen_morse_satisfies_morse_inequalities(face):
+    for seed in range(1, 6):
+        assert_morse_inequalities(face, gen_morse(seed, face.poset))
