@@ -3,7 +3,10 @@
 :func:`morsepoly.cli.main` imports a command's module when it dispatches to
 it and calls its ``run(args)``, so a run compiles only its own handler and
 the library modules that handler imports.  This package module holds what
-every handler needs: loading an input and a function, and writing output.
+every handler needs: loading an input and a function, and :func:`emit`,
+the one writer: it prints the one payload a handler builds as JSON or,
+under ``--format text``, as lines the handler renders from that payload
+alone; ``gen`` renders none, so it writes JSON under either format.
 It is kept apart from :mod:`morsepoly.cli` because ``python -m
 morsepoly.cli`` runs that module as ``__main__``, and a handler that
 imported ``morsepoly.cli`` would compile it a second time.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 from .. import jsonio
 from ..complexes import FacePoset, dimension_morse, face_poset_cellular, face_poset_simplicial
@@ -59,8 +63,13 @@ def write(path: str, text: str) -> None:
         raise MorsePolyError(f"cannot write {path}: {exc}") from exc
 
 
-def emit(args: SimpleNamespace, payload: str) -> None:
-    if args.output_path:
-        write(args.output_path, payload)
+def emit(args: SimpleNamespace, payload: dict, text: Callable | None = None) -> None:
+    """Write payload as canonical JSON, or as the lines ``text(payload)`` yields."""
+    if text is None or args.fmt == "json":
+        out = jsonio.dumps_canonical(payload)
     else:
-        sys.stdout.write(payload)
+        out = "\n".join(text(payload)) + "\n"
+    if args.output_path:
+        write(args.output_path, out)
+    else:
+        sys.stdout.write(out)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .. import jsonio
 from ..errors import MISMATCH_EXIT
 from ..hypotheses import _downward_eulerian, is_two_wide
 from ..poset import ParityRank
@@ -57,46 +56,39 @@ def _check_payload(loaded: LoadedInput) -> dict:
     return payload
 
 
-def _check_text(payload: dict) -> str:
-    lines = [
-        f"input: {payload['input']} ({payload['element_count']} elements)",
-        f"2-wide: {payload['two_wide']['holds']}"
-        + (
-            f" (witness {tuple(payload['two_wide']['witness'])})"
-            if payload["two_wide"]["witness"]
-            else ""
-        ),
-    ]
+def _check_text(payload: dict):
+    yield f"input: {payload['input']} ({payload['element_count']} elements)"
+    yield f"2-wide: {payload['two_wide']['holds']}" + (
+        f" (witness {tuple(payload['two_wide']['witness'])})"
+        if payload["two_wide"]["witness"]
+        else ""
+    )
     parity = payload["parity_rank"]
     if parity["exists"]:
-        lines.append("parity rank function: exists")
+        yield "parity rank function: exists"
         eulerian = payload["downward_eulerian"]
-        lines.append(f"downward Eulerian: {eulerian['holds']}")
+        yield f"downward Eulerian: {eulerian['holds']}"
         for violation in eulerian["violations"]:
-            lines.append(
+            yield (
                 f"  violated at {violation['element']}: chi = {violation['chi']}, "
                 f"required {violation['required']}"
             )
     else:
         conflict = parity["conflict"]
-        lines.append(
+        yield (
             f"parity rank function: none (element {conflict['element']} receives "
             f"{conflict['values'][0]} via {conflict['via'][0]} and "
             f"{conflict['values'][1]} via {conflict['via'][1]})"
         )
     if "note" in payload:
-        lines.append(f"note: {payload['note']}")
-    lines.append(f"all properties hold: {payload['all_hold']}")
-    return "\n".join(lines) + "\n"
+        yield f"note: {payload['note']}"
+    yield f"all properties hold: {payload['all_hold']}"
 
 
 def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     payload = _check_payload(loaded)
-    if args.fmt == "json":
-        emit(args, jsonio.dumps_canonical(payload))
-    else:
-        emit(args, _check_text(payload))
+    emit(args, payload, _check_text)
     if args.strict and not payload["all_hold"]:
         return MISMATCH_EXIT
     return 0

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .. import jsonio
 from ..morse import classify
 from . import emit, load_input, load_morse
+
+
+def _text(payload: dict):
+    counts = payload["counts"]
+    yield f"critical: {counts['critical']}, ordinary: {counts['ordinary']}"
+    for e, verdict in payload["verdicts"].items():
+        if verdict == "critical":
+            yield f"  {e}: critical"
+        else:
+            witness = payload["witnesses"][e]
+            yield f"  {e}: ordinary (witness {witness['neighbor']} {witness['direction']})"
 
 
 def run(args: SimpleNamespace) -> int:
@@ -25,15 +35,5 @@ def run(args: SimpleNamespace) -> int:
             "ordinary": len(loaded.poset) - critical,
         },
     }
-    if args.fmt == "json":
-        emit(args, jsonio.dumps_canonical(payload))
-    else:
-        lines = [f"critical: {critical}, ordinary: {payload['counts']['ordinary']}"]
-        for e, verdict in classification.verdicts.items():
-            if verdict == "critical":
-                lines.append(f"  {e}: critical")
-            else:
-                neighbor, direction = classification.witnesses[e]
-                lines.append(f"  {e}: ordinary (witness {neighbor} {direction})")
-        emit(args, "\n".join(lines) + "\n")
+    emit(args, payload, _text)
     return 0

@@ -10,6 +10,12 @@ from ..normalization import normalize
 from . import emit, load_input, load_morse, write
 
 
+def _text(payload: dict):
+    yield f"dimension: {payload['dimension']}"
+    for e, vec in payload["coordinates"].items():
+        yield f"{e}: ({', '.join(vec)})"
+
+
 def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
@@ -18,10 +24,5 @@ def run(args: SimpleNamespace) -> int:
     payload = jsonio.embedding_to_obj(embedding)
     if args.csv_path:
         write(args.csv_path, jsonio.embedding_obj_to_csv(payload))
-    if args.fmt == "json":
-        emit(args, jsonio.dumps_canonical(payload))
-    else:
-        lines = [f"dimension: {payload['dimension']}"]
-        lines += [f"{e}: ({', '.join(vec)})" for e, vec in payload["coordinates"].items()]
-        emit(args, "\n".join(lines) + "\n")
+    emit(args, payload, _text)
     return 0

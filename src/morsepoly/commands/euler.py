@@ -4,9 +4,17 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from .. import jsonio
 from ..poset import chain_counts
 from . import emit, load_input
+
+
+def _text(payload: dict):
+    yield (
+        f"order complex: {payload['simplex_count']} simplices over "
+        f"{payload['element_count']} vertices "
+        f"(by dimension: {tuple(payload['simplices_by_dimension'])})"
+    )
+    yield f"Euler characteristic: {payload['euler_characteristic']}"
 
 
 def run(args: SimpleNamespace) -> int:
@@ -18,13 +26,5 @@ def run(args: SimpleNamespace) -> int:
         "simplices_by_dimension": list(counts),
         "euler_characteristic": sum(counts[0::2]) - sum(counts[1::2]),
     }
-    if args.fmt == "json":
-        emit(args, jsonio.dumps_canonical(payload))
-    else:
-        emit(
-            args,
-            f"order complex: {payload['simplex_count']} simplices over "
-            f"{payload['element_count']} vertices (by dimension: {counts})\n"
-            f"Euler characteristic: {payload['euler_characteristic']}\n",
-        )
+    emit(args, payload, _text)
     return 0

@@ -9,13 +9,13 @@ from ..normalization import normalize
 from . import emit, load_input, load_morse
 
 
+def _text(payload: dict):
+    for e, v in payload["values"].items():
+        yield f"{e}: {v}"
+
+
 def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
-    g = normalize(loaded.poset, f)
-    if args.fmt == "json":
-        emit(args, jsonio.dumps_canonical(jsonio.morse_to_obj(g)))
-    else:
-        lines = [f"{e}: {jsonio.format_rational(v)}" for e, v in g.sorted_items()]
-        emit(args, "\n".join(lines) + "\n")
+    emit(args, jsonio.morse_to_obj(normalize(loaded.poset, f)), _text)
     return 0

@@ -12,6 +12,23 @@ from ..geometry import compare_indices, embed_vertices, lower_star_indices
 from . import emit, load_input, load_morse
 
 
+def _text(payload: dict):
+    yield f"status: {payload['status']}"
+    for entry in payload["entries"]:
+        yield (
+            f"  {entry['element']}: index {entry['computed']} "
+            f"(predicted {entry['predicted']}, geometric {entry['geometric']}, "
+            f"{'critical' if entry['critical'] else 'ordinary'})"
+        )
+    totals = payload["totals"]
+    yield (
+        f"sum {totals['sum']} = chi {totals['euler_characteristic']}; "
+        f"N0 - N1 = {totals['n_even_critical']} - {totals['n_odd_critical']}"
+    )
+    if "critical_by_dimension" in payload:
+        yield f"critical cells by dimension: {payload['critical_by_dimension']}"
+
+
 def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     poset = loaded.poset
@@ -38,22 +55,5 @@ def run(args: SimpleNamespace) -> int:
         # Rank is available, so also report critical cells per dimension.
         critical = (entry.element for entry in report.entries if entry.critical)
         payload["critical_by_dimension"] = list(critical_by_dimension(loaded.face.rank, critical))
-    if args.fmt == "json":
-        emit(args, jsonio.dumps_canonical(payload))
-    else:
-        lines = [f"status: {payload['status']}"]
-        for entry in payload["entries"]:
-            lines.append(
-                f"  {entry['element']}: index {entry['computed']} "
-                f"(predicted {entry['predicted']}, geometric {entry['geometric']}, "
-                f"{'critical' if entry['critical'] else 'ordinary'})"
-            )
-        totals = payload["totals"]
-        lines.append(
-            f"sum {totals['sum']} = chi {totals['euler_characteristic']}; "
-            f"N0 - N1 = {totals['n_even_critical']} - {totals['n_odd_critical']}"
-        )
-        if "critical_by_dimension" in payload:
-            lines.append(f"critical cells by dimension: {payload['critical_by_dimension']}")
-        emit(args, "\n".join(lines) + "\n")
+    emit(args, payload, _text)
     return 0 if geometry_ok else MISMATCH_EXIT

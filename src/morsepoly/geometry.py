@@ -30,6 +30,7 @@ this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
@@ -85,6 +86,18 @@ def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
     return Embedding({e: g[e] for e in ids})
 
 
+def _levels(heights: Mapping[ElementId, Fraction]) -> dict[ElementId, int]:
+    """Each element's rank among the distinct heights, by one sort and a
+    neighbour comparison.  No height is hashed: the spread sweep's dyadic
+    heights p / 2**k hash alike once every 61 steps of k."""
+    level, previous, rank = {}, None, -1
+    for v, h in sorted(heights.items(), key=itemgetter(1)):
+        if h != previous:
+            previous, rank = h, rank + 1
+        level[v] = rank
+    return level
+
+
 def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, int]:
     """:func:`~morsepoly.oracles.geometric_indices` of
     :func:`~morsepoly.oracles.realize_complex`, counted without listing a
@@ -106,8 +119,7 @@ def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, in
     for e in poset.elements:
         if e not in heights:
             raise UnknownElement(f"embedding has no coordinates for {e!r}")
-    rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
-    level = {v: rank[h] for v, h in heights.items()}
+    level = _levels(heights)
     for a in poset.elements:
         for b in poset._above[a]:
             if level[b] == level[a]:

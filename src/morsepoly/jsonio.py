@@ -1,9 +1,10 @@
 """JSON (de)serialization for every on-disk format.
 
-Rationals travel as strings "p" or "p/q" in lowest terms; floats are
-rejected on input so no inexact value can enter a computation.  All writers
-emit key-sorted, two-space-indented JSON with a trailing newline, so equal
-data always produces byte-identical files.
+Rationals travel as strings "p" or "p/q" in lowest terms, each the ``str``
+of a ``Fraction``; floats are rejected on input so no inexact value can
+enter a computation.  :func:`dumps_canonical`, which the commands' one
+writer calls, emits key-sorted, two-space-indented JSON with a trailing
+newline, so equal data always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ def parse_rational(value: object) -> Fraction:
         return _parse_rational(value)
     except (TypeError, ValueError) as exc:
         raise MalformedSpec(str(exc)) from exc
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -112,7 +109,7 @@ def morse_from_obj(obj: Any) -> MorseFunction:
 
 
 def morse_to_obj(f: MorseFunction) -> dict:
-    return {"values": {e: format_rational(v) for e, v in f.sorted_items()}}
+    return {"values": {e: str(v) for e, v in f.sorted_items()}}
 
 
 def complex_from_obj(obj: Any) -> ComplexSpec:
@@ -167,7 +164,7 @@ def embedding_to_obj(embedding: Embedding) -> dict:
     return {
         "dimension": embedding.dimension,
         "coordinates": {
-            e: [format_rational(x) for x in vec] for e, vec in embedding.vectors()
+            e: [str(x) for x in vec] for e, vec in embedding.vectors()
         },
     }
 

@@ -25,12 +25,13 @@ BELOW = "below"
 ABOVE = "above"
 
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def parse_rational(value: object) -> Fraction:
-    """Exact rational from an int, a Fraction, or a "p"/"p/q" string (the one
-    grammar, JSON input included); TypeError for floats, ValueError for text."""
+    """Exact rational from an int, a Fraction, or a "p"/"p/q" string of ASCII
+    digits (the one grammar, JSON input included); TypeError for floats,
+    ValueError for text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -46,10 +47,17 @@ def parse_rational(value: object) -> Fraction:
 
 
 class MorseFunction(Record):
-    """Total map from poset elements to exact rational values."""
+    """Total map from poset elements to exact rational values: each an int
+    or a Fraction, so no comparison ever reads a float."""
 
     __slots__ = ("values",)
     values: Mapping[ElementId, Fraction]
+
+    def __init__(self, values: Mapping[ElementId, Fraction | int]):
+        for e, v in values.items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"value of {e!r} is not an int or a Fraction: {v!r}")
+        super().__init__(values)
 
     @classmethod
     def from_values(cls, values: Mapping[ElementId, object]) -> "MorseFunction":

@@ -124,10 +124,13 @@ def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
     return poset.topological_order
 
 
+_HALF = Fraction(1, 2)  # halves an int or a Fraction exactly, where / 2 makes an int a float
+
+
 def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
     if not lo < hi:
         raise AssertionError(f"empty adjustment interval ({lo}, {hi}); implementation bug")
-    return (lo + hi) / 2
+    return (lo + hi) * _HALF
 
 
 def _short_up_witness(poset, values, e):
@@ -237,7 +240,7 @@ class _Pipeline:
             if keys[e] == key:
                 continue
             value, top = written[e], tops[key]
-            written[e] = tops[key] = new = value + 1 if top is None else (value + top) / 2
+            written[e] = tops[key] = new = value + 1 if top is None else (value + top) * _HALF
             self.set_value(Modification("spread_sweep", e, value, new), keys[e])
         return written
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the small named posets used throughout the suite,
 stdlib builders of grid tori, d-cubes, cubical tori and the cone over a
-cubical torus, and the mod-2 Betti numbers of a face poset."""
+cubical torus, the mod-2 Betti numbers of a face poset, and Forman's Morse
+inequalities against them."""
 
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ from morsepoly import (
     ComplexSpec,
     MorseFunction,
     build_poset,
+    classify,
     face_poset_cellular,
     face_poset_simplicial,
 )
+from morsepoly.complexes import critical_by_dimension
 
 
 @pytest.fixture
@@ -215,6 +218,20 @@ def betti_mod2(face) -> tuple[int, ...]:
             sum(bit[a] for a in face.poset.lower_covers(e)) for e in cells[k]
         )
     return tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(len(cells)))
+
+
+def assert_morse_inequalities(face, f):
+    """Forman's weak (m_k >= b_k) and strong inequalities for f's critical
+    counts, with equality of the alternating sums in the top dimension."""
+    counts = critical_by_dimension(face.rank, classify(face.poset, f).critical_set())
+    betti = betti_mod2(face)
+    assert len(counts) == len(betti)
+    assert all(m >= b for m, b in zip(counts, betti)), (counts, betti)
+    for k in range(len(betti)):
+        m_alt = sum((-1) ** (k - i) * counts[i] for i in range(k + 1))
+        b_alt = sum((-1) ** (k - i) * betti[i] for i in range(k + 1))
+        assert m_alt >= b_alt, (k, counts, betti)
+    assert m_alt == b_alt, (counts, betti)
 
 
 # (name, spec, Euler characteristic) of the cubical inputs the suite runs.

@@ -32,7 +32,6 @@ from morsepoly import (
     generators,
     geometry,
     hypotheses,
-    jsonio,
     morse,
     normalization,
     oracles,
@@ -393,13 +392,13 @@ class TestPinnedOutput:
         tmp_path, write = files
         args = ["embed", "--in", write("t.json", TRIANGLE)]
         calls = Counter()
-        original = jsonio.format_rational
+        original = Fraction.__str__
 
         def counted(value):
             calls["format"] += 1
             return original(value)
 
-        monkeypatch.setattr(jsonio, "format_rational", counted)
+        monkeypatch.setattr(Fraction, "__str__", counted)
         counts = []
         for extra in ([], ["--csv", str(tmp_path / "coords.csv")]):
             calls.clear()
@@ -696,6 +695,18 @@ class TestBadInput:
             ["classify", "--in", write("e.json", EDGE), "--morse", write("f.json", morse)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["\u0663", "1/1\u0660"])
+    def test_non_ascii_digits_rejected(self, files, capsys, value):
+        _, write = files
+        morse = {"values": {"a": value, "b": "2", "e": "7"}}
+        code = main(
+            ["classify", "--in", write("e.json", EDGE), "--morse", write("f.json", morse)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: expected a rational as 'p' or 'p/q', got {value!r}\n"
+        )
 
     def test_invalid_morse_function(self, files):
         _, write = files

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morsepoly import (
@@ -37,6 +37,7 @@ from morsepoly import (
     spans_full_simplex,
     transitive_reduction,
 )
+from morsepoly.geometry import _levels
 from morsepoly.oracles import difference_matrix
 from tests.conftest import CUBICAL, cube, suspension, torus
 
@@ -226,6 +227,19 @@ class TestGeometricIndices:
         self.assert_matches_definition(realize_complex(face.poset, embed_vertices(face.poset, g)))
 
 
+def set_rule_levels(heights):
+    """The leveling the witness used before: each height's position among
+    the distinct heights, found through a set and a dict keyed by height.
+    The one-sort leveling must give the same levels."""
+    rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
+    return {v: rank[h] for v, h in heights.items()}
+
+
+# Dyadic heights p / 2**k: Python hashes them with period 61 in k, so these
+# collide in hash while differing in value, as the spread sweep's do.
+dyadics = st.builds(lambda p, k: Fraction(p, 2**k), st.integers(-3, 3), st.integers(0, 200))
+
+
 class TestLowerStarIndices:
     """The streamed witness against the materialized oracles."""
 
@@ -254,6 +268,21 @@ class TestLowerStarIndices:
     def test_generated_posets(self, case):
         poset, g = case
         self.assert_matches_oracles(poset, embed_vertices(poset, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(heights=st.dictionaries(st.text("abcdef", min_size=1, max_size=2),
+                                   dyadics | st.integers(-2, 2), max_size=12))
+    @example(heights={"a": Fraction(1, 2**3), "b": Fraction(1, 2**64), "c": Fraction(1, 2**3)})
+    def test_levels_equal_the_set_rule(self, heights):
+        assert _levels(heights) == set_rule_levels(heights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=valued_posets(), data=st.data())
+    def test_colliding_dyadic_heights(self, case, data):
+        """Same indices, or the same NotGeneral pair, as the oracles."""
+        poset = case[0]
+        heights = {e: data.draw(dyadics) for e in poset.elements}
+        self.assert_matches_oracles(poset, Embedding(heights))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9), normalized=st.booleans())

@@ -35,7 +35,7 @@ from morsepoly import (
     transitive_reduction,
     validate_morse,
 )
-from morsepoly.jsonio import format_rational, parse_rational
+from morsepoly.jsonio import morse_to_obj, parse_rational
 from tests.conftest import cube, cubical_torus
 
 
@@ -51,6 +51,12 @@ def trouble_poset():
 
 
 class TestFromValues:
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, False, "1/2", None, 1j])
+    def test_constructor_refuses_inexact_values(self, value):
+        """The constructor takes ints and Fractions only; from_values parses."""
+        with pytest.raises(TypeError, match="'e'"):
+            MorseFunction({"a": 0, "e": value})
+
     def test_accepts_ints_strings_fractions(self):
         f = MorseFunction.from_values({"a": 1, "b": "1/2", "c": Fraction(3, 4)})
         assert f["b"] == Fraction(1, 2)
@@ -59,7 +65,8 @@ class TestFromValues:
         with pytest.raises(TypeError):
             MorseFunction.from_values({"a": 0.5})
 
-    @pytest.mark.parametrize("text", ["0.5", "1e3", "+1", "1/0", "1/-2", "1/2/3", ""])
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "+1", "1/0", "1/-2", "1/2/3", "",
+                                      "\u0663", "1/1\u0660", "\u0661/\u0662"])
     def test_string_grammar_shared_with_json(self, text):
         with pytest.raises(ValueError):
             MorseFunction.from_values({"a": text})
@@ -67,12 +74,13 @@ class TestFromValues:
             parse_rational(text)
 
 
-_TWO_PASS_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_TWO_PASS_RE = re.compile(r"-?\d+(/[1-9]\d*)?", re.ASCII)
 
 
 def two_pass_rational(text):
-    """The string rule that checked the grammar, then handed the stripped
-    text to Fraction's own parser: the reference the one-parse rule keeps."""
+    """The string rule that checked the grammar, ASCII digits only, then
+    handed the stripped text to Fraction's own parser: the reference the
+    one-parse rule keeps."""
     if not _TWO_PASS_RE.fullmatch(text.strip()):
         raise ValueError(f"expected a rational as 'p' or 'p/q', got {text!r}")
     return Fraction(text.strip())
@@ -105,6 +113,7 @@ class TestRationalText:
     @example(text=" -6/4\n")
     @example(text="\u0661/\u0662")
     @example(text="1/1\u0660")
+    @example(text="\u0663")
     def test_one_parse_equals_two_pass_rule(self, text):
         try:
             expected = two_pass_rational(text)
@@ -117,7 +126,9 @@ class TestRationalText:
 
     @given(value=st.fractions() | st.integers())
     def test_format_is_the_fraction_string(self, value):
-        assert format_rational(value) == str(Fraction(value))
+        written = morse_to_obj(MorseFunction({"a": value}))["values"]["a"]
+        assert written == str(Fraction(value))
+        assert parse_rational(written) == value
 
 
 class TestValidate:
@@ -261,6 +272,16 @@ class TestNormalize:
         assert find_troubled(edge_poset, f).clean()
         g = normalize(edge_poset, f)
         assert g.values == f.values
+
+    def test_int_values_stay_exact(self, edge_poset, trouble_poset):
+        """An int-valued input is halved into Fractions, never into floats:
+        by the spread sweep on a tie, and by the up sweep's repair."""
+        cases = [(edge_poset, {"a": 0, "b": 0, "e": 1}),
+                 (trouble_poset[0], {"a": 5, "x": 1, "y": 2, "x2": 6})]
+        for poset, values in cases:
+            g = normalize(poset, MorseFunction(values))
+            assert g.values != values
+            assert {type(v) for v in g.values.values()} <= {int, Fraction}
 
     def test_short_up_repair(self, trouble_poset):
         poset, f = trouble_poset

@@ -14,7 +14,6 @@ import pytest
 from morsepoly import (
     ComplexSpec,
     ParityRank,
-    classify,
     compute_parity_rank,
     cross_check,
     dimension_morse,
@@ -29,8 +28,7 @@ from morsepoly import (
     order_complex,
     verify_representation,
 )
-from morsepoly.complexes import critical_by_dimension
-from tests.conftest import betti_mod2, cube, cubical_torus
+from tests.conftest import assert_morse_inequalities, betti_mod2, cube, cubical_torus
 from tests.conftest import torus as grid_torus
 
 
@@ -141,20 +139,6 @@ def test_betti_numbers_mod_2(name, face, betti):
     assert betti_mod2(face) == betti
     chi = sum((-1) ** k * b for k, b in enumerate(betti))
     assert len(face.poset) - 2 * sum(compute_parity_rank(face.poset).values.values()) == chi
-
-
-def assert_morse_inequalities(face, f):
-    """Forman's weak (m_k >= b_k) and strong inequalities for f's critical
-    counts, with equality of the alternating sums in the top dimension."""
-    counts = critical_by_dimension(face.rank, classify(face.poset, f).critical_set())
-    betti = betti_mod2(face)
-    assert len(counts) == len(betti)
-    assert all(m >= b for m, b in zip(counts, betti)), (counts, betti)
-    for k in range(len(betti)):
-        m_alt = sum((-1) ** (k - i) * counts[i] for i in range(k + 1))
-        b_alt = sum((-1) ** (k - i) * betti[i] for i in range(k + 1))
-        assert m_alt >= b_alt, (k, counts, betti)
-    assert m_alt == b_alt, (counts, betti)
 
 
 MORSE_FACES = [b[1] for b in BETTI[3:]] + [
