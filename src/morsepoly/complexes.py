@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .errors import HypothesisViolated, MalformedSpec, Mismatch, RankConflict
+from .errors import HypothesisViolated, InvalidArgument, MalformedSpec, Mismatch, RankConflict
 from .morse import MorseFunction, classify
 from .poset import (
     ElementId,
@@ -40,6 +40,8 @@ from .poset import (
 )
 
 FACE_SEPARATOR = ","
+# A k-vertex simplex has 2^k - 1 faces; a larger one is refused before any is built.
+MAX_SIMPLEX_VERTICES = 15
 
 
 class CellSpec(Record):
@@ -85,10 +87,14 @@ def _check_vertex_id(vertex: str) -> None:
 
 
 def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
-    """Face poset of a simplicial complex given by its maximal simplices."""
+    """Face poset of a simplicial complex given by its maximal simplices.
+
+    Every simplex is checked first; then one with more than
+    ``MAX_SIMPLEX_VERTICES`` vertices raises InvalidArgument before any of
+    its faces is built.
+    """
     if spec.kind != "simplicial":
         raise MalformedSpec(f"expected a simplicial spec, got kind {spec.kind!r}")
-    faces: dict[ElementId, tuple[str, ...]] = {}
     for simplex in spec.maximal_simplices:
         if not simplex:
             raise MalformedSpec("empty simplex in maximal_simplices")
@@ -96,6 +102,11 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
             raise MalformedSpec(f"duplicate vertex in simplex {simplex!r}")
         for v in simplex:
             _check_vertex_id(v)
+    faces: dict[ElementId, tuple[str, ...]] = {}
+    for simplex in spec.maximal_simplices:
+        if len(simplex) > MAX_SIMPLEX_VERTICES:
+            raise InvalidArgument(f"a maximal simplex has {len(simplex)} vertices; "
+                                  f"at most {MAX_SIMPLEX_VERTICES} are supported")
         vertices = sorted(simplex)
         for size in range(1, len(vertices) + 1):
             for face in combinations(vertices, size):

@@ -11,25 +11,16 @@ from __future__ import annotations
 
 import io
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .complexes import CellSpec, ComplexSpec
 from .errors import MalformedSpec, ParseError
-from .morse import MorseFunction, parse_rational as _parse_rational
+from .morse import MorseFunction
 
 if TYPE_CHECKING:  # annotations only: `gen` and `check` load neither module
     from .chain_index import IndexReport
     from .geometry import Embedding
-
-
-def parse_rational(value: object) -> Fraction:
-    """Exact rational from a JSON value: an int or a "p"/"p/q" string."""
-    try:
-        return _parse_rational(value)
-    except (TypeError, ValueError) as exc:
-        raise MalformedSpec(str(exc)) from exc
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -100,12 +91,13 @@ def poset_from_obj(obj: Any) -> tuple[list[str], list[tuple[str, str]]]:
 def morse_from_obj(obj: Any) -> MorseFunction:
     if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
         raise MalformedSpec("function document must be an object with a 'values' map")
-    values = {}
-    for key, raw in obj["values"].items():
+    for key in obj["values"]:
         if not isinstance(key, str):
             raise MalformedSpec(f"element id {key!r} is not a string")
-        values[key] = parse_rational(raw)
-    return MorseFunction(values)
+    try:
+        return MorseFunction.from_values(obj["values"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedSpec(str(exc)) from exc
 
 
 def morse_to_obj(f: MorseFunction) -> dict:

@@ -16,10 +16,10 @@ the order of its input lists.  It stores the elements, the cover pairs,
 each element's covers and each strict up-set sorted, so no consumer sorts
 them again.  Its own checks read the input pairs as an unordered set, and
 each raises at the least of the pairs it rejects, so an error names the
-identifier-first bad pair under any hash seed.  An up-set is a tuple,
-built by appending each element in that order with no set and no sort; a
-down-set is a frozenset, because its readers test membership or sum over
-it in any order.
+identifier-first bad pair under any hash seed.  Each view it stores per
+element is a tuple: an up-set appends each element in that order, with no
+set and no sort; a down-set freezes the walk's working set in no order, as
+its readers only iterate it or count it.  Accessors build sets on request.
 
 The module holds the order itself: construction, each element's covers and
 strict down-set and up-set, the chain counts per length (the order
@@ -150,8 +150,8 @@ class Poset:
     Not constructed directly; use :func:`build_poset`.  ``elements``,
     ``_pairs`` (the covers as a tuple), each element's covers (``_upper``,
     ``_lower``) and its strict up-set (``_above``) are tuples in identifier
-    order; strict down-sets (``_below``) are frozensets.  ``covers`` is the
-    frozenset of the pairs.  Membership reads the keys of ``_lower``.
+    order; strict down-sets (``_below``) are tuples in no order.  ``covers``
+    is the frozenset of the pairs.  Membership reads the keys of ``_lower``.
     ``topological_order`` is the linear extension build_poset found,
     smallest ready identifier first.  ``_rank`` and ``_parity`` are the
     poset's gradings, each a record or the first :class:`GradingConflict`;
@@ -169,7 +169,7 @@ class Poset:
         upper: dict[ElementId, tuple[ElementId, ...]],
         lower: dict[ElementId, tuple[ElementId, ...]],
         above: dict[ElementId, tuple[ElementId, ...]],
-        below: dict[ElementId, frozenset[ElementId]],
+        below: dict[ElementId, tuple[ElementId, ...]],
         rank: RankFunction | GradingConflict,
         parity: ParityRank | GradingConflict,
     ):
@@ -216,7 +216,7 @@ class Poset:
     def strict_down_set(self, element: ElementId) -> frozenset[ElementId]:
         """All elements strictly below the given one."""
         self.require(element)
-        return self._below[element]
+        return frozenset(self._below[element])
 
     def strict_up_set(self, element: ElementId) -> frozenset[ElementId]:
         """All elements strictly above the given one."""
@@ -279,7 +279,7 @@ def _order(
 
     pred: dict[ElementId, list[ElementId]] = {e: [] for e in elements}
     order: list[ElementId] = []
-    below: dict[ElementId, frozenset[ElementId]] = {}
+    below: dict[ElementId, tuple[ElementId, ...]] = {}
     lower: dict[ElementId, tuple[ElementId, ...]] = dict.fromkeys(elements, ())
     rank: dict[ElementId, int] = {}
     via: dict[ElementId, ElementId] = {}
@@ -292,9 +292,9 @@ def _order(
         for a in reversed(pred[e]):
             if a not in acc:
                 found.append(a)
-                acc |= below[a]
+                acc.update(below[a])
                 acc.add(a)
-        below[e] = frozenset(acc)
+        below[e] = tuple(acc)
         lower[e] = covers = tuple(sorted(found))
         if parity_conflict is None:
             for a in covers:

@@ -42,9 +42,11 @@ from morsepoly.cli import _join_gen_numbers, build_parser, main, parse_fast
 from morsepoly.commands import check as check_command
 from morsepoly.commands import verify as verify_command
 from morsepoly.complexes import face_poset_cellular, face_poset_simplicial
-from morsepoly.errors import MorsePolyError
+from morsepoly.errors import MalformedSpec, MorsePolyError
 from morsepoly.generators import gen_complex, gen_morse
-from morsepoly.jsonio import complex_from_obj, complex_to_obj, morse_to_obj
+from morsepoly.jsonio import (
+    complex_from_obj, complex_to_obj, morse_from_obj, morse_to_obj, poset_from_obj,
+)
 from tests.conftest import (
     CUBICAL, build_two_cycles_spec, cube, cubical_cone, cubical_torus, full_boundaries, torus,
 )
@@ -746,6 +748,45 @@ class TestBadInput:
         assert main(["gen", "--kind", "complex", *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("document, message", [
+        ({"elements": ["a"], "covers": [["a"]]}, "cover entry ['a'] is not a pair of strings"),
+        ({"kind": "simplicial", "maximal_simplices": [["1", 2]]},
+         "simplex ['1', 2] is not a list of vertex ids"),
+        ({"kind": "cellular", "cells": [{"id": 1, "dim": 0}]}, "cell id 1 is not a string"),
+        ({"kind": "cellular", "cells": [{"id": "a", "dim": "0"}]},
+         "cell 'a' dimension must be an integer"),
+        ({"kind": "cellular", "cells": [{"id": "a", "dim": 1, "boundary": "b"}]},
+         "cell 'a' boundary must be a list of cell ids"),
+    ], ids=["cover", "simplex", "cell-id", "cell-dim", "cell-boundary"])
+    def test_malformed_entry(self, files, capsys, document, message):
+        _, write = files
+        assert main(["check", "--in", write("d.json", document)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("load, document, message", [
+        # detect_kind refuses a non-object before poset_from_obj sees it.
+        (poset_from_obj, [], "poset document must be an object"),
+        # JSON object keys are always strings.
+        (morse_from_obj, {"values": {1: "0"}}, "element id 1 is not a string"),
+        # load_input sends a poset document to poset_from_obj.
+        (complex_from_obj, {"elements": [], "covers": []},
+         "document of kind 'poset' is not a complex"),
+    ], ids=["poset-not-object", "int-element-id", "poset-as-complex"])
+    def test_malformed_document_the_cli_cannot_send(self, load, document, message):
+        with pytest.raises(MalformedSpec) as info:
+            load(document)
+        assert str(info.value) == message
+
+    def test_simplex_past_the_vertex_limit(self, files, capsys, monkeypatch):
+        """A 16-vertex simplex is refused before any of its 65,535 faces is built."""
+        _, write = files
+        monkeypatch.setattr(complexes, "combinations", None)
+        simplex = {"kind": "simplicial", "maximal_simplices": [[str(i) for i in range(16)]]}
+        assert main(["check", "--in", write("s.json", simplex)]) == 2
+        assert capsys.readouterr().err == (
+            "error: a maximal simplex has 16 vertices; at most 15 are supported\n"
+        )
+
     def test_non_utf8_file(self, files, capsys):
         tmp_path, _ = files
         bad = tmp_path / "latin1.json"
@@ -866,7 +907,8 @@ RATIONALS = (
 @st.composite
 def input_documents(draw):
     """A small poset or complex document, often well formed, sometimes with
-    a key dropped or replaced by junk; or junk outright.  The cellular ones
+    a key dropped or replaced by junk, or with one cover, simplex, cell or
+    cell field replaced by junk; or junk outright.  The cellular ones
     include d-cubes and cubical tori, regular CW complexes that are not
     simplicial, and the cone over the cubical 3-torus, with and without full
     boundaries, which is not a CW complex at all."""
@@ -898,11 +940,19 @@ def input_documents(draw):
         )
         doc = {"kind": kind, "cells": draw(st.lists(cell, max_size=5))}
     key = draw(st.sampled_from(sorted(doc)))
-    fault = draw(st.sampled_from(("none", "none", "none", "drop", "junk")))
+    fault = draw(st.sampled_from(("none", "none", "none", "drop", "junk", "entry")))
+    entries = doc.get("covers") or doc.get("maximal_simplices") or doc.get("cells")
     if fault == "drop":
         del doc[key]
     elif fault == "junk":
         doc[key] = draw(JUNK)
+    elif fault == "entry" and entries:
+        # One entry, or one field of a cell, replaced by junk.
+        i = draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], dict) and draw(st.booleans()):
+            entries[i][draw(st.sampled_from(("id", "dim", "boundary")))] = draw(JUNK)
+        else:
+            entries[i] = draw(JUNK)
     return doc
 
 

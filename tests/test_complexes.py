@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morsepoly.complexes as complexes
 from morsepoly import (
     CellSpec,
     ComplexSpec,
     HypothesisViolated,
+    InvalidArgument,
     MalformedSpec,
     MorseFunction,
     RankConflict,
@@ -69,6 +71,18 @@ class TestSimplicial:
     def test_wrong_kind_rejected(self):
         with pytest.raises(MalformedSpec):
             face_poset_simplicial(ComplexSpec(kind="cellular"))
+
+    def test_simplex_vertex_limit(self, monkeypatch):
+        """A maximal simplex at the limit builds and one past it is refused;
+        the empty, duplicate and vertex-id checks run first."""
+        assert complexes.MAX_SIMPLEX_VERTICES == 15
+        monkeypatch.setattr(complexes, "MAX_SIMPLEX_VERTICES", 4)
+        assert len(face_poset_simplicial(simplicial("1234")).poset) == 15
+        with pytest.raises(InvalidArgument) as info:
+            face_poset_simplicial(simplicial("12", "12345"))
+        assert str(info.value) == "a maximal simplex has 5 vertices; at most 4 are supported"
+        with pytest.raises(MalformedSpec, match="empty simplex"):
+            face_poset_simplicial(simplicial("12345", ()))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -35,7 +35,7 @@ from morsepoly import (
     transitive_reduction,
     validate_morse,
 )
-from morsepoly.jsonio import morse_to_obj, parse_rational
+from morsepoly.jsonio import morse_from_obj, morse_to_obj
 from tests.conftest import cube, cubical_torus
 
 
@@ -71,7 +71,7 @@ class TestFromValues:
         with pytest.raises(ValueError):
             MorseFunction.from_values({"a": text})
         with pytest.raises(MalformedSpec):
-            parse_rational(text)
+            morse_from_obj({"values": {"a": text}})
 
 
 _TWO_PASS_RE = re.compile(r"-?\d+(/[1-9]\d*)?", re.ASCII)
@@ -128,7 +128,7 @@ class TestRationalText:
     def test_format_is_the_fraction_string(self, value):
         written = morse_to_obj(MorseFunction({"a": value}))["values"]["a"]
         assert written == str(Fraction(value))
-        assert parse_rational(written) == value
+        assert morse.parse_rational(written) == value
 
 
 class TestValidate:
