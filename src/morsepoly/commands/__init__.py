@@ -20,18 +20,16 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .. import jsonio
-from ..complexes import FacePoset, dimension_morse, face_poset_cellular, face_poset_simplicial
+from ..complexes import dimension_morse, face_poset_cellular, face_poset_simplicial
 from ..errors import MorsePolyError
 from ..morse import MorseFunction
 from ..poset import Poset, Record, build_poset
 
 
 class LoadedInput(Record):
-    __slots__ = ("kind", "poset", "face")
+    __slots__ = ("kind", "poset")
     kind: str  # "poset" | "simplicial" | "cellular"
-    poset: Poset
-    face: FacePoset | None
-    _defaults = {"face": None}
+    poset: Poset  # a complex's poset holds its dimension function as _rank
 
 
 def load_input(path: str) -> LoadedInput:
@@ -42,14 +40,14 @@ def load_input(path: str) -> LoadedInput:
         return LoadedInput(kind="poset", poset=build_poset(elements, covers))
     spec = jsonio.complex_from_obj(obj)
     face = face_poset_simplicial(spec) if kind == "simplicial" else face_poset_cellular(spec)
-    return LoadedInput(kind=kind, poset=face.poset, face=face)
+    return LoadedInput(kind=kind, poset=face.poset)
 
 
 def load_morse(args: SimpleNamespace, loaded: LoadedInput) -> MorseFunction:
     if args.morse_path is not None:
         return jsonio.morse_from_obj(jsonio.load_document(args.morse_path))
-    if loaded.face is not None:
-        return dimension_morse(loaded.poset, loaded.face.rank)
+    if loaded.kind != "poset":
+        return dimension_morse(loaded.poset, loaded.poset._rank)
     raise MorsePolyError(
         "--morse is required for poset inputs (complex inputs default to the "
         "dimension function)"

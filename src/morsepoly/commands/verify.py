@@ -51,9 +51,10 @@ def run(args: SimpleNamespace) -> int:
                 for e, geo_idx, comb_idx in geo.mismatches
             ]
     payload["status"] = "verified" if geometry_ok else "mismatch"
-    if loaded.face is not None:
-        # Rank is available, so also report critical cells per dimension.
+    if loaded.kind != "poset":
+        # A complex's poset is ranked by dimension, so also report critical
+        # cells per dimension.
         critical = (entry.element for entry in report.entries if entry.critical)
-        payload["critical_by_dimension"] = list(critical_by_dimension(loaded.face.rank, critical))
+        payload["critical_by_dimension"] = list(critical_by_dimension(poset._rank, critical))
     emit(args, payload, _text)
     return 0 if geometry_ok else MISMATCH_EXIT

@@ -33,7 +33,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .complexes import ComplexSpec
+from .complexes import MAX_SIMPLEX_VERTICES, ComplexSpec
 from .errors import EmptyPoset, InvalidArgument
 from .morse import MorseFunction, _holds_near, validate_morse
 from .poset import ElementId, Poset
@@ -48,8 +48,10 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
     ``density`` in [0, 1] scales how many candidate simplices (of size up to
     dimension+1) are drawn; density 0 yields the vertex-only complex.  Every
     vertex appears, isolated ones as singleton maximal simplices, so at most
-    ``MAX_DRAWS`` vertices are accepted.  Every parameter is checked before
-    anything is allocated.
+    ``MAX_DRAWS`` vertices are accepted.  A drawn simplex has at most
+    dimension+1 vertices, so with density > 0 that size may not pass
+    ``MAX_SIMPLEX_VERTICES``, the largest simplex every other command loads.
+    Every parameter is checked before anything is allocated.
     """
     if n_vertices < 1:
         raise InvalidArgument("n_vertices must be at least 1")
@@ -60,17 +62,17 @@ def gen_complex(seed: int, n_vertices: int, dimension: int, density: float) -> C
     if n_vertices > MAX_DRAWS:
         raise InvalidArgument(f"n_vertices must be at most {MAX_DRAWS}")
     size_cap = min(dimension + 1, n_vertices)
+    if density > 0 and size_cap > MAX_SIMPLEX_VERTICES:
+        raise InvalidArgument(f"a drawn simplex may have {size_cap} vertices; "
+                              f"at most {MAX_SIMPLEX_VERTICES} are supported")
     draws = 0
     if density > 0 and size_cap >= 2:
+        # At most C(2^20, 15), about 1.6e78 candidates: the product is a float.
         candidates = comb(n_vertices, size_cap)
-        exact = Fraction(density) * candidates  # the count can exceed the float range
-        if exact > MAX_DRAWS:
+        if Fraction(density) * candidates > MAX_DRAWS:
             raise InvalidArgument(f"density {density} of C({n_vertices}, {size_cap}) "
                                   f"candidate simplices asks for more than {MAX_DRAWS} draws")
-        try:
-            draws = max(1, round(density * candidates))
-        except OverflowError:  # a tiny density times a count no float holds
-            draws = max(1, round(exact))
+        draws = max(1, round(density * candidates))
     rng = random.Random(seed)
     vertices = [str(i + 1) for i in range(n_vertices)]
     chosen: set[tuple[str, ...]] = set()

@@ -731,9 +731,9 @@ class TestBadInput:
             (["--vertices", "0"], "n_vertices must be at least 1"),
             (["--dim", "-1"], "dimension must be non-negative"),
             (["--density", "1.5"], "density must lie in [0, 1]"),
-            # C(2000, 1001) has about 600 digits, past the float range.
-            (["--vertices", "2000", "--dim", "1000", "--density", "0.5"],
-             "density 0.5 of C(2000, 1001) candidate simplices asks for more than "
+            # C(2000, 3) is about 1.3e9 candidates.
+            (["--vertices", "2000", "--dim", "2", "--density", "0.5"],
+             "density 0.5 of C(2000, 3) candidate simplices asks for more than "
              "1048576 draws"),
             # argparse alone would read these as option flags.
             (["--density", "-1e-9"], "density must lie in [0, 1]"),
@@ -742,6 +742,9 @@ class TestBadInput:
             # One singleton simplex per uncovered vertex: refused before any is listed.
             (["--vertices", "100000000", "--dim", "1", "--density", "1e-9"],
              "n_vertices must be at most 1048576"),
+            # A drawn simplex past MAX_SIMPLEX_VERTICES would load nowhere.
+            (["--seed", "6", "--vertices", "20", "--dim", "19", "--density", "1e-6"],
+             "a drawn simplex may have 20 vertices; at most 15 are supported"),
         ],
     )
     def test_gen_complex_arguments(self, capsys, flags, message):

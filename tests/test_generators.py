@@ -88,13 +88,24 @@ class TestGenComplex:
         with pytest.raises(InvalidArgument):
             gen_complex(3, 10, 2, 0.5)
 
-    def test_candidate_count_past_the_float_range(self):
-        # C(1080, 540) is about 2**1074.6, too large for a float; times the
-        # smallest positive float it is 1.55..., so two draws.
-        spec = gen_complex(0, 1080, 539, 5e-324)
-        assert sum(len(s) > 1 for s in spec.maximal_simplices) == 2
-        with pytest.raises(InvalidArgument):
-            gen_complex(0, 2000, 1000, 0.5)
+    def test_candidate_count_within_the_simplex_limit(self):
+        # C(40, 15) is about 4.0e10; times the smallest positive float it
+        # rounds to 0, and at least one simplex is drawn.
+        spec = gen_complex(0, 40, 14, 5e-324)
+        assert sum(len(s) > 1 for s in spec.maximal_simplices) == 1
+        with pytest.raises(InvalidArgument, match=r"density 0\.5 of C\(2000, 3\) candidate"):
+            gen_complex(0, 2000, 2, 0.5)
+
+    def test_drawn_simplex_limit(self):
+        # Each drawn simplex must load: a 20-vertex draw is refused at once,
+        # as every command refuses a 20-vertex simplex.
+        with pytest.raises(InvalidArgument, match="a drawn simplex may have 20 vertices; "
+                                                  "at most 15 are supported"):
+            gen_complex(6, 20, 19, 1e-6)
+        # The limit binds only what can be drawn: nothing at density 0, and
+        # at most 15 vertices here.
+        assert len(gen_complex(6, 20, 19, 0.0).maximal_simplices) == 20
+        assert max(map(len, gen_complex(6, 15, 19, 1e-6).maximal_simplices)) == 14
 
     def test_vertex_ceiling_is_checked_before_any_allocation(self, monkeypatch):
         # 10^12 vertices at this density ask for few draws, but the output

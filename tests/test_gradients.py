@@ -10,7 +10,9 @@ many there are, and realize each acyclic one with the generator's base
 values: the function that ties each matched pair and rises along every
 other cover.  Each realized function must pass ``verify``'s equations,
 agree with the geometric witness, have exactly the unmatched cells as its
-critical set, and satisfy the Morse inequalities.
+critical set, and satisfy the Morse inequalities.  Larger complexes get
+gradients from Benedetti and Lutz's random collapses, which leave few
+critical cells and long gradient paths, unlike ``gen_morse``'s sampler.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from morsepoly.chain_index import verify_representation
 from morsepoly.generators import _SCALE, _base_values
 from morsepoly.geometry import embed_vertices, lower_star_indices
 from morsepoly.oracles import _contracted_is_acyclic
-from tests.conftest import assert_morse_inequalities, cube
+from morsepoly.complexes import critical_by_dimension
+from tests.conftest import assert_morse_inequalities, betti_mod2, cube, cubical_torus, torus
 
 
 def simplicial(*simplices) -> ComplexSpec:
@@ -118,15 +121,77 @@ def test_every_gradient_verifies(name, face, acyclic, total):
     if len(kept) > SAMPLE:
         kept = rng.sample(kept, SAMPLE)
     for matching in kept:
-        base = _base_values(poset, matching, contraction(poset, matching), rng)
-        f = MorseFunction({e: Fraction(v, _SCALE) for e, v in base.items()})
-        unmatched = set(poset.elements).difference(*matching)
-        assert classify(poset, f).critical_set() == unmatched
+        assert_realized_gradient_verifies(face, matching, rng)
 
-        report = verify_representation(poset, f)  # raises Mismatch on a failed equation
-        assert report.total == report.chi == report.n_even - report.n_odd
-        assert {entry.element for entry in report.entries if entry.critical} == unmatched
-        combinatorial = {entry.element: entry.computed for entry in report.entries}
-        assert lower_star_indices(poset, embed_vertices(poset, report.normalized)) == combinatorial
 
-        assert_morse_inequalities(face, f)
+def assert_realized_gradient_verifies(face, matching, rng):
+    """Realize the acyclic matching with the generator's base values and
+    return the function, once its critical set is exactly the unmatched
+    cells, ``verify``'s equations and the witness agree on it, and the Morse
+    inequalities hold."""
+    poset = face.poset
+    base = _base_values(poset, matching, contraction(poset, matching), rng)
+    f = MorseFunction({e: Fraction(v, _SCALE) for e, v in base.items()})
+    unmatched = set(poset.elements).difference(*matching)
+    assert classify(poset, f).critical_set() == unmatched
+
+    report = verify_representation(poset, f)  # raises Mismatch on a failed equation
+    assert report.total == report.chi == report.n_even - report.n_odd
+    assert {entry.element for entry in report.entries if entry.critical} == unmatched
+    combinatorial = {entry.element: entry.computed for entry in report.entries}
+    assert lower_star_indices(poset, embed_vertices(poset, report.normalized)) == combinatorial
+
+    assert_morse_inequalities(face, f)
+    return f
+
+
+def random_collapse(face, rng):
+    """Benedetti and Lutz's random discrete Morse ("Random discrete Morse
+    theory and a new library of triangulations", Exp. Math. 23, 2014):
+    collapse a random free face, one with a single coface left, while one
+    exists; otherwise remove a random top cell, which is critical.  Returns
+    the collapsed pairs (face, coface) and the removed top cells."""
+    poset, rank = face.poset, face.rank.values
+    alive = set(poset.elements)
+    cofaces = {e: set(poset.upper_covers(e)) for e in poset.elements}
+    matching, critical = [], []
+    while alive:
+        free = sorted(e for e in alive if len(cofaces[e]) == 1)
+        if free:
+            a = rng.choice(free)
+            (b,) = cofaces[a]
+            assert not cofaces[b]  # by the diamond property, b is a top cell
+            matching.append((a, b))
+            removed = (a, b)
+        else:
+            top = max(rank[e] for e in alive)
+            removed = (rng.choice(sorted(e for e in alive if rank[e] == top)),)
+            critical.append(removed[0])
+        for e in removed:
+            alive.remove(e)
+            for below in poset.lower_covers(e):
+                cofaces[below].discard(e)
+    return matching, critical
+
+
+# (name, face poset, mod-2 Betti numbers) of the collapsed complexes.
+COLLAPSED = [
+    ("torus5x5", face_poset_simplicial(torus(5)), (1, 2, 1)),
+    ("cube4", face_poset_cellular(cube(4)), (1, 0, 0, 0, 0)),
+    ("cubical_torus3x3", face_poset_cellular(cubical_torus(3, 3)), (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("name, face, betti", COLLAPSED, ids=[c[0] for c in COLLAPSED])
+@pytest.mark.parametrize("seed", range(8))
+def test_random_collapse_verifies(name, face, betti, seed):
+    """Functions with few critical cells and long gradient paths: a random
+    collapse, realized, verifies with exactly the removed top cells
+    critical, and on these small complexes it is perfect: b_k critical
+    k-cells in each dimension k."""
+    assert betti_mod2(face) == betti
+    rng = random.Random(f"collapse/{name}/{seed}")
+    matching, critical = random_collapse(face, rng)
+    f = assert_realized_gradient_verifies(face, matching, rng)
+    assert classify(face.poset, f).critical_set() == set(critical)
+    assert critical_by_dimension(face.rank, critical) == betti

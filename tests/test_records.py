@@ -44,7 +44,6 @@ from morsepoly import (
     verify_representation,
 )
 from morsepoly.cli import COMMANDS, build_parser, main
-from morsepoly.commands import LoadedInput
 from morsepoly.poset import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -175,7 +174,6 @@ def test_constructor_keeps_positions_keywords_and_defaults():
     assert TroubleFlags() == TroubleFlags(None, None, None, None)
     entry = IndexEntry(critical=False, predicted=0, computed=0, element="x")
     assert fields(entry) == ("x", 0, 0, False)
-    assert LoadedInput("poset", None).face is None
     assert IndexReport.__slots__ == ("entries", "total", "chi", "n_even", "n_odd", "normalized")
 
 
