@@ -25,7 +25,7 @@ need no generality scan, and its report carries the normalized rationals.
 
 from __future__ import annotations
 
-from .errors import Mismatch, MissingValue, NonGeneralFunction
+from .errors import Mismatch, MissingValue, NonGeneralFunction, UnknownElement
 from .hypotheses import (
     _chain_weights,
     check_hypotheses,  # re-exported, so it still imports from this module
@@ -89,7 +89,7 @@ def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
 def predicted_index(classification: Classification, mu: ParityRank, b: ElementId) -> int:
     """(-1)^parity for critical elements, 0 for ordinary ones."""
     if b not in classification.verdicts:
-        raise KeyError(f"element {b!r} not classified")
+        raise UnknownElement(f"element {b!r} not classified")
     if classification.is_critical(b):
         return (-1) ** mu.values[b]
     return 0

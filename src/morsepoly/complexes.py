@@ -35,6 +35,7 @@ from .poset import (
     Poset,
     RankFunction,
     Record,
+    _cover_pairs,
     _order,
     build_poset,
 )
@@ -157,7 +158,7 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
             raise RankConflict(
                 f"minimal cell {e!r} has dimension {dims[e]}, expected 0"
             )
-    for a, b in poset._pairs:
+    for a, b in _cover_pairs(poset):
         if dims[b] != dims[a] + 1:
             raise RankConflict(
                 f"cover ({a!r}, {b!r}) jumps dimension {dims[a]} -> {dims[b]}"

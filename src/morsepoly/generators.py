@@ -36,7 +36,7 @@ from math import comb
 from .complexes import MAX_SIMPLEX_VERTICES, ComplexSpec
 from .errors import EmptyPoset, InvalidArgument
 from .morse import MorseFunction, _holds_near, validate_morse
-from .poset import ElementId, Poset
+from .poset import ElementId, Poset, _cover_pairs
 
 MAX_DRAWS = 2**20  # gen_complex draws at most this many candidate simplices
 _SCALE = 12  # gen_morse's values are multiples of 1 / _SCALE
@@ -123,7 +123,7 @@ def _sample_matching(
     path other than the cover itself.  An accepted pair becomes the node
     min(a, b).
     """
-    covers = list(poset._pairs)
+    covers = _cover_pairs(poset)
     rng.shuffle(covers)
     node = {e: e for e in poset.elements}
     succ = dict(poset._upper)
@@ -156,7 +156,7 @@ def _base_values(
     nodes = sorted(set(node.values()))
     edges: dict[ElementId, set[ElementId]] = {n: set() for n in nodes}
     indeg: dict[ElementId, int] = {n: 0 for n in nodes}
-    for u, v in poset._pairs:
+    for u, v in _cover_pairs(poset):
         nu, nv = node[u], node[v]
         if nu != nv and nv not in edges[nu]:
             edges[nu].add(nv)

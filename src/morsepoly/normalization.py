@@ -24,7 +24,7 @@ from typing import Mapping
 from .errors import InvalidMorseFunction, NotTwoWide
 from .hypotheses import is_two_wide
 from .morse import Classification, MorseFunction, _recheck_near, classify
-from .poset import ElementId, Poset, RankFunction, Record
+from .poset import ElementId, Poset, RankFunction, Record, _cover_pairs
 
 
 class TroubleFlags(Record):
@@ -90,20 +90,20 @@ def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> 
     # Each maps a flagged element to its first witness pair.
     short_up, up, short_down, down = {}, {}, {}, {}
 
-    for x, y in poset._pairs:
+    for x, y in _cover_pairs(poset):
         if values[x] >= values[y]:
             continue
         # Elements a < x with f(y) <= f(a) see the rising cover (x, y) above them.
         for a in poset._below[x]:
             if values[y] <= values[a]:
                 up.setdefault(a, (x, y))
-                if (a, x) in poset.covers:
+                if a in poset._lower[x]:
                     short_up.setdefault(a, (x, y))
         # Elements a > y with f(a) <= f(x) see it below them.
         for a in poset._above[y]:
             if values[a] <= values[x]:
                 down.setdefault(a, (y, x))
-                if (y, a) in poset.covers:
+                if y in poset._lower[a]:
                     short_down.setdefault(a, (y, x))
 
     flagged = sorted(set(short_up) | set(up) | set(short_down) | set(down))

@@ -12,14 +12,15 @@ reduces and grades each element as it pops, joining down-sets only along
 covers.
 
 :func:`build_poset` is the one place that decides identifier order, whatever
-the order of its input lists.  It stores the elements, the cover pairs,
-each element's covers and each strict up-set sorted, so no consumer sorts
-them again.  Its own checks read the input pairs as an unordered set, and
-each raises at the least of the pairs it rejects, so an error names the
-identifier-first bad pair under any hash seed.  Each view it stores per
-element is a tuple: an up-set appends each element in that order, with no
-set and no sort; a down-set freezes the walk's working set in no order, as
-its readers only iterate it or count it.  Accessors build sets on request.
+the order of its input lists.  It stores the elements, each element's
+covers and each strict up-set sorted, so no consumer sorts them again, and
+the cover pairs are read off the upper covers in that order.  Its checks
+read the input pairs as an unordered set, and each raises at the least of
+the pairs it rejects, so an error names the identifier-first bad pair under
+any hash seed.  Each view it stores per element is a tuple: an up-set
+appends each element in that order, with no set and no sort; a down-set
+freezes the walk's working set in no order, as its readers only iterate it
+or count it.  Accessors build sets on request.
 
 The module holds the order itself: construction, each element's covers and
 strict down-set and up-set, the chain counts per length (the order
@@ -144,45 +145,30 @@ class GradingConflict(Record):
     via: tuple[ElementId, ElementId]
 
 
-class Poset:
+class Poset(Record):
     """Immutable finite poset with precomputed reachability closure.
 
-    Not constructed directly; use :func:`build_poset`.  ``elements``,
-    ``_pairs`` (the covers as a tuple), each element's covers (``_upper``,
-    ``_lower``) and its strict up-set (``_above``) are tuples in identifier
-    order; strict down-sets (``_below``) are tuples in no order.  ``covers``
-    is the frozenset of the pairs.  Membership reads the keys of ``_lower``.
-    ``topological_order`` is the linear extension build_poset found,
-    smallest ready identifier first.  ``_rank`` and ``_parity`` are the
-    poset's gradings, each a record or the first :class:`GradingConflict`;
-    readers share them and must not change them.
+    Not constructed directly; use :func:`build_poset`.  ``elements``, each
+    element's covers (``_upper``, ``_lower``) and its strict up-set
+    (``_above``) are tuples in identifier order; strict down-sets
+    (``_below``) are tuples in no order.  Membership reads the keys of
+    ``_lower``, and ``covers`` builds the frozenset of cover pairs on
+    request.  ``topological_order`` is the linear extension build_poset
+    found, smallest ready identifier first.  ``_rank`` and ``_parity`` are
+    the poset's gradings, each a record or the first
+    :class:`GradingConflict`; readers share them and must not change them.
     """
 
-    __slots__ = ("elements", "covers", "topological_order", "_pairs",
-                 "_upper", "_lower", "_above", "_below", "_rank", "_parity")
-
-    def __init__(
-        self,
-        elements: tuple[ElementId, ...],
-        pairs: tuple[tuple[ElementId, ElementId], ...],
-        topological_order: tuple[ElementId, ...],
-        upper: dict[ElementId, tuple[ElementId, ...]],
-        lower: dict[ElementId, tuple[ElementId, ...]],
-        above: dict[ElementId, tuple[ElementId, ...]],
-        below: dict[ElementId, tuple[ElementId, ...]],
-        rank: RankFunction | GradingConflict,
-        parity: ParityRank | GradingConflict,
-    ):
-        self.elements = elements
-        self.covers = frozenset(pairs)
-        self.topological_order = topological_order
-        self._pairs = pairs
-        self._upper = upper
-        self._lower = lower
-        self._above = above
-        self._below = below
-        self._rank = rank
-        self._parity = parity
+    __slots__ = ("elements", "topological_order", "_upper", "_lower", "_above",
+                 "_below", "_rank", "_parity")
+    elements: tuple[ElementId, ...]
+    topological_order: tuple[ElementId, ...]
+    _upper: dict[ElementId, tuple[ElementId, ...]]
+    _lower: dict[ElementId, tuple[ElementId, ...]]
+    _above: dict[ElementId, tuple[ElementId, ...]]
+    _below: dict[ElementId, tuple[ElementId, ...]]
+    _rank: RankFunction | GradingConflict
+    _parity: ParityRank | GradingConflict
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -195,6 +181,11 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+
+    @property
+    def covers(self) -> frozenset[tuple[ElementId, ElementId]]:
+        """The cover pairs (a, b), a covered by b."""
+        return frozenset(_cover_pairs(self))
 
     @property
     def sorted_elements(self) -> tuple[ElementId, ...]:
@@ -222,6 +213,11 @@ class Poset:
         """All elements strictly above the given one."""
         self.require(element)
         return frozenset(self._above[element])
+
+
+def _cover_pairs(poset: Poset) -> list[tuple[ElementId, ElementId]]:
+    """The cover pairs (a, b) in identifier order."""
+    return [(a, b) for a in poset.elements for b in poset._upper[a]]
 
 
 def _check_references(
@@ -337,7 +333,6 @@ def _order(
                     ParityRank({e: r % 2 for e, r in ranks.items()}))
     poset = Poset(
         elements,
-        tuple([(a, b) for a in elements for b in upper[a]]),
         tuple(order),
         {e: tuple(upper[e]) for e in elements},
         lower,
@@ -358,8 +353,9 @@ def build_poset(
     transitively by the others; each at the identifier-first bad pair.
     """
     poset, pairs = _order(elements, covers)
-    if len(pairs) > len(poset._pairs):
-        raise NonCoverEdge(min(p for p in pairs if p not in poset.covers))
+    redundant = [(a, b) for a, b in pairs if a not in poset._lower[b]]
+    if redundant:
+        raise NonCoverEdge(min(redundant))
     return poset
 
 
@@ -374,7 +370,7 @@ def transitive_reduction(
     generates, so the cost is one build's: a Kahn walk, one membership test
     per pair, and one set union of a's down-set per cover (a, b).
     """
-    return list(_order(elements, relation)[0]._pairs)
+    return _cover_pairs(_order(elements, relation)[0])
 
 
 def chain_counts(poset: Poset) -> tuple[int, ...]:

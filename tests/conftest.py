@@ -1,13 +1,14 @@
 """Shared fixtures: the small named posets used throughout the suite,
-stdlib builders of grid tori, d-cubes, cubical tori and the cone over a
-cubical torus, the mod-2 Betti numbers of a face poset, and Forman's Morse
-inequalities against them."""
+stdlib builders of grid tori, d-cubes, cubical tori, the cone over a
+cubical torus and products of complexes, the mod-2 Betti numbers of a face
+poset, and Forman's Morse inequalities against them."""
 
 from __future__ import annotations
 
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from morsepoly import (
     CellSpec,
@@ -17,6 +18,7 @@ from morsepoly import (
     classify,
     face_poset_cellular,
     face_poset_simplicial,
+    gen_complex,
 )
 from morsepoly.complexes import critical_by_dimension
 
@@ -173,6 +175,28 @@ def suspension(depth: int) -> ComplexSpec:
         CellSpec(id=f"d{k}{side}", dim=k,
                  boundary=(f"d{k - 1}a", f"d{k - 1}b") if k else ())
         for k in range(depth) for side in "ab"))
+
+
+def product(face_a, face_b) -> ComplexSpec:
+    """The product of two regular CW complexes, given by their face posets:
+    one cell ``x|y`` per pair of cells, of dimension dim x + dim y, bounded
+    by ``x'|y`` and ``x|y'`` over the lower covers x' of x and y' of y.  Its
+    face poset is the product poset of the two."""
+    dim_a, dim_b = face_a.rank.values, face_b.rank.values
+    return ComplexSpec(kind="cellular", cells=tuple(
+        CellSpec(id=f"{x}|{y}", dim=dim_a[x] + dim_b[y], boundary=(
+            *(f"{w}|{y}" for w in face_a.poset.lower_covers(x)),
+            *(f"{x}|{w}" for w in face_b.poset.lower_covers(y)),
+        ))
+        for x in face_a.poset.elements for y in face_b.poset.elements))
+
+
+# Face posets of small generated simplicial complexes, at most 14 cells each,
+# as factors of products.
+SMALL_FACES = st.builds(
+    lambda seed, vertices, dim: face_poset_simplicial(gen_complex(seed, vertices, dim, 0.6)),
+    st.integers(0, 999), st.integers(2, 4), st.integers(1, 2),
+)
 
 
 def full_boundaries(spec: ComplexSpec) -> ComplexSpec:

@@ -16,6 +16,7 @@ from morsepoly import (
     NonGeneralFunction,
     NotACover,
     ParityRank,
+    UnknownElement,
     build_poset,
     chain_counts,
     chain_sum_excluding,
@@ -34,11 +35,12 @@ from morsepoly import (
     gen_complex,
     gen_morse,
     normalize,
+    normalize_trace,
     predicted_index,
     transitive_reduction,
     verify_representation,
 )
-from tests.conftest import CUBICAL, cubical_cone
+from tests.conftest import CUBICAL, SMALL_FACES, cubical_cone, product, suspension
 
 
 def parity_of(poset) -> ParityRank:
@@ -237,6 +239,12 @@ class TestPredictedIndex:
         mu = parity_of(triangle.poset)
         assert predicted_index(classification, mu, "1,2") == -1
 
+    def test_unknown_element_raises_the_package_error(self, edge_poset):
+        f = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
+        classification = classify(edge_poset, f)
+        with pytest.raises(UnknownElement, match="^element 'z' not classified$"):
+            predicted_index(classification, parity_of(edge_poset), "z")
+
 
 class TestVerifyRepresentation:
     def test_triangle(self, triangle):
@@ -307,6 +315,37 @@ class TestEulerCharacteristic:
             verify_representation(poset, gen_morse(1, poset))
         assert excinfo.value.prop == "not downward Eulerian"
         assert excinfo.value.detail == (("TOP", 0, 2),)
+
+
+# Posets that pass the hypotheses: generated face posets, the cone over the
+# cubical 3-torus (not a CW poset), suspensions and products of complexes.
+HYPOTHESIS_POSETS = (
+    st.integers(0, 10**6).map(
+        lambda seed: face_poset_simplicial(gen_complex(seed, 5, 1 + seed % 3, 0.6)).poset)
+    | st.sampled_from([CONE3, *(face_poset_cellular(suspension(d)).poset for d in range(1, 7))])
+    | st.builds(lambda a, b: face_poset_cellular(product(a, b)).poset, SMALL_FACES, SMALL_FACES)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(HYPOTHESIS_POSETS, st.integers(0, 10**6))
+def test_normalized_keys_reverse_order_only_across_one_cover(poset, seed):
+    """The cover lemma the index equation rests on: after normalization, b
+    has at most one c < b with g(c) > g(b), and that c is a lower cover;
+    likewise at most one c > b with g(c) < g(b), an upper cover.  A non-cover
+    c would be flagged up (or down) by the audit, or would break the
+    2-wideness of cover chains.  So the one such c is b's partner in the
+    gradient, and a critical b has none."""
+    check_hypotheses(poset)
+    trace = normalize_trace(poset, gen_morse(seed, poset))
+    g = trace.keys
+    for b in poset.elements:
+        higher_below = [c for c in poset.strict_down_set(b) if g[c] > g[b]]
+        lower_above = [c for c in poset.strict_up_set(b) if g[c] < g[b]]
+        assert len(higher_below) <= 1 and set(higher_below) <= set(poset.lower_covers(b))
+        assert len(lower_above) <= 1 and set(lower_above) <= set(poset.upper_covers(b))
+        witness = trace.classification.witnesses.get(b)
+        assert higher_below + lower_above == ([witness[0]] if witness else [])
 
 
 class TestMorseCounts:

@@ -48,7 +48,8 @@ from morsepoly.jsonio import (
     complex_from_obj, complex_to_obj, morse_from_obj, morse_to_obj, poset_from_obj,
 )
 from tests.conftest import (
-    CUBICAL, build_two_cycles_spec, cube, cubical_cone, cubical_torus, full_boundaries, torus,
+    CUBICAL, SMALL_FACES, build_two_cycles_spec, cube, cubical_cone, cubical_torus,
+    full_boundaries, product, torus,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -913,8 +914,9 @@ def input_documents(draw):
     a key dropped or replaced by junk, or with one cover, simplex, cell or
     cell field replaced by junk; or junk outright.  The cellular ones
     include d-cubes and cubical tori, regular CW complexes that are not
-    simplicial, and the cone over the cubical 3-torus, with and without full
-    boundaries, which is not a CW complex at all."""
+    simplicial, products of two small generated complexes, and the cone over
+    the cubical 3-torus, with and without full boundaries, which is not a CW
+    complex at all."""
     kind = draw(st.sampled_from(("poset", "simplicial", "cellular", "cubical", "junk")))
     if kind == "junk":
         return draw(JUNK)
@@ -931,6 +933,7 @@ def input_documents(draw):
         doc = complex_to_obj(draw(
             st.builds(cube, st.integers(0, 3))
             | st.builds(cubical_torus, st.sampled_from((3, 4)), st.sampled_from((3, 4)))
+            | st.builds(product, SMALL_FACES, SMALL_FACES)
             | st.sampled_from((CONE, full_boundaries(CONE)))
         ))
     elif kind == "simplicial":

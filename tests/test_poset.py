@@ -765,7 +765,7 @@ class TestStoredOrder:
         reference, elements, covers = case
         poset = build_poset(elements, covers)
         assert list(poset.elements) == sorted(elements)
-        assert poset._pairs == tuple(sorted(poset.covers))
+        assert poset_module._cover_pairs(poset) == sorted(poset.covers)
         for e in poset.elements:
             above = sorted(x for x in poset.elements if e in poset.strict_down_set(x))
             assert list(poset._above[e]) == above
@@ -809,7 +809,7 @@ def stored(poset):
     order counts too."""
     return [list(value.items()) if isinstance(value, dict) else value
             for value in (getattr(poset, name) for name in (
-                "elements", "_pairs", "topological_order", "_upper", "_lower", "_above",
+                "elements", "covers", "topological_order", "_upper", "_lower", "_above",
                 "_below", "_rank", "_parity"))]
 
 
@@ -859,7 +859,7 @@ class TestTransitiveReduction:
         relation = [(a, b) for b in hasse.elements for a in hasse.strict_down_set(b)]
         poset, pairs = poset_module._order(hasse.elements, relation)
         assert stored(poset) == stored(hasse)
-        assert transitive_reduction(hasse.elements, relation) == list(hasse._pairs)
+        assert transitive_reduction(hasse.elements, relation) == sorted(hasse.covers)
         with pytest.raises(NonCoverEdge) as info:
             build_poset(hasse.elements, relation)
         assert info.value.pair == min(set(relation) - hasse.covers)

@@ -26,7 +26,6 @@ from morsepoly import (
     Chain,
     Classification,
     ComplexSpec,
-    FacePoset,
     IndexEntry,
     IndexReport,
     Modification,
@@ -34,7 +33,9 @@ from morsepoly import (
     MorseVerdict,
     NormalizationTrace,
     ParityRank,
+    Poset,
     TroubleFlags,
+    build_poset,
     compute_parity_rank,
     dimension_morse,
     face_poset_simplicial,
@@ -77,13 +78,14 @@ def real_records():
     report = verify_representation(face.poset, f)
     trace = normalize_trace(face.poset, dimension_morse(face.poset, face.rank))
     assert trace.modifications
-    return [face, face.rank, compute_parity_rank(face.poset), report, *report.entries,
-            report.normalized, trace, *trace.modifications, trace.start, trace.result]
+    return [face, face.poset, face.rank, compute_parity_rank(face.poset), report,
+            *report.entries, report.normalized, trace, *trace.modifications, trace.start,
+            trace.result]
 
 
 def test_every_record_class_is_slotted():
     classes = record_classes()
-    assert len(classes) == 25
+    assert len(classes) == 26
     for cls in classes:
         assert isinstance(cls.__slots__, tuple) and cls.__slots__, cls
         # No class on the way up adds a per-instance __dict__.
@@ -131,6 +133,17 @@ def test_reprs_are_pinned():
     )
 
 
+def test_a_built_poset_is_a_record_equal_by_value(real_records):
+    face, poset = real_records[:2]
+    assert repr(poset) == "Poset(19 elements, 29 covers)"
+    assert "__init__" not in vars(Poset)
+    assert not {"covers", "_pairs"} & set(Poset.__slots__)
+    twin = build_poset(reversed(poset.elements), sorted(poset.covers, reverse=True))
+    assert twin is not poset and twin == poset
+    assert face_poset_simplicial(gen_complex(5, 6, 2, 0.5)) == face
+    assert poset != build_poset(poset.elements, [])
+
+
 def test_assignment_and_deletion_raise(real_records):
     for record in [*real_records, Chain(("a",))]:
         name = record.__slots__[0]
@@ -160,10 +173,7 @@ def test_pickle_copy_and_deepcopy_round_trip(real_records):
         ):
             assert type(twin) is type(record)
             assert repr(twin) == repr(record)
-            # A Poset compares by identity, so only a shallow copy of the
-            # FacePoset holding one is equal to it.
-            if not isinstance(record, FacePoset) or twin.poset is record.poset:
-                assert twin == record
+            assert twin == record
     trace = next(r for r in real_records if isinstance(r, NormalizationTrace))
     deep = copy.deepcopy(trace)
     assert deep.result.values is not trace.result.values
