@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, InvalidArgument
 # GradingConflict is re-exported, so it still imports from this module.
 from .poset import ElementId, GradingConflict, ParityRank, Poset, RankFunction, Record
 
@@ -113,14 +113,14 @@ def compute_rank_function(poset: Poset) -> RankFunction | GradingConflict:
 
 
 def validate_parity_rank(poset: Poset, mu: ParityRank) -> None:
-    """Raise ValueError unless mu is a parity rank function for the poset:
+    """Raise InvalidArgument unless mu is a parity rank function for the poset:
     one is unique when it exists, so mu must be the one build_poset found."""
     own = poset._parity
     if not isinstance(own, ParityRank):
-        raise ValueError(f"no parity rank exists: element {own.element!r} gets both parities")
+        raise InvalidArgument(f"no parity rank exists: element {own.element!r} gets both parities")
     for e in poset.elements:
         if mu.values.get(e) != own.values[e]:
-            raise ValueError(f"parity rank of {e!r} is not {own.values[e]}")
+            raise InvalidArgument(f"parity rank of {e!r} is not {own.values[e]}")
 
 
 def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:

@@ -207,41 +207,41 @@ class _Pipeline:
             new = _midpoint(values[x], bound)
             self.set_value(Modification("up_sweep", e, values[e], new), new)
 
-    def rank(self, order) -> tuple[dict[ElementId, int], dict[int, Fraction | None]]:
-        """Return g's int keys: positions in one stable sort of reversed(order)
-        by value, so a tie class's later members sort lower.  Each member
-        holds its class's lowest key until :meth:`spread_sweep` moves it; the
-        map also returned sends that key to the next larger value, or None.
-        """
-        distinct = sorted(set(self.values.values()))
-        index = {v: i for i, v in enumerate(distinct)}
-        tie_class = {e: index[v] for e, v in self.values.items()}
-        keys = {e: i for i, e in enumerate(sorted(reversed(order), key=tie_class.__getitem__))}
-        held: dict[int, int] = {}
-        for e, key in keys.items():
-            held.setdefault(tie_class[e], key)
-        self.values = {e: held[c] for e, c in tie_class.items()}
-        return keys, dict(zip(held.values(), distinct[1:] + [None]))
+    def rank(self, order) -> list[ElementId]:
+        """Return g's order, one stable sort of reversed(order) by value: a
+        tie class is a run, its later members in order sorting lower, and a
+        key is a position.  Each element holds its run's first position
+        until :meth:`spread_sweep` moves it."""
+        values = self.values
+        ranked = sorted(reversed(order), key=values.__getitem__)
+        for i, e in enumerate(ranked):
+            if not i or values[e] != last:
+                held, last = i, values[e]
+            values[e] = held
+        return ranked
 
-    def spread_sweep(self, order, rationals, keys, tops) -> dict[ElementId, Fraction]:
+    def spread_sweep(self, order, rationals, ranked) -> dict[ElementId, Fraction]:
         """Make all values distinct without reordering any strict comparison;
         return the written rationals.
 
         Runs on the held keys :meth:`rank` made from ``rationals``.  Each
-        tie class's elements but its last in order move: the key to its own,
-        the rational to the midpoint of the class's value and the last value
-        written above it (at first the next larger value; past the maximum,
-        the first to value + 1).  So both land between the same neighbours,
-        and every comparison agrees on either.
+        tie class's elements but its last in order move: the key to its
+        position in ``ranked``, the rational to the midpoint of its value
+        and the written value of the element ranked just above it (the one
+        moved just before it, or the next class's unmoved lowest member;
+        past the top, value + 1).  So both land between the same
+        neighbours, and every comparison agrees on either.
         """
         written = dict(rationals)
+        position = {e: i for i, e in enumerate(ranked)}
         for e in order:
-            key = self.values[e]
-            if keys[e] == key:
+            key = position[e]
+            if self.values[e] == key:
                 continue
-            value, top = written[e], tops[key]
-            written[e] = tops[key] = new = value + 1 if top is None else (value + top) * _HALF
-            self.set_value(Modification("spread_sweep", e, value, new), keys[e])
+            value = written[e]
+            top = key + 1 == len(ranked)
+            written[e] = new = value + 1 if top else (value + written[ranked[key + 1]]) * _HALF
+            self.set_value(Modification("spread_sweep", e, value, new), key)
         return written
 
 
@@ -272,13 +272,13 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
 
     state.up_sweep(order)
     after_up = state.snapshot()
-    final_keys, tops = state.rank(order)
+    ranked = state.rank(order)
     report = _find_troubled(poset, state.values)
     if not report.clean():
         raise AssertionError(f"up sweep left obstructed elements "
                              f"{report.troubled_elements()}; implementation bug")
 
-    result = MorseFunction(state.spread_sweep(order, after_up.values, final_keys, tops))
+    result = MorseFunction(state.spread_sweep(order, after_up.values, ranked))
     keys = state.snapshot()
     if not keys.is_injective():
         raise AssertionError("spread sweep failed to separate all values")

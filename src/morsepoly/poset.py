@@ -180,7 +180,7 @@ class Poset(Record):
         return iter(self.elements)
 
     def __repr__(self) -> str:
-        return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+        return f"Poset({len(self.elements)} elements, {sum(map(len, self._upper.values()))} covers)"
 
     @property
     def covers(self) -> frozenset[tuple[ElementId, ElementId]]:
@@ -285,7 +285,7 @@ def _order(
         order.append(e)
         acc: set[ElementId] = set()
         found = []
-        for a in reversed(pred[e]):
+        for a in reversed(pred.pop(e)):
             if a not in acc:
                 found.append(a)
                 acc.update(below[a])
@@ -303,7 +303,7 @@ def _order(
                         parity_conflict = GradingConflict(e, (rank[e] % 2, r % 2), (via[e], a))
                         break
             rank.setdefault(e, 0)
-        for t in succ[e]:
+        for t in succ.pop(e):
             pred[t].append(e)
             indeg[t] -= 1
             if indeg[t] == 0:
@@ -334,9 +334,9 @@ def _order(
     poset = Poset(
         elements,
         tuple(order),
-        {e: tuple(upper[e]) for e in elements},
+        {e: tuple(upper.pop(e)) for e in elements},
         lower,
-        {e: tuple(above[e]) for e in elements},
+        {e: tuple(above.pop(e)) for e in elements},
         below,
         *gradings,
     )

@@ -325,6 +325,48 @@ class TestVerifySinglePass:
         assert calls["Fraction comparison"] == 0
 
 
+class TestNoRationalHashed:
+    """No command hashes a Fraction.  Values that share a hash (every
+    multiple of 2^61 - 1 hashes to 0) would make a value-keyed set or dict
+    quadratic; normalization ranks the values by one sort instead."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = Counter()
+        original = Fraction.__hash__
+
+        def counted(self):
+            calls["Fraction"] += 1
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        assert hash(Fraction(1, 3)) == original(Fraction(1, 3)) and calls.pop("Fraction") == 1
+        return calls
+
+    @pytest.mark.parametrize("seed", [None, 1], ids=["dimension", "gen_morse"])
+    @pytest.mark.parametrize("command", ["verify", "normalize", "embed", "index"])
+    def test_no_command_hashes_a_rational(self, files, hashes, command, seed):
+        _, write = files
+        spec = torus(5)
+        argv = [command, "--in", write("c.json", complex_to_obj(spec))]
+        if seed is not None:
+            poset = face_poset_simplicial(spec).poset
+            argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
+        # The up sweep writes Fraction midpoints even for the dimension function.
+        assert main(argv) == 0
+        assert hashes["Fraction"] == 0
+
+    def test_antichain_of_values_hashing_to_zero_verifies(self, files, hashes, capsys):
+        _, write = files
+        elements = [f"v{k:04d}" for k in range(2000)]
+        values = {e: str(k * (2**61 - 1)) for k, e in enumerate(elements)}
+        argv = ["verify", "--in", write("p.json", {"elements": elements, "covers": []}),
+                "--morse", write("f.json", {"values": values})]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "verified"
+        assert hashes["Fraction"] == 0
+
+
 class TestPinnedOutput:
     """`gen --kind morse` and `verify` stdout bytes on two seeded inputs."""
 

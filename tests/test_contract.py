@@ -14,6 +14,7 @@ whose string order is not their numeric order.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -148,3 +149,16 @@ def test_gen_text_is_its_json(inputs, name):
         return _run(inputs, argv, HASH_SEEDS[0]).stdout
 
     assert gen("--format", "text") == gen("--seed", "0")
+
+
+def test_no_assert_statement_in_the_package():
+    """The package checks its own invariants with ``raise AssertionError``,
+    which ``cli.main`` turns into exit 1.  An ``assert`` statement would
+    vanish under ``python -O`` and let ``verify`` report its verdict
+    unchecked."""
+    paths = sorted((ROOT / "src" / "morsepoly").rglob("*.py"))
+    assert len(paths) > 10
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

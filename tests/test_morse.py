@@ -14,6 +14,7 @@ from morsepoly import (
     InvalidMorseFunction,
     MalformedSpec,
     MissingValue,
+    Modification,
     MorseFunction,
     NotTwoWide,
     UnknownElement,
@@ -325,16 +326,16 @@ class TestStageFaults:
         assert "when moving 'a' from 5 to" in str(info.value)
 
     def test_spread_key_outside_its_gap_is_caught(self, edge_poset, monkeypatch):
-        rank = normalization._Pipeline.rank
+        set_value = normalization._Pipeline.set_value
 
-        def overshooting(state, order):
+        def overshooting(state, change, new):
             # Every moved element's key shifted past all n keys: a key moved
             # out of a tie class lands above the next class.
-            keys, tops = rank(state, order)
-            n = len(keys)
-            return {e: k if k == state.values[e] else k + n for e, k in keys.items()}, tops
+            if change.stage == "spread_sweep":
+                new += len(state.values)
+            set_value(state, change, new)
 
-        monkeypatch.setattr(normalization._Pipeline, "rank", overshooting)
+        monkeypatch.setattr(normalization._Pipeline, "set_value", overshooting)
         f = MorseFunction.from_values({"a": 0, "b": 0, "e": 1})
         with pytest.raises(AssertionError) as info:
             normalize(edge_poset, f)
@@ -759,6 +760,113 @@ class TestSpreadSweepReference:
             assert combinatorial_index(poset, trace.keys, b) == combinatorial_index(
                 poset, trace.result, b
             )
+
+
+_MERSENNE = 2**61 - 1  # the modulus of Python's numeric hash: its multiples hash to 0
+
+
+def hash_sharing_values():
+    """Rationals whose hashes collide: small ints, multiples of 2^61 - 1,
+    and a dyadic p/2^k or the int p * 2^(61 - k), which hashes alike."""
+    return st.one_of(
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(_MERSENNE.__mul__),
+        st.builds(lambda p, k, dyadic: Fraction(p, 2**k) if dyadic else p * 2 ** (61 - k),
+                  st.integers(-4, 4), st.integers(0, 61), st.booleans()),
+    )
+
+
+@st.composite
+def ranking_cases(draw):
+    """An order of up to 8 elements and values drawn from a few hash-sharing
+    ones, so that tie classes form."""
+    pool = draw(st.lists(hash_sharing_values(), min_size=1, max_size=4))
+    names = [f"e{i}" for i in range(draw(st.integers(1, 8)))]
+    values = {e: draw(st.sampled_from(pool)) for e in names}
+    return tuple(draw(st.permutations(names))), values
+
+
+class _Recorded(normalization._Pipeline):
+    """The pipeline's rank and spread sweep on bare values: each change is
+    written and recorded, with no poset to recheck it on."""
+
+    def __init__(self, values):
+        self.values, self.modifications = dict(values), []
+
+    def set_value(self, change, new):
+        self.values[change.element] = new
+        self.modifications.append(change)
+
+
+def typed(values):
+    return [(e, type(v), v) for e, v in values.items()]
+
+
+class TestRankReference:
+    """The one-sort rank and the spread sweep that reads it, against the
+    hashed tie-class ranking they replaced, kept here as the reference."""
+
+    @staticmethod
+    def reference(state, order, rationals):
+        """Each value's tie class is its index among the distinct values, a
+        sorted set; each class's lowest key is held, and a map sends it to
+        the next larger value, then to each value written above it.
+        Returns the keys, the held keys and the written rationals."""
+        distinct = sorted(set(state.values.values()))
+        index = {v: i for i, v in enumerate(distinct)}
+        tie_class = {e: index[v] for e, v in state.values.items()}
+        keys = {e: i for i, e in enumerate(sorted(reversed(order), key=tie_class.__getitem__))}
+        held = {}
+        for e, key in keys.items():
+            held.setdefault(tie_class[e], key)
+        state.values = {e: held[c] for e, c in tie_class.items()}
+        held_keys = dict(state.values)
+        tops = dict(zip(held.values(), distinct[1:] + [None]))
+        written = dict(rationals)
+        for e in order:
+            key = state.values[e]
+            if keys[e] == key:
+                continue
+            value, top = written[e], tops[key]
+            new = value + 1 if top is None else (value + top) * Fraction(1, 2)
+            written[e] = tops[key] = new
+            state.set_value(Modification("spread_sweep", e, value, new), keys[e])
+        return keys, held_keys, written
+
+    def test_the_drawn_values_share_hashes(self):
+        assert {hash(k * _MERSENNE) for k in range(-3, 4)} == {0}
+        assert all(hash(Fraction(p, 2**k)) == hash(p * 2 ** (61 - k))
+                   for p in range(-4, 5) for k in range(62))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_matches_the_hashed_ranking(self, case):
+        order, values = case
+        state, old = _Recorded(values), _Recorded(values)
+        ranked = state.rank(order)
+        held = typed(state.values)
+        written = state.spread_sweep(order, values, ranked)
+        keys, old_held, old_written = self.reference(old, order, values)
+
+        assert {e: i for i, e in enumerate(ranked)} == keys
+        assert held == typed(old_held)
+        assert typed(written) == typed(old_written)
+        assert typed(state.values) == typed(old.values)
+        assert [(m.stage, m.element, m.old, type(m.new), m.new) for m in state.modifications] == [
+            (m.stage, m.element, m.old, type(m.new), m.new) for m in old.modifications]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hash_sharing_functions_normalize_alike(self, seed):
+        # Scaled by 12 (2^61 - 1) and shifted by 1/2^61, a function orders
+        # the elements as before, and the sweeps' midpoints commute with it.
+        face = face_poset_simplicial(gen_complex(seed, 6, 2, 0.5))
+        f = gen_morse(seed, face.poset)
+        scaled = MorseFunction({e: v * 12 * _MERSENNE + Fraction(1, 2**61)
+                                for e, v in f.values.items()})
+        trace, scaled_trace = normalize_trace(face.poset, f), normalize_trace(face.poset, scaled)
+        assert scaled_trace.keys == trace.keys
+        assert [(m.stage, m.element) for m in scaled_trace.modifications] == [
+            (m.stage, m.element) for m in trace.modifications]
 
 
 def idempotence_cases():

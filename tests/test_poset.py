@@ -18,6 +18,7 @@ from morsepoly import (
     CycleDetected,
     GradingConflict,
     HypothesisViolated,
+    InvalidArgument,
     NonCoverEdge,
     ParityRank,
     RankFunction,
@@ -563,8 +564,11 @@ class TestDownwardEulerian:
         assert is_two_wide(two_cycles.poset).holds
 
     def test_invalid_parity_rejected(self, edge_poset):
-        with pytest.raises(ValueError):
+        # A package error, and still the ValueError a library caller expects.
+        with pytest.raises(InvalidArgument) as info:
             is_downward_eulerian(edge_poset, ParityRank(values={"a": 1, "b": 0, "e": 1}))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "parity rank of 'a' is not 0"
 
 
 def four_part_parity_error(poset, values):
