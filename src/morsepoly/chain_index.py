@@ -36,7 +36,6 @@ from .poset import ElementId, ParityRank, Poset, Record
 
 
 class IndexEntry(Record):
-    __slots__ = ("element", "computed", "predicted", "critical")
     element: ElementId
     computed: int
     predicted: int
@@ -46,7 +45,6 @@ class IndexEntry(Record):
 class IndexReport(Record):
     """Per-element indices, the totals they satisfy, and the normalized input."""
 
-    __slots__ = ("entries", "total", "chi", "n_even", "n_odd", "normalized")
     entries: tuple[IndexEntry, ...]
     total: int
     chi: int

@@ -7,7 +7,8 @@ output is for humans.
 
 Exit codes: 0 on success, 1 when a verified identity fails or --strict is
 set and a property check fails, 2 for unreadable/malformed input, inputs
-outside the required hypotheses, or an output path that cannot be written.
+outside the required hypotheses, or an output path or stdout that cannot be
+written, and 3 on MemoryError; each of 2 and 3 prints one ``error:`` line.
 Exit 2 comes only from MorsePolyError; any other exception is a bug and
 propagates.
 
@@ -50,11 +51,12 @@ the benchmark's in-process pass keeps running after it returns.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .errors import INPUT_ERRORS_EXIT, MISMATCH_EXIT, Mismatch, MorsePolyError
+from .errors import INPUT_ERRORS_EXIT, MISMATCH_EXIT, OUT_OF_MEMORY_EXIT, Mismatch, MorsePolyError
 
 _IN = ("--in", {"dest": "input_path", "required": True, "metavar": "FILE",
                 "help": "poset or complex JSON file"})
@@ -185,12 +187,21 @@ def main(argv: list[str] | None = None) -> int:
     except MorsePolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERRORS_EXIT
+    except MemoryError:
+        pass  # reported below, once leaving this block has freed what its frames hold
+    print("error: out of memory", file=sys.stderr)
+    return OUT_OF_MEMORY_EXIT
 
 
 def entry_point() -> None:
     """Run :func:`main` on ``sys.argv`` and exit with its code, freezing the
     heap first so that interpreter shutdown does not traverse it."""
     code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # reported by main; what stdout still holds would fail the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     gc.freeze()
     raise SystemExit(code)
 

@@ -27,7 +27,6 @@ from ..poset import Poset, Record, build_poset
 
 
 class LoadedInput(Record):
-    __slots__ = ("kind", "poset")
     kind: str  # "poset" | "simplicial" | "cellular"
     poset: Poset  # a complex's poset holds its dimension function as _rank
 
@@ -54,11 +53,16 @@ def load_morse(args: SimpleNamespace, loaded: LoadedInput) -> MorseFunction:
     )
 
 
-def write(path: str, text: str) -> None:
+def write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout if None; OSError becomes MorsePolyError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise MorsePolyError(f"cannot write {path}: {exc}") from exc
+        raise MorsePolyError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def emit(args: SimpleNamespace, payload: dict, text: Callable | None = None) -> None:
@@ -67,7 +71,4 @@ def emit(args: SimpleNamespace, payload: dict, text: Callable | None = None) -> 
         out = jsonio.dumps_canonical(payload)
     else:
         out = "\n".join(text(payload)) + "\n"
-    if args.output_path:
-        write(args.output_path, out)
-    else:
-        sys.stdout.write(out)
+    write(args.output_path or None, out)

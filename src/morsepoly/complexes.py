@@ -46,7 +46,6 @@ MAX_SIMPLEX_VERTICES = 15
 
 
 class CellSpec(Record):
-    __slots__ = ("id", "dim", "boundary")
     id: str
     dim: int
     boundary: tuple[str, ...]
@@ -55,7 +54,6 @@ class CellSpec(Record):
 class ComplexSpec(Record):
     """Either a list of maximal simplices or a list of explicit cells."""
 
-    __slots__ = ("kind", "maximal_simplices", "cells")
     kind: str  # "simplicial" | "cellular"
     maximal_simplices: tuple[tuple[str, ...], ...]
     cells: tuple[CellSpec, ...]
@@ -63,7 +61,6 @@ class ComplexSpec(Record):
 
 
 class FacePoset(Record):
-    __slots__ = ("poset", "rank")
     poset: Poset
     rank: RankFunction
 
@@ -71,7 +68,6 @@ class FacePoset(Record):
 class MorseInequalityReport(Record):
     """Critical-cell counts per dimension and their alternating sum."""
 
-    __slots__ = ("counts", "alternating_sum", "chi")
     counts: tuple[int, ...]
     alternating_sum: int
     chi: int

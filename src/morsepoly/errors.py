@@ -4,6 +4,8 @@ Exceptions fall into three groups: input validation (bad poset data, bad
 complex descriptions, bad function files), contract violations (calling an
 operation outside its stated hypotheses), and identity failures (a verified
 equation did not hold, which indicates a bug rather than bad input).
+``morse.parse_rational`` raises InvalidArgument for malformed text, but
+TypeError, not a package error, for a float or a bool.
 
 An error that carries fields passes them, and only them, to
 ``Exception.__init__`` and builds its message in ``__str__``, so it pickles
@@ -13,9 +15,10 @@ and copies with its fields and message intact.
 from __future__ import annotations
 
 # The CLI's exit status when a verified identity fails (or `check --strict`
-# finds a property that fails), and for any MorsePolyError.
+# finds a property that fails), for any MorsePolyError, and on MemoryError.
 MISMATCH_EXIT = 1
 INPUT_ERRORS_EXIT = 2
+OUT_OF_MEMORY_EXIT = 3
 
 
 class MorsePolyError(Exception):

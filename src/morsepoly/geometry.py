@@ -41,7 +41,6 @@ from .poset import ElementId, Poset, Record, _forwarding
 class Embedding(Record):
     """Vertices in k-space, stored as their heights on coordinate 0."""
 
-    __slots__ = ("heights",)
     heights: Mapping[ElementId, Fraction]
 
     @property
@@ -64,15 +63,15 @@ class Embedding(Record):
 
 
 class CrossCheckReport(Record):
-    __slots__ = ("ok", "mismatches", "indices")
-    ok: bool
     # (element, geometric index, combinatorial index) for every disagreement.
     mismatches: tuple[tuple[ElementId, int, int], ...]
     # Geometric index of every element, for reporting.
     indices: Mapping[ElementId, int]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.mismatches
+
+    ok = property(__bool__)
 
 
 def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
@@ -146,9 +145,7 @@ def compare_indices(
     mismatches = tuple(
         (b, geo, combinatorial[b]) for b, geo in geometric.items() if geo != combinatorial[b]
     )
-    return CrossCheckReport(ok=not mismatches, mismatches=mismatches, indices=geometric)
-
-
+    return CrossCheckReport(mismatches, geometric)
 
 
 # The benchmark's layer pass (bench/layers.py) imports these from here.

@@ -22,23 +22,23 @@ from .poset import ElementId, GradingConflict, ParityRank, Poset, RankFunction, 
 
 
 class TwoWideVerdict(Record):
-    __slots__ = ("holds", "witness")
-    holds: bool
     # A violating triple (a, b, c) with a < b < c covers and no alternative middle.
     witness: tuple[ElementId, ElementId, ElementId] | None
 
     def __bool__(self) -> bool:
-        return self.holds
+        return self.witness is None
+
+    holds = property(__bool__)
 
 
 class EulerianVerdict(Record):
-    __slots__ = ("holds", "violations")
-    holds: bool
     # (element, chi of its strict down-set's order complex, required chi)
     violations: tuple[tuple[ElementId, int, int], ...]
 
     def __bool__(self) -> bool:
-        return self.holds
+        return not self.violations
+
+    holds = property(__bool__)
 
 
 def _chain_weights(poset: Poset, members: Iterable[ElementId]) -> dict[ElementId, int]:
@@ -89,8 +89,8 @@ def is_two_wide(poset: Poset) -> TwoWideVerdict:
         for b in upper[a]:
             for c in upper[b]:
                 if once[c]:
-                    return TwoWideVerdict(False, (a, b, c))
-    return TwoWideVerdict(True, None)
+                    return TwoWideVerdict((a, b, c))
+    return TwoWideVerdict(None)
 
 
 def compute_parity_rank(poset: Poset) -> ParityRank | GradingConflict:
@@ -146,7 +146,7 @@ def _downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
         required = (-1) ** (mu.values[a] + 1) + 1
         if chi != required:
             violations.append((a, chi, required))
-    return EulerianVerdict(not violations, tuple(violations))
+    return EulerianVerdict(tuple(violations))
 
 
 def check_hypotheses(poset: Poset) -> ParityRank:

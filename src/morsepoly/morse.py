@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InvalidMorseFunction, MissingValue, UnknownElement
+from .errors import InvalidArgument, InvalidMorseFunction, MissingValue, UnknownElement
 from .poset import ElementId, Poset, Record, _forwarding
 
 BELOW = "below"
@@ -30,8 +30,8 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from an int, a Fraction, or a "p"/"p/q" string of ASCII
-    digits (the one grammar, JSON input included); TypeError for floats,
-    ValueError for text."""
+    digits (the one grammar, JSON input included); TypeError for a float or
+    a bool, InvalidArgument (a ValueError) for malformed text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -41,7 +41,7 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value.strip())
         if not match:
-            raise ValueError(f"expected a rational as 'p' or 'p/q', got {value!r}")
+            raise InvalidArgument(f"expected a rational as 'p' or 'p/q', got {value!r}")
         return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"refusing non-exact value {value!r} (use int, str, or Fraction)")
 
@@ -50,7 +50,6 @@ class MorseFunction(Record):
     """Total map from poset elements to exact rational values: each an int
     or a Fraction, so no comparison ever reads a float."""
 
-    __slots__ = ("values",)
     values: Mapping[ElementId, Fraction]
 
     def __init__(self, values: Mapping[ElementId, Fraction | int]):
@@ -79,8 +78,6 @@ class MorseFunction(Record):
 class MorseVerdict(Record):
     """Outcome of validate_morse; lists one offending element on failure."""
 
-    __slots__ = ("valid", "element", "witnesses")
-    valid: bool
     element: ElementId | None
     # Each witness is (neighbor, direction): the neighbor is a cover of the
     # element on the given side whose value breaks strict monotonicity.
@@ -88,13 +85,14 @@ class MorseVerdict(Record):
     _defaults = {"element": None, "witnesses": ()}
 
     def __bool__(self) -> bool:
-        return self.valid
+        return self.element is None
+
+    valid = property(__bool__)
 
 
 class Classification(Record):
     """Critical/ordinary verdict per element, with one witness per ordinary one."""
 
-    __slots__ = ("verdicts", "witnesses")
     verdicts: Mapping[ElementId, str]  # "critical" | "ordinary"
     witnesses: Mapping[ElementId, tuple[ElementId, str]]
 
@@ -169,8 +167,8 @@ def validate_morse(poset: Poset, f: MorseFunction) -> MorseVerdict:
     try:
         classify(poset, f)
     except InvalidMorseFunction as exc:
-        return MorseVerdict(False, exc.element, exc.witnesses)
-    return MorseVerdict(True)
+        return MorseVerdict(exc.element, exc.witnesses)
+    return MorseVerdict()
 
 
 def classify(poset: Poset, f: MorseFunction) -> Classification:
@@ -187,8 +185,6 @@ def classify(poset: Poset, f: MorseFunction) -> Classification:
         if below or above:
             witnesses[b] = (below[0], BELOW) if below else (above[0], ABOVE)
     return Classification(verdicts=verdicts, witnesses=witnesses)
-
-
 
 
 # The benchmark's layer pass (bench/layers.py) imports these from here.

@@ -36,16 +36,14 @@ class TroubleFlags(Record):
     ``short_down`` additionally has z covered by element.
     """
 
-    __slots__ = ("short_up", "up", "short_down", "down")
     short_up: tuple[ElementId, ElementId] | None
     up: tuple[ElementId, ElementId] | None
     short_down: tuple[ElementId, ElementId] | None
     down: tuple[ElementId, ElementId] | None
-    _defaults = dict.fromkeys(__slots__)
+    _defaults = dict.fromkeys(__annotations__)
 
 
 class TroubleReport(Record):
-    __slots__ = ("flags",)
     flags: Mapping[ElementId, TroubleFlags]
 
     def clean(self) -> bool:
@@ -56,7 +54,6 @@ class TroubleReport(Record):
 
 
 class Modification(Record):
-    __slots__ = ("stage", "element", "old", "new")
     stage: str
     element: ElementId
     old: Fraction
@@ -68,8 +65,6 @@ class NormalizationTrace(Record):
     stage preserves), the function after each sweep, every change made, and
     the result as the int order keys the audits compared."""
 
-    __slots__ = ("order", "start", "classification", "after_up_sweep", "result",
-                 "modifications", "keys")
     order: tuple[ElementId, ...]
     start: MorseFunction
     classification: Classification

@@ -50,7 +50,6 @@ from .poset import ElementId, Poset, Record, _order
 class ExclusivityReport(Record):
     """Elements with non-increasing covers in both directions, if any."""
 
-    __slots__ = ("two_wide", "offenders")
     two_wide: bool
     offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
 
@@ -58,7 +57,6 @@ class ExclusivityReport(Record):
 class Chain(Record):
     """A non-empty totally ordered subset, listed in increasing order."""
 
-    __slots__ = ("members",)
     members: tuple[ElementId, ...]
 
     @property
@@ -76,7 +74,6 @@ class Chain(Record):
 class SimplicialComplex(Record):
     """Abstract simplicial complex: vertex set plus downward-closed simplices."""
 
-    __slots__ = ("vertices", "simplices")
     vertices: tuple[ElementId, ...]
     simplices: frozenset[frozenset[ElementId]]
 
@@ -181,7 +178,6 @@ def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
 class GeometricComplex(Record):
     """Order-complex simplices attached to embedded vertex coordinates."""
 
-    __slots__ = ("embedding", "simplices")
     embedding: Embedding
     simplices: frozenset[frozenset[ElementId]]
 

@@ -47,21 +47,29 @@ ElementId = str
 _set_field = object.__setattr__
 
 
-class Record:
-    """Immutable value type whose fields are its ``__slots__``, in order.
+class _RecordType(type):
+    """Makes a record class's annotated fields, in order, its ``__slots__``."""
 
-    The one constructor binds positional arguments to the fields in order and
-    the rest by keyword, falling back to the class's ``_defaults`` (field ->
-    immutable default); a missing, unknown or repeated field raises
-    TypeError.  It reads the class's own ``__slots__``, so every record
-    derives directly from Record.  Fields are set once through
-    ``object.__setattr__``; assignment and deletion afterwards raise
+    def __new__(mcls, name, bases, namespace):
+        annotations = namespace.get("__annotations__", {})
+        namespace["__slots__"] = tuple([n for n in annotations if n not in namespace])
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value type whose fields are its annotations, in order.
+
+    The metaclass makes them the class's ``__slots__``; an annotation with a
+    class-level value, such as ``_defaults`` (field -> immutable default),
+    is not a field.  The one constructor binds positional arguments to the
+    fields in order and the rest by keyword or from ``_defaults``; a
+    missing, unknown or repeated field raises TypeError.  It reads the
+    class's own ``__slots__``, so every record derives directly from Record.
+    Fields are set once; assignment and deletion afterwards raise
     AttributeError.  Equality (same class, equal field tuples), hashing,
-    pickling and the ``Name(field=value, ...)`` repr all follow the field
-    tuple, and no code is generated at import.
+    pickling and the ``Name(field=value, ...)`` repr follow the field tuple.
     """
 
-    __slots__ = ()
     _defaults: Mapping[str, object] = {}
 
     def __init__(self, *args: object, **kwargs: object):
@@ -114,7 +122,6 @@ class Record:
 class ParityRank(Record):
     """Mod-2 grading: 0 on minimal elements, flipping across covers."""
 
-    __slots__ = ("values",)
     values: Mapping[ElementId, int]
 
     def __getitem__(self, element: ElementId) -> int:
@@ -124,7 +131,6 @@ class ParityRank(Record):
 class RankFunction(Record):
     """Integer grading: 0 on minimal elements, +1 across covers."""
 
-    __slots__ = ("values", "max_rank")
     values: Mapping[ElementId, int]
     max_rank: int
 
@@ -139,7 +145,6 @@ class GradingConflict(Record):
     incompatible ``values[1]`` through parent ``via[1]``.
     """
 
-    __slots__ = ("element", "values", "via")
     element: ElementId
     values: tuple[int, int]
     via: tuple[ElementId, ElementId]
@@ -159,8 +164,6 @@ class Poset(Record):
     :class:`GradingConflict`; readers share them and must not change them.
     """
 
-    __slots__ = ("elements", "topological_order", "_upper", "_lower", "_above",
-                 "_below", "_rank", "_parity")
     elements: tuple[ElementId, ...]
     topological_order: tuple[ElementId, ...]
     _upper: dict[ElementId, tuple[ElementId, ...]]

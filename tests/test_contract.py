@@ -1,6 +1,7 @@
 """The output contract, checked through subprocesses: every command writes
-the same bytes under two hash seeds, deep inputs stay polynomial, and a
-huge simplex is refused at once.
+the same bytes under two hash seeds, deep inputs stay polynomial, a huge
+simplex is refused at once, and a full stdout or an exhausted memory limit
+ends in one ``error:`` line with its own exit code.
 
 Every report is scanned in identifier order, and some scans walk sets, so
 no output or error text may depend on set order.  Each row of ``ROWS``
@@ -9,12 +10,15 @@ runs one command line as ``python -m morsepoly.cli`` under
 and compares stdout, stderr and any file the command writes.  The
 dimension function (no ``--morse``) ties every face of a dimension, so the
 spread sweep moves almost every element; the unsorted simplices have ids
-whose string order is not their numeric order.
+whose string order is not their numeric order.  Each run inherits the
+environment without ``PYTHONUNBUFFERED``, so stdout is block-buffered as
+it is by default, unless a row asks otherwise.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import os
 import subprocess
@@ -24,9 +28,19 @@ from typing import NamedTuple
 
 import pytest
 
+from tests.conftest import torus
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEEDS = (0, 4242)
 CHAIN = [f"c{i}" for i in range(2000)]
+# An address-space limit, in MB, that a run on a triangle fits in and the
+# memory rows' inputs (63 and 69 MB peak RSS unconstrained) do not.
+MEMORY_LIMIT_MB = 40
 GEN_COMPLEX = ("gen", "--kind", "complex", "--seed", "4", "--vertices", "8", "--dim", "2",
                "--density", "0.6")
 
@@ -59,6 +73,13 @@ DOCUMENTS = {
     # A 40-vertex simplex has 2^40 - 1 faces: check must refuse it at once,
     # before building any face.
     "simplex40.json": {"kind": "simplicial", "maximal_simplices": [[str(v) for v in range(40)]]},
+    # Inputs the simplex limit admits but MEMORY_LIMIT_MB does not: check on
+    # the 13-simplex runs out in building the poset, embed on the 10 x 10
+    # torus in encoding its output.
+    "triangle.json": {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]},
+    "simplex13.json": {"kind": "simplicial", "maximal_simplices": [[str(v) for v in range(13)]]},
+    "torus10.json": {"kind": "simplicial",
+                     "maximal_simplices": [list(s) for s in torus(10).maximal_simplices]},
 }
 
 
@@ -69,6 +90,9 @@ class Row(NamedTuple):
     timeout: float | None = None
     written: str | None = None  # a file the command writes, compared too
     stderr_has: str | None = None
+    stdout: str | None = None  # a device opened as stdout, instead of a pipe
+    env: tuple[tuple[str, str], ...] = ()  # added to the environment
+    memory: bool = False  # run under MEMORY_LIMIT_MB
 
 
 def _rows() -> list[Row]:
@@ -101,16 +125,35 @@ def _rows() -> list[Row]:
              Row("redundant", ("check", "--in", "redundant.json"), code=2,
                  stderr_has="pair ('a', 'c') is not a cover"),
              Row("simplex40", ("check", "--in", "simplex40.json"), code=2, timeout=10)]
+    # A failed stdout write is a typed error, whether it fails in the write
+    # (unbuffered) or in the flush after it.
+    full = ("verify", "--in", "triangle.json")
+    rows += [Row("stdout_full", full, code=2, stdout="/dev/full",
+                 stderr_has="error: cannot write stdout: "),
+             Row("stdout_full.unbuffered", full, code=2, stdout="/dev/full",
+                 env=(("PYTHONUNBUFFERED", "1"),), stderr_has="error: cannot write stdout: ")]
+    rows += [Row(f"{argv[0]}.out_of_memory", argv, code=3, memory=True,
+                 stderr_has="error: out of memory")
+             for argv in (("check", "--in", "simplex13.json"), ("embed", "--in", "torus10.json"))]
     return rows
 
 
 ROWS = _rows()
 
 
-def _run(directory: Path, argv, hash_seed: int, timeout: float | None = None):
+def _limit_memory():
+    limit = MEMORY_LIMIT_MB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run(directory: Path, row: Row, hash_seed: int):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hash_seed)}
-    return subprocess.run([sys.executable, "-m", "morsepoly.cli", *argv], cwd=directory,
-                          env=env, capture_output=True, timeout=timeout)
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(row.env)
+    with open(row.stdout, "wb") if row.stdout else contextlib.nullcontext(subprocess.PIPE) as out:
+        return subprocess.run([sys.executable, "-m", "morsepoly.cli", *row.argv], cwd=directory,
+                              env=env, stdout=out, stderr=subprocess.PIPE, timeout=row.timeout,
+                              preexec_fn=_limit_memory if row.memory else None)
 
 
 @pytest.fixture(scope="module")
@@ -120,17 +163,30 @@ def inputs(tmp_path_factory):
         (directory / name).write_text(json.dumps(document) + "\n", encoding="utf-8")
     for name, argv in (("complex.json", GEN_COMPLEX),
                        ("morse.json", ("gen", "--kind", "morse", "--in", "complex.json"))):
-        done = _run(directory, argv, HASH_SEEDS[0])
+        done = _run(directory, Row(name, argv), HASH_SEEDS[0])
         assert done.returncode == 0, done.stderr
         (directory / name).write_bytes(done.stdout)
     return directory
 
 
+@pytest.fixture(scope="module")
+def memory_limit_works(inputs):
+    """Whether a run on a triangle fits in MEMORY_LIMIT_MB on this host."""
+    if resource is None:
+        return False
+    probe = Row("probe", ("check", "--in", "triangle.json"), memory=True)
+    return _run(inputs, probe, HASH_SEEDS[0]).returncode == 0
+
+
 @pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
-def test_same_bytes_under_both_hash_seeds(inputs, row):
+def test_same_bytes_under_both_hash_seeds(inputs, request, row):
+    if row.stdout and not os.path.exists(row.stdout):
+        pytest.skip(f"no {row.stdout} on this platform")
+    if row.memory and not request.getfixturevalue("memory_limit_works"):
+        pytest.skip(f"a triangle does not run within {MEMORY_LIMIT_MB} MB here")
     seen = []
     for seed in HASH_SEEDS:
-        done = _run(inputs, row.argv, seed, row.timeout)
+        done = _run(inputs, row, seed)
         assert done.returncode == row.code, done.stderr
         written = None
         if row.written:
@@ -140,13 +196,15 @@ def test_same_bytes_under_both_hash_seeds(inputs, row):
     assert seen[0] == seen[1]
     if row.stderr_has:
         assert row.stderr_has in seen[0][1].decode()
+    if row.code in (2, 3):  # an input, output or memory error: one line, and no output
+        assert seen[0][1].decode().count("\n") == 1 and not seen[0][0], seen[0]
 
 
 @pytest.mark.parametrize("name", ["complex", "unsorted"])
 def test_gen_text_is_its_json(inputs, name):
     def gen(*flags):
         argv = ("gen", "--kind", "morse", *flags, "--in", f"{name}.json")
-        return _run(inputs, argv, HASH_SEEDS[0]).stdout
+        return _run(inputs, Row("gen", argv), HASH_SEEDS[0]).stdout
 
     assert gen("--format", "text") == gen("--seed", "0")
 

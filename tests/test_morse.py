@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from morsepoly import morse, normalization
 from morsepoly import (
+    InvalidArgument,
     InvalidMorseFunction,
     MalformedSpec,
     MissingValue,
     Modification,
     MorseFunction,
+    MorsePolyError,
     NotTwoWide,
     UnknownElement,
     build_poset,
@@ -66,11 +68,22 @@ class TestFromValues:
         with pytest.raises(TypeError):
             MorseFunction.from_values({"a": 0.5})
 
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_wrong_type_is_not_a_package_error(self, value):
+        """A float or a bool is a TypeError, which the JSON loader maps."""
+        with pytest.raises(TypeError) as info:
+            MorseFunction.from_values({"a": value})
+        assert not isinstance(info.value, MorsePolyError)
+        with pytest.raises(MalformedSpec):
+            morse_from_obj({"values": {"a": value}})
+
     @pytest.mark.parametrize("text", ["0.5", "1e3", "+1", "1/0", "1/-2", "1/2/3", "",
                                       "\u0663", "1/1\u0660", "\u0661/\u0662"])
     def test_string_grammar_shared_with_json(self, text):
-        with pytest.raises(ValueError):
+        """Malformed text is a package error, and still a ValueError."""
+        with pytest.raises(InvalidArgument) as info:
             MorseFunction.from_values({"a": text})
+        assert isinstance(info.value, ValueError)
         with pytest.raises(MalformedSpec):
             morse_from_obj({"values": {"a": text}})
 

@@ -26,6 +26,8 @@ from morsepoly import (
     Chain,
     Classification,
     ComplexSpec,
+    CrossCheckReport,
+    EulerianVerdict,
     IndexEntry,
     IndexReport,
     Modification,
@@ -35,17 +37,26 @@ from morsepoly import (
     ParityRank,
     Poset,
     TroubleFlags,
+    TwoWideVerdict,
     build_poset,
     compute_parity_rank,
+    cross_check,
     dimension_morse,
+    face_poset_cellular,
     face_poset_simplicial,
     gen_complex,
     gen_morse,
+    is_two_wide,
+    normalize,
     normalize_trace,
+    validate_morse,
     verify_representation,
 )
 from morsepoly.cli import COMMANDS, build_parser, main
+from morsepoly.geometry import compare_indices
+from morsepoly.hypotheses import _downward_eulerian
 from morsepoly.poset import Record
+from tests.conftest import cube, torus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
@@ -92,6 +103,82 @@ def test_every_record_class_is_slotted():
         assert not any("__dict__" in vars(base) for base in cls.__mro__[:-1]), cls
 
 
+def test_each_field_is_declared_once_as_an_annotation():
+    """No class body in the package assigns ``__slots__``: each record's
+    slots are its annotations without a class-level value, in source order."""
+    declared = {}
+    for path in sorted((SRC / "morsepoly").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for statement in node.body:
+                targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+                assert "__slots__" not in [getattr(t, "id", None) for t in targets], (
+                    module, node.name)
+            declared[module, node.name] = tuple(
+                statement.target.id for statement in node.body
+                if isinstance(statement, ast.AnnAssign) and statement.value is None)
+    assert Record.__slots__ == () and "_defaults" in Record.__annotations__
+    for cls in record_classes():
+        assert cls.__slots__ == declared[cls.__module__, cls.__qualname__], cls
+
+
+# Each verdict's truth, and the witness it is read from.
+TRUTH = {
+    TwoWideVerdict: ("holds", lambda verdict: verdict.witness is None),
+    EulerianVerdict: ("holds", lambda verdict: not verdict.violations),
+    MorseVerdict: ("valid", lambda verdict: verdict.element is None),
+    CrossCheckReport: ("ok", lambda verdict: not verdict.mismatches),
+}
+
+
+def verdicts(face):
+    """The verdicts the four checks give on a poset (or a face poset's
+    poset): 2-wideness, the downward Eulerian condition where a parity rank
+    exists, the Morse condition of a constant function, a generated one and
+    the normalized dimension function, and the cross-check of the latter,
+    as computed and against indices skewed at one element."""
+    poset = getattr(face, "poset", face)
+    yield is_two_wide(poset)
+    if isinstance(poset._parity, ParityRank):
+        yield _downward_eulerian(poset, poset._parity)
+    yield validate_morse(poset, MorseFunction(dict.fromkeys(poset.elements, 0)))
+    yield validate_morse(poset, gen_morse(1, poset))
+    if poset is not face:
+        g = normalize(poset, dimension_morse(poset, face.rank))
+        yield validate_morse(poset, g)
+        report = cross_check(poset, g)
+        yield report
+        yield compare_indices(report.indices, {b: i + (b == poset.elements[0])
+                                               for b, i in report.indices.items()})
+
+
+SHARED = ["edge_poset", "chain_poset", "triangle", "segment", "two_cycles",
+          "parity_conflict_poset", "double_edge_poset"]
+
+
+@pytest.mark.parametrize("name", [*SHARED, "torus3", "cube3"])
+def test_each_verdict_is_true_exactly_when_its_witness_is_empty(request, name):
+    """A verdict stores its witness and no boolean: ``bool`` and its truth
+    property both read the witness, on the checks' own outputs."""
+    built = {"torus3": lambda: face_poset_simplicial(torus(3)),
+             "cube3": lambda: face_poset_cellular(cube(3))}
+    face = built[name]() if name in built else request.getfixturevalue(name)
+    for verdict in verdicts(face):
+        truth, empty = TRUTH[type(verdict)]
+        assert getattr(verdict, truth) is bool(verdict) is empty(verdict), verdict
+        assert not any(isinstance(value, bool) for value in fields(verdict)), verdict
+
+
+def test_each_verdict_is_seen_holding_and_failing(request):
+    """The shared posets give every verdict both ways, so the test above
+    is not vacuous for any of them."""
+    seen = {(type(verdict), bool(verdict))
+            for name in SHARED for verdict in verdicts(request.getfixturevalue(name))}
+    assert seen == {(cls, truth) for cls in TRUTH for truth in (False, True)}
+
+
 def test_equality_and_hash_follow_the_field_tuple(real_records):
     for record in real_records:
         twin = copy.copy(record)
@@ -121,7 +208,7 @@ def test_same_fields_of_another_class_differ():
 
 def test_reprs_are_pinned():
     assert repr(Chain(members=("a", "b"))) == "Chain(members=('a', 'b'))"
-    assert repr(MorseVerdict(True)) == "MorseVerdict(valid=True, element=None, witnesses=())"
+    assert repr(MorseVerdict()) == "MorseVerdict(element=None, witnesses=())"
     assert repr(Modification("up", "e", Fraction(1), Fraction(3, 2))) == (
         "Modification(stage='up', element='e', old=Fraction(1, 1), new=Fraction(3, 2))"
     )
@@ -165,7 +252,7 @@ def test_records_holding_dicts_stay_unhashable():
 
 
 def test_pickle_copy_and_deepcopy_round_trip(real_records):
-    for record in [*real_records, MorseVerdict(False, "e", (("a", "below"),))]:
+    for record in [*real_records, MorseVerdict("e", (("a", "below"),))]:
         for twin in (
             pickle.loads(pickle.dumps(record)),
             copy.copy(record),
@@ -180,7 +267,7 @@ def test_pickle_copy_and_deepcopy_round_trip(real_records):
 
 
 def test_constructor_keeps_positions_keywords_and_defaults():
-    assert MorseVerdict(False, "e") == MorseVerdict(valid=False, element="e", witnesses=())
+    assert MorseVerdict("e") == MorseVerdict(element="e", witnesses=())
     assert TroubleFlags() == TroubleFlags(None, None, None, None)
     entry = IndexEntry(critical=False, predicted=0, computed=0, element="x")
     assert fields(entry) == ("x", 0, 0, False)
@@ -193,7 +280,7 @@ def test_constructor_keeps_positions_keywords_and_defaults():
         lambda: Chain(),
         lambda: Chain(("a",), ("b",)),
         lambda: Chain(member=("a",)),
-        lambda: MorseVerdict(),
+        lambda: IndexEntry("x", 1, 1, True, "extra"),
         lambda: MorseVerdict(True, wittnesses=()),
         lambda: ComplexSpec(kind="simplicial", cell=()),
         lambda: IndexEntry("x", 1, 1),
