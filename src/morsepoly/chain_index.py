@@ -25,12 +25,12 @@ need no generality scan, and its report carries the normalized rationals.
 
 from __future__ import annotations
 
-from .errors import Mismatch, MissingValue, NonGeneralFunction, UnknownElement
+from .errors import Mismatch, NonGeneralFunction, UnknownElement
 from .hypotheses import (
     _chain_weights,
     check_hypotheses,  # re-exported, so it still imports from this module
 )
-from .morse import Classification, MorseFunction
+from .morse import Classification, MorseFunction, _require_values
 from .normalization import _normalize_trace
 from .poset import ElementId, ParityRank, Poset, Record
 
@@ -46,17 +46,15 @@ class IndexReport(Record):
     """Per-element indices, the totals they satisfy, and the normalized input."""
 
     entries: tuple[IndexEntry, ...]
-    total: int
     chi: int
     n_even: int
     n_odd: int
     normalized: MorseFunction
+    total = property(lambda self: sum(e.computed for e in self.entries))
 
 
 def _require_general(poset: Poset, g: MorseFunction) -> None:
-    missing = [e for e in poset.elements if e not in g]
-    if missing:
-        raise MissingValue(f"function has no value for {missing}")
+    _require_values(poset, g.values)
     for a in poset.elements:
         for b in poset._above[a]:
             if g[a] == g[b]:
@@ -86,7 +84,7 @@ def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
 
 def predicted_index(classification: Classification, mu: ParityRank, b: ElementId) -> int:
     """(-1)^parity for critical elements, 0 for ordinary ones."""
-    if b not in classification.verdicts:
+    if b not in classification.witness:
         raise UnknownElement(f"element {b!r} not classified")
     if classification.is_critical(b):
         return (-1) ** mu.values[b]
@@ -117,24 +115,18 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
         predicted = predicted_index(classification, mu, b)
         if computed != predicted:
             raise Mismatch(b, computed, predicted)
-        entries.append(
-            IndexEntry(
-                element=b,
-                computed=computed,
-                predicted=predicted,
-                critical=classification.is_critical(b),
-            )
-        )
+        entries.append(IndexEntry(element=b, computed=computed, predicted=predicted,
+                                  critical=classification.is_critical(b)))
 
     # check_hypotheses has shown every chain weight w(x) = (-1)^mu(x): w = 1
     # at a minimal x, and elsewhere 1 - w(x) = (-1)^(mu(x)+1) + 1.  So chi,
     # the sum of w, is the alternating count of elements.
     chi = len(poset) - 2 * sum(mu.values.values())
-    total = sum(e.computed for e in entries)
-    if total != chi:
-        raise Mismatch(None, total, chi, what="index total vs Euler characteristic")
     n_even = sum(1 for e in entries if e.critical and mu.values[e.element] == 0)
     n_odd = sum(1 for e in entries if e.critical and mu.values[e.element] == 1)
+    report = IndexReport(tuple(entries), chi, n_even, n_odd, normalized=g)
+    if report.total != chi:
+        raise Mismatch(None, report.total, chi, what="index total vs Euler characteristic")
     if n_even - n_odd != chi:
         raise Mismatch(None, n_even - n_odd, chi, what="critical count difference")
-    return IndexReport(tuple(entries), total, chi, n_even, n_odd, normalized=g)
+    return report

@@ -57,6 +57,8 @@ def write(path: str | None, text: str) -> None:
     """Write text to the file at path, or to stdout if None; OSError becomes MorsePolyError."""
     try:
         if path is None:
+            if sys.stdout is None:  # fd 1 was closed at start-up
+                raise OSError("stdout is closed")
             sys.stdout.write(text)
             sys.stdout.flush()
         else:

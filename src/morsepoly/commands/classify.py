@@ -22,7 +22,7 @@ def _text(payload: dict):
 def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
-    classification = classify(loaded.poset, f)  # both maps in identifier order
+    classification = classify(loaded.poset, f)  # its views keep identifier order
     critical = len(classification.critical_set())
     payload = {
         "verdicts": classification.verdicts,

@@ -5,9 +5,9 @@ subset becomes a face, identified by its sorted comma-joined vertex ids, and
 covers are the codimension-1 containments.  Each maximal simplex is sorted
 once, so every face is born a sorted vertex tuple (``combinations`` keeps
 the order), and so is each facet it drops a vertex to; no id is sorted
-again.  In a face poset rank is dimension, so the rank a :class:`FacePoset`
-carries is the one ``build_poset`` found, and the poset's parity is
-dimension mod 2.
+again.  In a face poset rank is dimension, so a :class:`FacePoset` stores
+only its poset, its ``rank`` is the one ``build_poset`` found, and the
+poset's parity is dimension mod 2.
 
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
@@ -62,7 +62,7 @@ class ComplexSpec(Record):
 
 class FacePoset(Record):
     poset: Poset
-    rank: RankFunction
+    rank = property(lambda self: self.poset._rank)  # the dimension function build_poset found
 
 
 class MorseInequalityReport(Record):
@@ -113,7 +113,7 @@ def face_poset_simplicial(spec: ComplexSpec) -> FacePoset:
     covers = [(FACE_SEPARATOR.join(face[:i] + face[i + 1:]), fid)
               for fid, face in faces.items() if len(face) > 1 for i in range(len(face))]
     poset = build_poset(faces, covers)
-    return FacePoset(poset, poset._rank)
+    return FacePoset(poset)
 
 
 def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
@@ -161,7 +161,7 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
             )
 
     # The dimensions are now a rank function, the poset's own.
-    return FacePoset(poset, poset._rank)
+    return FacePoset(poset)
 
 
 def dimension_morse(poset: Poset, rank: RankFunction) -> MorseFunction:

@@ -33,8 +33,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Mapping
 
-from .errors import EmptyPoset, MissingValue, NotGeneral, UnknownElement
-from .morse import MorseFunction
+from .errors import EmptyPoset, NotGeneral, UnknownElement
+from .morse import MorseFunction, _require_values
 from .poset import ElementId, Poset, Record, _forwarding
 
 
@@ -79,9 +79,7 @@ def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
     ids = poset.elements
     if not ids:
         raise EmptyPoset("cannot embed an empty poset")
-    missing = sorted(set(ids) - set(g.values))
-    if missing:
-        raise MissingValue(f"function has no value for {missing}")
+    _require_values(poset, g.values)
     return Embedding({e: g[e] for e in ids})
 
 

@@ -108,7 +108,7 @@ def compute_rank_function(poset: Poset) -> RankFunction | GradingConflict:
     copy of the one build_poset found, as for :func:`compute_parity_rank`."""
     rank = poset._rank
     if isinstance(rank, RankFunction):
-        return RankFunction(dict(rank.values), rank.max_rank)
+        return RankFunction(dict(rank.values))
     return rank
 
 

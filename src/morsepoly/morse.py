@@ -3,7 +3,8 @@
 A function f on a poset is a discrete Morse function when every element has
 at most one lower cover a with f(a) >= f(b) and at most one upper cover c
 with f(b) >= f(c).  An element with no such neighbor in either direction is
-critical; otherwise it is ordinary.  The condition is stated once, in
+critical; otherwise it is ordinary, and a :class:`Classification` maps it
+to one such neighbor, its witness.  The condition is stated once, in
 :func:`_non_increasing`, which :func:`_scan` reads for validation,
 classification, the local recheck, the normalization pipeline
 (:mod:`morsepoly.normalization`) and the exclusivity oracle
@@ -91,22 +92,29 @@ class MorseVerdict(Record):
 
 
 class Classification(Record):
-    """Critical/ordinary verdict per element, with one witness per ordinary one."""
+    """Each element, in identifier order, mapped to its witness
+    ``(neighbor, direction)`` if it is ordinary and to None if critical."""
 
-    verdicts: Mapping[ElementId, str]  # "critical" | "ordinary"
-    witnesses: Mapping[ElementId, tuple[ElementId, str]]
+    witness: Mapping[ElementId, tuple[ElementId, str] | None]
+    verdicts = property(lambda self: {e: "critical" if w is None else "ordinary"
+                                      for e, w in self.witness.items()})
+    witnesses = property(lambda self: {e: w for e, w in self.witness.items() if w is not None})
 
     def critical_set(self) -> frozenset[ElementId]:
-        return frozenset(e for e, v in self.verdicts.items() if v == "critical")
+        return frozenset(e for e, w in self.witness.items() if w is None)
 
     def is_critical(self, element: ElementId) -> bool:
-        return self.verdicts[element] == "critical"
+        return self.witness[element] is None
+
+
+def _require_values(poset: Poset, values: Mapping[ElementId, object]) -> None:
+    missing = [e for e in poset.elements if e not in values]
+    if missing:
+        raise MissingValue(f"function has no value for {missing}")
 
 
 def _require_total(poset: Poset, f: MorseFunction) -> None:
-    missing = sorted(set(poset.elements) - set(f.values))
-    if missing:
-        raise MissingValue(f"function has no value for {missing}")
+    _require_values(poset, f.values)
     extra = sorted(set(f.values) - set(poset.elements))
     if extra:
         raise UnknownElement(f"function assigns values to non-elements {extra}")
@@ -178,13 +186,8 @@ def classify(poset: Poset, f: MorseFunction) -> Classification:
     posets that are not 2-wide) the below-side witness is recorded.
     """
     _require_total(poset, f)
-    verdicts: dict[ElementId, str] = {}
-    witnesses: dict[ElementId, tuple[ElementId, str]] = {}
-    for b, below, above in _scan(poset, f.values, poset.elements):
-        verdicts[b] = "ordinary" if below or above else "critical"
-        if below or above:
-            witnesses[b] = (below[0], BELOW) if below else (above[0], ABOVE)
-    return Classification(verdicts=verdicts, witnesses=witnesses)
+    return Classification({b: (below[0], BELOW) if below else (above[0], ABOVE) if above else None
+                           for b, below, above in _scan(poset, f.values, poset.elements)})
 
 
 # The benchmark's layer pass (bench/layers.py) imports these from here.

@@ -132,7 +132,7 @@ class RankFunction(Record):
     """Integer grading: 0 on minimal elements, +1 across covers."""
 
     values: Mapping[ElementId, int]
-    max_rank: int
+    max_rank = property(lambda self: max(self.values.values(), default=0))
 
     def __getitem__(self, element: ElementId) -> int:
         return self.values[element]
@@ -332,7 +332,7 @@ def _order(
         gradings = rank_conflict, parity_conflict
     else:
         ranks = {e: rank[e] for e in elements}
-        gradings = (rank_conflict or RankFunction(ranks, max(ranks.values(), default=0)),
+        gradings = (rank_conflict or RankFunction(ranks),
                     ParityRank({e: r % 2 for e, r in ranks.items()}))
     poset = Poset(
         elements,

@@ -272,7 +272,7 @@ class TestMorseInequalityReport:
     def test_hypotheses_required(self, chain_poset, chain_morse):
         from morsepoly import RankFunction
 
-        rank = RankFunction(values={"0": 0, "1": 1, "2": 2}, max_rank=2)
+        rank = RankFunction(values={"0": 0, "1": 1, "2": 2})
         with pytest.raises(HypothesisViolated):
             morse_inequality_report(chain_poset, rank, chain_morse)
 

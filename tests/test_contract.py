@@ -1,7 +1,7 @@
 """The output contract, checked through subprocesses: every command writes
 the same bytes under two hash seeds, deep inputs stay polynomial, a huge
-simplex is refused at once, and a full stdout or an exhausted memory limit
-ends in one ``error:`` line with its own exit code.
+simplex is refused at once, and a full or closed stdout or an exhausted
+memory limit ends in one ``error:`` line with its own exit code.
 
 Every report is scanned in identifier order, and some scans walk sets, so
 no output or error text may depend on set order.  Each row of ``ROWS``
@@ -93,6 +93,7 @@ class Row(NamedTuple):
     stdout: str | None = None  # a device opened as stdout, instead of a pipe
     env: tuple[tuple[str, str], ...] = ()  # added to the environment
     memory: bool = False  # run under MEMORY_LIMIT_MB
+    closed_stdout: bool = False  # run with fd 1 closed, so sys.stdout is None
 
 
 def _rows() -> list[Row]:
@@ -126,12 +127,14 @@ def _rows() -> list[Row]:
                  stderr_has="pair ('a', 'c') is not a cover"),
              Row("simplex40", ("check", "--in", "simplex40.json"), code=2, timeout=10)]
     # A failed stdout write is a typed error, whether it fails in the write
-    # (unbuffered) or in the flush after it.
+    # (unbuffered) or in the flush after it, or finds no stdout at all.
     full = ("verify", "--in", "triangle.json")
     rows += [Row("stdout_full", full, code=2, stdout="/dev/full",
                  stderr_has="error: cannot write stdout: "),
              Row("stdout_full.unbuffered", full, code=2, stdout="/dev/full",
-                 env=(("PYTHONUNBUFFERED", "1"),), stderr_has="error: cannot write stdout: ")]
+                 env=(("PYTHONUNBUFFERED", "1"),), stderr_has="error: cannot write stdout: "),
+             Row("stdout_closed", full, code=2, closed_stdout=True,
+                 stderr_has="error: cannot write stdout: ")]
     rows += [Row(f"{argv[0]}.out_of_memory", argv, code=3, memory=True,
                  stderr_has="error: out of memory")
              for argv in (("check", "--in", "simplex13.json"), ("embed", "--in", "torus10.json"))]
@@ -146,6 +149,10 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _close_stdout():
+    os.close(1)
+
+
 def _run(directory: Path, row: Row, hash_seed: int):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hash_seed)}
     env.pop("PYTHONUNBUFFERED", None)
@@ -153,7 +160,8 @@ def _run(directory: Path, row: Row, hash_seed: int):
     with open(row.stdout, "wb") if row.stdout else contextlib.nullcontext(subprocess.PIPE) as out:
         return subprocess.run([sys.executable, "-m", "morsepoly.cli", *row.argv], cwd=directory,
                               env=env, stdout=out, stderr=subprocess.PIPE, timeout=row.timeout,
-                              preexec_fn=_limit_memory if row.memory else None)
+                              preexec_fn=(_limit_memory if row.memory else
+                                          _close_stdout if row.closed_stdout else None))
 
 
 @pytest.fixture(scope="module")

@@ -459,7 +459,7 @@ def two_pass_gradings(poset):
 
     rank, parity = propagate(lambda v: v + 1), propagate(lambda v: 1 - v)
     if not isinstance(rank, GradingConflict):
-        rank = RankFunction(rank, max(rank.values(), default=0))
+        rank = RankFunction(rank)
     if not isinstance(parity, GradingConflict):
         parity = ParityRank(parity)
     return rank, parity

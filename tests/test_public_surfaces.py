@@ -3,8 +3,9 @@
 Each runs in its own job, so a name either of them needs could be deleted
 with every library test still passing.  These tests read them here: every
 fenced ``python`` block of the README runs, and every ``morsepoly`` name
-that a file under ``bench/`` imports resolves (the files are only parsed,
-never run).
+that a file under ``bench/`` imports resolves, to the object the package
+gives for a public name, so the benchmark keeps running after a name
+changes modules (the files are only parsed, never run).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import morsepoly
 
 ROOT = Path(__file__).resolve().parents[1]
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
@@ -56,3 +59,5 @@ def test_bench_import_resolves(file, module, name):
     home = importlib.import_module(module)
     if name is not None and not hasattr(home, name):
         importlib.import_module(f"{module}.{name}")
+    if name in morsepoly.__all__:
+        assert getattr(home, name) is getattr(morsepoly, name)

@@ -28,6 +28,7 @@ from morsepoly import (
     ComplexSpec,
     CrossCheckReport,
     EulerianVerdict,
+    FacePoset,
     IndexEntry,
     IndexReport,
     Modification,
@@ -36,10 +37,13 @@ from morsepoly import (
     NormalizationTrace,
     ParityRank,
     Poset,
+    RankFunction,
     TroubleFlags,
     TwoWideVerdict,
     build_poset,
+    classify,
     compute_parity_rank,
+    compute_rank_function,
     cross_check,
     dimension_morse,
     face_poset_cellular,
@@ -53,13 +57,13 @@ from morsepoly import (
     verify_representation,
 )
 from morsepoly.cli import COMMANDS, build_parser, main
+from morsepoly.complexes import critical_by_dimension
 from morsepoly.geometry import compare_indices
 from morsepoly.hypotheses import _downward_eulerian
 from morsepoly.poset import Record
 from tests.conftest import cube, torus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-BENCH = SRC.parent / "bench"
 TRIANGLE = {"kind": "simplicial", "maximal_simplices": [["1", "2", "3"]]}
 
 
@@ -248,7 +252,7 @@ def test_records_holding_dicts_stay_unhashable():
     with pytest.raises(TypeError):
         hash(MorseFunction({"a": Fraction(0)}))
     with pytest.raises(TypeError):
-        hash(Classification({"a": "critical"}, {}))
+        hash(Classification({"a": None}))
 
 
 def test_pickle_copy_and_deepcopy_round_trip(real_records):
@@ -271,7 +275,53 @@ def test_constructor_keeps_positions_keywords_and_defaults():
     assert TroubleFlags() == TroubleFlags(None, None, None, None)
     entry = IndexEntry(critical=False, predicted=0, computed=0, element="x")
     assert fields(entry) == ("x", 0, 0, False)
-    assert IndexReport.__slots__ == ("entries", "total", "chi", "n_even", "n_odd", "normalized")
+
+
+def test_records_store_no_field_the_others_decide():
+    """A classification is its witness map, a face poset its poset (whose
+    rank it reads), a rank function its values (whose maximum it reads),
+    and an index report does not store the sum of its entries."""
+    assert Classification.__slots__ == ("witness",)
+    assert FacePoset.__slots__ == ("poset",)
+    assert RankFunction.__slots__ == ("values",)
+    assert IndexReport.__slots__ == ("entries", "chi", "n_even", "n_odd", "normalized")
+
+
+def stored_classification(poset, f):
+    """The verdicts and witnesses a classification stored as two maps:
+    every element's verdict, and for an ordinary one its non-increasing
+    cover, the lower one first."""
+    verdicts, witnesses = {}, {}
+    for b in poset.elements:
+        below = [a for a in poset.lower_covers(b) if f[a] >= f[b]]
+        above = [c for c in poset.upper_covers(b) if f[b] >= f[c]]
+        verdicts[b] = "ordinary" if below or above else "critical"
+        if below or above:
+            witnesses[b] = (below[0], "below") if below else (above[0], "above")
+    return verdicts, witnesses
+
+
+@pytest.mark.parametrize("name, top", [("torus3", 2), ("cube3", 3)])
+def test_derived_values_equal_what_the_records_stored(name, top):
+    face = (face_poset_simplicial(torus(3)) if name == "torus3"
+            else face_poset_cellular(cube(3)))
+    poset = face.poset
+    assert face.rank is poset._rank
+    for rank in (face.rank, compute_rank_function(poset), RankFunction(dict(face.rank.values))):
+        assert rank.max_rank == max(rank.values.values()) == top
+        assert len(critical_by_dimension(rank, ())) == top + 1
+    assert RankFunction({}).max_rank == 0
+    for f in (gen_morse(1, poset), dimension_morse(poset, face.rank)):
+        classification = classify(poset, f)
+        verdicts, witnesses = stored_classification(poset, f)
+        assert list(classification.witness) == list(poset.elements)
+        assert list(classification.verdicts.items()) == list(verdicts.items())
+        assert list(classification.witnesses.items()) == list(witnesses.items())
+        critical = {b for b, verdict in verdicts.items() if verdict == "critical"}
+        assert classification.critical_set() == critical
+        assert all(classification.is_critical(b) == (b in critical) for b in poset.elements)
+        report = verify_representation(poset, f)
+        assert report.total == sum(entry.computed for entry in report.entries) == report.chi
 
 
 @pytest.mark.parametrize(
@@ -330,24 +380,6 @@ def test_every_public_name_resolves_lazily():
     assert set(morsepoly._HOME) == set(morsepoly.__all__)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         morsepoly.no_such_name
-
-
-@pytest.mark.parametrize("script", ["layers.py", "workloads.py"])
-def test_benchmark_imports_resolve(script):
-    """Every `from morsepoly.<module> import <name>` in the benchmark's
-    layer and workload scripts resolves, to the object `morsepoly.<name>`
-    gives, so the benchmark keeps running after a name changes modules."""
-    tree = ast.parse((BENCH / script).read_text(encoding="utf-8"))
-    imports = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("morsepoly.")
-        for alias in node.names
-    ]
-    assert imports
-    for module, name in imports:
-        assert getattr(importlib.import_module(module), name) is getattr(morsepoly, name), (
-            module, name)
 
 
 # Loaded by every command: the package, the JSON layer, what loading an input
