@@ -7,8 +7,9 @@ output is for humans.
 
 Exit codes: 0 on success, 1 when a verified identity fails or --strict is
 set and a property check fails, 2 for unreadable/malformed input, inputs
-outside the required hypotheses, or an output path or stdout that cannot be
-written, and 3 on MemoryError; each of 2 and 3 prints one ``error:`` line.
+outside the required hypotheses, a value too long to write, or an output
+path or stdout that cannot be written, and 3 on MemoryError; each of 2 and
+3 prints one ``error:`` line.
 Exit 2 comes only from MorsePolyError; any other exception is a bug and
 propagates.
 

@@ -7,7 +7,7 @@ the first axis plus the (i+1)-th standard basis vector.  The difference
 vectors then carry distinct basis directions, so the k points are affinely
 independent and span a (k-1)-simplex, while the first coordinate of every
 vertex equals its function value exactly.  So an :class:`Embedding` stores
-only these heights, and :meth:`Embedding.vectors` writes the rule out.
+only these heights, and :func:`morsepoly.jsonio.embedding_to_obj` writes the rule out.
 
 Projection onto the first coordinate axis is the fixed height function.  The
 geometric index of a vertex counts, with sign (-1)^dimension, the simplices
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import EmptyPoset, NotGeneral, UnknownElement
 from .morse import MorseFunction, _require_values
@@ -42,24 +42,6 @@ class Embedding(Record):
     """Vertices in k-space, stored as their heights on coordinate 0."""
 
     heights: Mapping[ElementId, Fraction]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.heights)
-
-    def height(self, element: ElementId) -> Fraction:
-        return self.heights[element]
-
-    def vectors(self) -> Iterator[tuple[ElementId, tuple[Fraction, ...]]]:
-        """(element, coordinate vector) in identifier order, by the placement
-        rule of the module docstring."""
-        ids = sorted(self.heights)
-        for i, e in enumerate(ids):
-            vec = [Fraction(0)] * len(ids)
-            vec[0] = self.heights[e]
-            if i < len(ids) - 1:
-                vec[i + 1] = Fraction(1)
-            yield e, tuple(vec)
 
 
 class CrossCheckReport(Record):

@@ -1,21 +1,25 @@
 """JSON (de)serialization for every on-disk format.
 
 Rationals travel as strings "p" or "p/q" in lowest terms, each the ``str``
-of a ``Fraction``; floats are rejected on input so no inexact value can
-enter a computation.  :func:`dumps_canonical`, which the commands' one
-writer calls, emits key-sorted, two-space-indented JSON with a trailing
-newline, so equal data always produces byte-identical files.
+of a ``Fraction`` (:func:`rational_text`); floats are rejected on input so
+no inexact value can enter a computation.  :func:`embedding_to_obj` writes
+the placement rule out as the text all three forms of ``embed`` print.
+:func:`dumps_canonical`, which the commands' one writer calls, emits
+key-sorted, two-space-indented JSON with a trailing newline, so equal data
+always produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .complexes import CellSpec, ComplexSpec
-from .errors import MalformedSpec, ParseError
+from .errors import MalformedSpec, MorsePolyError, ParseError
 from .morse import MorseFunction
 
 if TYPE_CHECKING:  # annotations only: `gen` and `check` load neither module
@@ -100,8 +104,17 @@ def morse_from_obj(obj: Any) -> MorseFunction:
         raise MalformedSpec(str(exc)) from exc
 
 
+def rational_text(element: str, value: Fraction) -> str:
+    """An element's value as "p" or "p/q"; MorsePolyError past the digit limit."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise MorsePolyError(f"cannot write the value of {element!r}: a part has more "
+                             f"than {sys.get_int_max_str_digits()} digits") from exc
+
+
 def morse_to_obj(f: MorseFunction) -> dict:
-    return {"values": {e: str(v) for e, v in f.sorted_items()}}
+    return {"values": {e: rational_text(e, v) for e, v in sorted(f.values.items())}}
 
 
 def complex_from_obj(obj: Any) -> ComplexSpec:
@@ -153,12 +166,14 @@ def complex_to_obj(spec: ComplexSpec) -> dict:
 
 
 def embedding_to_obj(embedding: Embedding) -> dict:
-    return {
-        "dimension": embedding.dimension,
-        "coordinates": {
-            e: [str(x) for x in vec] for e, vec in embedding.vectors()
-        },
-    }
+    """The coordinates ``embed`` prints, by the placement rule of :mod:`morsepoly.geometry`:
+    row i (from 0, in identifier order) is a height and "0"s, with "1" at i + 1 if not last."""
+    heights = embedding.heights
+    ids = sorted(heights)
+    rows = {e: [rational_text(e, heights[e])] + ["0"] * (len(ids) - 1) for e in ids}
+    for i, e in enumerate(ids[:-1], 1):
+        rows[e][i] = "1"
+    return {"dimension": len(ids), "coordinates": rows}
 
 
 def embedding_obj_to_csv(obj: dict) -> str:

@@ -16,6 +16,7 @@ comparison in this module ever touches floating point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -43,7 +44,11 @@ def parse_rational(value: object) -> Fraction:
         match = _RATIONAL_RE.fullmatch(value.strip())
         if not match:
             raise InvalidArgument(f"expected a rational as 'p' or 'p/q', got {value!r}")
-        return Fraction(int(match[1]), int(match[2] or 1))
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except ValueError:  # a part past the interpreter's digit limit, not echoed
+            raise InvalidArgument(f"expected a rational whose parts have at most "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
     raise TypeError(f"refusing non-exact value {value!r} (use int, str, or Fraction)")
 
 
@@ -71,9 +76,6 @@ class MorseFunction(Record):
 
     def is_injective(self) -> bool:
         return len(set(self.values.values())) == len(self.values)
-
-    def sorted_items(self) -> list[tuple[ElementId, Fraction]]:
-        return sorted(self.values.items())
 
 
 class MorseVerdict(Record):

@@ -19,7 +19,7 @@ paths to it:
   that witness against the combinatorial indices;
 - :func:`matrix_rank`, :func:`difference_matrix` and
   :func:`spans_full_simplex`, which confirm by exact Gaussian elimination
-  that the embedding spans a full simplex;
+  that the points ``embed`` prints span a full simplex;
 - :func:`check_exclusivity` and :func:`monotone_extension_holds`, which
   audit a whole function for the properties the normalization pipeline
   guarantees;
@@ -43,6 +43,7 @@ from .geometry import (
     lower_star_indices,
 )
 from .hypotheses import is_two_wide
+from .jsonio import embedding_to_obj
 from .morse import MorseFunction, _require_total, _scan
 from .poset import ElementId, Poset, Record, _order
 
@@ -194,7 +195,7 @@ def realize_complex(poset: Poset, embedding: Embedding) -> GeometricComplex:
             raise UnknownElement(f"embedding has no coordinates for {e!r}")
     for a in sorted(poset.elements):
         for b in sorted(poset.strict_up_set(a)):
-            if embedding.height(a) == embedding.height(b):
+            if embedding.heights[a] == embedding.heights[b]:
                 raise NotGeneral((a, b))
     return GeometricComplex(embedding=embedding, simplices=order_complex(poset).simplices)
 
@@ -207,13 +208,13 @@ def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
     """
     if b not in complex_.embedding.heights:
         raise UnknownElement(f"unknown vertex {b!r}")
-    height = complex_.embedding.height
-    peak = height(b)
+    heights = complex_.embedding.heights
+    peak = heights[b]
     total = 0
     for simplex in complex_.simplices:
         if b not in simplex:
             continue
-        if all(height(v) < peak for v in simplex if v != b):
+        if all(heights[v] < peak for v in simplex if v != b):
             total += (-1) ** (len(simplex) - 1)
     return total
 
@@ -282,17 +283,15 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def difference_matrix(embedding: Embedding) -> list[list[Fraction]]:
-    """k x (k-1) matrix whose columns are the point differences to the last point."""
-    *points, base = (vec for _, vec in embedding.vectors())
-    return [[point[r] - base[r] for point in points] for r in range(embedding.dimension)]
+    """k x (k-1) matrix of the differences to the last of the points ``embed`` prints."""
+    rows = embedding_to_obj(embedding)["coordinates"].values()
+    *points, base = ([Fraction(x) for x in row] for row in rows)
+    return [[point[r] - base[r] for point in points] for r in range(len(base))]
 
 
 def spans_full_simplex(embedding: Embedding) -> bool:
     """True iff the embedded points are affinely independent."""
-    k = embedding.dimension
-    if k == 1:
-        return True
-    return matrix_rank(difference_matrix(embedding)) == k - 1
+    return matrix_rank(difference_matrix(embedding)) == len(embedding.heights) - 1
 
 
 def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:

@@ -6,6 +6,7 @@ poset, and Forman's Morse inequalities against them."""
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -21,6 +22,16 @@ from morsepoly import (
     gen_complex,
 )
 from morsepoly.complexes import critical_by_dimension
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the digits of an integer converted
+    to or from text, whatever the environment set, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from morsepoly import (
     generators,
     geometry,
     hypotheses,
+    jsonio,
     morse,
     normalization,
     oracles,
@@ -201,7 +202,7 @@ class TestVerifySinglePass:
               else "local")
         count("_recheck_near", morse, normalization)
         count("set_value", normalization._Pipeline)
-        count("vectors", geometry.Embedding)
+        count("embedding_to_obj", jsonio)
 
         def value_types(name, module, values):
             """Count calls under (name, the type names of the values read)."""
@@ -259,8 +260,8 @@ class TestVerifySinglePass:
         assert calls["_chain_members"] == 0
         assert calls["Chain"] == 0
         assert calls["order_complex"] == 0
-        # The witness reads heights; no coordinate vector is written out.
-        assert calls["vectors"] == 0
+        # The witness reads heights; no coordinate is written out.
+        assert calls["embedding_to_obj"] == 0
         assert [calls[b] for b in poset.sorted_elements] == [1] * len(poset)
 
     @pytest.mark.parametrize("spec", [complex_from_obj(TRIANGLE), gen_complex(5, 6, 2, 0.5)],
@@ -433,7 +434,8 @@ class TestPinnedOutput:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
 
     def test_embed_csv_formats_each_coordinate_once(self, files, capsys, monkeypatch):
-        """`--csv` writes the strings the JSON payload already holds."""
+        """Each height is formatted once, and `--csv` writes the strings the
+        JSON payload already holds."""
         tmp_path, write = files
         args = ["embed", "--in", write("t.json", TRIANGLE)]
         calls = Counter()
@@ -450,7 +452,7 @@ class TestPinnedOutput:
             assert main([*args, *extra]) == 0
             counts.append(calls["format"])
         capsys.readouterr()
-        assert counts == [7 * 7, 7 * 7]
+        assert counts == [7, 7]
 
 
 class TestCubical:
@@ -752,6 +754,39 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"error: expected a rational as 'p' or 'p/q', got {value!r}\n"
         )
+
+    def test_rational_past_the_digit_limit(self, files, capsys, digit_limit):
+        """A value with more digits than the interpreter reads: one error
+        line naming the limit, without Python's own hint."""
+        _, write = files
+        morse = {"values": {"a": "1/" + "3" * 5000, "b": "2", "e": "7"}}
+        code = main(
+            ["classify", "--in", write("e.json", EDGE), "--morse", write("f.json", morse)]
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: expected a rational whose parts have at most {digit_limit} digits\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["normalize"], ["normalize", "--format", "text"], ["embed"], ["embed", "--csv", "c.csv"],
+    ], ids=" ".join)
+    def test_value_too_long_to_write(self, files, capsys, digit_limit, flags):
+        """The spread sweep writes a midpoint whose denominator has about
+        8,000 digits: one error line naming its element, and nothing written."""
+        tmp_path, write = files
+        antichain = {"elements": ["a", "b", "c"], "covers": []}
+        near = "1/1" + "0" * 3999 + "1"  # 1/(10^4000 + 1)
+        morse = {"values": {"a": near, "b": near, "c": "1/" + "9" * 3999 + "7"}}
+        argv = ["--in", write("p.json", antichain), "--morse", write("f.json", morse)]
+        assert main(["verify", *argv]) == 0
+        capsys.readouterr()
+        code = main([flags[0], *argv, *(str(tmp_path / f) if f.endswith(".csv") else f
+                                        for f in flags[1:])])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: cannot write the value of 'a': a part has more than {digit_limit} "
+            f"digits\n"))
+        assert not (tmp_path / "c.csv").exists()
 
     def test_invalid_morse_function(self, files):
         _, write = files

@@ -1,7 +1,8 @@
 """The output contract, checked through subprocesses: every command writes
 the same bytes under two hash seeds, deep inputs stay polynomial, a huge
 simplex is refused at once, and a full or closed stdout or an exhausted
-memory limit ends in one ``error:`` line with its own exit code.
+memory limit, or a value too long to write, ends in one ``error:`` line
+with its own exit code.
 
 Every report is scanned in identifier order, and some scans walk sets, so
 no output or error text may depend on set order.  Each row of ``ROWS``
@@ -80,6 +81,12 @@ DOCUMENTS = {
     "simplex13.json": {"kind": "simplicial", "maximal_simplices": [[str(v) for v in range(13)]]},
     "torus10.json": {"kind": "simplicial",
                      "maximal_simplices": [list(s) for s in torus(10).maximal_simplices]},
+    # Values of 4,001 digits on an antichain: the spread sweep separates the
+    # tie of a and b by a midpoint whose denominator has about 8,000 digits,
+    # past the default limit of integer string conversion.
+    "antichain.json": {"elements": ["a", "b", "c"], "covers": []},
+    "long_values.json": {"values": {"a": "1/1" + "0" * 3999 + "1", "b": "1/1" + "0" * 3999 + "1",
+                                    "c": "1/" + "9" * 3999 + "7"}},
 }
 
 
@@ -135,6 +142,11 @@ def _rows() -> list[Row]:
                  env=(("PYTHONUNBUFFERED", "1"),), stderr_has="error: cannot write stdout: "),
              Row("stdout_closed", full, code=2, closed_stdout=True,
                  stderr_has="error: cannot write stdout: ")]
+    # A value too long to write is a typed error, in JSON and in CSV.
+    long = ("--in", "antichain.json", "--morse", "long_values.json")
+    rows += [Row(f"{argv[0]}.too_long", argv, code=2, env=(("PYTHONINTMAXSTRDIGITS", "4300"),),
+                 stderr_has="error: cannot write the value of 'a': ")
+             for argv in (("normalize", *long), ("embed", *long, "--csv", "long.csv"))]
     rows += [Row(f"{argv[0]}.out_of_memory", argv, code=3, memory=True,
                  stderr_has="error: out of memory")
              for argv in (("check", "--in", "simplex13.json"), ("embed", "--in", "torus10.json"))]

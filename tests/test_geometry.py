@@ -37,7 +37,9 @@ from morsepoly import (
     spans_full_simplex,
     transitive_reduction,
 )
+from morsepoly.commands.embed import _text as embed_text
 from morsepoly.geometry import _levels
+from morsepoly.jsonio import dumps_canonical, embedding_obj_to_csv, embedding_to_obj
 from morsepoly.oracles import difference_matrix
 from tests.conftest import CUBICAL, cube, suspension, torus
 
@@ -50,21 +52,20 @@ class TestEmbedVertices:
     def test_single_element(self):
         poset = build_poset(["v"], [])
         emb = embed_vertices(poset, MorseFunction.from_values({"v": 7}))
-        assert emb.dimension == 1
-        assert dict(emb.vectors()) == {"v": (Fraction(7),)}
+        assert embedding_to_obj(emb) == {"dimension": 1, "coordinates": {"v": ["7"]}}
 
     def test_edge_poset_shape(self, edge_poset):
         g = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
         emb = embed_vertices(edge_poset, g)
-        assert emb.dimension == 3
-        assert [emb.height(e) for e in ("a", "b", "e")] == [0, 2, 1]
+        assert embedding_to_obj(emb)["dimension"] == 3
+        assert [emb.heights[e] for e in ("a", "b", "e")] == [0, 2, 1]
         assert matrix_rank(difference_matrix(emb)) == 2
 
     def test_first_coordinates_equal_function(self, triangle):
         g = normalize(triangle.poset, dimension_morse(triangle.poset, triangle.rank))
         emb = embed_vertices(triangle.poset, g)
         for e in triangle.poset.elements:
-            assert emb.height(e) == g[e]
+            assert emb.heights[e] == g[e]
 
     def test_empty_poset_rejected(self):
         with pytest.raises(EmptyPoset):
@@ -75,6 +76,12 @@ class TestEmbedVertices:
             poset = face.poset
             g = normalize(poset, dimension_morse(poset, face.rank))
             assert spans_full_simplex(embed_vertices(poset, g))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_affine_independence_at_equal_heights(self, k):
+        """With every height equal the first coordinate adds no rank, so the
+        written points span a full simplex only through every "1"."""
+        assert spans_full_simplex(Embedding(dict.fromkeys(map(str, range(k)), Fraction(5, 3))))
 
 
 class TestRealize:
@@ -142,38 +149,50 @@ def valued_posets(draw):
     return poset, MorseFunction.from_values(values)
 
 
-def dense_coordinates(poset, g):
-    """The placement rule written out as a k x k table, one dense Fraction
-    vector per element: the reference :meth:`Embedding.vectors` must match."""
-    ids = poset.sorted_elements
-    k = len(ids)
+def dense_coordinates(heights):
+    """The placement rule written out as a k x k table, one dense vector of
+    Fractions per element: ``Embedding.vectors``, which the written rows
+    replaced and must match."""
+    ids = sorted(heights)
     coordinates = {}
     for i, e in enumerate(ids):
-        vec = [Fraction(0)] * k
-        vec[0] = Fraction(g[e])
-        if i < k - 1:
+        vec = [Fraction(0)] * len(ids)
+        vec[0] = heights[e]
+        if i < len(ids) - 1:
             vec[i + 1] = Fraction(1)
         coordinates[e] = tuple(vec)
     return coordinates
 
 
+def dense_embedding_to_obj(embedding):
+    """The writer that formatted every entry of the dense vectors by ``str``:
+    ``embed`` must print its bytes from one formatted height per element."""
+    dense = dense_coordinates(embedding.heights)
+    coordinates = {e: [str(x) for x in vec] for e, vec in dense.items()}
+    return {"dimension": len(coordinates), "coordinates": coordinates}
+
+
 class TestVectors:
-    """An embedding stores only heights; its vectors follow the placement rule."""
+    """An embedding stores only heights; the written rows follow the placement rule."""
 
     def test_stores_only_heights(self, edge_poset):
         assert Embedding.__slots__ == ("heights",)
+        assert not {"vectors", "height", "dimension"} & set(dir(Embedding))
         g = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
         assert embed_vertices(edge_poset, g).heights == g.values
 
     @staticmethod
     def assert_dense(poset, g):
         emb = embed_vertices(poset, g)
-        assert dict(emb.vectors()) == dense_coordinates(poset, g)
-        assert emb.dimension == len(poset)
+        written = embedding_to_obj(emb)
+        assert [(e, tuple(map(Fraction, row))) for e, row in written["coordinates"].items()] == (
+            list(dense_coordinates(g.values).items()))
+        assert written["dimension"] == len(poset)
         assert spans_full_simplex(emb)
         # Identifier order, whatever order the heights were inserted in.
         shuffled = Embedding(dict(reversed(list(emb.heights.items()))))
-        assert list(shuffled.vectors()) == list(emb.vectors())
+        assert list(embedding_to_obj(shuffled)["coordinates"].items()) == list(
+            written["coordinates"].items())
 
     @settings(max_examples=80, deadline=None)
     @given(valued_posets())
@@ -200,6 +219,41 @@ class TestVectors:
             tracemalloc.stop()
         assert sum(indices.values()) == 0
         assert peak < 4 * 2**20
+
+
+def assert_same_bytes(poset, g):
+    """``embed``'s JSON, text and CSV from the written rows are those of the
+    dense-vector writer."""
+    emb = embed_vertices(poset, g)
+    written, dense = embedding_to_obj(emb), dense_embedding_to_obj(emb)
+    assert dumps_canonical(written) == dumps_canonical(dense)
+    assert list(embed_text(written)) == list(embed_text(dense))
+    assert embedding_obj_to_csv(written) == embedding_obj_to_csv(dense)
+
+
+class TestWrittenBytes:
+    """The written rows against the dense-vector writer, byte for byte."""
+
+    @pytest.mark.parametrize("function", ["dimension", "gen_morse", "normalized"])
+    def test_named_posets(self, edge_poset, chain_poset, chain_morse, triangle, segment,
+                          two_cycles, function):
+        faces = [triangle, segment, two_cycles, face_poset_cellular(cube(3)),
+                 *(face_poset_simplicial(torus(m)) for m in range(3, 7))]
+        cases = [(edge_poset, MorseFunction.from_values({"a": 0, "b": 0, "e": 1})),
+                 (chain_poset, chain_morse)]
+        for face in faces:
+            g = (dimension_morse(face.poset, face.rank) if function == "dimension"
+                 else gen_morse(3, face.poset))
+            cases.append((face.poset, normalize(face.poset, g) if function == "normalized" else g))
+        for poset, g in cases:
+            assert_same_bytes(poset, g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(valued_posets())
+    @example((build_poset(["v"], []), MorseFunction.from_values({"v": Fraction(-3, 2)})))
+    @example((build_poset(["a", "b"], [("a", "b")]), MorseFunction.from_values({"a": 1, "b": 1})))
+    def test_generated_posets(self, case):
+        assert_same_bytes(*case)
 
 
 class TestGeometricIndices:

@@ -87,6 +87,17 @@ class TestFromValues:
         with pytest.raises(MalformedSpec):
             morse_from_obj({"values": {"a": text}})
 
+    def test_part_past_the_digit_limit(self, digit_limit):
+        """A part with more digits than the interpreter converts is malformed
+        text; the message names the limit and does not echo the digits."""
+        text = "1/" + "3" * 5000
+        with pytest.raises(InvalidArgument) as info:
+            MorseFunction.from_values({"a": text})
+        message = str(info.value)
+        assert f"at most {digit_limit} digits" in message and "3333" not in message
+        with pytest.raises(MalformedSpec, match=f"at most {digit_limit} digits"):
+            morse_from_obj({"values": {"a": text}})
+
 
 _TWO_PASS_RE = re.compile(r"-?\d+(/[1-9]\d*)?", re.ASCII)
 

@@ -2,7 +2,8 @@
 
 Each runs in its own job, so a name either of them needs could be deleted
 with every library test still passing.  These tests read them here: every
-fenced ``python`` block of the README runs, and every ``morsepoly`` name
+fenced ``python`` block of the README runs, its ``verify --format text``
+transcript shows lines of the real run, and every ``morsepoly`` name
 that a file under ``bench/`` imports resolves, to the object the package
 gives for a public name, so the benchmark keeps running after a name
 changes modules (the files are only parsed, never run).
@@ -18,9 +19,11 @@ from pathlib import Path
 import pytest
 
 import morsepoly
+from morsepoly.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 
 
 def test_readme_has_python_examples():
@@ -30,6 +33,21 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("block", README_BLOCKS, ids=lambda b: b.splitlines()[0][:40])
 def test_readme_python_block_runs(block):
     exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_verify_transcript_is_the_run(tmp_path, monkeypatch, capsys):
+    """The README writes triangle.json and shows `verify --format text` on
+    it: each line it shows is a line of the run, in order, and each `...`
+    stands for the lines it leaves out."""
+    document, argv, shown = re.search(
+        r"^\$ echo '(.*)' > triangle\.json\n\$ morsepoly (.*)\n((?:.*\n)*?)```", README, re.M
+    ).groups()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triangle.json").write_text(document + "\n", encoding="utf-8")
+    assert main(argv.split()) == 0
+    pattern = "".join(r"(?:.*\n)*" if line.strip() == "..." else re.escape(line) + "\n"
+                      for line in shown.splitlines())
+    assert re.fullmatch(pattern, capsys.readouterr().out)
 
 
 def bench_imports():
