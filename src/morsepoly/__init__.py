@@ -10,7 +10,9 @@ those indices to the Euler characteristic.
 Importing the package loads none of its modules: each public name is
 resolved on first access (PEP 562), so a caller pays only for the modules
 it uses.  The brute-force references the tests hold the fast paths to, and
-the materialized order complex, live in :mod:`morsepoly.oracles`.
+the materialized order complex, live in :mod:`morsepoly.oracles`.  A result
+that is one value is that value: an embedding is its heights map, an
+obstruction audit its flag map, and a chain the tuple of its members.
 """
 
 __version__ = "0.1.0"
@@ -37,8 +39,8 @@ _HOMES = {
         "Classification", "MorseFunction", "MorseVerdict", "classify", "validate_morse",
     ),
     "normalization": (
-        "Modification", "NormalizationTrace", "TroubleFlags", "TroubleReport",
-        "find_troubled", "linear_extension", "normalize", "normalize_trace",
+        "Modification", "NormalizationTrace", "TroubleFlags", "find_troubled",
+        "linear_extension", "normalize", "normalize_trace",
     ),
     "complexes": (
         "CellSpec", "ComplexSpec", "FacePoset", "MorseInequalityReport",
@@ -49,12 +51,10 @@ _HOMES = {
         "IndexEntry", "IndexReport", "combinatorial_index", "predicted_index",
         "verify_representation",
     ),
-    "geometry": (
-        "CrossCheckReport", "Embedding", "embed_vertices", "lower_star_indices",
-    ),
+    "geometry": ("CrossCheckReport", "embed_vertices", "lower_star_indices"),
     "generators": ("gen_complex", "gen_morse"),
     "oracles": (
-        "Chain", "ExclusivityReport", "GeometricComplex", "SimplicialComplex",
+        "ExclusivityReport", "GeometricComplex", "SimplicialComplex",
         "chain_sum_excluding", "chain_sum_lower", "chain_sum_top", "check_exclusivity",
         "cross_check", "enumerate_chains", "euler_characteristic", "geometric_index",
         "geometric_indices", "matrix_rank", "monotone_extension_holds", "order_complex",

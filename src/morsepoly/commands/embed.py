@@ -20,8 +20,7 @@ def run(args: SimpleNamespace) -> int:
     loaded = load_input(args.input_path)
     f = load_morse(args, loaded)
     g = normalize(loaded.poset, f)
-    embedding = embed_vertices(loaded.poset, g)
-    payload = jsonio.embedding_to_obj(embedding)
+    payload = jsonio.embedding_to_obj(embed_vertices(loaded.poset, g))
     if args.csv_path:
         write(args.csv_path, jsonio.embedding_obj_to_csv(payload))
     emit(args, payload, _text)

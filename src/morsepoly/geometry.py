@@ -6,8 +6,9 @@ element sits at g(pk) on the first axis, and every other pi sits at g(pi) on
 the first axis plus the (i+1)-th standard basis vector.  The difference
 vectors then carry distinct basis directions, so the k points are affinely
 independent and span a (k-1)-simplex, while the first coordinate of every
-vertex equals its function value exactly.  So an :class:`Embedding` stores
-only these heights, and :func:`morsepoly.jsonio.embedding_to_obj` writes the rule out.
+vertex equals its function value exactly.  So :func:`embed_vertices` returns
+only these heights, g itself, and :func:`morsepoly.jsonio.embedding_to_obj`
+writes the rule out.
 
 Projection onto the first coordinate axis is the fixed height function.  The
 geometric index of a vertex counts, with sign (-1)^dimension, the simplices
@@ -38,12 +39,6 @@ from .morse import MorseFunction, _require_values
 from .poset import ElementId, Poset, Record, _forwarding
 
 
-class Embedding(Record):
-    """Vertices in k-space, stored as their heights on coordinate 0."""
-
-    heights: Mapping[ElementId, Fraction]
-
-
 class CrossCheckReport(Record):
     # (element, geometric index, combinatorial index) for every disagreement.
     mismatches: tuple[tuple[ElementId, int, int], ...]
@@ -56,13 +51,14 @@ class CrossCheckReport(Record):
     ok = property(__bool__)
 
 
-def embed_vertices(poset: Poset, g: MorseFunction) -> Embedding:
-    """Place the poset's elements in k-space with first coordinates g."""
+def embed_vertices(poset: Poset, g: MorseFunction) -> dict[ElementId, Fraction]:
+    """The poset's elements placed in k-space, as their heights: the first
+    coordinates, g on the poset in identifier order."""
     ids = poset.elements
     if not ids:
         raise EmptyPoset("cannot embed an empty poset")
     _require_values(poset, g.values)
-    return Embedding({e: g[e] for e in ids})
+    return {e: g[e] for e in ids}
 
 
 def _levels(heights: Mapping[ElementId, Fraction]) -> dict[ElementId, int]:
@@ -77,7 +73,7 @@ def _levels(heights: Mapping[ElementId, Fraction]) -> dict[ElementId, int]:
     return level
 
 
-def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, int]:
+def lower_star_indices(poset: Poset, heights: Mapping[ElementId, Fraction]) -> dict[ElementId, int]:
     """:func:`~morsepoly.oracles.geometric_indices` of
     :func:`~morsepoly.oracles.realize_complex`, counted without listing a
     chain.
@@ -94,7 +90,6 @@ def lower_star_indices(poset: Poset, embedding: Embedding) -> dict[ElementId, in
     times |up-set(t)|.  Reads only the embedded heights, the up-sets and
     the topological order.
     """
-    heights = embedding.heights
     for e in poset.elements:
         if e not in heights:
             raise UnknownElement(f"embedding has no coordinates for {e!r}")

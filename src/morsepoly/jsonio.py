@@ -2,8 +2,9 @@
 
 Rationals travel as strings "p" or "p/q" in lowest terms, each the ``str``
 of a ``Fraction`` (:func:`rational_text`); floats are rejected on input so
-no inexact value can enter a computation.  :func:`embedding_to_obj` writes
-the placement rule out as the text all three forms of ``embed`` print.
+no inexact value can enter a computation, nor a JSON integer past the digit
+limit.  :func:`embedding_to_obj` writes the placement rule out for a heights
+map as the text all three forms of ``embed`` print.
 :func:`dumps_canonical`, which the commands' one writer calls, emits
 key-sorted, two-space-indented JSON with a trailing newline, so equal data
 always produces byte-identical files.
@@ -16,15 +17,14 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .complexes import CellSpec, ComplexSpec
 from .errors import MalformedSpec, MorsePolyError, ParseError
 from .morse import MorseFunction
 
-if TYPE_CHECKING:  # annotations only: `gen` and `check` load neither module
+if TYPE_CHECKING:  # annotations only: `gen` and `check` do not load it
     from .chain_index import IndexReport
-    from .geometry import Embedding
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -48,10 +48,17 @@ def load_document(path: str | Path) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(str(exc)) from exc
+
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit; not echoed
+            raise ParseError(f"{path} has an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, an integer past the digit limit, or deep nesting.
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=integer)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -165,10 +172,10 @@ def complex_to_obj(spec: ComplexSpec) -> dict:
     }
 
 
-def embedding_to_obj(embedding: Embedding) -> dict:
-    """The coordinates ``embed`` prints, by the placement rule of :mod:`morsepoly.geometry`:
-    row i (from 0, in identifier order) is a height and "0"s, with "1" at i + 1 if not last."""
-    heights = embedding.heights
+def embedding_to_obj(heights: Mapping[str, Fraction]) -> dict:
+    """The coordinates ``embed`` prints for these heights, by the placement rule of
+    :mod:`morsepoly.geometry`: row i (from 0, in identifier order) is a height and
+    "0"s, with "1" at i + 1 if not last."""
     ids = sorted(heights)
     rows = {e: [rational_text(e, heights[e])] + ["0"] * (len(ids) - 1) for e in ids}
     for i, e in enumerate(ids[:-1], 1):

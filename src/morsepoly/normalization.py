@@ -5,8 +5,9 @@ its critical set.
 the same critical set that is additionally injective, monotone-extendable
 (whenever z < x < y < w with covers x < y and g(x) < g(y), also
 g(z) < g(y) and g(x) < g(w)), and free of all four "troubled" obstruction
-patterns (:func:`find_troubled`).  It runs two sweeps over a fixed linear
-extension, each changing at most one value per element; the input's
+patterns (the flag map :func:`find_troubled` returns is empty).  It runs
+two sweeps over a fixed linear extension, each changing at most one value
+per element; the input's
 classification and every intermediate stage are retained in a trace so each
 step can be audited; each change is rechecked locally as it is made
 (:func:`morsepoly.morse._recheck_near`), so the obstruction audits do not
@@ -43,16 +44,6 @@ class TroubleFlags(Record):
     _defaults = dict.fromkeys(__annotations__)
 
 
-class TroubleReport(Record):
-    flags: Mapping[ElementId, TroubleFlags]
-
-    def clean(self) -> bool:
-        return not self.flags
-
-    def troubled_elements(self) -> tuple[ElementId, ...]:
-        return tuple(sorted(self.flags))
-
-
 class Modification(Record):
     stage: str
     element: ElementId
@@ -74,13 +65,17 @@ class NormalizationTrace(Record):
     keys: MorseFunction
 
 
-def find_troubled(poset: Poset, f: MorseFunction) -> TroubleReport:
-    """Locate all four obstruction patterns, with one witness per flag."""
+def find_troubled(poset: Poset, f: MorseFunction) -> dict[ElementId, TroubleFlags]:
+    """Locate all four obstruction patterns, with one witness per flag: the
+    flags of each obstructed element, in identifier order, so an empty dict
+    means f is free of them."""
     classify(poset, f)  # raises unless f is a discrete Morse function
     return _find_troubled(poset, f.values)
 
 
-def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> TroubleReport:
+def _find_troubled(
+    poset: Poset, values: Mapping[ElementId, Fraction | int]
+) -> dict[ElementId, TroubleFlags]:
     """:func:`find_troubled` on a function already known to be valid."""
     # Each maps a flagged element to its first witness pair.
     short_up, up, short_down, down = {}, {}, {}, {}
@@ -102,10 +97,8 @@ def _find_troubled(poset: Poset, values: Mapping[ElementId, Fraction | int]) -> 
                     short_down.setdefault(a, (y, x))
 
     flagged = sorted(set(short_up) | set(up) | set(short_down) | set(down))
-    return TroubleReport(
-        {a: TroubleFlags(short_up.get(a), up.get(a), short_down.get(a), down.get(a))
-         for a in flagged}
-    )
+    return {a: TroubleFlags(short_up.get(a), up.get(a), short_down.get(a), down.get(a))
+            for a in flagged}
 
 
 def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
@@ -268,16 +261,16 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     state.up_sweep(order)
     after_up = state.snapshot()
     ranked = state.rank(order)
-    report = _find_troubled(poset, state.values)
-    if not report.clean():
+    troubled = _find_troubled(poset, state.values)
+    if troubled:
         raise AssertionError(f"up sweep left obstructed elements "
-                             f"{report.troubled_elements()}; implementation bug")
+                             f"{tuple(troubled)}; implementation bug")
 
     result = MorseFunction(state.spread_sweep(order, after_up.values, ranked))
     keys = state.snapshot()
     if not keys.is_injective():
         raise AssertionError("spread sweep failed to separate all values")
-    if not _find_troubled(poset, keys.values).clean():
+    if _find_troubled(poset, keys.values):
         raise AssertionError("spread sweep reintroduced an obstruction")
     if classify(poset, keys).critical_set() != state.critical:
         raise AssertionError("normalization changed the critical set")

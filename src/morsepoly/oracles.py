@@ -11,7 +11,8 @@ paths to it:
 - the signed chain sums the index argument rests on (:func:`chain_sum_top`
   and the two vanishing sums of a cover pair), against Hall's recursion in
   :mod:`morsepoly.chain_index`;
-- :func:`realize_complex`, which attaches those simplices to an embedding,
+- :func:`realize_complex`, which attaches those simplices to the heights
+  of :func:`~morsepoly.geometry.embed_vertices`,
   :func:`geometric_index`, the definition for one vertex, and
   :func:`geometric_indices`, every vertex counted over the materialized
   order complex, against the grouped count of the witness
@@ -31,17 +32,11 @@ paths to it:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chain_index import _index_at, _require_general
 from .errors import CycleDetected, NotACover, NotGeneral, UnknownElement
-from .geometry import (
-    CrossCheckReport,
-    Embedding,
-    compare_indices,
-    embed_vertices,
-    lower_star_indices,
-)
+from .geometry import CrossCheckReport, compare_indices, embed_vertices, lower_star_indices
 from .hypotheses import is_two_wide
 from .jsonio import embedding_to_obj
 from .morse import MorseFunction, _require_total, _scan
@@ -53,23 +48,6 @@ class ExclusivityReport(Record):
 
     two_wide: bool
     offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
-
-
-class Chain(Record):
-    """A non-empty totally ordered subset, listed in increasing order."""
-
-    members: tuple[ElementId, ...]
-
-    @property
-    def length(self) -> int:
-        """Length of the chain: one less than the number of members."""
-        return len(self.members) - 1
-
-    def __contains__(self, element: ElementId) -> bool:
-        return element in self.members
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 class SimplicialComplex(Record):
@@ -89,11 +67,16 @@ class SimplicialComplex(Record):
         return tuple(counts)
 
 
-def _chain_members(
-    poset: Poset, subset: Iterable[ElementId] | None
+def enumerate_chains(
+    poset: Poset, subset: Iterable[ElementId] | None = None
 ) -> list[tuple[ElementId, ...]]:
-    """Members of every non-empty chain within the subset (None: the whole
-    poset), depth-first with elements visited in identifier order."""
+    """All non-empty chains within the given subset (default: the whole
+    poset), each as its members in increasing order.  A chain of n members
+    has length n - 1.
+
+    Depth-first over the comparability graph with elements visited in
+    identifier order, so the output order is deterministic.
+    """
     if subset is None:
         ids = sorted(poset.elements)
     else:
@@ -118,18 +101,9 @@ def _chain_members(
     return chains
 
 
-def enumerate_chains(poset: Poset, subset: Iterable[ElementId] | None = None) -> list[Chain]:
-    """All non-empty chains within the given subset (default: the whole poset).
-
-    Depth-first over the comparability graph with elements visited in
-    identifier order, so the output order is deterministic.
-    """
-    return [Chain(members) for members in _chain_members(poset, subset)]
-
-
 def order_complex(poset: Poset) -> SimplicialComplex:
     """Simplicial complex with one simplex per non-empty chain of the poset."""
-    simplices = frozenset(map(frozenset, _chain_members(poset, None)))
+    simplices = frozenset(map(frozenset, enumerate_chains(poset)))
     return SimplicialComplex(vertices=poset.elements, simplices=simplices)
 
 
@@ -149,7 +123,7 @@ def chain_sum_top(poset: Poset, b: ElementId) -> int:
 
     Under the structural hypotheses this equals (-1)^parity(b).
     """
-    return sum((-1) ** c.length for c in _chains_through_top(poset, b))
+    return sum((-1) ** (len(c) - 1) for c in _chains_through_top(poset, b))
 
 
 def chain_sum_excluding(poset: Poset, a: ElementId, b: ElementId) -> int:
@@ -159,7 +133,7 @@ def chain_sum_excluding(poset: Poset, a: ElementId, b: ElementId) -> int:
     """
     if (a, b) not in poset.covers:
         raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
-    return sum((-1) ** c.length for c in _chains_through_top(poset, b) if a not in c)
+    return sum((-1) ** (len(c) - 1) for c in _chains_through_top(poset, b) if a not in c)
 
 
 def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
@@ -170,34 +144,35 @@ def chain_sum_lower(poset: Poset, a: ElementId, b: ElementId) -> int:
     if (a, b) not in poset.covers:
         raise NotACover(f"({a!r}, {b!r}) is not a cover pair")
     return sum(
-        (-1) ** c.length
+        (-1) ** (len(c) - 1)
         for c in enumerate_chains(poset, poset.strict_down_set(b) | {b})
         if a in c
     )
 
 
 class GeometricComplex(Record):
-    """Order-complex simplices attached to embedded vertex coordinates."""
+    """Order-complex simplices attached to embedded vertices, given by their
+    heights (:func:`~morsepoly.geometry.embed_vertices`)."""
 
-    embedding: Embedding
+    heights: Mapping[ElementId, Fraction]
     simplices: frozenset[frozenset[ElementId]]
 
 
-def realize_complex(poset: Poset, embedding: Embedding) -> GeometricComplex:
-    """Attach the order-complex simplices to an embedding.
+def realize_complex(poset: Poset, heights: Mapping[ElementId, Fraction]) -> GeometricComplex:
+    """Attach the order-complex simplices to the embedded heights.
 
     Raises NotGeneral if two comparable elements share a first coordinate:
     such a pair spans an edge of the complex on which the height function
     cannot separate the endpoints.
     """
     for e in poset.elements:
-        if e not in embedding.heights:
+        if e not in heights:
             raise UnknownElement(f"embedding has no coordinates for {e!r}")
     for a in sorted(poset.elements):
         for b in sorted(poset.strict_up_set(a)):
-            if embedding.heights[a] == embedding.heights[b]:
+            if heights[a] == heights[b]:
                 raise NotGeneral((a, b))
-    return GeometricComplex(embedding=embedding, simplices=order_complex(poset).simplices)
+    return GeometricComplex(heights=heights, simplices=order_complex(poset).simplices)
 
 
 def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
@@ -206,9 +181,9 @@ def geometric_index(complex_: GeometricComplex, b: ElementId) -> int:
     The vertex itself contributes +1 in dimension 0.  Computed purely from
     the embedded coordinates.
     """
-    if b not in complex_.embedding.heights:
+    heights = complex_.heights
+    if b not in heights:
         raise UnknownElement(f"unknown vertex {b!r}")
-    heights = complex_.embedding.heights
     peak = heights[b]
     total = 0
     for simplex in complex_.simplices:
@@ -228,7 +203,7 @@ def geometric_indices(complex_: GeometricComplex) -> dict[ElementId, int]:
     are first replaced by their exact rank among the distinct heights, so
     equal heights share a rank and the pass compares ints, not Fractions.
     """
-    heights = complex_.embedding.heights
+    heights = complex_.heights
     rank = {h: i for i, h in enumerate(sorted(set(heights.values())))}
     level = {v: rank[h] for v, h in heights.items()}
     indices = dict.fromkeys(sorted(level), 0)
@@ -282,16 +257,16 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def difference_matrix(embedding: Embedding) -> list[list[Fraction]]:
+def difference_matrix(heights: Mapping[ElementId, Fraction]) -> list[list[Fraction]]:
     """k x (k-1) matrix of the differences to the last of the points ``embed`` prints."""
-    rows = embedding_to_obj(embedding)["coordinates"].values()
+    rows = embedding_to_obj(heights)["coordinates"].values()
     *points, base = ([Fraction(x) for x in row] for row in rows)
     return [[point[r] - base[r] for point in points] for r in range(len(base))]
 
 
-def spans_full_simplex(embedding: Embedding) -> bool:
-    """True iff the embedded points are affinely independent."""
-    return matrix_rank(difference_matrix(embedding)) == len(embedding.heights) - 1
+def spans_full_simplex(heights: Mapping[ElementId, Fraction]) -> bool:
+    """True iff the points ``embed`` prints for these heights are affinely independent."""
+    return matrix_rank(difference_matrix(heights)) == len(heights) - 1
 
 
 def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:

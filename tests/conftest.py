@@ -1,7 +1,8 @@
 """Shared fixtures: the small named posets used throughout the suite,
-stdlib builders of grid tori, d-cubes, cubical tori, the cone over a
-cubical torus and products of complexes, the mod-2 Betti numbers of a face
-poset, and Forman's Morse inequalities against them."""
+stdlib builders of two bigons under one 2-cell, grid tori, d-cubes,
+cubical tori, the cone over a cubical torus and products of complexes, the
+mod-2 Betti numbers of a face poset, and Forman's Morse inequalities
+against them."""
 
 from __future__ import annotations
 
@@ -87,6 +88,24 @@ def build_two_cycles_spec() -> ComplexSpec:
         f"v{c}{i}" for c in (1, 2) for i in range(4)
     )
     cells.append(CellSpec(id="m", dim=2, boundary=boundary))
+    return ComplexSpec(kind="cellular", cells=tuple(cells))
+
+
+def two_bigons() -> ComplexSpec:
+    """Two bigons under one 2-cell ``top`` (9 cells).  Each bigon is two
+    vertices ``<s>0`` and ``<s>1`` and two edges ``<s>x`` and ``<s>y``, each
+    edge bounded by both vertices; ``top`` is bounded by all four edges.
+
+    Like :func:`build_two_cycles_spec` with 17 cells, the poset passes all
+    three structural checks without being a CW poset: the strict down-set of
+    ``top`` is two circles, not one.
+    """
+    cells = []
+    for side in "ab":
+        cells += [CellSpec(id=f"{side}{i}", dim=0, boundary=()) for i in "01"]
+        cells += [CellSpec(id=f"{side}{j}", dim=1, boundary=(f"{side}0", f"{side}1"))
+                  for j in "xy"]
+    cells.append(CellSpec(id="top", dim=2, boundary=("ax", "ay", "bx", "by")))
     return ComplexSpec(kind="cellular", cells=tuple(cells))
 
 

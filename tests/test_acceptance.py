@@ -189,7 +189,7 @@ def test_criterion_4_normalization_contract():
         g = normalize(poset, f)
         assert g.is_injective()
         report = find_troubled(poset, g)
-        assert report.clean(), report.flags
+        assert report == {}, report
         assert classify(poset, g).critical_set() == classify(poset, f).critical_set()
         for x, y in sorted(poset.covers):
             if g[x] >= g[y]:
@@ -241,12 +241,12 @@ def test_criterion_6_embedding_contract():
     for poset, f in end_to_end_corpus():
         g = normalize(poset, f)
         embedding = embed_vertices(poset, g)
-        k = len(embedding.heights)
+        k = len(embedding)
         assert k == len(poset)
         if k > 1:
             assert matrix_rank(difference_matrix(embedding)) == k - 1
         for element in poset.elements:
-            assert embedding.heights[element] == g[element]
+            assert embedding[element] == g[element]
         checked += 1
     elapsed = time.monotonic() - start
     report_pass(

@@ -166,9 +166,9 @@ class TestCombinatorialIndex:
             all_chains = enumerate_chains(poset)
             for b in poset.sorted_elements:
                 oracle = sum(
-                    (-1) ** c.length
+                    (-1) ** (len(c) - 1)
                     for c in all_chains
-                    if b in c and all(g[v] <= g[b] for v in c.members)
+                    if b in c and all(g[v] <= g[b] for v in c)
                 )
                 assert combinatorial_index(poset, g, b) == oracle
 
@@ -215,9 +215,9 @@ class TestCombinatorialIndicesOracle:
         chains = enumerate_chains(poset)
         expected = {
             b: sum(
-                (-1) ** c.length
+                (-1) ** (len(c) - 1)
                 for c in chains
-                if b in c and all(g[v] <= g[b] for v in c.members)
+                if b in c and all(g[v] <= g[b] for v in c)
             )
             for b in poset.sorted_elements
         }

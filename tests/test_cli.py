@@ -187,11 +187,9 @@ class TestVerifySinglePass:
               else "support Hall")
         count("validate_parity_rank", hypotheses)
         count("require", poset_module.Poset)
-        # The chain walk behind enumerate_chains and order_complex, the
-        # Chain records enumerate_chains wraps its tuples in, and the order
-        # complex the oracles build.
-        count("_chain_members", oracles)
-        count("Chain", oracles)
+        # The chain walk the oracles list chains with, and the order
+        # complex they build from it.
+        count("enumerate_chains", oracles)
         count("order_complex", oracles)
         # Whole-function checks: every one is a scan of all elements; a
         # scan of a changed element and its covers is a local recheck.
@@ -257,8 +255,7 @@ class TestVerifySinglePass:
         assert calls["_require_general", "int"] == 0
         # Nothing lists chains: the geometric witness counts them grouped
         # by (last vertex, highest vertex), and builds no order complex.
-        assert calls["_chain_members"] == 0
-        assert calls["Chain"] == 0
+        assert calls["enumerate_chains"] == 0
         assert calls["order_complex"] == 0
         # The witness reads heights; no coordinate is written out.
         assert calls["embedding_to_obj"] == 0
@@ -876,15 +873,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
-    @pytest.mark.parametrize(
-        "text", ["[" * 100_000, '{"elements": [' + "1" * 5000 + "]}"], ids=["deep", "digits"]
-    )
-    def test_json_the_decoder_refuses(self, files, capsys, text):
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "bad.json is not valid JSON: "),
+        # Valid JSON whose integer the interpreter will not convert: a typed
+        # message that names the limit, without Python's hint.
+        ('{"elements": [' + "1" * 5000 + "]}",
+         f"bad.json has an integer of more than {sys.get_int_max_str_digits()} digits\n"),
+    ], ids=["deep", "digits"])
+    def test_json_the_decoder_refuses(self, files, capsys, text, message):
         tmp_path, _ = files
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
         assert main(["check", "--in", str(bad)]) == 2
-        assert "is not valid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "set_int_max_str_digits" not in err
 
     def test_internal_value_error_is_not_bad_input(self, files, monkeypatch):
         # Only MorsePolyError means bad input; any other error is a bug and

@@ -1,8 +1,8 @@
 """The output contract, checked through subprocesses: every command writes
 the same bytes under two hash seeds, deep inputs stay polynomial, a huge
 simplex is refused at once, and a full or closed stdout or an exhausted
-memory limit, or a value too long to write, ends in one ``error:`` line
-with its own exit code.
+memory limit, or a value too long to write or an integer too long to read,
+ends in one ``error:`` line with its own exit code.
 
 Every report is scanned in identifier order, and some scans walk sets, so
 no output or error text may depend on set order.  Each row of ``ROWS``
@@ -87,6 +87,14 @@ DOCUMENTS = {
     "antichain.json": {"elements": ["a", "b", "c"], "covers": []},
     "long_values.json": {"values": {"a": "1/1" + "0" * 3999 + "1", "b": "1/1" + "0" * 3999 + "1",
                                     "c": "1/" + "9" * 3999 + "7"}},
+    "point.json": {"elements": ["a"], "covers": []},
+}
+# Valid JSON whose 5,000-digit integer literals (a function value and a cell
+# dimension) no document above can hold: json.dumps cannot write them past
+# the digit limit either, so they are written as text.
+TEXTS = {
+    "long_int.json": '{"values": {"a": ' + "1" * 5000 + "}}",
+    "long_dim.json": '{"kind": "cellular", "cells": [{"id": "v", "dim": ' + "1" * 5000 + "}]}",
 }
 
 
@@ -147,6 +155,12 @@ def _rows() -> list[Row]:
     rows += [Row(f"{argv[0]}.too_long", argv, code=2, env=(("PYTHONINTMAXSTRDIGITS", "4300"),),
                  stderr_has="error: cannot write the value of 'a': ")
              for argv in (("normalize", *long), ("embed", *long, "--csv", "long.csv"))]
+    # So is an integer too long to read: one line that names the file and
+    # the limit, without the interpreter's hint.
+    rows += [Row(f"{argv[0]}.long_integer", argv, code=2, env=(("PYTHONINTMAXSTRDIGITS", "4300"),),
+                 stderr_has=f"error: {argv[-1]} has an integer of more than 4300 digits\n")
+             for argv in (("classify", "--in", "point.json", "--morse", "long_int.json"),
+                          ("check", "--in", "long_dim.json"))]
     rows += [Row(f"{argv[0]}.out_of_memory", argv, code=3, memory=True,
                  stderr_has="error: out of memory")
              for argv in (("check", "--in", "simplex13.json"), ("embed", "--in", "torus10.json"))]
@@ -181,6 +195,8 @@ def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("contract")
     for name, document in DOCUMENTS.items():
         (directory / name).write_text(json.dumps(document) + "\n", encoding="utf-8")
+    for name, text in TEXTS.items():
+        (directory / name).write_text(text + "\n", encoding="utf-8")
     for name, argv in (("complex.json", GEN_COMPLEX),
                        ("morse.json", ("gen", "--kind", "morse", "--in", "complex.json"))):
         done = _run(directory, Row(name, argv), HASH_SEEDS[0])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from morsepoly import (
     ComplexSpec,
-    Embedding,
     EmptyPoset,
     GeometricComplex,
     MorseFunction,
@@ -58,14 +57,14 @@ class TestEmbedVertices:
         g = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
         emb = embed_vertices(edge_poset, g)
         assert embedding_to_obj(emb)["dimension"] == 3
-        assert [emb.heights[e] for e in ("a", "b", "e")] == [0, 2, 1]
+        assert [emb[e] for e in ("a", "b", "e")] == [0, 2, 1]
         assert matrix_rank(difference_matrix(emb)) == 2
 
     def test_first_coordinates_equal_function(self, triangle):
         g = normalize(triangle.poset, dimension_morse(triangle.poset, triangle.rank))
         emb = embed_vertices(triangle.poset, g)
         for e in triangle.poset.elements:
-            assert emb.heights[e] == g[e]
+            assert emb[e] == g[e]
 
     def test_empty_poset_rejected(self):
         with pytest.raises(EmptyPoset):
@@ -81,7 +80,7 @@ class TestEmbedVertices:
     def test_affine_independence_at_equal_heights(self, k):
         """With every height equal the first coordinate adds no rank, so the
         written points span a full simplex only through every "1"."""
-        assert spans_full_simplex(Embedding(dict.fromkeys(map(str, range(k)), Fraction(5, 3))))
+        assert spans_full_simplex(dict.fromkeys(map(str, range(k)), Fraction(5, 3)))
 
 
 class TestRealize:
@@ -151,8 +150,7 @@ def valued_posets(draw):
 
 def dense_coordinates(heights):
     """The placement rule written out as a k x k table, one dense vector of
-    Fractions per element: ``Embedding.vectors``, which the written rows
-    replaced and must match."""
+    Fractions per element: the reference the written rows must match."""
     ids = sorted(heights)
     coordinates = {}
     for i, e in enumerate(ids):
@@ -164,22 +162,27 @@ def dense_coordinates(heights):
     return coordinates
 
 
-def dense_embedding_to_obj(embedding):
+def dense_embedding_to_obj(heights):
     """The writer that formatted every entry of the dense vectors by ``str``:
     ``embed`` must print its bytes from one formatted height per element."""
-    dense = dense_coordinates(embedding.heights)
+    dense = dense_coordinates(heights)
     coordinates = {e: [str(x) for x in vec] for e, vec in dense.items()}
     return {"dimension": len(coordinates), "coordinates": coordinates}
 
 
 class TestVectors:
-    """An embedding stores only heights; the written rows follow the placement rule."""
+    """An embedding is its heights; the written rows follow the placement rule."""
 
-    def test_stores_only_heights(self, edge_poset):
-        assert Embedding.__slots__ == ("heights",)
-        assert not {"vectors", "height", "dimension"} & set(dir(Embedding))
-        g = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
-        assert embed_vertices(edge_poset, g).heights == g.values
+    def test_an_embedding_is_g_on_the_poset(self, edge_poset):
+        """A plain dict, in identifier order, holding g at each element and
+        nothing at a value off the poset; the witness and the full-rank
+        oracle take it as it is."""
+        g = MorseFunction.from_values({"e": 1, "b": 2, "a": 0, "off": 5})
+        emb = embed_vertices(edge_poset, g)
+        assert type(emb) is dict
+        assert list(emb.items()) == [("a", 0), ("b", 2), ("e", 1)]
+        assert lower_star_indices(edge_poset, emb) == {"a": 1, "b": 0, "e": 0}
+        assert spans_full_simplex(emb)
 
     @staticmethod
     def assert_dense(poset, g):
@@ -190,7 +193,7 @@ class TestVectors:
         assert written["dimension"] == len(poset)
         assert spans_full_simplex(emb)
         # Identifier order, whatever order the heights were inserted in.
-        shuffled = Embedding(dict(reversed(list(emb.heights.items()))))
+        shuffled = dict(reversed(list(emb.items())))
         assert list(embedding_to_obj(shuffled)["coordinates"].items()) == list(
             written["coordinates"].items())
 
@@ -261,7 +264,7 @@ class TestGeometricIndices:
 
     @staticmethod
     def assert_matches_definition(complex_):
-        expected = {b: geometric_index(complex_, b) for b in complex_.embedding.heights}
+        expected = {b: geometric_index(complex_, b) for b in complex_.heights}
         assert geometric_indices(complex_) == expected
 
     @settings(max_examples=80, deadline=None)
@@ -309,7 +312,7 @@ class TestLowerStarIndices:
             return
         streamed = lower_star_indices(poset, embedding)
         assert list(streamed.items()) == list(geometric_indices(complex_).items())
-        assert streamed == {b: geometric_index(complex_, b) for b in embedding.heights}
+        assert streamed == {b: geometric_index(complex_, b) for b in embedding}
 
     def test_unknown_element(self, edge_poset):
         vertices = build_poset(["a", "b"], [])
@@ -336,7 +339,7 @@ class TestLowerStarIndices:
         """Same indices, or the same NotGeneral pair, as the oracles."""
         poset = case[0]
         heights = {e: data.draw(dyadics) for e in poset.elements}
-        self.assert_matches_oracles(poset, Embedding(heights))
+        self.assert_matches_oracles(poset, heights)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9), normalized=st.booleans())

@@ -1,4 +1,5 @@
-"""Every discrete gradient of a few small complexes, not a sample.
+"""Every discrete gradient of a few small complexes, and of one poset in
+the paper's class that is not a CW poset, not a sample.
 
 A discrete Morse function's gradient is an acyclic matching of the Hasse
 diagram, and every acyclic matching is the gradient of some function
@@ -10,9 +11,11 @@ many there are, and realize each acyclic one with the generator's base
 values: the function that ties each matched pair and rises along every
 other cover.  Each realized function must pass ``verify``'s equations,
 agree with the geometric witness, have exactly the unmatched cells as its
-critical set, and satisfy the Morse inequalities.  Larger complexes get
-gradients from Benedetti and Lutz's random collapses, which leave few
-critical cells and long gradient paths, unlike ``gen_morse``'s sampler.
+critical set, and satisfy the Morse inequalities (on the two bigons, over
+the mod-2 chain complex of lower covers, whose Betti numbers are
+(2, 1, 0)).  Larger complexes get gradients from Benedetti and Lutz's
+random collapses, which leave few critical cells and long gradient paths,
+unlike ``gen_morse``'s sampler.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import pytest
 from morsepoly import (
     ComplexSpec,
     MorseFunction,
+    check_hypotheses,
     classify,
     face_poset_cellular,
     face_poset_simplicial,
@@ -34,7 +38,14 @@ from morsepoly.generators import _SCALE, _base_values
 from morsepoly.geometry import embed_vertices, lower_star_indices
 from morsepoly.oracles import _contracted_is_acyclic
 from morsepoly.complexes import critical_by_dimension
-from tests.conftest import assert_morse_inequalities, betti_mod2, cube, cubical_torus, torus
+from tests.conftest import (
+    assert_morse_inequalities,
+    betti_mod2,
+    cube,
+    cubical_torus,
+    torus,
+    two_bigons,
+)
 
 
 def simplicial(*simplices) -> ComplexSpec:
@@ -47,6 +58,8 @@ POSETS = [
      16, 18),
     ("simplex2", face_poset_simplicial(simplicial(("1", "2", "3"))), 40, 42),
     ("cube2", face_poset_cellular(cube(2)), 129, 131),
+    # In the paper's class but not a CW poset (see test_two_bigons_is_not_cw).
+    ("two_bigons", face_poset_cellular(two_bigons()), 85, 133),
     ("simplex3", face_poset_simplicial(simplicial(("1", "2", "3", "4"))), 12_821, 14_721),
 ]
 SAMPLE = 500  # acyclic matchings realized per poset, at most
@@ -143,6 +156,42 @@ def assert_realized_gradient_verifies(face, matching, rng):
 
     assert_morse_inequalities(face, f)
     return f
+
+
+def components(poset, subset) -> int:
+    """Connected components of the Hasse diagram restricted to subset."""
+    root = {e: e for e in subset}
+
+    def find(e):
+        while root[e] != e:
+            e = root[e]
+        return e
+
+    for a, b in poset.covers:
+        if a in root and b in root:
+            root[find(a)] = find(b)
+    return sum(1 for e in subset if find(e) == e)
+
+
+def test_two_bigons_is_not_cw():
+    """All three hypotheses hold on the two bigons, with 9 elements, and
+    every lower interval but one is a sphere: a vertex's is empty and an
+    edge's is two points.  The top's strict down-set has two components,
+    so it is not a circle and the poset is not a CW poset (Björner, Europ.
+    J. Combin. 5, 1984)."""
+    face = face_poset_cellular(two_bigons())
+    poset = face.poset
+    assert len(poset) == 9
+    check_hypotheses(poset)  # raises HypothesisViolated if one fails
+    assert betti_mod2(face) == (2, 1, 0)
+    for e in poset.elements:
+        below = poset.strict_down_set(e)
+        if face.rank[e] == 0:
+            assert not below
+        elif face.rank[e] == 1:
+            assert len(below) == 2 and components(poset, below) == 2
+    top = poset.strict_down_set("top")
+    assert len(top) == 8 and components(poset, top) == 2
 
 
 def random_collapse(face, rng):

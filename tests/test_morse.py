@@ -19,6 +19,7 @@ from morsepoly import (
     MorseFunction,
     MorsePolyError,
     NotTwoWide,
+    TroubleFlags,
     UnknownElement,
     build_poset,
     check_exclusivity,
@@ -234,22 +235,33 @@ class TestFindTroubled:
     def test_short_up_example(self, trouble_poset):
         poset, f = trouble_poset
         report = find_troubled(poset, f)
-        assert report.flags["a"].short_up == ("x", "y")
-        assert report.flags["a"].up == ("x", "y")
+        assert report["a"].short_up == ("x", "y")
+        assert report["a"].up == ("x", "y")
         # Dually, y sits over the rising cover (a, x2) with f(y) <= f(a).
-        assert report.flags["y"].short_down == ("x2", "a")
+        assert report["y"].short_down == ("x2", "a")
+
+    def test_a_plain_dict_in_identifier_order(self, trouble_poset, triangle):
+        """The audit is the flag map itself: each obstructed element, in
+        identifier order, to its flags; empty when nothing is obstructed."""
+        poset, f = trouble_poset
+        report = find_troubled(poset, f)
+        assert type(report) is dict
+        assert list(report) == sorted(report) and {"a", "y"} <= set(report)
+        assert all(type(flags) is TroubleFlags for flags in report.values())
+        clean = find_troubled(triangle.poset, dimension_morse(triangle.poset, triangle.rank))
+        assert type(clean) is dict and not clean
 
     def test_dimension_function_untroubled(self, triangle):
         f = dimension_morse(triangle.poset, triangle.rank)
-        assert find_troubled(triangle.poset, f).clean()
+        assert find_troubled(triangle.poset, f) == {}
 
     def test_singleton_untroubled(self):
         poset = build_poset(["x"], [])
-        assert find_troubled(poset, MorseFunction.from_values({"x": 0})).clean()
+        assert find_troubled(poset, MorseFunction.from_values({"x": 0})) == {}
 
     def test_short_flag_implies_long_flag(self, trouble_poset):
         poset, f = trouble_poset
-        for flags in find_troubled(poset, f).flags.values():
+        for flags in find_troubled(poset, f).values():
             if flags.short_up:
                 assert flags.up
             if flags.short_down:
@@ -294,7 +306,7 @@ class TestNormalize:
 
     def test_already_normalized_is_fixed_point(self, edge_poset):
         f = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
-        assert find_troubled(edge_poset, f).clean()
+        assert find_troubled(edge_poset, f) == {}
         g = normalize(edge_poset, f)
         assert g.values == f.values
 
@@ -312,7 +324,7 @@ class TestNormalize:
         poset, f = trouble_poset
         g = normalize(poset, f)
         assert g.is_injective()
-        assert find_troubled(poset, g).clean()
+        assert find_troubled(poset, g) == {}
         assert classify(poset, g).critical_set() == classify(poset, f).critical_set()
         assert monotone_extension_holds(poset, g)
 
@@ -653,15 +665,16 @@ class TestDownSweepVacuity:
 
     def test_short_down_forces_short_up(self):
         report = find_troubled(vacuity_grid(), vacuity_grid_function())
-        assert report.flags["u"].short_down == ("z", "w2")
-        assert report.flags["w2"].short_up == ("z2", "u")
+        assert report["u"].short_down == ("z", "w2")
+        assert report["w2"].short_up == ("z2", "u")
 
     @settings(max_examples=150, deadline=None)
     @given(case=two_wide_functions())
     @with_examples(vacuity_cases())
     def test_short_down_forces_short_up_on_random_posets(self, case):
         poset, f = case
-        flags = find_troubled(poset, f).flags
+        flags = find_troubled(poset, f)
+        assert list(flags) == sorted(flags)
         values = f.values
         for u in poset.sorted_elements:
             for z in poset.lower_covers(u):
@@ -676,7 +689,7 @@ class TestDownSweepVacuity:
         stages = {m.stage for m in trace.modifications}
         assert stages <= {"up_sweep", "spread_sweep"}
         assert any(m.element == "w2" and m.stage == "up_sweep" for m in trace.modifications)
-        assert find_troubled(grid, trace.result).clean()
+        assert find_troubled(grid, trace.result) == {}
         assert trace.result.is_injective()
 
     @settings(max_examples=150, deadline=None)
@@ -685,7 +698,7 @@ class TestDownSweepVacuity:
     def test_no_short_down_survives_the_up_sweep(self, case):
         poset, f = case
         trace = normalize_trace(poset, f)
-        assert find_troubled(poset, trace.after_up_sweep).clean()
+        assert find_troubled(poset, trace.after_up_sweep) == {}
         assert {m.stage for m in trace.modifications} <= {"up_sweep", "spread_sweep"}
 
 
@@ -699,8 +712,8 @@ class TestTrace:
     def test_staging_invariants(self, trouble_poset):
         poset, f = trouble_poset
         trace = normalize_trace(poset, f)
-        assert find_troubled(poset, trace.after_up_sweep).clean()
-        assert find_troubled(poset, trace.result).clean()
+        assert find_troubled(poset, trace.after_up_sweep) == {}
+        assert find_troubled(poset, trace.result) == {}
 
     def test_classification_is_the_inputs(self, trouble_poset):
         poset, f = trouble_poset
@@ -913,7 +926,7 @@ class TestNormalizeSweep:
                 f = gen_morse(97 * seed + fseed, face.poset)
                 g = normalize(face.poset, f)
                 assert g.is_injective()
-                assert find_troubled(face.poset, g).clean()
+                assert find_troubled(face.poset, g) == {}
                 assert (
                     classify(face.poset, g).critical_set()
                     == classify(face.poset, f).critical_set()

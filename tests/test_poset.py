@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import morsepoly.poset as poset_module
 from morsepoly.hypotheses import validate_parity_rank
 from morsepoly import (
-    Chain,
     CycleDetected,
     GradingConflict,
     HypothesisViolated,
@@ -167,13 +166,12 @@ class TestOrderQueries:
 
 class TestChains:
     def test_edge_poset_chains(self, edge_poset):
-        chains = enumerate_chains(edge_poset)
-        assert [c.members for c in chains] == [
+        assert enumerate_chains(edge_poset) == [
             ("a",), ("a", "e"), ("b",), ("b", "e"), ("e",),
         ]
 
     def test_single_element_subset(self, edge_poset):
-        assert enumerate_chains(edge_poset, {"a"}) == [Chain(("a",))]
+        assert enumerate_chains(edge_poset, {"a"}) == [("a",)]
 
     def test_chain_poset_has_all_subsets(self, chain_poset):
         assert len(enumerate_chains(chain_poset)) == 7
@@ -182,15 +180,19 @@ class TestChains:
         with pytest.raises(UnknownElement):
             enumerate_chains(edge_poset, {"nope"})
 
-    def test_lengths(self, chain_poset):
-        by_members = {c.members: c.length for c in enumerate_chains(chain_poset)}
-        assert by_members[("0", "1", "2")] == 2
-        assert by_members[("0",)] == 0
+    def test_tuples_in_depth_first_identifier_order(self, chain_poset):
+        """Each chain is the tuple of its members, increasing; the walk
+        visits them depth first in identifier order."""
+        chains = enumerate_chains(chain_poset)
+        assert all(type(c) is tuple for c in chains)
+        assert chains == [("0",), ("0", "1"), ("0", "1", "2"), ("0", "2"),
+                          ("1",), ("1", "2"), ("2",)]
+        assert enumerate_chains(chain_poset, ["2", "0", "2"]) == [("0",), ("0", "2"), ("2",)]
 
     @settings(max_examples=60)
     @given(posets())
     def test_matches_brute_force(self, poset):
-        got = [frozenset(c.members) for c in enumerate_chains(poset)]
+        got = [frozenset(c) for c in enumerate_chains(poset)]
         expected = brute_force_chains(poset, poset.elements)
         assert len(got) == len(set(got)), "duplicate chains emitted"
         assert set(got) == set(expected)
@@ -233,7 +235,7 @@ class TestOrderComplex:
         chains = enumerate_chains(poset)
         complex_ = order_complex(poset)
         assert len(chains) == len(complex_.simplices)
-        chi_from_chains = sum((-1) ** c.length for c in chains)
+        chi_from_chains = sum((-1) ** (len(c) - 1) for c in chains)
         assert chi_from_chains == euler_characteristic(complex_)
 
 
@@ -639,7 +641,7 @@ class TestDownwardEulerianOracle:
         for a in sorted(poset.elements):
             if poset.lower_covers(a):
                 chains = enumerate_chains(poset, poset.strict_down_set(a))
-                chi = sum((-1) ** c.length for c in chains)
+                chi = sum((-1) ** (len(c) - 1) for c in chains)
                 required = 2 if mu.values[a] else 0
                 if chi != required:
                     violations.append((a, chi, required))
@@ -669,9 +671,9 @@ class TestChainWeights:
         chains = enumerate_chains(poset, subset)
         tops = {x: 0 for x in subset}
         for c in chains:
-            tops[c.members[-1]] += (-1) ** c.length
+            tops[c[-1]] += (-1) ** (len(c) - 1)
         assert chain_weights(poset, subset) == tops
-        assert sum(tops.values()) == sum((-1) ** c.length for c in chains)
+        assert sum(tops.values()) == sum((-1) ** (len(c) - 1) for c in chains)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

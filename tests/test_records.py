@@ -23,7 +23,6 @@ import pytest
 
 import morsepoly
 from morsepoly import (
-    Chain,
     Classification,
     ComplexSpec,
     CrossCheckReport,
@@ -100,7 +99,7 @@ def real_records():
 
 def test_every_record_class_is_slotted():
     classes = record_classes()
-    assert len(classes) == 26
+    assert len(classes) == 23
     for cls in classes:
         assert isinstance(cls.__slots__, tuple) and cls.__slots__, cls
         # No class on the way up adds a per-instance __dict__.
@@ -200,7 +199,7 @@ def test_equality_and_hash_follow_the_field_tuple(real_records):
     assert a != IndexEntry("x", 1, 1, False)
     assert hash(a) == hash(("x", 1, 1, True))
     assert a != ("x", 1, 1, True)
-    assert len({a, IndexEntry("x", 1, 1, True), Chain(("x",))}) == 2
+    assert len({a, IndexEntry("x", 1, 1, True), TwoWideVerdict(("x", "y", "z"))}) == 2
 
 
 def test_same_fields_of_another_class_differ():
@@ -211,7 +210,9 @@ def test_same_fields_of_another_class_differ():
 
 
 def test_reprs_are_pinned():
-    assert repr(Chain(members=("a", "b"))) == "Chain(members=('a', 'b'))"
+    assert repr(TwoWideVerdict(witness=("a", "b", "c"))) == (
+        "TwoWideVerdict(witness=('a', 'b', 'c'))"
+    )
     assert repr(MorseVerdict()) == "MorseVerdict(element=None, witnesses=())"
     assert repr(Modification("up", "e", Fraction(1), Fraction(3, 2))) == (
         "Modification(stage='up', element='e', old=Fraction(1, 1), new=Fraction(3, 2))"
@@ -236,7 +237,7 @@ def test_a_built_poset_is_a_record_equal_by_value(real_records):
 
 
 def test_assignment_and_deletion_raise(real_records):
-    for record in [*real_records, Chain(("a",))]:
+    for record in [*real_records, TwoWideVerdict(("a", "b", "c"))]:
         name = record.__slots__[0]
         before = getattr(record, name)
         with pytest.raises(AttributeError):
@@ -327,14 +328,14 @@ def test_derived_values_equal_what_the_records_stored(name, top):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Chain(),
-        lambda: Chain(("a",), ("b",)),
-        lambda: Chain(member=("a",)),
+        lambda: TwoWideVerdict(),
+        lambda: TwoWideVerdict(("a", "b", "c"), ("d", "e", "f")),
+        lambda: TwoWideVerdict(witnes=("a", "b", "c")),
         lambda: IndexEntry("x", 1, 1, True, "extra"),
         lambda: MorseVerdict(True, wittnesses=()),
         lambda: ComplexSpec(kind="simplicial", cell=()),
         lambda: IndexEntry("x", 1, 1),
-        lambda: Chain(("a",), members=("b",)),
+        lambda: TwoWideVerdict(("a", "b", "c"), witness=None),
         lambda: MorseVerdict(True, None, (), "x"),
     ],
 )
