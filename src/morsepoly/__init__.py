@@ -11,8 +11,9 @@ Importing the package loads none of its modules: each public name is
 resolved on first access (PEP 562), so a caller pays only for the modules
 it uses.  The brute-force references the tests hold the fast paths to, and
 the materialized order complex, live in :mod:`morsepoly.oracles`.  A result
-that is one value is that value: an embedding is its heights map, an
-obstruction audit its flag map, and a chain the tuple of its members.
+that is one value is that value: a grading is its map from element to
+int, an embedding its heights map, an obstruction audit its flag map, and
+a chain the tuple of its members.
 """
 
 __version__ = "0.1.0"
@@ -20,8 +21,7 @@ __version__ = "0.1.0"
 # The module that defines each public name; __all__ lists every one.
 _HOMES = {
     "poset": (
-        "GradingConflict", "ParityRank", "Poset", "RankFunction", "build_poset",
-        "chain_counts", "transitive_reduction",
+        "GradingConflict", "Poset", "build_poset", "chain_counts", "transitive_reduction",
     ),
     "hypotheses": (
         "EulerianVerdict", "TwoWideVerdict",

@@ -32,7 +32,7 @@ from .hypotheses import (
 )
 from .morse import Classification, MorseFunction, _require_values
 from .normalization import _normalize_trace
-from .poset import ElementId, ParityRank, Poset, Record
+from .poset import ElementId, Poset, Record
 
 
 class IndexEntry(Record):
@@ -82,12 +82,12 @@ def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     return _index_at(poset, g, b)
 
 
-def predicted_index(classification: Classification, mu: ParityRank, b: ElementId) -> int:
+def predicted_index(classification: Classification, mu: dict[ElementId, int], b: ElementId) -> int:
     """(-1)^parity for critical elements, 0 for ordinary ones."""
     if b not in classification.witness:
         raise UnknownElement(f"element {b!r} not classified")
     if classification.is_critical(b):
-        return (-1) ** mu.values[b]
+        return (-1) ** mu[b]
     return 0
 
 
@@ -121,9 +121,9 @@ def verify_representation(poset: Poset, f: MorseFunction) -> IndexReport:
     # check_hypotheses has shown every chain weight w(x) = (-1)^mu(x): w = 1
     # at a minimal x, and elsewhere 1 - w(x) = (-1)^(mu(x)+1) + 1.  So chi,
     # the sum of w, is the alternating count of elements.
-    chi = len(poset) - 2 * sum(mu.values.values())
-    n_even = sum(1 for e in entries if e.critical and mu.values[e.element] == 0)
-    n_odd = sum(1 for e in entries if e.critical and mu.values[e.element] == 1)
+    chi = len(poset) - 2 * sum(mu.values())
+    n_even = sum(1 for e in entries if e.critical and mu[e.element] == 0)
+    n_odd = sum(1 for e in entries if e.critical and mu[e.element] == 1)
     report = IndexReport(tuple(entries), chi, n_even, n_odd, normalized=g)
     if report.total != chi:
         raise Mismatch(None, report.total, chi, what="index total vs Euler characteristic")

@@ -3,10 +3,11 @@
 :func:`morsepoly.cli.main` imports a command's module when it dispatches to
 it and calls its ``run(args)``, so a run compiles only its own handler and
 the library modules that handler imports.  This package module holds what
-every handler needs: loading an input and a function, and :func:`emit`,
-the one writer: it prints the one payload a handler builds as JSON or,
-under ``--format text``, as lines the handler renders from that payload
-alone; ``gen`` renders none, so it writes JSON under either format.
+every handler needs: loading an input, as its kind and its poset, and a
+function, and :func:`emit`, the one writer: it prints the one payload a
+handler builds as JSON or, under ``--format text``, as lines the handler
+renders from that payload alone; ``gen`` renders none, so it writes JSON
+under either format.
 It is kept apart from :mod:`morsepoly.cli` because ``python -m
 morsepoly.cli`` runs that module as ``__main__``, and a handler that
 imported ``morsepoly.cli`` would compile it a second time.
@@ -23,30 +24,26 @@ from .. import jsonio
 from ..complexes import dimension_morse, face_poset_cellular, face_poset_simplicial
 from ..errors import MorsePolyError
 from ..morse import MorseFunction
-from ..poset import Poset, Record, build_poset
+from ..poset import Poset, build_poset
 
 
-class LoadedInput(Record):
-    kind: str  # "poset" | "simplicial" | "cellular"
-    poset: Poset  # a complex's poset holds its dimension function as _rank
-
-
-def load_input(path: str) -> LoadedInput:
+def load_input(path: str) -> tuple[str, Poset]:
+    """The input's kind ("poset", "simplicial" or "cellular") and its poset;
+    a complex's poset holds its dimension function as ``_rank``."""
     obj = jsonio.load_document(path)
     kind = jsonio.detect_kind(obj)
     if kind == "poset":
-        elements, covers = jsonio.poset_from_obj(obj)
-        return LoadedInput(kind="poset", poset=build_poset(elements, covers))
+        return kind, build_poset(*jsonio.poset_from_obj(obj))
     spec = jsonio.complex_from_obj(obj)
     face = face_poset_simplicial(spec) if kind == "simplicial" else face_poset_cellular(spec)
-    return LoadedInput(kind=kind, poset=face.poset)
+    return kind, face.poset
 
 
-def load_morse(args: SimpleNamespace, loaded: LoadedInput) -> MorseFunction:
+def load_morse(args: SimpleNamespace, kind: str, poset: Poset) -> MorseFunction:
     if args.morse_path is not None:
         return jsonio.morse_from_obj(jsonio.load_document(args.morse_path))
-    if loaded.kind != "poset":
-        return dimension_morse(loaded.poset, loaded.poset._rank)
+    if kind != "poset":
+        return dimension_morse(poset, poset._rank)
     raise MorsePolyError(
         "--morse is required for poset inputs (complex inputs default to the "
         "dimension function)"

@@ -6,27 +6,26 @@ from types import SimpleNamespace
 
 from ..errors import MISMATCH_EXIT
 from ..hypotheses import _downward_eulerian, is_two_wide
-from ..poset import ParityRank
-from . import LoadedInput, emit, load_input
+from ..poset import GradingConflict, Poset
+from . import emit, load_input
 
 
-def _check_payload(loaded: LoadedInput) -> dict:
-    poset = loaded.poset
+def _check_payload(kind: str, poset: Poset) -> dict:
     wide = is_two_wide(poset)
     mu = poset._parity
     payload: dict = {
-        "input": loaded.kind,
+        "input": kind,
         "element_count": len(poset),
         "two_wide": {
             "holds": bool(wide),
             "witness": list(wide.witness) if wide.witness else None,
         },
     }
-    if isinstance(mu, ParityRank):
+    if not isinstance(mu, GradingConflict):
         eulerian = _downward_eulerian(poset, mu)
         payload["parity_rank"] = {
             "exists": True,
-            "values": mu.values,
+            "values": mu,
         }
         payload["downward_eulerian"] = {
             "holds": bool(eulerian),
@@ -47,7 +46,7 @@ def _check_payload(loaded: LoadedInput) -> dict:
         }
         payload["downward_eulerian"] = {"holds": False, "violations": []}
         all_hold = False
-    if loaded.kind == "cellular":
+    if kind == "cellular":
         payload["note"] = (
             "poset-level necessary conditions only; regularity of the cell "
             "description is not verified"
@@ -86,8 +85,7 @@ def _check_text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    payload = _check_payload(loaded)
+    payload = _check_payload(*load_input(args.input_path))
     emit(args, payload, _check_text)
     if args.strict and not payload["all_hold"]:
         return MISMATCH_EXIT

@@ -20,9 +20,9 @@ def _text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    f = load_morse(args, loaded)
-    classification = classify(loaded.poset, f)  # its views keep identifier order
+    kind, poset = load_input(args.input_path)
+    f = load_morse(args, kind, poset)
+    classification = classify(poset, f)  # its views keep identifier order
     critical = len(classification.critical_set())
     payload = {
         "verdicts": classification.verdicts,
@@ -32,7 +32,7 @@ def run(args: SimpleNamespace) -> int:
         },
         "counts": {
             "critical": critical,
-            "ordinary": len(loaded.poset) - critical,
+            "ordinary": len(poset) - critical,
         },
     }
     emit(args, payload, _text)

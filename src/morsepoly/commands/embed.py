@@ -17,10 +17,10 @@ def _text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    f = load_morse(args, loaded)
-    g = normalize(loaded.poset, f)
-    payload = jsonio.embedding_to_obj(embed_vertices(loaded.poset, g))
+    kind, poset = load_input(args.input_path)
+    f = load_morse(args, kind, poset)
+    g = normalize(poset, f)
+    payload = jsonio.embedding_to_obj(embed_vertices(poset, g))
     if args.csv_path:
         write(args.csv_path, jsonio.embedding_obj_to_csv(payload))
     emit(args, payload, _text)

@@ -18,10 +18,10 @@ def _text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    counts = chain_counts(loaded.poset)
+    _, poset = load_input(args.input_path)
+    counts = chain_counts(poset)
     payload = {
-        "element_count": len(loaded.poset),
+        "element_count": len(poset),
         "simplex_count": sum(counts),
         "simplices_by_dimension": list(counts),
         "euler_characteristic": sum(counts[0::2]) - sum(counts[1::2]),

@@ -18,8 +18,8 @@ def run(args: SimpleNamespace) -> int:
     if args.kind == "morse":
         if not args.input_path:
             raise MorsePolyError("gen --kind morse requires --in POSET_OR_COMPLEX")
-        loaded = load_input(args.input_path)
-        f = gen_morse(args.seed, loaded.poset)
+        _, poset = load_input(args.input_path)
+        f = gen_morse(args.seed, poset)
         emit(args, jsonio.morse_to_obj(f))
         return 0
     raise MorsePolyError(f"unknown gen kind {args.kind!r}")

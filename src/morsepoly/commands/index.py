@@ -23,8 +23,8 @@ def _text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    f = load_morse(args, loaded)
-    report = verify_representation(loaded.poset, f)
+    kind, poset = load_input(args.input_path)
+    f = load_morse(args, kind, poset)
+    report = verify_representation(poset, f)
     emit(args, jsonio.index_report_to_obj(report), _text)
     return 0

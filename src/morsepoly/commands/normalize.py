@@ -15,7 +15,7 @@ def _text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    f = load_morse(args, loaded)
-    emit(args, jsonio.morse_to_obj(normalize(loaded.poset, f)), _text)
+    kind, poset = load_input(args.input_path)
+    f = load_morse(args, kind, poset)
+    emit(args, jsonio.morse_to_obj(normalize(poset, f)), _text)
     return 0

@@ -30,9 +30,8 @@ def _text(payload: dict):
 
 
 def run(args: SimpleNamespace) -> int:
-    loaded = load_input(args.input_path)
-    poset = loaded.poset
-    f = load_morse(args, loaded)
+    kind, poset = load_input(args.input_path)
+    f = load_morse(args, kind, poset)
     report = verify_representation(poset, f)  # checks hypotheses, raises on violation
 
     payload = jsonio.index_report_to_obj(report)
@@ -51,7 +50,7 @@ def run(args: SimpleNamespace) -> int:
                 for e, geo_idx, comb_idx in geo.mismatches
             ]
     payload["status"] = "verified" if geometry_ok else "mismatch"
-    if loaded.kind != "poset":
+    if kind != "poset":
         # A complex's poset is ranked by dimension, so also report critical
         # cells per dimension.
         critical = (entry.element for entry in report.entries if entry.critical)

@@ -6,8 +6,8 @@ covers are the codimension-1 containments.  Each maximal simplex is sorted
 once, so every face is born a sorted vertex tuple (``combinations`` keeps
 the order), and so is each facet it drops a vertex to; no id is sorted
 again.  In a face poset rank is dimension, so a :class:`FacePoset` stores
-only its poset, its ``rank`` is the one ``build_poset`` found, and the
-poset's parity is dimension mod 2.
+only its poset, its ``rank`` is the poset's own map, the one
+``build_poset`` found, and the poset's parity is dimension mod 2.
 
 Cellular input lists cells with explicit dimensions and boundary references.
 Only poset-level facts can be checked from such a description, so ingestion
@@ -33,7 +33,6 @@ from .morse import MorseFunction, classify
 from .poset import (
     ElementId,
     Poset,
-    RankFunction,
     Record,
     _cover_pairs,
     _order,
@@ -164,21 +163,23 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
     return FacePoset(poset)
 
 
-def dimension_morse(poset: Poset, rank: RankFunction) -> MorseFunction:
+def dimension_morse(poset: Poset, rank: dict[ElementId, int]) -> MorseFunction:
     """The dimension function as a Morse function; every element is critical."""
-    return MorseFunction({e: Fraction(rank.values[e]) for e in poset.elements})
+    return MorseFunction({e: Fraction(rank[e]) for e in poset.elements})
 
 
-def critical_by_dimension(rank: RankFunction, critical: Iterable[ElementId]) -> tuple[int, ...]:
-    """Number of critical elements at each rank, from 0 to rank.max_rank."""
-    counts = [0] * (rank.max_rank + 1)
+def critical_by_dimension(
+    rank: dict[ElementId, int], critical: Iterable[ElementId]
+) -> tuple[int, ...]:
+    """Number of critical elements at each rank, from 0 to the largest."""
+    counts = [0] * (max(rank.values(), default=0) + 1)
     for e in critical:
-        counts[rank.values[e]] += 1
+        counts[rank[e]] += 1
     return tuple(counts)
 
 
 def morse_inequality_report(
-    poset: Poset, rank: RankFunction, f: MorseFunction
+    poset: Poset, rank: dict[ElementId, int], f: MorseFunction
 ) -> MorseInequalityReport:
     """Critical cells per rank and the alternating-sum identity.
 
@@ -192,13 +193,13 @@ def morse_inequality_report(
 
     mu = check_hypotheses(poset)
     for e in poset.elements:
-        if e not in rank.values:
+        if e not in rank:
             raise HypothesisViolated("rank function not total", e)
-        if rank.values[e] % 2 != mu.values[e]:
+        if rank[e] % 2 != mu[e]:
             raise HypothesisViolated("rank function inconsistent with parity", e)
     counts = critical_by_dimension(rank, classify(poset, f).critical_set())
     alternating = sum((-1) ** i * m for i, m in enumerate(counts))
-    chi = len(poset) - 2 * sum(mu.values.values())
+    chi = len(poset) - 2 * sum(mu.values())
     if alternating != chi:
         raise Mismatch(None, alternating, chi, what="alternating critical-count sum")
     return MorseInequalityReport(counts=counts, alternating_sum=alternating, chi=chi)

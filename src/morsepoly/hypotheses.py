@@ -6,7 +6,8 @@ graded (a mod-2 rank function exists) and downward Eulerian (the order
 complex of each strict down-set has the Euler characteristic its parity
 prescribes); :func:`check_hypotheses` requires all three.  The gradings
 are not derived here: :func:`~morsepoly.poset.build_poset` grades each
-poset once, and this module reads what it stored.  Signed chain counts of
+poset once, and this module reads what it stored, a dict from element to
+int or the first :class:`GradingConflict`.  Signed chain counts of
 induced subposets come from Hall's recursion (:func:`chain_weights`) in
 time polynomial in the poset, so no check here lists a chain; the
 enumeration they are tested against is in :mod:`morsepoly.oracles`.
@@ -18,7 +19,7 @@ from typing import Iterable
 
 from .errors import HypothesisViolated, InvalidArgument
 # GradingConflict is re-exported, so it still imports from this module.
-from .poset import ElementId, GradingConflict, ParityRank, Poset, RankFunction, Record
+from .poset import ElementId, GradingConflict, Poset, Record
 
 
 class TwoWideVerdict(Record):
@@ -93,37 +94,35 @@ def is_two_wide(poset: Poset) -> TwoWideVerdict:
     return TwoWideVerdict(None)
 
 
-def compute_parity_rank(poset: Poset) -> ParityRank | GradingConflict:
+def compute_parity_rank(poset: Poset) -> dict[ElementId, int] | GradingConflict:
     """The unique parity rank function, or a conflict witness if none exists.
 
-    A copy of the one build_poset found, values in identifier order, so the
-    caller may change it without changing the poset.
+    A copy of the one build_poset found, in identifier order, so the caller
+    may change it without changing the poset.
     """
     mu = poset._parity
-    return ParityRank(dict(mu.values)) if isinstance(mu, ParityRank) else mu
+    return mu if isinstance(mu, GradingConflict) else dict(mu)
 
 
-def compute_rank_function(poset: Poset) -> RankFunction | GradingConflict:
+def compute_rank_function(poset: Poset) -> dict[ElementId, int] | GradingConflict:
     """The unique rank function, or a conflict witness if none exists; a
     copy of the one build_poset found, as for :func:`compute_parity_rank`."""
     rank = poset._rank
-    if isinstance(rank, RankFunction):
-        return RankFunction(dict(rank.values))
-    return rank
+    return rank if isinstance(rank, GradingConflict) else dict(rank)
 
 
-def validate_parity_rank(poset: Poset, mu: ParityRank) -> None:
+def validate_parity_rank(poset: Poset, mu: dict[ElementId, int]) -> None:
     """Raise InvalidArgument unless mu is a parity rank function for the poset:
     one is unique when it exists, so mu must be the one build_poset found."""
     own = poset._parity
-    if not isinstance(own, ParityRank):
+    if isinstance(own, GradingConflict):
         raise InvalidArgument(f"no parity rank exists: element {own.element!r} gets both parities")
     for e in poset.elements:
-        if mu.values.get(e) != own.values[e]:
-            raise InvalidArgument(f"parity rank of {e!r} is not {own.values[e]}")
+        if mu.get(e) != own[e]:
+            raise InvalidArgument(f"parity rank of {e!r} is not {own[e]}")
 
 
-def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
+def is_downward_eulerian(poset: Poset, mu: dict[ElementId, int]) -> EulerianVerdict:
     """Check chi of each strict down-set against the parity-determined target.
 
     For every non-minimal element a the order complex of {x : x < a} must
@@ -135,7 +134,7 @@ def is_downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
     return _downward_eulerian(poset, mu)
 
 
-def _downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
+def _downward_eulerian(poset: Poset, mu: dict[ElementId, int]) -> EulerianVerdict:
     """:func:`is_downward_eulerian` for a parity known to be the poset's."""
     w = _chain_weights(poset, poset.elements)
     violations = []
@@ -143,19 +142,20 @@ def _downward_eulerian(poset: Poset, mu: ParityRank) -> EulerianVerdict:
         if not poset._lower[a]:
             continue
         chi = 1 - w[a]
-        required = (-1) ** (mu.values[a] + 1) + 1
+        required = (-1) ** (mu[a] + 1) + 1
         if chi != required:
             violations.append((a, chi, required))
     return EulerianVerdict(tuple(violations))
 
 
-def check_hypotheses(poset: Poset) -> ParityRank:
-    """Verify 2-wide + parity-graded + downward Eulerian; return the parity."""
+def check_hypotheses(poset: Poset) -> dict[ElementId, int]:
+    """Verify 2-wide + parity-graded + downward Eulerian; return the parity,
+    the poset's own map, which the caller must not change."""
     wide = is_two_wide(poset)
     if not wide:
         raise HypothesisViolated("not 2-wide", wide.witness)
     mu = poset._parity
-    if not isinstance(mu, ParityRank):
+    if isinstance(mu, GradingConflict):
         raise HypothesisViolated(
             "no parity rank function",
             f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "

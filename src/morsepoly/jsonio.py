@@ -47,7 +47,7 @@ def load_document(path: str | Path) -> Any:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
 
     def integer(digits: str) -> int:
         try:

@@ -25,7 +25,7 @@ from typing import Mapping
 from .errors import InvalidMorseFunction, NotTwoWide
 from .hypotheses import is_two_wide
 from .morse import Classification, MorseFunction, _recheck_near, classify
-from .poset import ElementId, Poset, RankFunction, Record, _cover_pairs
+from .poset import ElementId, GradingConflict, Poset, Record, _cover_pairs
 
 
 class TroubleFlags(Record):
@@ -107,9 +107,9 @@ def linear_extension(poset: Poset) -> tuple[ElementId, ...]:
     the smallest-identifier-first order of build_poset.  Both the rank
     function and that order are the ones build_poset stored."""
     rank = poset._rank
-    if isinstance(rank, RankFunction):
-        return tuple(sorted(poset.elements, key=rank.values.__getitem__))
-    return poset.topological_order
+    if isinstance(rank, GradingConflict):
+        return poset.topological_order
+    return tuple(sorted(poset.elements, key=rank.__getitem__))
 
 
 _HALF = Fraction(1, 2)  # halves an int or a Fraction exactly, where / 2 makes an int a float

@@ -119,25 +119,6 @@ class Record(metaclass=_RecordType):
         return self.__class__, self._astuple()
 
 
-class ParityRank(Record):
-    """Mod-2 grading: 0 on minimal elements, flipping across covers."""
-
-    values: Mapping[ElementId, int]
-
-    def __getitem__(self, element: ElementId) -> int:
-        return self.values[element]
-
-
-class RankFunction(Record):
-    """Integer grading: 0 on minimal elements, +1 across covers."""
-
-    values: Mapping[ElementId, int]
-    max_rank = property(lambda self: max(self.values.values(), default=0))
-
-    def __getitem__(self, element: ElementId) -> int:
-        return self.values[element]
-
-
 class GradingConflict(Record):
     """Witness that no (parity) rank function exists.
 
@@ -160,8 +141,9 @@ class Poset(Record):
     ``_lower``, and ``covers`` builds the frozenset of cover pairs on
     request.  ``topological_order`` is the linear extension build_poset
     found, smallest ready identifier first.  ``_rank`` and ``_parity`` are
-    the poset's gradings, each a record or the first
-    :class:`GradingConflict`; readers share them and must not change them.
+    the poset's gradings, each a dict from element to int in identifier
+    order or the first :class:`GradingConflict`; readers share them and
+    must not change them.
     """
 
     elements: tuple[ElementId, ...]
@@ -170,8 +152,8 @@ class Poset(Record):
     _lower: dict[ElementId, tuple[ElementId, ...]]
     _above: dict[ElementId, tuple[ElementId, ...]]
     _below: dict[ElementId, tuple[ElementId, ...]]
-    _rank: RankFunction | GradingConflict
-    _parity: ParityRank | GradingConflict
+    _rank: dict[ElementId, int] | GradingConflict
+    _parity: dict[ElementId, int] | GradingConflict
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -332,8 +314,7 @@ def _order(
         gradings = rank_conflict, parity_conflict
     else:
         ranks = {e: rank[e] for e in elements}
-        gradings = (rank_conflict or RankFunction(ranks),
-                    ParityRank({e: r % 2 for e, r in ranks.items()}))
+        gradings = rank_conflict or ranks, {e: r % 2 for e, r in ranks.items()}
     poset = Poset(
         elements,
         tuple(order),

@@ -109,18 +109,24 @@ def two_bigons() -> ComplexSpec:
     return ComplexSpec(kind="cellular", cells=tuple(cells))
 
 
-def torus(m: int) -> ComplexSpec:
-    """The m x m grid torus, each square cut along its diagonal (chi 0)."""
+def torus(m: int, d: int = 2) -> ComplexSpec:
+    """The d-torus (Z_m)^d in its staircase (Freudenthal) triangulation,
+    for m >= 3 (chi 0): one d-simplex per grid point x and order s of the
+    axes, with vertices x, x + e_s1, x + e_s1 + e_s2, and so on.  For
+    d = 2 it is the m x m grid torus, each square cut along its diagonal."""
 
-    def v(i: int, j: int) -> str:
-        return f"{i % m}_{j % m}"
+    def v(point) -> str:
+        return "_".join(str(c % m) for c in point)
 
-    triangles = []
-    for i in range(m):
-        for j in range(m):
-            triangles.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
-            triangles.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
-    return ComplexSpec(kind="simplicial", maximal_simplices=tuple(triangles))
+    simplices = []
+    for x in itertools.product(range(m), repeat=d):
+        for axes in itertools.permutations(range(d)):
+            point, vertices = list(x), [v(x)]
+            for axis in axes:
+                point[axis] += 1
+                vertices.append(v(point))
+            simplices.append(tuple(sorted(vertices)))
+    return ComplexSpec(kind="simplicial", maximal_simplices=tuple(simplices))
 
 
 def cube(d: int) -> ComplexSpec:
@@ -212,7 +218,7 @@ def product(face_a, face_b) -> ComplexSpec:
     one cell ``x|y`` per pair of cells, of dimension dim x + dim y, bounded
     by ``x'|y`` and ``x|y'`` over the lower covers x' of x and y' of y.  Its
     face poset is the product poset of the two."""
-    dim_a, dim_b = face_a.rank.values, face_b.rank.values
+    dim_a, dim_b = face_a.rank, face_b.rank
     return ComplexSpec(kind="cellular", cells=tuple(
         CellSpec(id=f"{x}|{y}", dim=dim_a[x] + dim_b[y], boundary=(
             *(f"{w}|{y}" for w in face_a.poset.lower_covers(x)),
@@ -262,9 +268,9 @@ def betti_mod2(face) -> tuple[int, ...]:
     mod-2 boundary is its set of lower covers, and b_k = n_k - rank d_k -
     rank d_(k+1) for the boundary maps d_k from k-cells to (k-1)-cells.
     """
-    cells: list[list[str]] = [[] for _ in range(face.rank.max_rank + 1)]
+    cells: list[list[str]] = [[] for _ in range(max(face.rank.values(), default=0) + 1)]
     for e in face.poset.elements:
-        cells[face.rank.values[e]].append(e)
+        cells[face.rank[e]].append(e)
     bit = {e: 1 << i for dim in cells for i, e in enumerate(dim)}
     ranks = [0] * (len(cells) + 1)
     for k in range(1, len(cells)):

@@ -866,12 +866,16 @@ class TestBadInput:
         )
 
     def test_non_utf8_file(self, files, capsys):
-        tmp_path, _ = files
+        """The error names the file that is not UTF-8, input or function."""
+        tmp_path, write = files
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
-        assert main(["check", "--in", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        point = write("point.json", {"elements": ["a"], "covers": []})
+        for argv in (["check", "--in", str(bad)], ["classify", "--in", point, "--morse", str(bad)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad} is not UTF-8: 'utf-8' codec can't decode")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text, message", [
         ("[" * 100_000, "bad.json is not valid JSON: "),
@@ -1047,7 +1051,7 @@ def function_document(data, path):
     dropped or extra keys and bad values mixed in; junk when the input does
     not load."""
     try:
-        poset = commands.load_input(path).poset
+        _, poset = commands.load_input(path)
     except MorsePolyError:
         poset = None
     if poset is None or len(poset) == 0 or data.draw(st.integers(0, 4)) == 0:

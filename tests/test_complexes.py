@@ -39,10 +39,10 @@ def simplicial(*simplices) -> ComplexSpec:
 
 class TestSimplicial:
     def test_triangle_counts(self, triangle):
-        ranks = sorted(triangle.rank.values.values())
+        ranks = sorted(triangle.rank.values())
         assert len(triangle.poset) == 7
         assert ranks == [0, 0, 0, 1, 1, 1, 2]
-        assert triangle.rank.max_rank == 2
+        assert type(triangle.rank) is dict
 
     def test_segment(self, segment):
         assert len(segment.poset) == 3
@@ -51,7 +51,7 @@ class TestSimplicial:
     def test_two_triangles_share_edge(self):
         face = face_poset_simplicial(simplicial(("1", "2", "3"), ("2", "3", "4")))
         counts = [0, 0, 0]
-        for rank in face.rank.values.values():
+        for rank in face.rank.values():
             counts[rank] += 1
         assert len(face.poset) == 11
         assert counts == [4, 5, 2]
@@ -105,21 +105,21 @@ class TestSimplicial:
         covers = {(face_id(f - {v}), face_id(f)) for f in faces if len(f) > 1 for v in f}
         assert face.poset.elements == tuple(sorted(face_id(f) for f in faces))
         assert face.poset.covers == covers
-        assert face.rank.values == {face_id(f): len(f) - 1 for f in faces}
+        assert face.rank == {face_id(f): len(f) - 1 for f in faces}
 
     def test_generated_face_posets_pass_all_checks(self):
         for seed in range(15):
             face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.1 + 0.06 * seed))
             assert is_two_wide(face.poset)
             mu = compute_parity_rank(face.poset)
-            assert mu.values == {e: r % 2 for e, r in face.rank.values.items()}
+            assert mu == {e: r % 2 for e, r in face.rank.items()}
             assert is_downward_eulerian(face.poset, mu)
 
     def test_chi_matches_face_count_alternating_sum(self):
         for seed in (1, 4, 9):
             face = face_poset_simplicial(gen_complex(seed, 6, 2, 0.4))
             by_rank: dict[int, int] = {}
-            for rank in face.rank.values.values():
+            for rank in face.rank.values():
                 by_rank[rank] = by_rank.get(rank, 0) + 1
             alternating = sum((-1) ** r * n for r, n in by_rank.items())
             assert euler_characteristic(order_complex(face.poset)) == alternating
@@ -146,13 +146,13 @@ class TestCellular:
             cells.append(
                 CellSpec(
                     id=e,
-                    dim=triangle.rank.values[e],
+                    dim=triangle.rank[e],
                     boundary=tuple(sorted(triangle.poset.strict_down_set(e))),
                 )
             )
         face = face_poset_cellular(ComplexSpec(kind="cellular", cells=tuple(cells)))
         assert face.poset.covers == triangle.poset.covers
-        assert face.rank.values == triangle.rank.values
+        assert face.rank == triangle.rank
         mu = compute_parity_rank(face.poset)
         assert is_two_wide(face.poset) and is_downward_eulerian(face.poset, mu)
 
@@ -270,9 +270,7 @@ class TestMorseInequalityReport:
         assert report.alternating_sum == report.chi
 
     def test_hypotheses_required(self, chain_poset, chain_morse):
-        from morsepoly import RankFunction
-
-        rank = RankFunction(values={"0": 0, "1": 1, "2": 2})
+        rank = {"0": 0, "1": 1, "2": 2}
         with pytest.raises(HypothesisViolated):
             morse_inequality_report(chain_poset, rank, chain_morse)
 

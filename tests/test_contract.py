@@ -1,8 +1,8 @@
 """The output contract, checked through subprocesses: every command writes
 the same bytes under two hash seeds, deep inputs stay polynomial, a huge
 simplex is refused at once, and a full or closed stdout or an exhausted
-memory limit, or a value too long to write or an integer too long to read,
-ends in one ``error:`` line with its own exit code.
+memory limit, a value too long to write, an integer too long to read or a
+file that is not UTF-8 ends in one ``error:`` line with its own exit code.
 
 Every report is scanned in identifier order, and some scans walk sets, so
 no output or error text may depend on set order.  Each row of ``ROWS``
@@ -96,6 +96,8 @@ TEXTS = {
     "long_int.json": '{"values": {"a": ' + "1" * 5000 + "}}",
     "long_dim.json": '{"kind": "cellular", "cells": [{"id": "v", "dim": ' + "1" * 5000 + "}]}",
 }
+# A file that is not UTF-8, as an input and as a function.
+RAW = {"latin1.json": b'{"elements": ["\xe9"], "covers": []}'}
 
 
 class Row(NamedTuple):
@@ -161,6 +163,11 @@ def _rows() -> list[Row]:
                  stderr_has=f"error: {argv[-1]} has an integer of more than 4300 digits\n")
              for argv in (("classify", "--in", "point.json", "--morse", "long_int.json"),
                           ("check", "--in", "long_dim.json"))]
+    # A file that is not UTF-8 is named, whichever of the two it is.
+    rows += [Row(f"{argv[0]}.not_utf8", argv, code=2,
+                 stderr_has=f"error: {argv[-1]} is not UTF-8: 'utf-8' codec can't decode byte 0xe9")
+             for argv in (("check", "--in", "latin1.json"),
+                          ("classify", "--in", "point.json", "--morse", "latin1.json"))]
     rows += [Row(f"{argv[0]}.out_of_memory", argv, code=3, memory=True,
                  stderr_has="error: out of memory")
              for argv in (("check", "--in", "simplex13.json"), ("embed", "--in", "torus10.json"))]
@@ -197,6 +204,8 @@ def inputs(tmp_path_factory):
         (directory / name).write_text(json.dumps(document) + "\n", encoding="utf-8")
     for name, text in TEXTS.items():
         (directory / name).write_text(text + "\n", encoding="utf-8")
+    for name, data in RAW.items():
+        (directory / name).write_bytes(data)
     for name, argv in (("complex.json", GEN_COMPLEX),
                        ("morse.json", ("gen", "--kind", "morse", "--in", "complex.json"))):
         done = _run(directory, Row(name, argv), HASH_SEEDS[0])

@@ -19,8 +19,6 @@ from morsepoly import (
     HypothesisViolated,
     InvalidArgument,
     NonCoverEdge,
-    ParityRank,
-    RankFunction,
     SimplicialComplex,
     UnknownElement,
     build_poset,
@@ -379,7 +377,7 @@ class TestTwoWide:
             ["a", "b", "c", "x", "y", "z"],
             [("a", "b"), ("b", "c"), ("a", "x"), ("x", "y"), ("y", "z"), ("z", "c")],
         )
-        assert isinstance(compute_parity_rank(poset), ParityRank)
+        assert isinstance(compute_parity_rank(poset), dict)
         assert poset.strict_down_set("c") - {"a"} == {"b", "x", "y", "z"}
         assert is_two_wide(poset).witness == ("a", "b", "c")
         self.assert_matches_brute_force(poset)
@@ -390,8 +388,7 @@ class TestTwoWide:
 class TestGradings:
     def test_triangle_parity_is_dimension_mod_two(self, triangle):
         mu = compute_parity_rank(triangle.poset)
-        assert isinstance(mu, ParityRank)
-        assert mu.values == {e: triangle.rank.values[e] % 2 for e in triangle.poset.elements}
+        assert mu == {e: triangle.rank[e] % 2 for e in triangle.poset.elements}
 
     def test_conflict_reported(self, parity_conflict_poset):
         conflict = compute_parity_rank(parity_conflict_poset)
@@ -400,43 +397,34 @@ class TestGradings:
         assert sorted(conflict.values) == [0, 1]
 
     def test_singleton_parity(self):
-        mu = compute_parity_rank(build_poset(["x"], []))
-        assert isinstance(mu, ParityRank)
-        assert mu.values == {"x": 0}
+        assert compute_parity_rank(build_poset(["x"], [])) == {"x": 0}
 
     def test_triangle_rank(self, triangle):
         rank = compute_rank_function(triangle.poset)
-        assert isinstance(rank, RankFunction)
-        assert rank.max_rank == 2
-        assert rank.values["1,2,3"] == 2
+        assert max(rank.values()) == 2
+        assert rank["1,2,3"] == 2
 
     def test_rank_conflict(self, parity_conflict_poset):
         assert isinstance(compute_rank_function(parity_conflict_poset), GradingConflict)
 
     def test_antichain_ranks(self):
-        rank = compute_rank_function(build_poset(["a", "b"], []))
-        assert isinstance(rank, RankFunction)
-        assert rank.values == {"a": 0, "b": 0}
-        assert rank.max_rank == 0
+        assert compute_rank_function(build_poset(["a", "b"], [])) == {"a": 0, "b": 0}
 
     @settings(max_examples=50)
     @given(posets())
     def test_parity_matches_rank_mod_two(self, poset):
         rank = compute_rank_function(poset)
-        if not isinstance(rank, RankFunction):
+        if isinstance(rank, GradingConflict):
             return
-        mu = compute_parity_rank(poset)
-        assert isinstance(mu, ParityRank)
-        assert mu.values == {e: rank.values[e] % 2 for e in poset.elements}
+        assert compute_parity_rank(poset) == {e: rank[e] % 2 for e in poset.elements}
 
     @settings(max_examples=30)
     @given(posets())
     def test_gradings_unique_on_recompute(self, poset):
         first = compute_parity_rank(poset)
         second = compute_parity_rank(poset)
-        if isinstance(first, ParityRank):
-            assert isinstance(second, ParityRank)
-            assert first.values == second.values
+        if not isinstance(first, GradingConflict):
+            assert first == second and first is not second
 
 
 def two_pass_gradings(poset):
@@ -459,12 +447,7 @@ def two_pass_gradings(poset):
                     return GradingConflict(e, (values[e], expected), (via[e], a))
         return values
 
-    rank, parity = propagate(lambda v: v + 1), propagate(lambda v: 1 - v)
-    if not isinstance(rank, GradingConflict):
-        rank = RankFunction(rank)
-    if not isinstance(parity, GradingConflict):
-        parity = ParityRank(parity)
-    return rank, parity
+    return propagate(lambda v: v + 1), propagate(lambda v: 1 - v)
 
 
 @st.composite
@@ -487,7 +470,7 @@ class TestOneGradingWalk:
         assert (rank, parity) == two_pass_gradings(poset)
         for grading in (rank, parity):
             if not isinstance(grading, GradingConflict):
-                assert list(grading.values) == list(poset.elements)
+                assert list(grading) == list(poset.elements)
 
     def test_rank_conflict_with_parity_rank(self):
         poset = build_poset(
@@ -496,7 +479,7 @@ class TestOneGradingWalk:
         )
         assert compute_rank_function(poset) == GradingConflict("e", (4, 2), ("d", "x"))
         mu = compute_parity_rank(poset)
-        assert mu == ParityRank({"a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "x": 1})
+        assert mu == {"a": 0, "b": 1, "c": 0, "d": 1, "e": 0, "x": 1}
 
     def test_parity_conflict_stops_the_walk(self):
         poset = build_poset(
@@ -509,8 +492,20 @@ class TestOneGradingWalk:
         poset = triangle.poset
         for compute in (compute_rank_function, compute_parity_rank):
             grading = compute(poset)
-            grading.values["1"] = 7
-            assert compute(poset).values["1"] == 0
+            grading["1"] = 7
+            assert compute(poset)["1"] == 0
+
+    @pytest.mark.parametrize("name", ["edge_poset", "triangle", "two_cycles"])
+    def test_plain_dicts_in_identifier_order(self, request, name):
+        poset = request.getfixturevalue(name)
+        poset = getattr(poset, "poset", poset)
+        for compute, own in ((compute_rank_function, poset._rank),
+                             (compute_parity_rank, poset._parity)):
+            grading = compute(poset)
+            assert type(grading) is dict and type(own) is dict
+            assert list(grading.items()) == list(own.items())
+            assert list(grading) == list(poset.elements)
+            assert grading is not own
 
 
 def prioritized_kahn(poset, key):
@@ -539,8 +534,8 @@ class TestTopologicalOrder:
     @given(posets())
     def test_linear_extension_matches_rank_priority(self, poset):
         rank = compute_rank_function(poset)
-        if isinstance(rank, RankFunction):
-            expected = prioritized_kahn(poset, lambda e: (rank.values[e], e))
+        if not isinstance(rank, GradingConflict):
+            expected = prioritized_kahn(poset, lambda e: (rank[e], e))
         else:
             expected = prioritized_kahn(poset, lambda e: e)
         assert linear_extension(poset) == expected
@@ -568,7 +563,7 @@ class TestDownwardEulerian:
     def test_invalid_parity_rejected(self, edge_poset):
         # A package error, and still the ValueError a library caller expects.
         with pytest.raises(InvalidArgument) as info:
-            is_downward_eulerian(edge_poset, ParityRank(values={"a": 1, "b": 0, "e": 1}))
+            is_downward_eulerian(edge_poset, {"a": 1, "b": 0, "e": 1})
         assert isinstance(info.value, ValueError)
         assert str(info.value) == "parity rank of 'a' is not 0"
 
@@ -590,8 +585,8 @@ def parity_guesses(draw):
     it has one, with a few values flipped or dropped."""
     poset = draw(posets() | graded_posets() | st.builds(face_poset_of, st.integers(0, 10**6)))
     own = compute_parity_rank(poset)
-    if isinstance(own, ParityRank) and draw(st.booleans()):
-        values = dict(own.values)
+    if not isinstance(own, GradingConflict) and draw(st.booleans()):
+        values = own
     else:
         values = {e: draw(st.integers(0, 1)) for e in poset.elements}
     for e in draw(st.lists(st.sampled_from(poset.elements), max_size=2)) if len(poset) else ():
@@ -611,23 +606,21 @@ class TestValidateParityRank:
         poset, values = case
         reference = four_part_parity_error(poset, values)
         if reference is None:
-            validate_parity_rank(poset, ParityRank(values))
+            validate_parity_rank(poset, values)
         else:
             with pytest.raises(ValueError):
-                validate_parity_rank(poset, ParityRank(values))
+                validate_parity_rank(poset, values)
 
     def test_names_the_first_element(self, triangle):
-        values = {e: r % 2 for e, r in triangle.rank.values.items()}
+        values = {e: r % 2 for e, r in triangle.rank.items()}
         values["2"] = 1
         values["3"] = 1
         with pytest.raises(ValueError, match="'2'"):
-            validate_parity_rank(triangle.poset, ParityRank(values))
+            validate_parity_rank(triangle.poset, values)
 
     def test_no_parity_rank(self, parity_conflict_poset):
         with pytest.raises(ValueError, match="'c'"):
-            validate_parity_rank(
-                parity_conflict_poset, ParityRank({"a": 0, "b": 0, "c": 1, "d": 1})
-            )
+            validate_parity_rank(parity_conflict_poset, {"a": 0, "b": 0, "c": 1, "d": 1})
 
 
 class TestDownwardEulerianOracle:
@@ -636,13 +629,13 @@ class TestDownwardEulerianOracle:
     @staticmethod
     def assert_matches_enumeration(poset):
         mu = compute_parity_rank(poset)
-        assert isinstance(mu, ParityRank)
+        assert isinstance(mu, dict)
         violations = []
         for a in sorted(poset.elements):
             if poset.lower_covers(a):
                 chains = enumerate_chains(poset, poset.strict_down_set(a))
                 chi = sum((-1) ** (len(c) - 1) for c in chains)
-                required = 2 if mu.values[a] else 0
+                required = 2 if mu[a] else 0
                 if chi != required:
                     violations.append((a, chi, required))
         verdict = is_downward_eulerian(poset, mu)

@@ -34,14 +34,11 @@ from morsepoly import (
     MorseFunction,
     MorseVerdict,
     NormalizationTrace,
-    ParityRank,
     Poset,
-    RankFunction,
     TroubleFlags,
     TwoWideVerdict,
     build_poset,
     classify,
-    compute_parity_rank,
     compute_rank_function,
     cross_check,
     dimension_morse,
@@ -92,14 +89,14 @@ def real_records():
     report = verify_representation(face.poset, f)
     trace = normalize_trace(face.poset, dimension_morse(face.poset, face.rank))
     assert trace.modifications
-    return [face, face.poset, face.rank, compute_parity_rank(face.poset), report,
+    return [face, face.poset, classify(face.poset, f), is_two_wide(face.poset), report,
             *report.entries, report.normalized, trace, *trace.modifications, trace.start,
             trace.result]
 
 
 def test_every_record_class_is_slotted():
     classes = record_classes()
-    assert len(classes) == 23
+    assert len(classes) == 20
     for cls in classes:
         assert isinstance(cls.__slots__, tuple) and cls.__slots__, cls
         # No class on the way up adds a per-instance __dict__.
@@ -144,7 +141,7 @@ def verdicts(face):
     as computed and against indices skewed at one element."""
     poset = getattr(face, "poset", face)
     yield is_two_wide(poset)
-    if isinstance(poset._parity, ParityRank):
+    if isinstance(poset._parity, dict):
         yield _downward_eulerian(poset, poset._parity)
     yield validate_morse(poset, MorseFunction(dict.fromkeys(poset.elements, 0)))
     yield validate_morse(poset, gen_morse(1, poset))
@@ -204,9 +201,9 @@ def test_equality_and_hash_follow_the_field_tuple(real_records):
 
 def test_same_fields_of_another_class_differ():
     values = {"a": 0}
-    assert ParityRank(values) != MorseFunction(values)
-    assert MorseFunction(values) != ParityRank(values)
-    assert ParityRank(values).__eq__(MorseFunction(values)) is NotImplemented
+    assert Classification(values) != MorseFunction(values)
+    assert MorseFunction(values) != Classification(values)
+    assert Classification(values).__eq__(MorseFunction(values)) is NotImplemented
 
 
 def test_reprs_are_pinned():
@@ -280,11 +277,10 @@ def test_constructor_keeps_positions_keywords_and_defaults():
 
 def test_records_store_no_field_the_others_decide():
     """A classification is its witness map, a face poset its poset (whose
-    rank it reads), a rank function its values (whose maximum it reads),
-    and an index report does not store the sum of its entries."""
+    rank it reads), and an index report does not store the sum of its
+    entries."""
     assert Classification.__slots__ == ("witness",)
     assert FacePoset.__slots__ == ("poset",)
-    assert RankFunction.__slots__ == ("values",)
     assert IndexReport.__slots__ == ("entries", "chi", "n_even", "n_odd", "normalized")
 
 
@@ -307,11 +303,11 @@ def test_derived_values_equal_what_the_records_stored(name, top):
     face = (face_poset_simplicial(torus(3)) if name == "torus3"
             else face_poset_cellular(cube(3)))
     poset = face.poset
-    assert face.rank is poset._rank
-    for rank in (face.rank, compute_rank_function(poset), RankFunction(dict(face.rank.values))):
-        assert rank.max_rank == max(rank.values.values()) == top
-        assert len(critical_by_dimension(rank, ())) == top + 1
-    assert RankFunction({}).max_rank == 0
+    assert face.rank is poset._rank and type(face.rank) is dict
+    for rank in (face.rank, compute_rank_function(poset)):
+        assert max(rank.values()) == top
+        assert critical_by_dimension(rank, ()) == (0,) * (top + 1)
+    assert critical_by_dimension({}, ()) == (0,)
     for f in (gen_morse(1, poset), dimension_morse(poset, face.rank)):
         classification = classify(poset, f)
         verdicts, witnesses = stored_classification(poset, f)
