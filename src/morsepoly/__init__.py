@@ -32,11 +32,11 @@ _HOMES = {
     "errors": (
         "CycleDetected", "EmptyPoset", "HypothesisViolated", "InvalidArgument",
         "InvalidMorseFunction", "MalformedSpec", "Mismatch", "MissingValue",
-        "MorsePolyError", "NonCoverEdge", "NonGeneralFunction", "NotACover",
-        "NotGeneral", "NotTwoWide", "ParseError", "RankConflict", "UnknownElement",
+        "MorsePolyError", "NonCoverEdge", "NotACover", "NotGeneral", "NotTwoWide",
+        "ParseError", "RankConflict", "UnknownElement",
     ),
     "morse": (
-        "Classification", "MorseFunction", "MorseVerdict", "classify", "validate_morse",
+        "Classification", "MorseFunction", "classify",
     ),
     "normalization": (
         "Modification", "NormalizationTrace", "TroubleFlags", "find_troubled",

@@ -25,7 +25,7 @@ need no generality scan, and its report carries the normalized rationals.
 
 from __future__ import annotations
 
-from .errors import Mismatch, NonGeneralFunction, UnknownElement
+from .errors import Mismatch, NotGeneral, UnknownElement
 from .hypotheses import (
     _chain_weights,
     check_hypotheses,  # re-exported, so it still imports from this module
@@ -58,7 +58,7 @@ def _require_general(poset: Poset, g: MorseFunction) -> None:
     for a in poset.elements:
         for b in poset._above[a]:
             if g[a] == g[b]:
-                raise NonGeneralFunction((a, b))
+                raise NotGeneral((a, b))
 
 
 def _index_at(poset: Poset, g: MorseFunction, b: ElementId) -> int:
@@ -75,7 +75,7 @@ def combinatorial_index(poset: Poset, g: MorseFunction, b: ElementId) -> int:
     Requires g to take a value at every element (MissingValue otherwise;
     values at non-elements are ignored) and distinct values on comparable
     pairs; equal values would make "maximal at b" ambiguous, so they are
-    refused rather than tie-broken.
+    refused (NotGeneral) rather than tie-broken.
     """
     poset.require(b)
     _require_general(poset, g)

@@ -15,11 +15,9 @@ def run(args: SimpleNamespace) -> int:
         spec = gen_complex(args.seed, args.vertices, args.dimension, args.density)
         emit(args, jsonio.complex_to_obj(spec))
         return 0
-    if args.kind == "morse":
-        if not args.input_path:
-            raise MorsePolyError("gen --kind morse requires --in POSET_OR_COMPLEX")
-        _, poset = load_input(args.input_path)
-        f = gen_morse(args.seed, poset)
-        emit(args, jsonio.morse_to_obj(f))
-        return 0
-    raise MorsePolyError(f"unknown gen kind {args.kind!r}")
+    # Both parsers check --kind against its choices, so it is "morse" here.
+    if not args.input_path:
+        raise MorsePolyError("gen --kind morse requires --in POSET_OR_COMPLEX")
+    _, poset = load_input(args.input_path)
+    emit(args, jsonio.morse_to_obj(gen_morse(args.seed, poset)))
+    return 0

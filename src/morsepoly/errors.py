@@ -3,7 +3,11 @@
 Exceptions fall into three groups: input validation (bad poset data, bad
 complex descriptions, bad function files), contract violations (calling an
 operation outside its stated hypotheses), and identity failures (a verified
-equation did not hold, which indicates a bug rather than bad input).
+equation did not hold, which indicates a bug rather than bad input).  Each
+refusal of a function has one type, whoever raises it: MissingValue for a
+function or heights map with no value at an element, InvalidMorseFunction
+for one that breaks the Morse condition, and NotGeneral for a tie on a
+comparable pair.
 ``morse.parse_rational`` raises InvalidArgument for malformed text, but
 TypeError, not a package error, for a float or a bool.
 
@@ -64,7 +68,7 @@ class EmptyPoset(MorsePolyError):
 
 
 class MissingValue(MorsePolyError):
-    """A function does not assign a value to every poset element."""
+    """A function or a heights map does not assign a value to every poset element."""
 
 
 class InvalidMorseFunction(MorsePolyError):
@@ -96,8 +100,10 @@ class NotACover(MorsePolyError):
     """The given pair is not a cover relation of the poset."""
 
 
-class NonGeneralFunction(MorsePolyError):
-    """Two comparable elements share a value, so strict maxima are undefined."""
+class NotGeneral(MorsePolyError):
+    """Two comparable elements share a value: the height is not general, as
+    an edge of the order complex has both ends at one height, so the
+    maximum of a chain on it is not strict."""
 
     def __init__(self, pair: tuple[str, str]):
         super().__init__(pair)
@@ -105,18 +111,6 @@ class NonGeneralFunction(MorsePolyError):
 
     def __str__(self) -> str:
         return f"comparable elements {self.pair[0]!r} and {self.pair[1]!r} share a value"
-
-
-class NotGeneral(MorsePolyError):
-    """Two comparable vertices project to the same first coordinate."""
-
-    def __init__(self, pair: tuple[str, str]):
-        super().__init__(pair)
-        self.pair = pair
-
-    def __str__(self) -> str:
-        return (f"projection is not general: comparable vertices {self.pair[0]!r} and "
-                f"{self.pair[1]!r} have equal first coordinates")
 
 
 class RankConflict(MorsePolyError):

@@ -18,13 +18,14 @@ values and troubled patterns while preserving validity.  Every value the
 generator makes is a multiple of 1/12 (base values are integers or
 half-integers, a pull-up adds 0 or 1/3, and a random target is p/q with q
 at most 4), so from the base values on everything runs on the exact
-integers 12 * value.  The base function is validated in full once.  Each
+integers 12 * value.  The base function is classified in full once, and a
+failure there is an AssertionError, a bug, not an input error.  Each
 perturbation is kept only if :func:`~morsepoly.morse._holds_near` passes:
 the Morse condition at the changed element and at its non-increasing
 covers, the only places where the change can break it.  The final
-function is validated in full again and turned into Fractions once, at the
-end.  A pull-up draws from the element's up-set as the poset stores it, in
-identifier order.
+function is classified in full again and turned into Fractions once, at
+the end.  A pull-up draws from the element's up-set as the poset stores
+it, in identifier order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from fractions import Fraction
 from math import comb
 
 from .complexes import MAX_SIMPLEX_VERTICES, ComplexSpec
-from .errors import EmptyPoset, InvalidArgument
-from .morse import MorseFunction, _holds_near, validate_morse
+from .errors import EmptyPoset, InvalidArgument, InvalidMorseFunction
+from .morse import MorseFunction, _holds_near, classify
 from .poset import ElementId, Poset, _cover_pairs
 
 MAX_DRAWS = 2**20  # gen_complex draws at most this many candidate simplices
@@ -180,6 +181,14 @@ def _base_values(
     return values
 
 
+def _require_morse(poset: Poset, scaled: dict[ElementId, int], failure: str) -> None:
+    """Raise AssertionError(failure), a bug, unless scaled is a discrete Morse function."""
+    try:
+        classify(poset, MorseFunction(scaled))
+    except InvalidMorseFunction as exc:
+        raise AssertionError(f"{failure}; implementation bug") from exc
+
+
 def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     """Random valid discrete Morse function on the poset, deterministic per seed."""
     if len(poset) == 0:
@@ -187,8 +196,7 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     rng = random.Random(seed)
     matching, node = _sample_matching(poset, rng)
     scaled = _base_values(poset, matching, node, rng)
-    if not validate_morse(poset, MorseFunction(scaled)).valid:
-        raise AssertionError("base function is invalid; implementation bug")
+    _require_morse(poset, scaled, "base function is invalid")
 
     elements = poset.elements
     n = len(elements)
@@ -210,6 +218,5 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
         if not _holds_near(poset, scaled, e):
             scaled[e] = old
 
-    if not validate_morse(poset, MorseFunction(scaled)).valid:
-        raise AssertionError("generator produced an invalid function; implementation bug")
+    _require_morse(poset, scaled, "generator produced an invalid function")
     return MorseFunction({e: Fraction(v, _SCALE) for e, v in scaled.items()})

@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import EmptyPoset, NotGeneral, UnknownElement
+from .errors import EmptyPoset, NotGeneral
 from .morse import MorseFunction, _require_values
 from .poset import ElementId, Poset, Record, _forwarding
 
@@ -78,7 +78,7 @@ def lower_star_indices(poset: Poset, heights: Mapping[ElementId, Fraction]) -> d
     :func:`~morsepoly.oracles.realize_complex`, counted without listing a
     chain.
 
-    Raises UnknownElement and NotGeneral exactly where the oracle
+    Raises MissingValue and NotGeneral exactly where the oracle
     ``realize_complex`` does.  Then counts the chains grouped by their
     state: a chain's extensions and the vertex its sign lands on depend
     only on its last vertex and its highest vertex, so ``weight[last]``
@@ -90,9 +90,7 @@ def lower_star_indices(poset: Poset, heights: Mapping[ElementId, Fraction]) -> d
     times |up-set(t)|.  Reads only the embedded heights, the up-sets and
     the topological order.
     """
-    for e in poset.elements:
-        if e not in heights:
-            raise UnknownElement(f"embedding has no coordinates for {e!r}")
+    _require_values(poset, heights)
     level = _levels(heights)
     for a in poset.elements:
         for b in poset._above[a]:

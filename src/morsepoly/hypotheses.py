@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import HypothesisViolated, InvalidArgument
-# GradingConflict is re-exported, so it still imports from this module.
 from .poset import ElementId, GradingConflict, Poset, Record
 
 

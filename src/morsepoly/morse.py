@@ -5,8 +5,10 @@ at most one lower cover a with f(a) >= f(b) and at most one upper cover c
 with f(b) >= f(c).  An element with no such neighbor in either direction is
 critical; otherwise it is ordinary, and a :class:`Classification` maps it
 to one such neighbor, its witness.  The condition is stated once, in
-:func:`_non_increasing`, which :func:`_scan` reads for validation,
-classification, the local recheck, the normalization pipeline
+:func:`_non_increasing`, which :func:`_scan` reads for classification
+(which validates in the same pass: :func:`classify` raises
+InvalidMorseFunction at the first element that breaks the condition), the
+local recheck, the normalization pipeline
 (:mod:`morsepoly.normalization`) and the exclusivity oracle
 (:mod:`morsepoly.oracles`), and :func:`_holds_near` for the generator's
 pass/fail test after one change.  Values are exact rationals or ints; no
@@ -71,26 +73,8 @@ class MorseFunction(Record):
     def __getitem__(self, element: ElementId) -> Fraction:
         return self.values[element]
 
-    def __contains__(self, element: ElementId) -> bool:
-        return element in self.values
-
     def is_injective(self) -> bool:
         return len(set(self.values.values())) == len(self.values)
-
-
-class MorseVerdict(Record):
-    """Outcome of validate_morse; lists one offending element on failure."""
-
-    element: ElementId | None
-    # Each witness is (neighbor, direction): the neighbor is a cover of the
-    # element on the given side whose value breaks strict monotonicity.
-    witnesses: tuple[tuple[ElementId, str], ...]
-    _defaults = {"element": None, "witnesses": ()}
-
-    def __bool__(self) -> bool:
-        return self.element is None
-
-    valid = property(__bool__)
 
 
 class Classification(Record):
@@ -170,15 +154,6 @@ def _holds_near(poset: Poset, values: Mapping[ElementId, Fraction | int], elemen
         if len(below) > 1 or len(above) > 1:
             return False
     return True
-
-
-def validate_morse(poset: Poset, f: MorseFunction) -> MorseVerdict:
-    """Check the at-most-one-non-increasing-cover condition on each side."""
-    try:
-        classify(poset, f)
-    except InvalidMorseFunction as exc:
-        return MorseVerdict(exc.element, exc.witnesses)
-    return MorseVerdict()
 
 
 def classify(poset: Poset, f: MorseFunction) -> Classification:

@@ -52,12 +52,10 @@ class Modification(Record):
 
 
 class NormalizationTrace(Record):
-    """The normalization pipeline's input, its classification (which every
-    stage preserves), the function after each sweep, every change made, and
-    the result as the int order keys the audits compared."""
+    """The input's classification (which every stage preserves), the
+    function after the up sweep, the result, every change made, and the
+    result as the int order keys the audits compared."""
 
-    order: tuple[ElementId, ...]
-    start: MorseFunction
     classification: Classification
     after_up_sweep: MorseFunction
     result: MorseFunction
@@ -255,7 +253,6 @@ def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
 def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     """:func:`normalize_trace` on a poset the caller has found 2-wide."""
     state = _Pipeline(poset, f)
-    start = state.snapshot()
     order = linear_extension(poset)
 
     state.up_sweep(order)
@@ -275,7 +272,7 @@ def _normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     if classify(poset, keys).critical_set() != state.critical:
         raise AssertionError("normalization changed the critical set")
 
-    return NormalizationTrace(order, start, state.classification, after_up, result,
+    return NormalizationTrace(state.classification, after_up, result,
                               tuple(state.modifications), keys)
 
 

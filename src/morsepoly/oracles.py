@@ -34,12 +34,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .chain_index import _index_at, _require_general
+from .chain_index import _index_at
 from .errors import CycleDetected, NotACover, NotGeneral, UnknownElement
 from .geometry import CrossCheckReport, compare_indices, embed_vertices, lower_star_indices
 from .hypotheses import is_two_wide
 from .jsonio import embedding_to_obj
-from .morse import MorseFunction, _require_total, _scan
+from .morse import MorseFunction, _require_total, _require_values, _scan
 from .poset import ElementId, Poset, Record, _order
 
 
@@ -161,13 +161,11 @@ class GeometricComplex(Record):
 def realize_complex(poset: Poset, heights: Mapping[ElementId, Fraction]) -> GeometricComplex:
     """Attach the order-complex simplices to the embedded heights.
 
-    Raises NotGeneral if two comparable elements share a first coordinate:
-    such a pair spans an edge of the complex on which the height function
-    cannot separate the endpoints.
+    Raises MissingValue if an element has no height, and NotGeneral if two
+    comparable elements share one: such a pair spans an edge of the complex
+    on which the height function cannot separate the endpoints.
     """
-    for e in poset.elements:
-        if e not in heights:
-            raise UnknownElement(f"embedding has no coordinates for {e!r}")
+    _require_values(poset, heights)
     for a in sorted(poset.elements):
         for b in sorted(poset.strict_up_set(a)):
             if heights[a] == heights[b]:
@@ -224,10 +222,10 @@ def cross_check(poset: Poset, g: MorseFunction) -> CrossCheckReport:
     :func:`~morsepoly.geometry.lower_star_indices`, the other by Hall's
     recursion; neither lists them.  The materialized
     :func:`realize_complex` and :func:`geometric_indices` state what both
-    count.
+    count.  The witness raises MissingValue and NotGeneral, so Hall's
+    recursion runs only on a general g.
     """
     geometric = lower_star_indices(poset, embed_vertices(poset, g))
-    _require_general(poset, g)
     return compare_indices(geometric, {b: _index_at(poset, g, b) for b in poset.elements})
 
 

@@ -158,12 +158,6 @@ class Poset(Record):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, element: object) -> bool:
-        return element in self._lower
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {sum(map(len, self._upper.values()))} covers)"
 

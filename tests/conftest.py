@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from morsepoly import (
     CellSpec,
     ComplexSpec,
+    InvalidMorseFunction,
     MorseFunction,
     build_poset,
     classify,
@@ -278,6 +279,16 @@ def betti_mod2(face) -> tuple[int, ...]:
             sum(bit[a] for a in face.poset.lower_covers(e)) for e in cells[k]
         )
     return tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(len(cells)))
+
+
+def morse_offence(poset, f):
+    """The element and witnesses of the InvalidMorseFunction that classify
+    raises on f, or None if f is a discrete Morse function."""
+    try:
+        classify(poset, f)
+    except InvalidMorseFunction as exc:
+        return exc.element, exc.witnesses
+    return None
 
 
 def assert_morse_inequalities(face, f):

@@ -13,8 +13,8 @@ from morsepoly import (
     Mismatch,
     MissingValue,
     MorseFunction,
-    NonGeneralFunction,
     NotACover,
+    NotGeneral,
     UnknownElement,
     build_poset,
     chain_counts,
@@ -26,6 +26,7 @@ from morsepoly import (
     classify,
     combinatorial_index,
     compute_parity_rank,
+    cross_check,
     dimension_morse,
     embed_vertices,
     enumerate_chains,
@@ -36,6 +37,7 @@ from morsepoly import (
     normalize,
     normalize_trace,
     predicted_index,
+    realize_complex,
     transitive_reduction,
     verify_representation,
 )
@@ -135,9 +137,13 @@ class TestCombinatorialIndex:
         }
 
     def test_rejects_comparable_tie(self, edge_poset):
+        # The same refusal, type and pair, as the witness and realize_complex.
         g = MorseFunction.from_values({"a": 1, "b": 0, "e": 1})
-        with pytest.raises(NonGeneralFunction):
-            combinatorial_index(edge_poset, g, "a")
+        for refuse in (lambda: combinatorial_index(edge_poset, g, "a"),
+                       lambda: cross_check(edge_poset, g),
+                       lambda: realize_complex(edge_poset, g.values)):
+            with pytest.raises(NotGeneral, match="^comparable elements 'a' and 'e' share a value$"):
+                refuse()
 
     def test_partial_function_is_refused_like_embed(self, edge_poset):
         # A value missing for some element is named, as embed_vertices names
@@ -208,8 +214,10 @@ class TestCombinatorialIndicesOracle:
         general = all(g[a] != g[b] for a in poset.elements for b in poset.strict_up_set(a))
         if not general:
             for b in poset.elements:
-                with pytest.raises(NonGeneralFunction):
+                with pytest.raises(NotGeneral):
                     combinatorial_index(poset, g, b)
+            with pytest.raises(NotGeneral):
+                cross_check(poset, g)
             return
         chains = enumerate_chains(poset)
         expected = {

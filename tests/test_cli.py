@@ -193,8 +193,7 @@ class TestVerifySinglePass:
         count("order_complex", oracles)
         # Whole-function checks: every one is a scan of all elements; a
         # scan of a changed element and its covers is a local recheck.
-        count("validate_morse", morse, generators)
-        count("classify", morse, normalization, complexes)
+        count("classify", morse, normalization, complexes, generators)
         count("_scan", morse,
               key=lambda poset, values, elements: "whole" if elements is poset.elements
               else "local")
@@ -235,7 +234,6 @@ class TestVerifySinglePass:
         # sweeps without validating it again.
         assert calls["whole"] == 2
         assert calls["classify"] == 2
-        assert calls["validate_morse"] == 0
         assert calls["find_troubled"] == 0
         assert calls["_find_troubled"] == 2
         # The trace's keys are injective, so nothing rescans them.
@@ -290,12 +288,12 @@ class TestVerifySinglePass:
                 argv += ["--morse", write("f.json", morse_to_obj(gen_morse(seed, poset)))]
             calls.clear()
             assert main(argv) == 0
-            checks.add((calls["whole"], calls["validate_morse"], calls["find_troubled"],
+            checks.add((calls["whole"], calls["classify"], calls["find_troubled"],
                         calls["_find_troubled"]))
             modifications.add(calls["set_value"])
             assert calls["local"] == calls["set_value"]
         assert sorted(modifications) == [4, 19, 32]
-        assert checks == {(2, 0, 0, 2)}
+        assert checks == {(2, 2, 0, 2)}
 
     @pytest.mark.parametrize("spec", [torus(3), torus(4)], ids=["torus3", "torus4"])
     def test_gen_morse_validates_in_full_twice(self, files, calls, spec, monkeypatch):
@@ -314,7 +312,7 @@ class TestVerifySinglePass:
         # twelfths; each perturbation is checked by _holds_near, which
         # neither rechecks nor scans.
         assert calls["whole"] == 2
-        assert calls["validate_morse"] == 2
+        assert calls["classify"] == 2
         assert calls["_scan", "int"] == 2
         assert calls["_scan", "Fraction"] == 0
         assert calls["local"] == 0

@@ -18,6 +18,7 @@ from morsepoly import (
     MorseFunction,
     RankConflict,
     chain_weights,
+    classify,
     compute_parity_rank,
     dimension_morse,
     euler_characteristic,
@@ -28,7 +29,6 @@ from morsepoly import (
     is_two_wide,
     morse_inequality_report,
     order_complex,
-    validate_morse,
 )
 from tests.conftest import build_two_cycles_spec, cubical_cone
 
@@ -223,13 +223,13 @@ class TestCellular:
 class TestDimensionMorse:
     def test_triangle_all_critical(self, triangle):
         f = dimension_morse(triangle.poset, triangle.rank)
-        assert validate_morse(triangle.poset, f).valid
+        classify(triangle.poset, f)  # raises unless f is a discrete Morse function
 
     def test_valid_on_generated_corpus(self):
         for seed in range(10):
             face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.5))
             f = dimension_morse(face.poset, face.rank)
-            assert validate_morse(face.poset, f).valid
+            classify(face.poset, f)
 
 
 class TestMorseInequalityReport:

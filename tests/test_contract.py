@@ -131,6 +131,8 @@ def _rows() -> list[Row]:
              for cmd in ("check", "euler", "classify", "normalize", "index", "embed", "verify")]
     rows += [Row(f"gen.{name}.text", ("gen", "--kind", "morse", "--format", "text", "--in", f"{name}.json"))
              for name in ("complex", "unsorted")]
+    rows.append(Row("gen.no_input", ("gen", "--kind", "morse"), code=2,
+                    stderr_has="error: gen --kind morse requires --in POSET_OR_COMPLEX\n"))
     rows += [Row("euler.chain2000", ("euler", "--in", "chain2000.json"), timeout=60),
              Row("verify.simplex9", ("verify", "--in", "simplex9.json"), timeout=30)]
     rows += [Row(f"check.{name}.{fmt}", ("check", "--format", fmt, "--in", f"{name}.json"))

@@ -15,7 +15,6 @@ from morsepoly.errors import (
     Mismatch,
     MorsePolyError,
     NonCoverEdge,
-    NonGeneralFunction,
     NotGeneral,
     NotTwoWide,
 )
@@ -42,12 +41,8 @@ SAMPLES = [
         NotTwoWide(("0", "1", "2")),
         "poset is not 2-wide: covers 0 < 1 < 2 admit no alternative middle element",
     ),
-    (NonGeneralFunction(("a", "e")), "comparable elements 'a' and 'e' share a value"),
-    (
-        NotGeneral(("a", "e")),
-        "projection is not general: comparable vertices 'a' and 'e' have equal "
-        "first coordinates",
-    ),
+    (NotGeneral(("a", "e")), "comparable elements 'a' and 'e' share a value"),
+    (NotGeneral(("1,2", "1,2,3")), "comparable elements '1,2' and '1,2,3' share a value"),
     (HypothesisViolated("not 2-wide", ("0", "1", "2")),
      "hypothesis violated: not 2-wide (('0', '1', '2'))"),
     (HypothesisViolated("no parity rank function"), "hypothesis violated: no parity rank function"),

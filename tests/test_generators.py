@@ -20,6 +20,7 @@ from morsepoly import (
     InvalidMorseFunction,
     MorseFunction,
     build_poset,
+    classify,
     compute_parity_rank,
     face_poset_cellular,
     face_poset_simplicial,
@@ -29,13 +30,12 @@ from morsepoly import (
     is_downward_eulerian,
     is_two_wide,
     transitive_reduction,
-    validate_morse,
 )
 from morsepoly.generators import _base_values, _sample_matching
 from morsepoly.morse import _holds_near, _recheck_near
 from morsepoly.oracles import _contracted_is_acyclic
 from morsepoly.jsonio import complex_to_obj, dumps_canonical, morse_to_obj
-from tests.conftest import cube, cubical_torus
+from tests.conftest import cube, cubical_torus, morse_offence
 
 
 class TestGenComplex:
@@ -138,7 +138,7 @@ class TestGenMorse:
         for seed in range(30):
             face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
             f = gen_morse(seed, face.poset)
-            assert validate_morse(face.poset, f).valid
+            classify(face.poset, f)  # raises unless f is a discrete Morse function
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -148,7 +148,7 @@ class TestGenMorse:
     def test_contract_over_arbitrary_seeds(self, complex_seed, morse_seed):
         face = face_poset_simplicial(gen_complex(complex_seed, 5, 2, 0.5))
         f = gen_morse(morse_seed, face.poset)
-        assert validate_morse(face.poset, f).valid
+        classify(face.poset, f)
         assert f.values == gen_morse(morse_seed, face.poset).values
 
     def test_empty_poset_rejected(self):
@@ -286,7 +286,7 @@ class TestSampleMatching:
         started = time.perf_counter()
         f = gen_morse(3, poset)
         assert time.perf_counter() - started < 6.0
-        assert validate_morse(poset, f).valid
+        classify(poset, f)
 
 
 def fraction_perturbed(seed, poset):
@@ -377,8 +377,8 @@ class TestHoldsNear:
     @given(case=one_change())
     def test_equals_whole_function_verdict(self, case):
         poset, values, element = case
-        verdict = validate_morse(poset, MorseFunction(values))
-        assert _holds_near(poset, values, element) == verdict.valid
+        offence = morse_offence(poset, MorseFunction(values))
+        assert _holds_near(poset, values, element) == (offence is None)
 
     def test_breach_at_a_cover(self):
         # a and b under e, with b tied to e: raising a to e's value leaves a
@@ -388,4 +388,4 @@ class TestHoldsNear:
         assert _holds_near(edge, values, "a")
         values["a"] = 2
         assert not _holds_near(edge, values, "a")
-        assert validate_morse(edge, MorseFunction(values)).element == "e"
+        assert morse_offence(edge, MorseFunction(values))[0] == "e"

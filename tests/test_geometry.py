@@ -13,9 +13,9 @@ from morsepoly import (
     ComplexSpec,
     EmptyPoset,
     GeometricComplex,
+    MissingValue,
     MorseFunction,
     NotGeneral,
-    UnknownElement,
     build_poset,
     combinatorial_index,
     cross_check,
@@ -304,10 +304,10 @@ class TestLowerStarIndices:
     def assert_matches_oracles(poset, embedding):
         try:
             complex_ = realize_complex(poset, embedding)
-        except NotGeneral as error:
-            with pytest.raises(NotGeneral) as info:
+        except (MissingValue, NotGeneral) as error:
+            with pytest.raises(type(error)) as info:
                 lower_star_indices(poset, embedding)
-            assert info.value.pair == error.pair
+            assert info.value.args == error.args
             assert str(info.value) == str(error)
             return
         streamed = lower_star_indices(poset, embedding)
@@ -317,8 +317,9 @@ class TestLowerStarIndices:
     def test_unknown_element(self, edge_poset):
         vertices = build_poset(["a", "b"], [])
         emb = embed_vertices(vertices, MorseFunction.from_values({"a": 0, "b": 1}))
-        with pytest.raises(UnknownElement, match="no coordinates for 'e'"):
-            lower_star_indices(edge_poset, emb)
+        for count in (lower_star_indices, realize_complex):
+            with pytest.raises(MissingValue, match=r"^function has no value for \['e'\]$"):
+                count(edge_poset, emb)
 
     @settings(max_examples=100, deadline=None)
     @given(valued_posets())
@@ -336,9 +337,11 @@ class TestLowerStarIndices:
     @settings(max_examples=100, deadline=None)
     @given(case=valued_posets(), data=st.data())
     def test_colliding_dyadic_heights(self, case, data):
-        """Same indices, or the same NotGeneral pair, as the oracles."""
+        """Same indices, or the same NotGeneral pair or MissingValue
+        elements, as the oracles."""
         poset = case[0]
-        heights = {e: data.draw(dyadics) for e in poset.elements}
+        missing = data.draw(st.sets(st.sampled_from(poset.elements), max_size=2))
+        heights = {e: data.draw(dyadics) for e in poset.elements if e not in missing}
         self.assert_matches_oracles(poset, heights)
 
     @settings(max_examples=30, deadline=None)

@@ -37,10 +37,9 @@ from morsepoly import (
     normalize,
     normalize_trace,
     transitive_reduction,
-    validate_morse,
 )
 from morsepoly.jsonio import morse_from_obj, morse_to_obj
-from tests.conftest import cube, cubical_torus
+from tests.conftest import cube, cubical_torus, morse_offence
 
 
 @pytest.fixture
@@ -160,26 +159,26 @@ class TestRationalText:
 class TestValidate:
     def test_dimension_function_valid(self, triangle):
         f = dimension_morse(triangle.poset, triangle.rank)
-        assert validate_morse(triangle.poset, f).valid
+        classify(triangle.poset, f)  # raises unless f is a discrete Morse function
 
     def test_constant_on_edge_invalid(self, edge_poset):
         f = MorseFunction.from_values({"a": 0, "b": 0, "e": 0})
-        verdict = validate_morse(edge_poset, f)
-        assert not verdict
-        assert verdict.element == "e"
-        assert set(verdict.witnesses) == {("a", "below"), ("b", "below")}
+        with pytest.raises(InvalidMorseFunction) as info:
+            classify(edge_poset, f)
+        assert info.value.element == "e"
+        assert set(info.value.witnesses) == {("a", "below"), ("b", "below")}
 
     def test_counterexample_chain_is_valid(self, chain_poset, chain_morse):
-        assert validate_morse(chain_poset, chain_morse).valid
+        classify(chain_poset, chain_morse)
 
     def test_missing_value(self, edge_poset):
         with pytest.raises(MissingValue):
-            validate_morse(edge_poset, MorseFunction.from_values({"a": 0, "b": 1}))
+            classify(edge_poset, MorseFunction.from_values({"a": 0, "b": 1}))
 
     def test_extra_value(self, edge_poset):
         f = MorseFunction.from_values({"a": 0, "b": 1, "e": 2, "zz": 3})
         with pytest.raises(UnknownElement):
-            validate_morse(edge_poset, f)
+            classify(edge_poset, f)
 
 
 class TestClassify:
@@ -461,7 +460,7 @@ def two_wide_functions(draw):
     elements = st.sampled_from(poset.sorted_elements)
     for e, source in draw(st.lists(st.tuples(elements, elements), max_size=len(poset))):
         old, values[e] = values[e], values[source]
-        if not validate_morse(poset, MorseFunction(dict(values))).valid:
+        if morse_offence(poset, MorseFunction(dict(values))):
             values[e] = old
     return poset, MorseFunction(values)
 
@@ -487,13 +486,13 @@ class TestLocalRecheck:
         values = dict(f.values)
         values[element] = new
         changed = MorseFunction(values)
-        verdict = validate_morse(poset, changed)
+        offence = morse_offence(poset, changed)
         try:
             critical = morse._recheck_near(poset, values, element)
         except InvalidMorseFunction as exc:
-            assert exc.element == verdict.element
+            assert offence is not None and exc.element == offence[0]
             return
-        assert verdict.element is None
+        assert offence is None
         near = {element, *poset.lower_covers(element), *poset.upper_covers(element)}
         assert set(critical) == near
         before = classify(poset, f).verdicts
@@ -576,9 +575,7 @@ class TestMorseConditionOracle:
         rows = morse_oracle(poset, f.values)
         offence = oracle_offence(rows)
 
-        verdict = validate_morse(poset, f)
         if offence is not None:
-            assert (verdict.valid, verdict.element, verdict.witnesses) == (False, *offence)
             for reader in (classify, check_exclusivity, find_troubled):
                 with pytest.raises(InvalidMorseFunction) as info:
                     reader(poset, f)
@@ -588,7 +585,6 @@ class TestMorseConditionOracle:
                     f"non-increasing covers {offence[1]}"
                 )
             return
-        assert verdict.valid
 
         classification = classify(poset, f)
         assert classification.verdicts == {
@@ -705,8 +701,9 @@ class TestDownSweepVacuity:
 class TestTrace:
     def test_stage_snapshots_are_distinct_objects(self, trouble_poset):
         poset, f = trouble_poset
+        before = dict(f.values)
         trace = normalize_trace(poset, f)
-        assert trace.start.values == f.values  # input never mutated
+        assert f.values == before  # input never mutated
         assert trace.result.is_injective()
 
     def test_staging_invariants(self, trouble_poset):
@@ -724,16 +721,15 @@ class TestTrace:
     def test_each_modification_changes_one_element(self, trouble_poset):
         poset, f = trouble_poset
         trace = normalize_trace(poset, f)
-        values = dict(trace.start.values)
+        values = dict(f.values)
         for mod in trace.modifications:
             assert values[mod.element] == mod.old
             values[mod.element] = mod.new
         assert values == dict(trace.result.values)
 
     def test_order_is_a_linear_extension(self, trouble_poset):
-        poset, f = trouble_poset
-        trace = normalize_trace(poset, f)
-        position = {e: i for i, e in enumerate(trace.order)}
+        poset, _ = trouble_poset
+        position = {e: i for i, e in enumerate(linear_extension(poset))}
         for a, b in poset.covers:
             assert position[a] < position[b]
 
@@ -763,7 +759,7 @@ class TestSpreadSweepReference:
         face = face_poset_simplicial(gen_complex(seed, 6, 1 + seed % 3, 0.5))
         f = dimension_morse(face.poset, face.rank) if dimension else gen_morse(seed, face.poset)
         trace = normalize_trace(face.poset, f)
-        values, moves = self.direct(trace.order, trace.after_up_sweep.values)
+        values, moves = self.direct(linear_extension(face.poset), trace.after_up_sweep.values)
         assert values == dict(trace.result.values)
         assert moves == [
             (m.element, m.old, m.new) for m in trace.modifications if m.stage == "spread_sweep"
@@ -783,7 +779,6 @@ class TestSpreadSweepReference:
         expected += [("spread_sweep", *move) for move in moves]
 
         trace = normalize_trace(poset, f)
-        assert trace.order == order
         assert trace.classification == classify(poset, f)
         assert trace.after_up_sweep.values == state.values
         assert trace.result.values == values

@@ -32,7 +32,6 @@ from morsepoly import (
     IndexReport,
     Modification,
     MorseFunction,
-    MorseVerdict,
     NormalizationTrace,
     Poset,
     TroubleFlags,
@@ -49,7 +48,6 @@ from morsepoly import (
     is_two_wide,
     normalize,
     normalize_trace,
-    validate_morse,
     verify_representation,
 )
 from morsepoly.cli import COMMANDS, build_parser, main
@@ -90,13 +88,12 @@ def real_records():
     trace = normalize_trace(face.poset, dimension_morse(face.poset, face.rank))
     assert trace.modifications
     return [face, face.poset, classify(face.poset, f), is_two_wide(face.poset), report,
-            *report.entries, report.normalized, trace, *trace.modifications, trace.start,
-            trace.result]
+            *report.entries, report.normalized, trace, *trace.modifications, trace.result]
 
 
 def test_every_record_class_is_slotted():
     classes = record_classes()
-    assert len(classes) == 20
+    assert len(classes) == 19
     for cls in classes:
         assert isinstance(cls.__slots__, tuple) and cls.__slots__, cls
         # No class on the way up adds a per-instance __dict__.
@@ -128,26 +125,21 @@ def test_each_field_is_declared_once_as_an_annotation():
 TRUTH = {
     TwoWideVerdict: ("holds", lambda verdict: verdict.witness is None),
     EulerianVerdict: ("holds", lambda verdict: not verdict.violations),
-    MorseVerdict: ("valid", lambda verdict: verdict.element is None),
     CrossCheckReport: ("ok", lambda verdict: not verdict.mismatches),
 }
 
 
 def verdicts(face):
-    """The verdicts the four checks give on a poset (or a face poset's
+    """The verdicts the three checks give on a poset (or a face poset's
     poset): 2-wideness, the downward Eulerian condition where a parity rank
-    exists, the Morse condition of a constant function, a generated one and
-    the normalized dimension function, and the cross-check of the latter,
-    as computed and against indices skewed at one element."""
+    exists, and the cross-check of the normalized dimension function, as
+    computed and against indices skewed at one element."""
     poset = getattr(face, "poset", face)
     yield is_two_wide(poset)
     if isinstance(poset._parity, dict):
         yield _downward_eulerian(poset, poset._parity)
-    yield validate_morse(poset, MorseFunction(dict.fromkeys(poset.elements, 0)))
-    yield validate_morse(poset, gen_morse(1, poset))
     if poset is not face:
         g = normalize(poset, dimension_morse(poset, face.rank))
-        yield validate_morse(poset, g)
         report = cross_check(poset, g)
         yield report
         yield compare_indices(report.indices, {b: i + (b == poset.elements[0])
@@ -210,7 +202,6 @@ def test_reprs_are_pinned():
     assert repr(TwoWideVerdict(witness=("a", "b", "c"))) == (
         "TwoWideVerdict(witness=('a', 'b', 'c'))"
     )
-    assert repr(MorseVerdict()) == "MorseVerdict(element=None, witnesses=())"
     assert repr(Modification("up", "e", Fraction(1), Fraction(3, 2))) == (
         "Modification(stage='up', element='e', old=Fraction(1, 1), new=Fraction(3, 2))"
     )
@@ -254,7 +245,7 @@ def test_records_holding_dicts_stay_unhashable():
 
 
 def test_pickle_copy_and_deepcopy_round_trip(real_records):
-    for record in [*real_records, MorseVerdict("e", (("a", "below"),))]:
+    for record in [*real_records, TroubleFlags(up=("x", "y"))]:
         for twin in (
             pickle.loads(pickle.dumps(record)),
             copy.copy(record),
@@ -269,7 +260,7 @@ def test_pickle_copy_and_deepcopy_round_trip(real_records):
 
 
 def test_constructor_keeps_positions_keywords_and_defaults():
-    assert MorseVerdict("e") == MorseVerdict(element="e", witnesses=())
+    assert TroubleFlags(("x", "y")) == TroubleFlags(short_up=("x", "y"), up=None)
     assert TroubleFlags() == TroubleFlags(None, None, None, None)
     entry = IndexEntry(critical=False, predicted=0, computed=0, element="x")
     assert fields(entry) == ("x", 0, 0, False)
@@ -328,11 +319,11 @@ def test_derived_values_equal_what_the_records_stored(name, top):
         lambda: TwoWideVerdict(("a", "b", "c"), ("d", "e", "f")),
         lambda: TwoWideVerdict(witnes=("a", "b", "c")),
         lambda: IndexEntry("x", 1, 1, True, "extra"),
-        lambda: MorseVerdict(True, wittnesses=()),
+        lambda: TroubleFlags(None, upp=("x", "y")),
         lambda: ComplexSpec(kind="simplicial", cell=()),
         lambda: IndexEntry("x", 1, 1),
         lambda: TwoWideVerdict(("a", "b", "c"), witness=None),
-        lambda: MorseVerdict(True, None, (), "x"),
+        lambda: TroubleFlags(None, None, None, None, ("x", "y")),
     ],
 )
 def test_missing_or_unknown_argument_raises(build):
