@@ -32,7 +32,7 @@ _HOMES = {
     "errors": (
         "CycleDetected", "EmptyPoset", "HypothesisViolated", "InvalidArgument",
         "InvalidMorseFunction", "MalformedSpec", "Mismatch", "MissingValue",
-        "MorsePolyError", "NonCoverEdge", "NotACover", "NotGeneral", "NotTwoWide",
+        "MorsePolyError", "NonCoverEdge", "NotACover", "NotGeneral",
         "ParseError", "RankConflict", "UnknownElement",
     ),
     "morse": (

@@ -4,10 +4,12 @@ Exceptions fall into three groups: input validation (bad poset data, bad
 complex descriptions, bad function files), contract violations (calling an
 operation outside its stated hypotheses), and identity failures (a verified
 equation did not hold, which indicates a bug rather than bad input).  Each
-refusal of a function has one type, whoever raises it: MissingValue for a
-function or heights map with no value at an element, InvalidMorseFunction
-for one that breaks the Morse condition, and NotGeneral for a tie on a
-comparable pair.
+refusal has one type, whoever raises it: MissingValue for a function or
+heights map with no value at an element, InvalidMorseFunction for one that
+breaks the Morse condition, NotGeneral for a tie on a comparable pair, and
+HypothesisViolated for a poset outside the paper's class (not 2-wide, no
+parity rank, or not downward Eulerian), whichever command or function
+needs the hypothesis.
 ``morse.parse_rational`` raises InvalidArgument for malformed text, but
 TypeError, not a package error, for a float or a bool.
 
@@ -81,19 +83,6 @@ class InvalidMorseFunction(MorsePolyError):
     def __str__(self) -> str:
         return (f"not a discrete Morse function: element {self.element!r} has "
                 f"non-increasing covers {self.witnesses}")
-
-
-class NotTwoWide(MorsePolyError):
-    """The poset is not 2-wide, so the operation's hypotheses fail."""
-
-    def __init__(self, witness: tuple[str, str, str]):
-        super().__init__(witness)
-        self.witness = witness
-
-    def __str__(self) -> str:
-        w = self.witness
-        return (f"poset is not 2-wide: covers {w[0]} < {w[1]} < {w[2]} "
-                f"admit no alternative middle element")
 
 
 class NotACover(MorsePolyError):

@@ -93,6 +93,14 @@ def is_two_wide(poset: Poset) -> TwoWideVerdict:
     return TwoWideVerdict(None)
 
 
+def _require_two_wide(poset: Poset) -> None:
+    """Raise HypothesisViolated, with :func:`is_two_wide`'s witness, unless
+    the poset is 2-wide: the one refusal of every caller that needs it."""
+    wide = is_two_wide(poset)
+    if not wide:
+        raise HypothesisViolated("not 2-wide", wide.witness)
+
+
 def compute_parity_rank(poset: Poset) -> dict[ElementId, int] | GradingConflict:
     """The unique parity rank function, or a conflict witness if none exists.
 
@@ -150,9 +158,7 @@ def _downward_eulerian(poset: Poset, mu: dict[ElementId, int]) -> EulerianVerdic
 def check_hypotheses(poset: Poset) -> dict[ElementId, int]:
     """Verify 2-wide + parity-graded + downward Eulerian; return the parity,
     the poset's own map, which the caller must not change."""
-    wide = is_two_wide(poset)
-    if not wide:
-        raise HypothesisViolated("not 2-wide", wide.witness)
+    _require_two_wide(poset)
     mu = poset._parity
     if isinstance(mu, GradingConflict):
         raise HypothesisViolated(

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InvalidMorseFunction, NotTwoWide
-from .hypotheses import is_two_wide
+from .errors import InvalidMorseFunction
+from .hypotheses import _require_two_wide
 from .morse import Classification, MorseFunction, _recheck_near, classify
 from .poset import ElementId, GradingConflict, Poset, Record, _cover_pairs
 
@@ -234,19 +234,20 @@ class _Pipeline:
 def normalize_trace(poset: Poset, f: MorseFunction) -> NormalizationTrace:
     """Run the full normalization pipeline, keeping every intermediate stage.
 
-    Requires a valid discrete Morse function on a 2-wide poset.  The input is
-    validated and classified once in full; after that every single-value
-    modification is re-validated and re-classified at the changed element
-    and its covers, the only elements whose verdict it can alter, so a
-    contract violation fails loudly at the exact step that caused it.
+    Requires a valid discrete Morse function on a 2-wide poset; a poset
+    that is not 2-wide is refused first, with the HypothesisViolated that
+    :func:`~morsepoly.hypotheses.check_hypotheses` raises for it.  The
+    input is validated and classified once in full; after that every
+    single-value modification is re-validated and re-classified at the
+    changed element and its covers, the only elements whose verdict it can
+    alter, so a contract violation fails loudly at the exact step that
+    caused it.
 
     The up sweep must leave no obstruction at all (see
     :meth:`_Pipeline.up_sweep` for why no down sweep is needed).  That is
     audited before the spread sweep, whose tie breaking could hide one.
     """
-    verdict = is_two_wide(poset)
-    if not verdict:
-        raise NotTwoWide(verdict.witness)
+    _require_two_wide(poset)
     return _normalize_trace(poset, f)
 
 
@@ -282,6 +283,7 @@ def normalize(poset: Poset, f: MorseFunction) -> MorseFunction:
     The result has exactly the same critical set as the input, assigns a
     distinct value to every element, and satisfies the monotone-extension
     property: for z < x < y < w with x covered by y and g(x) < g(y), both
-    g(z) < g(y) and g(x) < g(w).
+    g(z) < g(y) and g(x) < g(w).  Refuses a poset that is not 2-wide with
+    HypothesisViolated, as :func:`normalize_trace` does.
     """
     return normalize_trace(poset, f).result

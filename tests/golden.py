@@ -9,7 +9,9 @@ the digests of stdout, stderr and every file the command writes.  The
 manifest stores no output, and the inputs only as digests of the files
 :func:`build_inputs` writes: the exit-0 documents of ``test_contract.py``,
 the conftest builders, and ``gen_complex`` seeds; each input has a
-``gen_morse`` function next to it.
+``gen_morse`` function next to it.  The rows end with the requests the
+benchmark sends at seeds 1 and 2, on inputs that repeat the shapes and
+the bytes of ``bench/workloads.py`` without importing it.
 
 From the repository root:
 
@@ -63,22 +65,82 @@ INPUTS = {
 SEEDS = {name: int(name[3:]) if name.startswith("gen") else 1 for name in INPUTS}
 
 
+def _torus(m: int) -> list[list[str]]:
+    """The m x m grid torus, each square cut along its diagonal."""
+    def v(i: int, j: int) -> str:
+        return f"{i % m}_{j % m}"
+    return [sorted(t) for i in range(m) for j in range(m)
+            for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+
+
+def _circle(length: int) -> list[list[str]]:
+    return [sorted((str(i), str((i + 1) % length))) for i in range(length)]
+
+
+def _simplex(dim: int) -> list[list[str]]:
+    return [[str(i) for i in range(dim + 1)]]
+
+
+def _bench_requests():
+    """The benchmark's inputs and argv at seeds 1 and 2: each complex's
+    maximal simplices, the gen_morse seed of each function, and the rows."""
+    complexes, functions, argvs = {}, {}, []
+    for seed in (1, 2):
+        ladders = ([(f"torus{m}", _torus(m)) for m in (3, 4, 5)],
+                   [(f"simplex{d}", _simplex(d)) for d in (3, 4, 5)])
+        for ladder in ladders:
+            for k, (shape, maximal) in enumerate(ladder):
+                name = f"bench{seed}.{shape}"
+                complexes[name], functions[name] = maximal, seed * 1000 + k
+                argvs += [("verify", "--in", f"{name}.json"),
+                          ("verify", "--in", f"{name}.json", "--morse", f"{name}.morse.json")]
+        for k in range(6):
+            name = f"bench{seed}.corpus{k:03d}"
+            spec = gen_complex(seed * 1000 + k, 6 + k % 3, 2 + (k // 3) % 2, 0.4)
+            complexes[name] = [list(s) for s in spec.maximal_simplices]
+            functions[name] = seed * 1000 + k
+            argvs.append(("verify", "--in", f"{name}.json", "--morse", f"{name}.morse.json"))
+        rungs = (("torus4", _torus(4)), ("circle100", _circle(100)),
+                 ("torus5", _torus(5)), ("circle150", _circle(150)))
+        for k, (shape, maximal) in enumerate(rungs):
+            name = f"bench{seed}.{shape}"
+            complexes[name] = maximal
+            argvs.append(("gen", "--kind", "morse", "--seed", str(seed * 1000 + k),
+                          "--in", f"{name}.json"))
+    return complexes, functions, argvs
+
+
+BENCH_COMPLEXES, BENCH_FUNCTIONS, BENCH_ROWS = _bench_requests()
+
+
 def _dump(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True) + "\n").encode()
 
 
 def build_inputs(directory: Path) -> dict[str, str]:
     """Write every input, as ``<name>.json``, and its function, as
-    ``<name>.f.json``, to directory; return each file's digest."""
+    ``<name>.f.json``, to directory; then each benchmark complex, as the
+    benchmark writes it, with its function, if it has one, as
+    ``<name>.morse.json``; return each file's digest."""
     digests = {}
+
+    def put(name: str, data: bytes) -> Path:
+        path = directory / name
+        path.write_bytes(data)
+        digests[name] = _digest(data)
+        return path
+
     for name, document in INPUTS.items():
-        path = directory / f"{name}.json"
-        path.write_bytes(_dump(document))
-        _, poset = load_input(str(path))
-        function = directory / f"{name}.f.json"
-        function.write_bytes(_dump(jsonio.morse_to_obj(gen_morse(SEEDS[name], poset))))
-        for written in (path, function):
-            digests[written.name] = _digest(written.read_bytes())
+        _, poset = load_input(str(put(f"{name}.json", _dump(document))))
+        put(f"{name}.f.json", _dump(jsonio.morse_to_obj(gen_morse(SEEDS[name], poset))))
+    for name, maximal in BENCH_COMPLEXES.items():
+        document = {"kind": "simplicial", "maximal_simplices": maximal}
+        path = put(f"{name}.json", jsonio.dumps_canonical(document).encode())
+        if name in BENCH_FUNCTIONS:
+            _, poset = load_input(str(path))
+            f = gen_morse(BENCH_FUNCTIONS[name], poset)
+            put(f"{name}.morse.json", jsonio.dumps_canonical(jsonio.morse_to_obj(f)).encode())
     return dict(sorted(digests.items()))
 
 
@@ -95,7 +157,7 @@ def rows() -> list[tuple[str, ...]]:
                 argvs += [(cmd, *common, *morse)
                           for cmd in ("classify", "normalize", "index", "embed", "verify")]
                 argvs.append(("embed", *common, *morse, "--csv", CSV))
-    return argvs
+    return argvs + BENCH_ROWS
 
 
 def _digest(data: bytes) -> str:

@@ -171,7 +171,7 @@ class TestVerifySinglePass:
                 monkeypatch.setattr(module, name, wrapper)
 
         count("_normalize_trace", normalization, chain_index)
-        count("is_two_wide", normalization, hypotheses)
+        count("is_two_wide", hypotheses)  # normalization refuses through hypotheses
         count("find_troubled", normalization)
         count("_find_troubled", normalization)
         count("_require_general", chain_index)

@@ -56,6 +56,9 @@ DOCUMENTS = {
         ["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["a", "x"], ["x", "e"]]},
     "parity_conflict.json": {"elements": ["d", "x", "c", "b", "a"], "covers": [
         ["a", "b"], ["b", "c"], ["c", "d"], ["a", "x"], ["x", "d"]]},
+    # Functions rising along every cover of those two, so Morse functions.
+    "ungraded.morse.json": {"values": {"a": 0, "b": 1, "x": 1, "c": 2, "d": 3, "e": 4}},
+    "parity_conflict.morse.json": {"values": {"a": 0, "b": 1, "x": 1, "c": 2, "d": 3}},
     # Covers derived from a relation: a square disk whose 2-cell lists its
     # full boundary, and a poset with two redundant pairs, where
     # NonCoverEdge must name the identifier-first one.
@@ -137,6 +140,13 @@ def _rows() -> list[Row]:
              Row("verify.simplex9", ("verify", "--in", "simplex9.json"), timeout=30)]
     rows += [Row(f"check.{name}.{fmt}", ("check", "--format", fmt, "--in", f"{name}.json"))
              for name in ("ungraded", "parity_conflict") for fmt in ("json", "text")]
+    # Neither is 2-wide, and every command that needs the hypothesis refuses
+    # it with the same line.
+    rows += [Row(f"{cmd}.{name}.not_two_wide",
+                 (cmd, "--in", f"{name}.json", "--morse", f"{name}.morse.json"), code=2,
+                 stderr_has="error: hypothesis violated: not 2-wide (('a', 'b', 'c'))\n")
+             for name in ("ungraded", "parity_conflict")
+             for cmd in ("normalize", "embed", "index", "verify")]
     rows += [Row(f"{cmd}.full_disk.{fmt}", (cmd, *flags, "--format", fmt, "--in", "full_disk.json"))
              for cmd, flags in (("check", ("--strict",)), ("verify", ())) for fmt in ("json", "text")]
     rows += [Row("verify.out", ("verify", *morse, "--out", "verify.written"), written="verify.written"),

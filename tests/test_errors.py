@@ -16,7 +16,6 @@ from morsepoly.errors import (
     MorsePolyError,
     NonCoverEdge,
     NotGeneral,
-    NotTwoWide,
 )
 
 # One instance of every error, with the message it must keep.
@@ -38,8 +37,10 @@ SAMPLES = [
         "(('a', 'below'), ('c', 'below'))",
     ),
     (
-        NotTwoWide(("0", "1", "2")),
-        "poset is not 2-wide: covers 0 < 1 < 2 admit no alternative middle element",
+        HypothesisViolated("no parity rank function",
+                           "element 'd' receives 1 via 'c' and 0 via 'x'"),
+        "hypothesis violated: no parity rank function "
+        "(element 'd' receives 1 via 'c' and 0 via 'x')",
     ),
     (NotGeneral(("a", "e")), "comparable elements 'a' and 'e' share a value"),
     (NotGeneral(("1,2", "1,2,3")), "comparable elements '1,2' and '1,2,3' share a value"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from morsepoly import morse, normalization
 from morsepoly import (
+    HypothesisViolated,
     InvalidArgument,
     InvalidMorseFunction,
     MalformedSpec,
@@ -18,7 +19,6 @@ from morsepoly import (
     Modification,
     MorseFunction,
     MorsePolyError,
-    NotTwoWide,
     TroubleFlags,
     UnknownElement,
     build_poset,
@@ -282,8 +282,10 @@ class TestLinearExtension:
 
 class TestNormalize:
     def test_requires_two_wide(self, chain_poset, chain_morse):
-        with pytest.raises(NotTwoWide):
+        with pytest.raises(HypothesisViolated) as caught:
             normalize(chain_poset, chain_morse)
+        assert caught.value.prop == "not 2-wide"
+        assert caught.value.detail == is_two_wide(chain_poset).witness
 
     def test_requires_valid(self, edge_poset):
         with pytest.raises(InvalidMorseFunction):
