@@ -54,11 +54,10 @@ _HOMES = {
     "geometry": ("CrossCheckReport", "embed_vertices", "lower_star_indices"),
     "generators": ("gen_complex", "gen_morse"),
     "oracles": (
-        "ExclusivityReport", "GeometricComplex", "SimplicialComplex",
-        "chain_sum_excluding", "chain_sum_lower", "chain_sum_top", "check_exclusivity",
-        "cross_check", "enumerate_chains", "euler_characteristic", "geometric_index",
-        "geometric_indices", "matrix_rank", "monotone_extension_holds", "order_complex",
-        "realize_complex", "spans_full_simplex",
+        "GeometricComplex", "SimplicialComplex", "chain_sum_excluding", "chain_sum_lower",
+        "chain_sum_top", "check_exclusivity", "cross_check", "enumerate_chains",
+        "euler_characteristic", "geometric_index", "geometric_indices", "matrix_rank",
+        "monotone_extension_holds", "order_complex", "realize_complex", "spans_full_simplex",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -22,7 +22,7 @@ def _check_payload(kind: str, poset: Poset) -> dict:
         },
     }
     if not isinstance(mu, GradingConflict):
-        eulerian = _downward_eulerian(poset, mu)
+        eulerian = _downward_eulerian(poset)
         payload["parity_rank"] = {
             "exists": True,
             "values": mu,

@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .errors import HypothesisViolated, InvalidArgument, MalformedSpec, Mismatch, RankConflict
-from .morse import MorseFunction, classify
+from .errors import InvalidArgument, MalformedSpec, Mismatch, RankConflict
+from .morse import MorseFunction, _require_values, classify
 from .poset import (
     ElementId,
     Poset,
@@ -164,7 +164,9 @@ def face_poset_cellular(spec: ComplexSpec) -> FacePoset:
 
 
 def dimension_morse(poset: Poset, rank: dict[ElementId, int]) -> MorseFunction:
-    """The dimension function as a Morse function; every element is critical."""
+    """The dimension function as a Morse function; every element is critical.
+    Raises MissingValue if rank has no value at an element."""
+    _require_values(poset, rank)
     return MorseFunction({e: Fraction(rank[e]) for e in poset.elements})
 
 
@@ -184,19 +186,17 @@ def morse_inequality_report(
     """Critical cells per rank and the alternating-sum identity.
 
     Asserts sum_i (-1)^i M_i = chi of the order complex; requires the
-    structural hypotheses (raises HypothesisViolated otherwise).  Once they
-    hold, chi is the alternating count of elements by parity, as in
+    structural hypotheses (raises HypothesisViolated otherwise) and a rank
+    of the poset's parity, as checked by
+    :func:`~morsepoly.hypotheses.validate_parity_rank`.  Once they hold, chi
+    is the alternating count of elements by parity, as in
     :func:`~morsepoly.chain_index.verify_representation`.
     """
     # Every command loads this module; only this report needs the hypotheses.
-    from .hypotheses import check_hypotheses
+    from .hypotheses import check_hypotheses, validate_parity_rank
 
     mu = check_hypotheses(poset)
-    for e in poset.elements:
-        if e not in rank:
-            raise HypothesisViolated("rank function not total", e)
-        if rank[e] % 2 != mu[e]:
-            raise HypothesisViolated("rank function inconsistent with parity", e)
+    validate_parity_rank(poset, {e: r % 2 for e, r in rank.items()})
     counts = critical_by_dimension(rank, classify(poset, f).critical_set())
     alternating = sum((-1) ** i * m for i, m in enumerate(counts))
     chi = len(poset) - 2 * sum(mu.values())

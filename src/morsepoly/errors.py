@@ -7,9 +7,10 @@ equation did not hold, which indicates a bug rather than bad input).  Each
 refusal has one type, whoever raises it: MissingValue for a function or
 heights map with no value at an element, InvalidMorseFunction for one that
 breaks the Morse condition, NotGeneral for a tie on a comparable pair, and
-HypothesisViolated for a poset outside the paper's class (not 2-wide, no
-parity rank, or not downward Eulerian), whichever command or function
-needs the hypothesis.
+HypothesisViolated, raised only by ``hypotheses``, for a poset outside the
+paper's class (not 2-wide, no parity rank, or not downward Eulerian),
+whichever command or function needs the hypothesis.  A caller's grading
+that is not the poset's own is a bad argument: InvalidArgument.
 ``morse.parse_rational`` raises InvalidArgument for malformed text, but
 TypeError, not a package error, for a float or a bool.
 

@@ -31,6 +31,7 @@ it, in identifier order.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -112,11 +113,10 @@ def _reaches_around(
     return False
 
 
-def _sample_matching(
-    poset: Poset, rng: random.Random
-) -> tuple[list[tuple[ElementId, ElementId]], dict[ElementId, ElementId]]:
-    """Vertex-disjoint cover pairs whose contraction leaves the digraph
-    acyclic, and the contraction: the node that holds each element.
+def _sample_matching(poset: Poset, rng: random.Random) -> tuple[list, dict, dict]:
+    """Vertex-disjoint cover pairs (a, b) whose contraction leaves the
+    digraph acyclic, the contraction (the node that holds each element), and
+    each node's upper covers, a matched pair's merged into one tuple.
 
     The cover digraph with the accepted pairs merged stays acyclic.  Both
     ends of a candidate a < b are unmatched, so each is still its own node,
@@ -143,37 +143,30 @@ def _sample_matching(
         matching.append((a, b))
         taken.add(a)
         taken.add(b)
-    return matching, node
+    return matching, node, succ
 
 
 def _base_values(
-    poset: Poset,
     matching: list[tuple[ElementId, ElementId]],
     node: dict[ElementId, ElementId],
+    succ: dict[ElementId, tuple[ElementId, ...]],
     rng: random.Random,
 ) -> dict[ElementId, int]:
     """Values in twelfths from topological positions of the matched-pair
-    contraction ``node``."""
-    nodes = sorted(set(node.values()))
-    edges: dict[ElementId, set[ElementId]] = {n: set() for n in nodes}
-    indeg: dict[ElementId, int] = {n: 0 for n in nodes}
-    for u, v in _cover_pairs(poset):
-        nu, nv = node[u], node[v]
-        if nu != nv and nv not in edges[nu]:
-            edges[nu].add(nv)
-            indeg[nv] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
+    contraction ``node``, whose edges run from each node to the nodes of
+    its upper covers ``succ``."""
+    edges = {n: sorted({node[t] for t in succ[n]} - {n}) for n in sorted(succ)}
+    indeg = Counter(m for targets in edges.values() for m in targets)
+    ready = [n for n in edges if not indeg[n]]
     position: dict[ElementId, int] = {}
-    counter = 0
     while ready:
         n = ready.pop(rng.randrange(len(ready)))
-        position[n] = counter
-        counter += 1
-        for m in sorted(edges[n]):
+        position[n] = len(position)
+        for m in edges[n]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 ready.append(m)
-    values = {e: _SCALE * position[node[e]] for e in poset.elements}
+    values = {e: _SCALE * position[n] for e, n in node.items()}
     # Turn some matched equalities into strict decreases across the cover.
     for a, b in matching:
         if rng.random() < 0.5:
@@ -194,8 +187,7 @@ def gen_morse(seed: int, poset: Poset) -> MorseFunction:
     if len(poset) == 0:
         raise EmptyPoset("cannot generate a function on an empty poset")
     rng = random.Random(seed)
-    matching, node = _sample_matching(poset, rng)
-    scaled = _base_values(poset, matching, node, rng)
+    scaled = _base_values(*_sample_matching(poset, rng), rng)
     _require_morse(poset, scaled, "base function is invalid")
 
     elements = poset.elements

@@ -7,7 +7,10 @@ complex of each strict down-set has the Euler characteristic its parity
 prescribes); :func:`check_hypotheses` requires all three.  The gradings
 are not derived here: :func:`~morsepoly.poset.build_poset` grades each
 poset once, and this module reads what it stored, a dict from element to
-int or the first :class:`GradingConflict`.  Signed chain counts of
+int or the first :class:`GradingConflict`.  Each hypothesis has one
+refusal, a ``HypothesisViolated`` built here whoever asks; a caller's
+grading that is not the poset's own gets InvalidArgument from
+:func:`validate_parity_rank` alone.  Signed chain counts of
 induced subposets come from Hall's recursion (:func:`chain_weights`) in
 time polynomial in the poset, so no check here lists a chain; the
 enumeration they are tested against is in :mod:`morsepoly.oracles`.
@@ -118,12 +121,24 @@ def compute_rank_function(poset: Poset) -> dict[ElementId, int] | GradingConflic
     return rank if isinstance(rank, GradingConflict) else dict(rank)
 
 
+def _require_parity(poset: Poset) -> dict[ElementId, int]:
+    """The poset's own parity map, or the one refusal of a poset with none,
+    naming the first conflict build_poset met."""
+    mu = poset._parity
+    if isinstance(mu, GradingConflict):
+        raise HypothesisViolated(
+            "no parity rank function",
+            f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "
+            f"and {mu.values[1]} via {mu.via[1]!r}",
+        )
+    return mu
+
+
 def validate_parity_rank(poset: Poset, mu: dict[ElementId, int]) -> None:
-    """Raise InvalidArgument unless mu is a parity rank function for the poset:
-    one is unique when it exists, so mu must be the one build_poset found."""
-    own = poset._parity
-    if isinstance(own, GradingConflict):
-        raise InvalidArgument(f"no parity rank exists: element {own.element!r} gets both parities")
+    """Raise InvalidArgument, naming the first element where mu differs,
+    unless mu is the poset's own parity rank (unique when one exists); a
+    poset with none gets :func:`_require_parity`'s HypothesisViolated."""
+    own = _require_parity(poset)
     for e in poset.elements:
         if mu.get(e) != own[e]:
             raise InvalidArgument(f"parity rank of {e!r} is not {own[e]}")
@@ -138,18 +153,18 @@ def is_downward_eulerian(poset: Poset, mu: dict[ElementId, int]) -> EulerianVerd
     of the whole poset, so one pass serves every element.
     """
     validate_parity_rank(poset, mu)
-    return _downward_eulerian(poset, mu)
+    return _downward_eulerian(poset)
 
 
-def _downward_eulerian(poset: Poset, mu: dict[ElementId, int]) -> EulerianVerdict:
-    """:func:`is_downward_eulerian` for a parity known to be the poset's."""
+def _downward_eulerian(poset: Poset) -> EulerianVerdict:
+    """:func:`is_downward_eulerian` on the poset's own parity, known to exist."""
     w = _chain_weights(poset, poset.elements)
     violations = []
     for a in poset.elements:
         if not poset._lower[a]:
             continue
         chi = 1 - w[a]
-        required = (-1) ** (mu[a] + 1) + 1
+        required = (-1) ** (poset._parity[a] + 1) + 1
         if chi != required:
             violations.append((a, chi, required))
     return EulerianVerdict(tuple(violations))
@@ -159,14 +174,8 @@ def check_hypotheses(poset: Poset) -> dict[ElementId, int]:
     """Verify 2-wide + parity-graded + downward Eulerian; return the parity,
     the poset's own map, which the caller must not change."""
     _require_two_wide(poset)
-    mu = poset._parity
-    if isinstance(mu, GradingConflict):
-        raise HypothesisViolated(
-            "no parity rank function",
-            f"element {mu.element!r} receives {mu.values[0]} via {mu.via[0]!r} "
-            f"and {mu.values[1]} via {mu.via[1]!r}",
-        )
-    eulerian = _downward_eulerian(poset, mu)
+    mu = _require_parity(poset)
+    eulerian = _downward_eulerian(poset)
     if not eulerian:
         raise HypothesisViolated("not downward Eulerian", eulerian.violations)
     return mu

@@ -21,9 +21,10 @@ paths to it:
 - :func:`matrix_rank`, :func:`difference_matrix` and
   :func:`spans_full_simplex`, which confirm by exact Gaussian elimination
   that the points ``embed`` prints span a full simplex;
-- :func:`check_exclusivity` and :func:`monotone_extension_holds`, which
-  audit a whole function for the properties the normalization pipeline
-  guarantees;
+- :func:`check_exclusivity`, its offenders a plain tuple (the 2-wide verdict
+  is :func:`~morsepoly.hypotheses.is_two_wide`'s), and
+  :func:`monotone_extension_holds`, which audit a whole function for the
+  properties the normalization pipeline guarantees;
 - :func:`_contracted_is_acyclic`, the whole-graph cycle test after merging
   cover pairs, against the incremental reachability test of
   :func:`~morsepoly.generators._sample_matching`.
@@ -41,13 +42,6 @@ from .hypotheses import is_two_wide
 from .jsonio import embedding_to_obj
 from .morse import MorseFunction, _require_total, _require_values, _scan
 from .poset import ElementId, Poset, Record, _order
-
-
-class ExclusivityReport(Record):
-    """Elements with non-increasing covers in both directions, if any."""
-
-    two_wide: bool
-    offenders: tuple[tuple[ElementId, ElementId, ElementId], ...]  # (element, below, above)
 
 
 class SimplicialComplex(Record):
@@ -267,8 +261,9 @@ def spans_full_simplex(heights: Mapping[ElementId, Fraction]) -> bool:
     return matrix_rank(difference_matrix(heights)) == len(heights) - 1
 
 
-def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:
-    """Report elements violating in both directions.
+def check_exclusivity(poset: Poset, f: MorseFunction) -> tuple[tuple[ElementId, ...], ...]:
+    """Elements violating in both directions, each as (element, its first
+    non-increasing lower cover, its first non-increasing upper cover).
 
     On a 2-wide poset such an element cannot exist for a valid discrete Morse
     function; finding one there means this library is broken, so it raises.
@@ -276,14 +271,13 @@ def check_exclusivity(poset: Poset, f: MorseFunction) -> ExclusivityReport:
     """
     _require_total(poset, f)
     scan = _scan(poset, f.values, poset.elements)
-    offenders = [(b, below[0], above[0]) for b, below, above in scan if below and above]
-    two_wide = bool(is_two_wide(poset))
-    if two_wide and offenders:
+    offenders = tuple((b, below[0], above[0]) for b, below, above in scan if below and above)
+    if offenders and is_two_wide(poset):
         raise AssertionError(
             f"exclusivity broken on a 2-wide poset at {offenders[0][0]!r}; "
             f"this is an implementation bug"
         )
-    return ExclusivityReport(two_wide=two_wide, offenders=tuple(offenders))
+    return offenders
 
 
 def monotone_extension_holds(poset: Poset, g: MorseFunction) -> bool:

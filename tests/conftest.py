@@ -1,8 +1,9 @@
 """Shared fixtures: the small named posets used throughout the suite,
 stdlib builders of two bigons under one 2-cell, grid tori, d-cubes,
-cubical tori, the cone over a cubical torus and products of complexes, the
-mod-2 Betti numbers of a face poset, and Forman's Morse inequalities
-against them."""
+cubical tori, the cone over a cubical torus, products of complexes and
+two uneven stacks of diamonds (2-wide with no parity rank), the mod-2
+Betti numbers of a face poset, and Forman's Morse inequalities against
+them."""
 
 from __future__ import annotations
 
@@ -323,6 +324,25 @@ def two_cycles():
 def parity_conflict_poset():
     """c receives parity 1 via a and 0 via d, so no parity rank exists."""
     return build_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "d"), ("d", "c")])
+
+
+def uneven_diamonds() -> tuple[list[str], list[tuple[str, str]]]:
+    """Elements and covers of two stacks of diamonds from a bottom ``0`` to a
+    top ``t``: 0 ⋖ p1, p2 ⋖ q1, q2 ⋖ t and 0 ⋖ r1, r2 ⋖ s1, s2 ⋖ u1, u2 ⋖ t,
+    each level covering both elements of the level below.  Every cover chain
+    has a second middle, so the poset is 2-wide, but t is three covers above
+    0 one way and four the other, so it has no parity rank."""
+    paths = ((("0",), ("p1", "p2"), ("q1", "q2"), ("t",)),
+             (("0",), ("r1", "r2"), ("s1", "s2"), ("u1", "u2"), ("t",)))
+    covers = sorted({(a, b) for path in paths for low, high in zip(path, path[1:])
+                     for a in low for b in high})
+    return sorted({e for cover in covers for e in cover}), covers
+
+
+@pytest.fixture
+def no_parity_poset():
+    """:func:`uneven_diamonds` built: 2-wide, with no parity rank."""
+    return build_poset(*uneven_diamonds())
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from morsepoly import (
     HypothesisViolated,
     InvalidArgument,
     MalformedSpec,
+    MissingValue,
     MorseFunction,
     RankConflict,
     chain_weights,
@@ -231,6 +232,12 @@ class TestDimensionMorse:
             f = dimension_morse(face.poset, face.rank)
             classify(face.poset, f)
 
+    def test_missing_rank_is_missing_value(self, triangle):
+        rank = dict(triangle.rank)
+        del rank["1,3"], rank["2"]
+        with pytest.raises(MissingValue, match=r"\['1,3', '2'\]"):
+            dimension_morse(triangle.poset, rank)
+
 
 class TestMorseInequalityReport:
     def test_triangle(self, triangle):
@@ -273,6 +280,20 @@ class TestMorseInequalityReport:
         rank = {"0": 0, "1": 1, "2": 2}
         with pytest.raises(HypothesisViolated):
             morse_inequality_report(chain_poset, rank, chain_morse)
+
+    # A rank that is not the poset's is a bad argument, refused by
+    # validate_parity_rank at the first element in identifier order.
+    def test_rank_missing_an_element(self, triangle):
+        f = dimension_morse(triangle.poset, triangle.rank)
+        rank = {e: r for e, r in triangle.rank.items() if e != "2,3"}
+        with pytest.raises(InvalidArgument, match=r"^parity rank of '2,3' is not 1$"):
+            morse_inequality_report(triangle.poset, rank, f)
+
+    def test_rank_shifted_by_one(self, triangle):
+        f = dimension_morse(triangle.poset, triangle.rank)
+        rank = {e: r + 1 for e, r in triangle.rank.items()}
+        with pytest.raises(InvalidArgument, match=r"^parity rank of '1' is not 0$"):
+            morse_inequality_report(triangle.poset, rank, f)
 
 
 def test_two_cycles_spec_builds_cleanly():

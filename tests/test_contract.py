@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import pytest
 
-from tests.conftest import torus
+from tests.conftest import torus, uneven_diamonds
 
 try:
     import resource
@@ -59,6 +59,10 @@ DOCUMENTS = {
     # Functions rising along every cover of those two, so Morse functions.
     "ungraded.morse.json": {"values": {"a": 0, "b": 1, "x": 1, "c": 2, "d": 3, "e": 4}},
     "parity_conflict.morse.json": {"values": {"a": 0, "b": 1, "x": 1, "c": 2, "d": 3}},
+    # A 2-wide poset with no parity rank, and the zero function on it, which
+    # is not a Morse function: the hypotheses are checked first.
+    "uneven_diamonds.json": dict(zip(("elements", "covers"), uneven_diamonds())),
+    "uneven_diamonds.morse.json": {"values": dict.fromkeys(uneven_diamonds()[0], 0)},
     # Covers derived from a relation: a square disk whose 2-cell lists its
     # full boundary, and a poset with two redundant pairs, where
     # NonCoverEdge must name the identifier-first one.
@@ -147,6 +151,16 @@ def _rows() -> list[Row]:
                  stderr_has="error: hypothesis violated: not 2-wide (('a', 'b', 'c'))\n")
              for name in ("ungraded", "parity_conflict")
              for cmd in ("normalize", "embed", "index", "verify")]
+    # 2-wide with no parity rank: check reports it, and every command that
+    # needs the hypotheses refuses it with the line check_hypotheses builds.
+    uneven = ("--in", "uneven_diamonds.json")
+    rows.append(Row("check.uneven_diamonds.strict", ("check", "--strict", "--format", "text", *uneven),
+                    code=1))
+    rows += [Row(f"{cmd}.uneven_diamonds.no_parity",
+                 (cmd, *uneven, "--morse", "uneven_diamonds.morse.json"), code=2,
+                 stderr_has="error: hypothesis violated: no parity rank function "
+                            "(element 't' receives 1 via 'q1' and 0 via 'u1')\n")
+             for cmd in ("index", "verify")]
     rows += [Row(f"{cmd}.full_disk.{fmt}", (cmd, *flags, "--format", fmt, "--in", "full_disk.json"))
              for cmd, flags in (("check", ("--strict",)), ("verify", ())) for fmt in ("json", "text")]
     rows += [Row("verify.out", ("verify", *morse, "--out", "verify.written"), written="verify.written"),

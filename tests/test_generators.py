@@ -218,7 +218,8 @@ class TestContractedIsAcyclic:
 
 def whole_graph_matching(poset, rng):
     """The matching loop that reruns the whole-graph cycle test for every
-    candidate pair, and the contraction it leaves: the reference the
+    candidate pair, the contraction it leaves and each node's upper covers
+    (a matched pair's lower end's, then its upper end's): the reference the
     incremental loop must reproduce."""
     covers = sorted(poset.covers)
     rng.shuffle(covers)
@@ -238,7 +239,10 @@ def whole_graph_matching(poset, rng):
             matching.append((a, b))
             taken.add(a)
             taken.add(b)
-    return matching, node
+    succ = {e: poset.upper_covers(e) for e in poset.elements if e not in taken}
+    for a, b in matching:
+        succ[min(a, b)] = poset.upper_covers(a) + poset.upper_covers(b)
+    return matching, node, succ
 
 
 @st.composite
@@ -293,9 +297,8 @@ def fraction_perturbed(seed, poset):
     """gen_morse's values with the perturbation loop run on Fractions, draw
     for draw: the reference the loop on integers (twelfths) must reproduce."""
     rng = random.Random(seed)
-    matching, node = _sample_matching(poset, rng)
     values = {e: Fraction(v, generators._SCALE)
-              for e, v in _base_values(poset, matching, node, rng).items()}
+              for e, v in _base_values(*_sample_matching(poset, rng), rng).items()}
     elements = sorted(poset.elements)
     n = len(elements)
     for _ in range(4 * n):
@@ -340,7 +343,7 @@ class TestIntegerPerturbations:
         # Base values are integers or half-integers, made as twelfths, so
         # the perturbation loop starts on them with no conversion.
         rng = random.Random(seed)
-        values = _base_values(poset, *_sample_matching(poset, rng), rng)
+        values = _base_values(*_sample_matching(poset, rng), rng)
         assert list(values) == list(poset.elements)
         assert all(type(v) is int and v % (generators._SCALE // 2) == 0
                    for v in values.values())

@@ -107,11 +107,14 @@ def is_acyclic(poset, matching) -> bool:
 
 def contraction(poset, matching):
     """The node holding each element once each matched pair is merged into
-    its smaller identifier, as the generator's sampler leaves it."""
+    its smaller identifier, and each node's upper covers, as the generator's
+    sampler leaves them."""
     node = {e: e for e in poset.elements}
+    succ = {e: poset.upper_covers(e) for e in poset.elements}
     for a, b in matching:
         node[a] = node[b] = min(a, b)
-    return node
+        succ[min(a, b)] = succ.pop(a) + succ.pop(b)
+    return node, succ
 
 
 def acyclic_matchings(poset):
@@ -126,7 +129,7 @@ def test_matching_counts(name, face, acyclic, total):
     everything, kept = acyclic_matchings(face.poset)
     assert (len(kept), len(everything)) == (acyclic, total)
     for matching in everything:
-        node = contraction(face.poset, matching)
+        node, _ = contraction(face.poset, matching)
         assert _contracted_is_acyclic(face.poset, node) == is_acyclic(face.poset, matching)
 
 
@@ -149,7 +152,7 @@ def assert_realized_gradient_verifies(face, matching, rng):
     cells, ``verify``'s equations and the witness agree on it, and the Morse
     inequalities hold."""
     poset = face.poset
-    base = _base_values(poset, matching, contraction(poset, matching), rng)
+    base = _base_values(matching, *contraction(poset, matching), rng)
     f = MorseFunction({e: Fraction(v, _SCALE) for e, v in base.items()})
     unmatched = set(poset.elements).difference(*matching)
     assert classify(poset, f).critical_set() == unmatched

@@ -207,27 +207,24 @@ class TestClassify:
 
 class TestExclusivity:
     def test_chain_counterexample_has_both(self, chain_poset, chain_morse):
-        report = check_exclusivity(chain_poset, chain_morse)
-        assert not report.two_wide
-        assert report.offenders == (("1", "0", "2"),)
+        assert check_exclusivity(chain_poset, chain_morse) == (("1", "0", "2"),)
+        assert not is_two_wide(chain_poset)
 
     def test_triangle_has_none(self, triangle):
         f = dimension_morse(triangle.poset, triangle.rank)
-        report = check_exclusivity(triangle.poset, f)
-        assert report.two_wide
-        assert report.offenders == ()
+        assert check_exclusivity(triangle.poset, f) == ()
+        assert is_two_wide(triangle.poset)
 
     def test_edge_poset_has_none(self, edge_poset):
         f = MorseFunction.from_values({"a": 0, "b": 2, "e": 1})
-        assert check_exclusivity(edge_poset, f).offenders == ()
+        assert check_exclusivity(edge_poset, f) == ()
 
     def test_generated_two_wide_sweep_never_offends(self):
         for seed in range(12):
             face = face_poset_simplicial(gen_complex(seed, 5, 2, 0.6))
             f = gen_morse(seed + 300, face.poset)
-            report = check_exclusivity(face.poset, f)
-            assert report.two_wide
-            assert report.offenders == ()
+            assert check_exclusivity(face.poset, f) == ()
+            assert is_two_wide(face.poset)
 
 
 class TestFindTroubled:
@@ -597,7 +594,7 @@ class TestMorseConditionOracle:
             for b, below, above in rows
             if below or above
         }
-        assert check_exclusivity(poset, f).offenders == tuple(
+        assert check_exclusivity(poset, f) == tuple(
             (b, below[0], above[0]) for b, below, above in rows if below and above
         )
 

@@ -18,6 +18,7 @@ from morsepoly import (
     GradingConflict,
     HypothesisViolated,
     InvalidArgument,
+    MorseFunction,
     NonCoverEdge,
     SimplicialComplex,
     UnknownElement,
@@ -35,8 +36,10 @@ from morsepoly import (
     is_downward_eulerian,
     is_two_wide,
     linear_extension,
+    morse_inequality_report,
     order_complex,
     transitive_reduction,
+    verify_representation,
 )
 from tests.conftest import cube, cubical_cone, cubical_torus, full_boundaries
 
@@ -603,13 +606,19 @@ class TestValidateParityRank:
     @settings(max_examples=300, deadline=None)
     @given(parity_guesses())
     def test_matches_four_part_rule(self, case):
+        # A poset with no parity rank is outside the class, whatever the
+        # guess; otherwise a guess the rule refuses is a bad argument.
         poset, values = case
         reference = four_part_parity_error(poset, values)
-        if reference is None:
+        if isinstance(poset._parity, GradingConflict):
+            with pytest.raises(HypothesisViolated):
+                validate_parity_rank(poset, values)
+        elif reference is None:
             validate_parity_rank(poset, values)
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidArgument) as info:
                 validate_parity_rank(poset, values)
+            assert isinstance(info.value, ValueError)
 
     def test_names_the_first_element(self, triangle):
         values = {e: r % 2 for e, r in triangle.rank.items()}
@@ -619,8 +628,28 @@ class TestValidateParityRank:
             validate_parity_rank(triangle.poset, values)
 
     def test_no_parity_rank(self, parity_conflict_poset):
-        with pytest.raises(ValueError, match="'c'"):
+        with pytest.raises(HypothesisViolated, match="'c'") as info:
             validate_parity_rank(parity_conflict_poset, {"a": 0, "b": 0, "c": 1, "d": 1})
+        assert info.value.prop == "no parity rank function"
+
+
+def test_one_refusal_of_a_poset_with_no_parity_rank(no_parity_poset):
+    """Every function that needs the parity rank refuses a 2-wide poset
+    without one with the same HypothesisViolated, whatever grading or
+    function the caller passes."""
+    poset = no_parity_poset
+    assert is_two_wide(poset) and isinstance(poset._parity, GradingConflict)
+    zero = MorseFunction.from_values(dict.fromkeys(poset.elements, 0))
+    refusals = []
+    for call in (lambda: check_hypotheses(poset), lambda: validate_parity_rank(poset, {}),
+                 lambda: is_downward_eulerian(poset, {}),
+                 lambda: verify_representation(poset, zero),
+                 lambda: morse_inequality_report(poset, {}, zero)):
+        with pytest.raises(HypothesisViolated) as info:
+            call()
+        refusals.append((info.value.prop, info.value.detail))
+    assert refusals == [("no parity rank function",
+                         "element 't' receives 1 via 'q1' and 0 via 'u1'")] * 5
 
 
 class TestDownwardEulerianOracle:

@@ -93,7 +93,7 @@ def real_records():
 
 def test_every_record_class_is_slotted():
     classes = record_classes()
-    assert len(classes) == 19
+    assert len(classes) == 18
     for cls in classes:
         assert isinstance(cls.__slots__, tuple) and cls.__slots__, cls
         # No class on the way up adds a per-instance __dict__.
@@ -137,7 +137,7 @@ def verdicts(face):
     poset = getattr(face, "poset", face)
     yield is_two_wide(poset)
     if isinstance(poset._parity, dict):
-        yield _downward_eulerian(poset, poset._parity)
+        yield _downward_eulerian(poset)
     if poset is not face:
         g = normalize(poset, dimension_morse(poset, face.rank))
         report = cross_check(poset, g)
